@@ -4,24 +4,12 @@ __version__ = "0.1.0"
 
 from .acquisition import (
     AcquisitionMethod,
-    causal_eig,
-    causal_epig_global,
-    causal_epig_mu,
-    causal_epig_mu_additive,
-    causal_epig_tau,
-    combined_bald,
-    coreset_qhte,
-    epig_factual,
     fit_propensity,
     gaussian_mi_block,
     gaussian_mi_scalar,
     mc_mi_oracle,
-    mu_bald,
     predict_pi,
-    random_acq,
     score_pool,
-    sundin_gamma,
-    tau_bald,
 )
 from .active_loop import (
     ActiveState,
@@ -29,7 +17,6 @@ from .active_loop import (
     LoopConfig,
     run_active_learning,
     select_batch,
-    set_acquisition_target,
     warm_start,
 )
 from .beliefs import (
@@ -57,14 +44,6 @@ from .gp import (
     NsgpParams,
     SearchConfig,
     fit_gp,
-    joint_belief,
     optimize_hyperparams,
 )
-from .kernels import (
-    CoregionalizationConfig,
-    KernelConfig,
-    cmgp_joint_kernel,
-    matern52_kernel,
-    nsgp_joint_kernel,
-    rbf_kernel,
-)
+from .kernels import CoregionalizationConfig, KernelConfig

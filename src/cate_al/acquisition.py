@@ -25,25 +25,6 @@ from .errors import InputError, NumericalError
 
 DET_FLOOR = 1e-300
 
-METHOD_NAMES = (
-    "random",
-    "causal_epig_tau",
-    "causal_epig_mu",
-    "causal_epig_mu_additive",
-    "causal_epig_tau_global",
-    "causal_epig_mu_global",
-    "epig_factual",
-    "mu_bald",
-    "tau_bald",
-    "mu_pi_bald",
-    "mu_rho_bald",
-    "sundin",
-    "coreset_qhte",
-    "causal_eig",
-)
-
-_PROPENSITY_METHODS = ("mu_pi_bald",)
-
 
 @dataclass(frozen=True)
 class AcquisitionMethod:
@@ -69,7 +50,7 @@ class AcquisitionMethod:
 
     @property
     def needs_propensity(self) -> bool:
-        return self.name in _PROPENSITY_METHODS
+        return self.name == "mu_pi_bald"
 
 
 # -- Gaussian mutual information ---------------------------------------------
@@ -201,242 +182,6 @@ def mc_mi_oracle(belief: JointGaussianBelief, block_a, block_b, n_samples: int, 
     return 0.5 * (ld(pa) + ld(pb) - ld(np.arange(k)))
 
 
-# -- individual utility functions --------------------------------------------
-
-
-def _as_candidate(candidate):
-    cx, ct = candidate
-    cx = np.atleast_1d(np.asarray(cx, dtype=float))[None, :]
-    ct = np.array([int(ct)])
-    if ct[0] not in (0, 1):
-        raise InputError("candidate treatment must be 0 or 1")
-    return cx, ct
-
-
-def _as_targets(targets) -> np.ndarray:
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if targets.shape[0] == 0:
-        raise InputError("target set must be non-empty")
-    return targets
-
-
-def causal_epig_tau(model: CateModel, candidate, targets) -> float:
-    """Mean over targets of MI between the candidate's outcome and the contrast."""
-    cx, ct = _as_candidate(candidate)
-    targets = _as_targets(targets)
-    b = model.moment_bundle(cx, ct, targets)
-    return float(np.mean(_mi_scalar_vec(b.y_var[:, None], b.tau_var[None, :], b.cy_tau)))
-
-
-def _mu_joint_mi(bundle) -> np.ndarray:
-    """(n_c, m) MI between y and the per-target (f0, f1) pair, closed form."""
-    vy = bundle.y_var[:, None]
-    eps = 1e-12 * np.maximum(np.maximum(bundle.f0_var, bundle.f1_var), 1.0)
-    v0 = bundle.f0_var + eps
-    v1 = bundle.f1_var + eps
-    c01 = bundle.f01_cov
-    det2 = np.maximum(v0 * v1 - c01**2, DET_FLOOR)[None, :]
-    q = bundle.cy0**2 * v1[None, :] - 2.0 * bundle.cy0 * bundle.cy1 * c01[None, :] + bundle.cy1**2 * v0[None, :]
-    ratio = np.clip(q / np.maximum(det2 * vy, DET_FLOOR), 0.0, 1.0 - 1e-15)
-    out = -0.5 * np.log1p(-ratio)
-    degenerate = ((bundle.f0_var <= VARIANCE_FLOOR) & (bundle.f1_var <= VARIANCE_FLOOR))[None, :]
-    out = np.where(degenerate | (vy <= VARIANCE_FLOOR), 0.0, out)
-    return np.maximum(out, 0.0)
-
-
-def causal_epig_mu(model: CateModel, candidate, targets) -> float:
-    """Mean over targets of MI between the candidate's outcome and both
-    potential-outcome surfaces jointly."""
-    cx, ct = _as_candidate(candidate)
-    targets = _as_targets(targets)
-    b = model.moment_bundle(cx, ct, targets)
-    return float(np.mean(_mu_joint_mi(b)))
-
-
-def causal_epig_mu_additive(model: CateModel, candidate, targets) -> float:
-    """Additive variant: per-target MI with f0 plus MI with f1, averaged."""
-    cx, ct = _as_candidate(candidate)
-    targets = _as_targets(targets)
-    b = model.moment_bundle(cx, ct, targets)
-    mi0 = _mi_scalar_vec(b.y_var[:, None], b.f0_var[None, :], b.cy0)
-    mi1 = _mi_scalar_vec(b.y_var[:, None], b.f1_var[None, :], b.cy1)
-    return float(np.mean(mi0 + mi1))
-
-
-def _global_quad_mi(y_var: np.ndarray, q: np.ndarray, joint_cov: np.ndarray) -> np.ndarray:
-    """MI(y; full target vector) per candidate from one factorization of the
-    target-target covariance: -1/2 log(1 - q^T S^-1 q / Var[y])."""
-    scale = max(float(np.mean(np.diag(joint_cov))), VARIANCE_FLOOR)
-    if scale <= VARIANCE_FLOOR:
-        return np.zeros(y_var.shape[0])
-    L = None
-    for jitter in (1e-12, 1e-10, 1e-8, 1e-6):
-        try:
-            L = cholesky(joint_cov + jitter * scale * np.eye(joint_cov.shape[0]), lower=True)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    if L is None:
-        raise NumericalError("target-target covariance failed to factorize at maximum jitter")
-    w = solve_triangular(L, q.T, lower=True)
-    quad = np.sum(w * w, axis=0)
-    ratio = np.clip(quad / np.maximum(y_var, VARIANCE_FLOOR), 0.0, 1.0 - 1e-15)
-    out = -0.5 * np.log1p(-ratio)
-    return np.where(y_var <= VARIANCE_FLOOR, 0.0, np.maximum(out, 0.0))
-
-
-def causal_epig_global(model: CateModel, candidate, targets, estimand: str = "tau") -> float:
-    """MI between the candidate's outcome and the whole target vector jointly."""
-    if estimand not in ("tau", "po"):
-        raise InputError(f"estimand must be 'tau' or 'po', got {estimand!r}")
-    cx, ct = _as_candidate(candidate)
-    targets = _as_targets(targets)
-    b = model.moment_bundle(cx, ct, targets)
-    if estimand == "tau":
-        q = b.cy_tau
-        joint = model.tau_joint_cov(targets)
-    else:
-        m = targets.shape[0]
-        q = np.empty((1, 2 * m))
-        q[:, 0::2] = b.cy0
-        q[:, 1::2] = b.cy1
-        joint = model.po_joint_cov(targets)
-    return float(_global_quad_mi(b.y_var, q, joint)[0])
-
-
-def epig_factual(model: CateModel, candidate, pool_distribution_sample) -> float:
-    """Mean MI between the candidate's outcome and sampled factual outcomes."""
-    xs, ts = pool_distribution_sample
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ts = np.asarray(ts, dtype=int).reshape(-1)
-    if xs.shape[0] == 0:
-        raise InputError("factual EPIG needs a non-empty sample of (x*, t*) pairs")
-    cx, ct = _as_candidate(candidate)
-    cross = model.latent_cov(cx, ct, xs, ts)
-    y_var = model.latent_var(cx, ct) + model.noise_variance
-    star_var = model.latent_var(xs, ts) + model.noise_variance
-    return float(np.mean(_mi_scalar_vec(y_var[:, None], star_var[None, :], cross)))
-
-
-def mu_bald(model: CateModel, candidate) -> float:
-    """Latent-function information of the candidate's own arm:
-    1/2 log(1 + Var[f_t(x)] / noise)."""
-    cx, ct = _as_candidate(candidate)
-    vf = model.latent_var(cx, ct)[0]
-    return 0.5 * float(np.log1p(vf / model.noise_variance))
-
-
-def tau_bald(model: CateModel, candidate) -> float:
-    """Contrast-information analogue; the contrast of two noisy observations
-    carries twice the noise variance."""
-    cx, _ = _as_candidate(candidate)
-    v_tau = float(model.tau_sd(cx)[0]) ** 2
-    return 0.5 * float(np.log1p(v_tau / (2.0 * model.noise_variance)))
-
-
-def combined_bald(model: CateModel, candidate, variant: str, propensity_model=None, pool_tau_sd_max: float | None = None) -> float:
-    """Weighted mu-BALD: counterfactual-scarcity weight (mu_pi) or normalized
-    contrast-spread weight (mu_rho)."""
-    if variant not in ("mu_pi", "mu_rho"):
-        raise InputError(f"variant must be 'mu_pi' or 'mu_rho', got {variant!r}")
-    base = mu_bald(model, candidate)
-    cx, ct = _as_candidate(candidate)
-    if variant == "mu_pi":
-        if propensity_model is None:
-            raise InputError("mu_pi weighting needs a fitted propensity model")
-        pi = predict_pi(propensity_model, cx)[0]
-        w = 1.0 - pi if ct[0] == 1 else pi
-    else:
-        if pool_tau_sd_max is None or pool_tau_sd_max <= 0:
-            raise InputError("mu_rho weighting needs the pool's maximum contrast sd")
-        w = float(model.tau_sd(cx)[0]) / float(pool_tau_sd_max)
-    return base * float(w)
-
-
-def bernoulli_entropy(p) -> np.ndarray:
-    """Entropy of Bernoulli(p) in nats with the 0 log 0 := 0 convention."""
-    p = np.asarray(p, dtype=float)
-    q = 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -np.where(p > 0, p * np.log(p), 0.0) - np.where(q > 0, q * np.log(q), 0.0)
-    return h
-
-
-def sign_ambiguity_score(tau_draws: np.ndarray) -> float:
-    """Sign-ambiguity information from contrast draws at one covariate.
-
-    gamma_k = Phi(-|tau_k| / sd(tau)); score is the Jensen gap
-    H(Bern(mean gamma)) - mean H(Bern(gamma_k)), zero when the draws agree.
-    """
-    draws = np.asarray(tau_draws, dtype=float).reshape(-1)
-    if draws.size < 2:
-        raise InputError("need at least 2 contrast draws")
-    sd = draws.std()
-    if sd <= 0.0:
-        return 0.0
-    gamma = norm.cdf(-np.abs(draws) / sd)
-    return float(max(bernoulli_entropy(gamma.mean()) - bernoulli_entropy(gamma).mean(), 0.0))
-
-
-def sundin_gamma(model: CateModel, candidate, k: int = 100, rng=None) -> float:
-    """Sign-ambiguity utility from k draws of the candidate's contrast posterior."""
-    if int(k) < 2:
-        raise InputError("need at least 2 posterior draws")
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
-    cx, _ = _as_candidate(candidate)
-    draws = model.tau_draws(cx[0], int(k), rng)
-    return sign_ambiguity_score(draws)
-
-
-def coreset_qhte(model: CateModel, pool, labeled) -> np.ndarray:
-    """Per-candidate minimum posterior-metric distance to the labeled set of
-    the candidate's own arm; candidates in an unlabeled arm get the pool
-    maximum plus one.
-
-    The squared distance is Var[f_t(x)] + Var[f_t(x')] - 2 Cov[f_t(x), f_t(x')].
-    """
-    px, pt = pool
-    lx, lt = labeled
-    px = np.atleast_2d(np.asarray(px, dtype=float))
-    pt = np.asarray(pt, dtype=int).reshape(-1)
-    lx = np.atleast_2d(np.asarray(lx, dtype=float)) if np.size(lx) else np.zeros((0, px.shape[1]))
-    lt = np.asarray(lt, dtype=int).reshape(-1)
-
-    scores = np.full(pt.size, np.nan)
-    for arm in (0, 1):
-        cand = np.flatnonzero(pt == arm)
-        if cand.size == 0:
-            continue
-        anchors = np.flatnonzero(lt == arm)
-        if anchors.size == 0:
-            continue
-        arm_t = np.full(cand.size, arm)
-        anchor_t = np.full(anchors.size, arm)
-        var_c = model.latent_var(px[cand], arm_t)
-        var_a = model.latent_var(lx[anchors], anchor_t)
-        cross = model.latent_cov(px[cand], arm_t, lx[anchors], anchor_t)
-        d2 = var_c[:, None] + var_a[None, :] - 2.0 * cross
-        scores[cand] = np.sqrt(np.maximum(d2, 0.0)).min(axis=1)
-
-    known = np.isfinite(scores)
-    sentinel = (scores[known].max() if known.any() else 0.0) + 1.0
-    return np.where(known, scores, sentinel)
-
-
-def causal_eig(model: CateModel, candidate, reference_grid) -> float:
-    """MI between the candidate's outcome and the contrast evaluated on a
-    fixed reference grid (nonparametric stand-in for effect parameters)."""
-    return causal_epig_global(model, candidate, reference_grid, estimand="tau")
-
-
-def random_acq(pool_size: int, rng) -> np.ndarray:
-    """I.i.d. Uniform(0, 1) utility scores."""
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
-    return rng.uniform(size=int(pool_size))
-
-
 # -- propensity ----------------------------------------------------------------
 
 
@@ -445,7 +190,6 @@ class PropensityModel:
     """Ridge-regularized logistic regression over [1, x]."""
 
     weights: np.ndarray
-    converged: bool = True
 
 
 def fit_propensity(x, t, ridge: float = 1e-3, max_iter: int = 100, tol: float = 1e-8) -> PropensityModel:
@@ -500,6 +244,9 @@ def predict_pi(model: PropensityModel, x) -> np.ndarray:
 
 
 # -- pool scoring ---------------------------------------------------------------
+#
+# Every scorer maps (method, model, pool_x, pool_t, ctx) to one score per pool
+# candidate, by pool index. A single candidate is scored as a pool of one.
 
 
 @dataclass
@@ -519,87 +266,239 @@ class ScoringContext:
         return self.targets[np.sort(idx)]
 
 
-def score_pool(method: AcquisitionMethod, model: CateModel, pool_x, pool_t, ctx: ScoringContext) -> np.ndarray:
-    """Vectorized utility scores for every pool candidate, by pool index."""
-    pool_x = np.atleast_2d(np.asarray(pool_x, dtype=float))
-    pool_t = np.asarray(pool_t, dtype=int).reshape(-1)
-    n = pool_t.size
-    name = method.name
-
-    if name == "random":
-        return random_acq(n, ctx.rng)
-
-    if name in ("coreset_qhte",):
-        return coreset_qhte(model, (pool_x, pool_t), (ctx.labeled_x, ctx.labeled_t))
-
-    if name in ("mu_bald", "mu_pi_bald", "mu_rho_bald"):
-        vf = model.latent_var(pool_x, pool_t)
-        base = 0.5 * np.log1p(vf / model.noise_variance)
-        if name == "mu_bald":
-            return base
-        if name == "mu_pi_bald":
-            if ctx.propensity is None:
-                raise InputError("mu_pi_bald requires a fitted propensity model in the context")
-            pi = predict_pi(ctx.propensity, pool_x)
-            w = np.where(pool_t == 1, 1.0 - pi, pi)
-            return base * w
-        sd = model.tau_sd(pool_x)
-        top = sd.max()
-        return base * (sd / top if top > 0 else np.zeros_like(sd))
-
-    if name == "tau_bald":
-        v_tau = model.tau_sd(pool_x) ** 2
-        return 0.5 * np.log1p(v_tau / (2.0 * model.noise_variance))
-
-    if name == "sundin":
-        scores = np.empty(n)
-        for i in range(n):
-            draws = model.tau_draws(pool_x[i], method.sundin_samples, ctx.rng)
-            scores[i] = sign_ambiguity_score(draws)
-        return scores
-
-    if name == "epig_factual":
-        take = min(method.epig_sample_size, n)
-        pick = ctx.rng.choice(n, size=take, replace=False)
-        xs, ts = pool_x[pick], pool_t[pick]
-        cross = model.latent_cov(pool_x, pool_t, xs, ts)
-        y_var = model.latent_var(pool_x, pool_t) + model.noise_variance
-        star_var = model.latent_var(xs, ts) + model.noise_variance
-        return np.mean(_mi_scalar_vec(y_var[:, None], star_var[None, :], cross), axis=1)
-
-    if name == "causal_eig":
-        grid = pool_x[: min(method.eig_grid_size, n)]
-        bundle = model.moment_bundle(pool_x, pool_t, grid)
-        return _global_quad_mi(bundle.y_var, bundle.cy_tau, model.tau_joint_cov(grid))
-
+def _target_bundle(method: AcquisitionMethod, model: CateModel, pool_x, pool_t, ctx: ScoringContext):
     targets = ctx.capped_targets(method.target_cap)
     if targets.shape[0] == 0:
         raise InputError("target set must be non-empty")
-    bundle = model.moment_bundle(pool_x, pool_t, targets)
+    return targets, model.moment_bundle(pool_x, pool_t, targets)
 
-    if name == "causal_epig_tau":
-        return np.mean(_mi_scalar_vec(bundle.y_var[:, None], bundle.tau_var[None, :], bundle.cy_tau), axis=1)
-    if name == "causal_epig_mu":
-        return np.mean(_mu_joint_mi(bundle), axis=1)
-    if name == "causal_epig_mu_additive":
-        mi0 = _mi_scalar_vec(bundle.y_var[:, None], bundle.f0_var[None, :], bundle.cy0)
-        mi1 = _mi_scalar_vec(bundle.y_var[:, None], bundle.f1_var[None, :], bundle.cy1)
-        return np.mean(mi0 + mi1, axis=1)
-    if name in ("causal_epig_tau_global", "causal_epig_mu_global"):
-        # the global formulation conditions each candidate on the full joint
-        # target vector: one factorization of the target-target covariance
-        # per candidate, cubic in the target count
-        if name == "causal_epig_tau_global":
-            q = bundle.cy_tau
-            joint = model.tau_joint_cov(targets)
-        else:
-            m = targets.shape[0]
-            q = np.empty((pool_t.size, 2 * m))
-            q[:, 0::2] = bundle.cy0
-            q[:, 1::2] = bundle.cy1
-            joint = model.po_joint_cov(targets)
-        return np.array([
-            _global_quad_mi(bundle.y_var[i : i + 1], q[i : i + 1], joint)[0] for i in range(pool_t.size)
-        ])
 
-    raise InputError(f"no scorer wired for method {name!r}")
+def _score_random(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """I.i.d. Uniform(0, 1) utility scores."""
+    return ctx.rng.uniform(size=pool_t.size)
+
+
+def _score_epig_tau(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Mean over targets of MI between the candidate's outcome and the contrast."""
+    _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
+    return np.mean(_mi_scalar_vec(b.y_var[:, None], b.tau_var[None, :], b.cy_tau), axis=1)
+
+
+def _mu_joint_mi(bundle) -> np.ndarray:
+    """(n_c, m) MI between y and the per-target (f0, f1) pair, closed form."""
+    vy = bundle.y_var[:, None]
+    eps = 1e-12 * np.maximum(np.maximum(bundle.f0_var, bundle.f1_var), 1.0)
+    v0 = bundle.f0_var + eps
+    v1 = bundle.f1_var + eps
+    c01 = bundle.f01_cov
+    det2 = np.maximum(v0 * v1 - c01**2, DET_FLOOR)[None, :]
+    q = bundle.cy0**2 * v1[None, :] - 2.0 * bundle.cy0 * bundle.cy1 * c01[None, :] + bundle.cy1**2 * v0[None, :]
+    ratio = np.clip(q / np.maximum(det2 * vy, DET_FLOOR), 0.0, 1.0 - 1e-15)
+    out = -0.5 * np.log1p(-ratio)
+    degenerate = ((bundle.f0_var <= VARIANCE_FLOOR) & (bundle.f1_var <= VARIANCE_FLOOR))[None, :]
+    out = np.where(degenerate | (vy <= VARIANCE_FLOOR), 0.0, out)
+    return np.maximum(out, 0.0)
+
+
+def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Mean over targets of MI between the candidate's outcome and both
+    potential-outcome surfaces jointly."""
+    _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
+    return np.mean(_mu_joint_mi(b), axis=1)
+
+
+def _score_epig_mu_additive(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Additive variant: per-target MI with f0 plus MI with f1, averaged."""
+    _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
+    mi0 = _mi_scalar_vec(b.y_var[:, None], b.f0_var[None, :], b.cy0)
+    mi1 = _mi_scalar_vec(b.y_var[:, None], b.f1_var[None, :], b.cy1)
+    return np.mean(mi0 + mi1, axis=1)
+
+
+def _global_quad_mi(y_var: np.ndarray, q: np.ndarray, joint_cov: np.ndarray) -> np.ndarray:
+    """MI(y; full target vector) per candidate from one factorization of the
+    target-target covariance: -1/2 log(1 - q^T S^-1 q / Var[y])."""
+    scale = max(float(np.mean(np.diag(joint_cov))), VARIANCE_FLOOR)
+    if scale <= VARIANCE_FLOOR:
+        return np.zeros(y_var.shape[0])
+    L = None
+    for jitter in (1e-12, 1e-10, 1e-8, 1e-6):
+        try:
+            L = cholesky(joint_cov + jitter * scale * np.eye(joint_cov.shape[0]), lower=True)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    if L is None:
+        raise NumericalError("target-target covariance failed to factorize at maximum jitter")
+    w = solve_triangular(L, q.T, lower=True)
+    quad = np.sum(w * w, axis=0)
+    ratio = np.clip(quad / np.maximum(y_var, VARIANCE_FLOOR), 0.0, 1.0 - 1e-15)
+    out = -0.5 * np.log1p(-ratio)
+    return np.where(y_var <= VARIANCE_FLOOR, 0.0, np.maximum(out, 0.0))
+
+
+def _per_candidate_global(y_var: np.ndarray, q: np.ndarray, joint_cov: np.ndarray) -> np.ndarray:
+    # the global formulation conditions each candidate on the full joint
+    # target vector: one factorization of the target-target covariance per
+    # candidate, cubic in the target count
+    return np.array([_global_quad_mi(y_var[i : i + 1], q[i : i + 1], joint_cov)[0] for i in range(y_var.size)])
+
+
+def _score_epig_tau_global(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """MI between the candidate's outcome and the whole contrast vector."""
+    targets, b = _target_bundle(method, model, pool_x, pool_t, ctx)
+    return _per_candidate_global(b.y_var, b.cy_tau, model.tau_joint_cov(targets))
+
+
+def _score_epig_mu_global(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """MI between the candidate's outcome and the whole interleaved
+    potential-outcome vector."""
+    targets, b = _target_bundle(method, model, pool_x, pool_t, ctx)
+    q = np.empty((pool_t.size, 2 * targets.shape[0]))
+    q[:, 0::2] = b.cy0
+    q[:, 1::2] = b.cy1
+    return _per_candidate_global(b.y_var, q, model.po_joint_cov(targets))
+
+
+def _score_epig_factual(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Mean MI between the candidate's outcome and the factual outcomes of a
+    uniform sample of pool candidates."""
+    n = pool_t.size
+    pick = ctx.rng.choice(n, size=min(method.epig_sample_size, n), replace=False)
+    xs, ts = pool_x[pick], pool_t[pick]
+    cross = model.latent_cov(pool_x, pool_t, xs, ts)
+    y_var = model.latent_var(pool_x, pool_t) + model.noise_variance
+    star_var = model.latent_var(xs, ts) + model.noise_variance
+    return np.mean(_mi_scalar_vec(y_var[:, None], star_var[None, :], cross), axis=1)
+
+
+def _score_mu_bald(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Latent-function information of the candidate's own arm:
+    1/2 log(1 + Var[f_t(x)] / noise)."""
+    return 0.5 * np.log1p(model.latent_var(pool_x, pool_t) / model.noise_variance)
+
+
+def _score_tau_bald(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Contrast-information analogue; the contrast of two noisy observations
+    carries twice the noise variance."""
+    v_tau = model.tau_sd(pool_x) ** 2
+    return 0.5 * np.log1p(v_tau / (2.0 * model.noise_variance))
+
+
+def _score_mu_pi_bald(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """mu-BALD weighted by counterfactual scarcity: the propensity of the arm
+    the candidate was not assigned to."""
+    if ctx.propensity is None:
+        raise InputError("mu_pi_bald requires a fitted propensity model in the context")
+    pi = predict_pi(ctx.propensity, pool_x)
+    return _score_mu_bald(method, model, pool_x, pool_t, ctx) * np.where(pool_t == 1, 1.0 - pi, pi)
+
+
+def _score_mu_rho_bald(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """mu-BALD weighted by the contrast spread, normalized by the pool maximum."""
+    base = _score_mu_bald(method, model, pool_x, pool_t, ctx)
+    sd = model.tau_sd(pool_x)
+    top = sd.max()
+    return base * (sd / top if top > 0 else np.zeros_like(sd))
+
+
+def bernoulli_entropy(p) -> np.ndarray:
+    """Entropy of Bernoulli(p) in nats with the 0 log 0 := 0 convention."""
+    p = np.asarray(p, dtype=float)
+    q = 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -np.where(p > 0, p * np.log(p), 0.0) - np.where(q > 0, q * np.log(q), 0.0)
+    return h
+
+
+def sign_ambiguity_score(tau_draws: np.ndarray) -> float:
+    """Sign-ambiguity information from contrast draws at one covariate.
+
+    gamma_k = Phi(-|tau_k| / sd(tau)); score is the Jensen gap
+    H(Bern(mean gamma)) - mean H(Bern(gamma_k)), zero when the draws agree.
+    """
+    draws = np.asarray(tau_draws, dtype=float).reshape(-1)
+    if draws.size < 2:
+        raise InputError("need at least 2 contrast draws")
+    sd = draws.std()
+    if sd <= 0.0:
+        return 0.0
+    gamma = norm.cdf(-np.abs(draws) / sd)
+    return float(max(bernoulli_entropy(gamma.mean()) - bernoulli_entropy(gamma).mean(), 0.0))
+
+
+def _score_sundin(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Sign-ambiguity utility from draws of each candidate's contrast posterior."""
+    return np.array([
+        sign_ambiguity_score(model.tau_draws(pool_x[i], method.sundin_samples, ctx.rng))
+        for i in range(pool_t.size)
+    ])
+
+
+def _score_coreset(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Per-candidate minimum posterior-metric distance to the labeled set of
+    the candidate's own arm; candidates in an unlabeled arm get the pool
+    maximum plus one.
+
+    The squared distance is Var[f_t(x)] + Var[f_t(x')] - 2 Cov[f_t(x), f_t(x')].
+    """
+    lx = ctx.labeled_x
+    lx = np.atleast_2d(np.asarray(lx, dtype=float)) if np.size(lx) else np.zeros((0, pool_x.shape[1]))
+    lt = np.asarray(ctx.labeled_t, dtype=int).reshape(-1)
+
+    scores = np.full(pool_t.size, np.nan)
+    for arm in (0, 1):
+        cand = np.flatnonzero(pool_t == arm)
+        if cand.size == 0:
+            continue
+        anchors = np.flatnonzero(lt == arm)
+        if anchors.size == 0:
+            continue
+        arm_t = np.full(cand.size, arm)
+        anchor_t = np.full(anchors.size, arm)
+        var_c = model.latent_var(pool_x[cand], arm_t)
+        var_a = model.latent_var(lx[anchors], anchor_t)
+        cross = model.latent_cov(pool_x[cand], arm_t, lx[anchors], anchor_t)
+        d2 = var_c[:, None] + var_a[None, :] - 2.0 * cross
+        scores[cand] = np.sqrt(np.maximum(d2, 0.0)).min(axis=1)
+
+    known = np.isfinite(scores)
+    sentinel = (scores[known].max() if known.any() else 0.0) + 1.0
+    return np.where(known, scores, sentinel)
+
+
+def _score_causal_eig(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """MI between the candidate's outcome and the contrast on a reference grid
+    (the first pool covariates; a nonparametric stand-in for effect
+    parameters)."""
+    grid = pool_x[: min(method.eig_grid_size, pool_t.size)]
+    bundle = model.moment_bundle(pool_x, pool_t, grid)
+    return _global_quad_mi(bundle.y_var, bundle.cy_tau, model.tau_joint_cov(grid))
+
+
+_SCORERS = {
+    "random": _score_random,
+    "causal_epig_tau": _score_epig_tau,
+    "causal_epig_mu": _score_epig_mu,
+    "causal_epig_mu_additive": _score_epig_mu_additive,
+    "causal_epig_tau_global": _score_epig_tau_global,
+    "causal_epig_mu_global": _score_epig_mu_global,
+    "epig_factual": _score_epig_factual,
+    "mu_bald": _score_mu_bald,
+    "tau_bald": _score_tau_bald,
+    "mu_pi_bald": _score_mu_pi_bald,
+    "mu_rho_bald": _score_mu_rho_bald,
+    "sundin": _score_sundin,
+    "coreset_qhte": _score_coreset,
+    "causal_eig": _score_causal_eig,
+}
+
+METHOD_NAMES = tuple(_SCORERS)
+
+
+def score_pool(method: AcquisitionMethod, model: CateModel, pool_x, pool_t, ctx: ScoringContext) -> np.ndarray:
+    """Utility scores for every pool candidate, by pool index; the one entry
+    point of every acquisition method."""
+    pool_x = np.atleast_2d(np.asarray(pool_x, dtype=float))
+    pool_t = np.asarray(pool_t, dtype=int).reshape(-1)
+    return _SCORERS[method.name](method, model, pool_x, pool_t, ctx)

@@ -8,7 +8,7 @@ Ground-truth effects are consumed exclusively by the evaluation module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,8 +79,6 @@ class ActiveState:
     labeled_y: list[float]
     pool: list[int]
     target_mode: str
-    step: int = 0
-    history: list[tuple[int, tuple[int, ...], tuple[float, ...]]] = field(default_factory=list)
 
     def validate(self) -> None:
         if set(self.labeled) & set(self.pool):
@@ -102,7 +100,6 @@ def warm_start(pool_indices, n_init: int, oracle: LabelOracle, rng, target_mode:
     state = ActiveState(
         labeled=list(chosen), labeled_y=[float(v) for v in ys], pool=remaining, target_mode=target_mode
     )
-    state.history.append((0, tuple(chosen), ()))
     state.validate()
     return state
 
@@ -136,13 +133,6 @@ def select_batch(scores, n_b: int, temperature: float, rng) -> list[int]:
     return picked
 
 
-def set_acquisition_target(state: ActiveState, mode: str) -> ActiveState:
-    """Bind the acquisition target set to the (refreshing) pool or the test set."""
-    if mode not in TARGET_MODES:
-        raise InputError(f"target mode must be one of {TARGET_MODES}")
-    return replace(state, target_mode=mode)
-
-
 def _fit_estimator(config: LoopConfig, x, t, y, params, search_seed: int):
     """Refit the configured estimator; returns (model, params carried forward)."""
     if config.estimator == "ensemble":
@@ -161,8 +151,8 @@ def _fit_estimator(config: LoopConfig, x, t, y, params, search_seed: int):
 def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> evaluation.RunRecord:
     """Execute one budgeted run and record the per-round trajectory.
 
-    A model-fit failure aborts the run: the partial record comes back with
-    the failure flag set rather than silently skipping rounds.
+    A model-fit or scoring failure aborts the run: the partial record comes
+    back with the failure flag set rather than silently skipping rounds.
     """
     rng = np.random.default_rng(config.seed if rng is None else rng) \
         if not isinstance(rng, np.random.Generator) else rng
@@ -191,9 +181,6 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
     )
 
     propensity = None
-    if config.method.needs_propensity:
-        propensity = fit_propensity(pool_x, pool_t)
-
     params = None
     try:
         model, params = _fit_estimator(
@@ -224,17 +211,24 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             if state.target_mode == "test"
             else pool_x[state.pool]
         )
-        ctx = ScoringContext(
-            targets=targets,
-            labeled_x=pool_x[state.labeled],
-            labeled_t=pool_t[state.labeled],
-            rng=rng,
-            propensity=propensity,
-        )
-        t0 = time.perf_counter()
-        scores = score_pool(config.method, model, pool_x[state.pool], pool_t[state.pool], ctx)
-        positions = select_batch(scores, n_take, config.temperature, rng)
-        acq_seconds = time.perf_counter() - t0
+        try:
+            if config.method.needs_propensity and propensity is None:
+                propensity = fit_propensity(pool_x, pool_t)
+            ctx = ScoringContext(
+                targets=targets,
+                labeled_x=pool_x[state.labeled],
+                labeled_t=pool_t[state.labeled],
+                rng=rng,
+                propensity=propensity,
+            )
+            t0 = time.perf_counter()
+            scores = score_pool(config.method, model, pool_x[state.pool], pool_t[state.pool], ctx)
+            positions = select_batch(scores, n_take, config.temperature, rng)
+            acq_seconds = time.perf_counter() - t0
+        except (NumericalError, InputError) as exc:
+            record.failed = True
+            record.failure_reason = f"round {step} scoring failed: {exc}"
+            return record
 
         chosen = [state.pool[p] for p in positions]
         ys = oracle.reveal(chosen)
@@ -242,8 +236,6 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         state.labeled_y.extend(float(v) for v in ys)
         keep = set(positions)
         state.pool = [ix for p, ix in enumerate(state.pool) if p not in keep]
-        state.step = step
-        state.history.append((step, tuple(chosen), tuple(float(scores[p]) for p in positions)))
         state.validate()
 
         try:

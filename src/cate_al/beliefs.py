@@ -67,10 +67,6 @@ class JointGaussianBelief:
     def indices(self, labels) -> np.ndarray:
         return np.array([self.index(l) for l in labels], dtype=int)
 
-    def marginal_var(self, label: str) -> float:
-        i = self.index(label)
-        return float(self.cov[i, i])
-
 
 @dataclass
 class SamplePosterior:
@@ -91,10 +87,6 @@ class SamplePosterior:
         if not np.all(np.isfinite(draws)):
             raise InputError("posterior draws contain non-finite entries")
         self.draws = draws
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[0]
 
 
 def empirical_gaussian_fit(samples: SamplePosterior) -> JointGaussianBelief:
@@ -173,12 +165,9 @@ class CateModel(ABC):
     def latent_cov(self, xa: np.ndarray, ta: np.ndarray, xb: np.ndarray, tb: np.ndarray) -> np.ndarray:
         """Posterior Cov[f_{ta}(xa), f_{tb}(xb)] between two (x, t) point sets."""
 
+    @abstractmethod
     def latent_var(self, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        t = np.asarray(t, dtype=int)
-        return np.array(
-            [self.latent_cov(x[i : i + 1], t[i : i + 1], x[i : i + 1], t[i : i + 1])[0, 0] for i in range(len(t))]
-        )
+        """Posterior Var[f_t(x)] per point: the diagonal of ``latent_cov``."""
 
     def predictive_belief(self, candidate, target_x: np.ndarray) -> JointGaussianBelief:
         """Joint belief over (y at candidate, f0/f1/tau at each target).

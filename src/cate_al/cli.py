@@ -424,11 +424,12 @@ def _read_results(results_path: str):
             try:
                 dataset, variant, estimator, method, seed, step, n_labeled, pool, test, secs, status = row
                 key = (dataset, variant, estimator, method, int(seed))
-                rec = records.setdefault(
-                    key,
-                    RunRecord(method=method, estimator=estimator, dataset=dataset,
-                              variant=variant, seed=int(seed)),
-                )
+                if key not in records or int(step) == 0:
+                    # a step-0 row starts a new attempt at the cell (a resumed
+                    # or retried run); only the last attempt counts
+                    records[key] = RunRecord(method=method, estimator=estimator, dataset=dataset,
+                                             variant=variant, seed=int(seed))
+                rec = records[key]
                 if status == "failed":
                     rec.failed = True
                 rec.entries.append(

@@ -22,15 +22,25 @@ from .beliefs import (
 from .errors import InputError, NumericalError
 
 
+def _design(x: np.ndarray) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return np.hstack([np.ones((x.shape[0], 1)), x])
+
+
+def _member_f(mu_weights, tau_weights, x, t) -> np.ndarray:
+    """(n_members, n) outcome-surface predictions f_t(x) = mu(x) + t tau(x)."""
+    t = np.asarray(t, dtype=float).reshape(1, -1)
+    design = _design(x).T
+    return mu_weights @ design + t * (tau_weights @ design)
+
+
 class EnsembleLinearModel(CateModel):
     """Fitted bootstrap ensemble; immutable, predictions are pure."""
 
-    def __init__(self, mu_weights, tau_weights, ridge, seed, noise_var):
+    def __init__(self, mu_weights, tau_weights, noise_var):
         # weights: (n_members, d + 1) with the intercept first
         self.mu_weights = mu_weights
         self.tau_weights = tau_weights
-        self.ridge = float(ridge)
-        self.seed = seed
         self._noise_var = float(noise_var)
 
     @property
@@ -43,22 +53,16 @@ class EnsembleLinearModel(CateModel):
 
     # -- member predictions ----------------------------------------------
 
-    @staticmethod
-    def _design(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.hstack([np.ones((x.shape[0], 1)), x])
-
     def member_mu(self, x) -> np.ndarray:
         """(n_members, n) baseline-head predictions."""
-        return self.mu_weights @ self._design(x).T
+        return self.mu_weights @ _design(x).T
 
     def member_tau(self, x) -> np.ndarray:
         """(n_members, n) effect-head predictions."""
-        return self.tau_weights @ self._design(x).T
+        return self.tau_weights @ _design(x).T
 
     def member_f(self, x, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float).reshape(1, -1)
-        return self.member_mu(x) + t * self.member_tau(x)
+        return _member_f(self.mu_weights, self.tau_weights, x, t)
 
     # -- CateModel surface -------------------------------------------------
 
@@ -121,6 +125,9 @@ class EnsembleLinearModel(CateModel):
         fbc = fb - fb.mean(axis=0)
         return fac.T @ fbc / (self.n_members - 1)
 
+    def latent_var(self, x, t) -> np.ndarray:
+        return self.member_f(x, t).var(axis=0, ddof=1)
+
     def _target_means(self, target_x):
         mu = self.member_mu(target_x).mean(axis=0)
         tau = self.member_tau(target_x).mean(axis=0)
@@ -153,7 +160,6 @@ def fit_ensemble(x, t, y, n_members: int = 32, ridge: float = 1e-4, rng=None) ->
         raise InputError("treatments must be 0 or 1")
     if isinstance(rng, (int, np.integer)) or rng is None:
         rng = np.random.default_rng(rng)
-    seed_state = rng.bit_generator.state  # recorded for reproducibility audits
 
     n, d = x.shape
     base = np.hstack([np.ones((n, 1)), x])
@@ -174,10 +180,8 @@ def fit_ensemble(x, t, y, n_members: int = 32, ridge: float = 1e-4, rng=None) ->
         mu_w[j] = w[:width]
         tau_w[j] = w[width:]
 
-    model = EnsembleLinearModel(mu_w, tau_w, ridge, seed_state, noise_var=1.0)
-    resid = y - model.member_f(x, t).mean(axis=0)
-    model._noise_var = float(np.mean(resid**2))
-    return model
+    resid = y - _member_f(mu_w, tau_w, x, t).mean(axis=0)
+    return EnsembleLinearModel(mu_w, tau_w, noise_var=float(np.mean(resid**2)))
 
 
 def posterior_draws(model: EnsembleLinearModel, candidate, target_x) -> SamplePosterior:

@@ -147,35 +147,3 @@ def count_failures(records) -> dict[tuple, int]:
             key = (rec.dataset, rec.variant, rec.estimator, rec.method)
             out[key] = out.get(key, 0) + 1
     return out
-
-
-def merge_summaries(a: list[SummaryRow], b: list[SummaryRow]) -> list[SummaryRow]:
-    """Combine two aggregates as if their runs were pooled (pooled mean / sd)."""
-    keyed: dict[tuple, SummaryRow] = {}
-    for row in a + b:
-        key = (row.dataset, row.variant, row.estimator, row.method, row.step)
-        if key not in keyed:
-            keyed[key] = row
-            continue
-        prev = keyed[key]
-        if prev.n_labeled != row.n_labeled:
-            raise InputError("cannot merge summaries with different step grids")
-        n1, n2 = prev.count, row.count
-        n = n1 + n2
-
-        def pooled(m1, s1, m2, s2):
-            mean = (n1 * m1 + n2 * m2) / n
-            ssq = (n1 - 1) * s1**2 + (n2 - 1) * s2**2 + n1 * (m1 - mean) ** 2 + n2 * (m2 - mean) ** 2
-            sd = float(np.sqrt(ssq / (n - 1))) if n > 1 else 0.0
-            return float(mean), sd
-
-        mp, sp = pooled(prev.mean_pool, prev.sd_pool, row.mean_pool, row.sd_pool)
-        mt, st = pooled(prev.mean_test, prev.sd_test, row.mean_test, row.sd_test)
-        ms = (n1 * prev.mean_seconds + n2 * row.mean_seconds) / n
-        keyed[key] = SummaryRow(
-            dataset=prev.dataset, variant=prev.variant, estimator=prev.estimator,
-            method=prev.method, step=prev.step, n_labeled=prev.n_labeled,
-            mean_pool=mp, sd_pool=sp, mean_test=mt, sd_test=st,
-            mean_seconds=float(ms), count=n,
-        )
-    return sorted(keyed.values(), key=lambda r: (r.dataset, r.variant, r.estimator, r.method, r.step))

@@ -20,13 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from .beliefs import CateModel, JointGaussianBelief, MomentBundle
+from .beliefs import CateModel, MomentBundle
 from .errors import InputError, NumericalError
 from .kernels import (
     CoregionalizationConfig,
     KernelConfig,
     cmgp_gram,
     nsgp_gram,
+    overlap_amplitude,
 )
 
 JITTER_START = 1e-8
@@ -55,6 +56,34 @@ class CmgpParams:
     def noise_variance(self) -> float:
         return self.kernel.noise_variance
 
+    @property
+    def jitter(self) -> float:
+        return self.kernel.jitter
+
+    def gram(self, xa, ta, xb, tb) -> np.ndarray:
+        """Prior covariance K((xa, ta), (xb, tb)), summed over components."""
+        gram = cmgp_gram(xa, ta, xb, tb, self.kernel, self.coreg)
+        if self.kernel2 is not None:
+            gram = gram + cmgp_gram(xa, ta, xb, tb, self.kernel2, self.coreg2)
+        return gram
+
+    def prior_diag(self, t: np.ndarray) -> np.ndarray:
+        """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
+        t = np.asarray(t)
+        b = self.coreg.task_covariance
+        out = np.where(t == 0, b[0, 0], b[1, 1]) * self.kernel.signal_variance
+        if self.kernel2 is not None:
+            b2 = self.coreg2.task_covariance
+            out = out + np.where(t == 0, b2[0, 0], b2[1, 1]) * self.kernel2.signal_variance
+        return out
+
+    def cross_diag(self, n: int) -> np.ndarray:
+        """Prior Cov[f0(x), f1(x)] at n identical-covariate pairs."""
+        out = self.coreg.task_covariance[0, 1] * self.kernel.signal_variance
+        if self.kernel2 is not None:
+            out = out + self.coreg2.task_covariance[0, 1] * self.kernel2.signal_variance
+        return np.full(n, out)
+
 
 @dataclass(frozen=True)
 class NsgpParams:
@@ -71,6 +100,23 @@ class NsgpParams:
     @property
     def noise_variance(self) -> float:
         return self.kernel0.noise_variance
+
+    @property
+    def jitter(self) -> float:
+        return self.kernel0.jitter
+
+    def gram(self, xa, ta, xb, tb) -> np.ndarray:
+        """Prior covariance K((xa, ta), (xb, tb)) of the per-arm kernel."""
+        return nsgp_gram(xa, ta, xb, tb, self.kernel0, self.kernel1, self.cross_rho)
+
+    def prior_diag(self, t: np.ndarray) -> np.ndarray:
+        """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
+        return np.where(np.asarray(t) == 0, self.kernel0.signal_variance, self.kernel1.signal_variance)
+
+    def cross_diag(self, n: int) -> np.ndarray:
+        """Prior Cov[f0(x), f1(x)] at n identical-covariate pairs: rho times
+        the overlap kernel at r = 0."""
+        return np.full(n, self.cross_rho * overlap_amplitude(self.kernel0, self.kernel1))
 
 
 GpParams = CmgpParams | NsgpParams
@@ -112,22 +158,13 @@ class GpCateModel(CateModel):
     # -- kernel plumbing ------------------------------------------------
 
     @property
-    def kind(self) -> str:
-        return "cmgp" if isinstance(self.params, CmgpParams) else "nsgp"
-
-    @property
     def noise_variance(self) -> float:
         return self.params.noise_variance
 
     def prior_gram(self, xa, ta, xb, tb) -> np.ndarray:
         ta = np.asarray(ta, dtype=int).reshape(-1)
         tb = np.asarray(tb, dtype=int).reshape(-1)
-        if isinstance(self.params, CmgpParams):
-            gram = cmgp_gram(xa, ta, xb, tb, self.params.kernel, self.params.coreg)
-            if self.params.kernel2 is not None:
-                gram = gram + cmgp_gram(xa, ta, xb, tb, self.params.kernel2, self.params.coreg2)
-            return gram
-        return nsgp_gram(xa, ta, xb, tb, self.params.kernel0, self.params.kernel1, self.params.cross_rho)
+        return self.params.gram(xa, ta, xb, tb)
 
     def _solve_train(self, xq, tq) -> np.ndarray:
         """L^-1 K(train, query); the workhorse of every posterior reduction."""
@@ -150,7 +187,7 @@ class GpCateModel(CateModel):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         t = np.asarray(t, dtype=int).reshape(-1)
         v = self._solve_train(x, t)
-        return np.maximum(self._prior_diag(x, t) - np.sum(v * v, axis=0), 0.0)
+        return np.maximum(self.params.prior_diag(t) - np.sum(v * v, axis=0), 0.0)
 
     def _target_means(self, target_x):
         target_x = np.atleast_2d(np.asarray(target_x, dtype=float))
@@ -170,9 +207,9 @@ class GpCateModel(CateModel):
         o = np.ones(m, dtype=int)
         v0 = self._solve_train(x, z)
         v1 = self._solve_train(x, o)
-        p00 = self._prior_diag(x, z)
-        p11 = self._prior_diag(x, o)
-        p01 = self._prior_cross_diag(x)
+        p00 = self.params.prior_diag(z)
+        p11 = self.params.prior_diag(o)
+        p01 = self.params.cross_diag(m)
         var0 = p00 - np.sum(v0 * v0, axis=0)
         var1 = p11 - np.sum(v1 * v1, axis=0)
         cov01 = p01 - np.sum(v0 * v1, axis=0)
@@ -186,33 +223,6 @@ class GpCateModel(CateModel):
     def tau_draws(self, x, k, rng: np.random.Generator) -> np.ndarray:
         mean, var = self._tau_moments(np.atleast_2d(np.asarray(x, dtype=float)))
         return rng.normal(mean[0], np.sqrt(max(var[0], 0.0)), size=int(k))
-
-    def _prior_diag(self, x, t) -> np.ndarray:
-        x = np.atleast_2d(x)
-        t = np.asarray(t)
-        if isinstance(self.params, CmgpParams):
-            b = self.params.coreg.task_covariance
-            out = np.where(t == 0, b[0, 0], b[1, 1]) * self.params.kernel.signal_variance
-            if self.params.kernel2 is not None:
-                b2 = self.params.coreg2.task_covariance
-                out = out + np.where(t == 0, b2[0, 0], b2[1, 1]) * self.params.kernel2.signal_variance
-            return out * np.ones(x.shape[0])
-        sv = np.where(t == 0, self.params.kernel0.signal_variance, self.params.kernel1.signal_variance)
-        return sv * np.ones(x.shape[0])
-
-    def _prior_cross_diag(self, x) -> np.ndarray:
-        """Prior Cov[f0(x), f1(x)] at identical covariates."""
-        x = np.atleast_2d(x)
-        if isinstance(self.params, CmgpParams):
-            out = self.params.coreg.task_covariance[0, 1] * self.params.kernel.signal_variance
-            if self.params.kernel2 is not None:
-                out = out + self.params.coreg2.task_covariance[0, 1] * self.params.kernel2.signal_variance
-            return out * np.ones(x.shape[0])
-        m = x.shape[0]
-        out = np.empty(m)
-        for i in range(m):
-            out[i] = self.prior_gram(x[i : i + 1], [0], x[i : i + 1], [1])[0, 0]
-        return out
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
         cand_x = np.atleast_2d(np.asarray(cand_x, dtype=float))
@@ -228,12 +238,12 @@ class GpCateModel(CateModel):
 
         kc = self.prior_gram(self.train_x, self.train_t, cand_x, cand_t)
         y_mean = self.y_mean + kc.T @ self.alpha
-        f_var = self._prior_diag(cand_x, cand_t) - np.sum(vc * vc, axis=0)
+        f_var = self.params.prior_diag(cand_t) - np.sum(vc * vc, axis=0)
         y_var = np.maximum(f_var, 0.0) + self.noise_variance
 
-        f0_var = np.maximum(self._prior_diag(target_x, z) - np.sum(v0 * v0, axis=0), 0.0)
-        f1_var = np.maximum(self._prior_diag(target_x, o) - np.sum(v1 * v1, axis=0), 0.0)
-        f01_cov = self._prior_cross_diag(target_x) - np.sum(v0 * v1, axis=0)
+        f0_var = np.maximum(self.params.prior_diag(z) - np.sum(v0 * v0, axis=0), 0.0)
+        f1_var = np.maximum(self.params.prior_diag(o) - np.sum(v1 * v1, axis=0), 0.0)
+        f01_cov = self.params.cross_diag(m) - np.sum(v0 * v1, axis=0)
         tau_var = np.maximum(f0_var + f1_var - 2.0 * f01_cov, 0.0)
 
         cy0 = self.prior_gram(cand_x, cand_t, target_x, z) - vc.T @ v0
@@ -303,38 +313,10 @@ def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
     y_mean = float(y.mean())
     yc = y - y_mean
 
-    if isinstance(params, CmgpParams):
-        gram = cmgp_gram(x, t, x, t, params.kernel, params.coreg)
-        if params.kernel2 is not None:
-            gram = gram + cmgp_gram(x, t, x, t, params.kernel2, params.coreg2)
-        base_jitter = params.kernel.jitter
-    elif isinstance(params, NsgpParams):
-        gram = nsgp_gram(x, t, x, t, params.kernel0, params.kernel1, params.cross_rho)
-        base_jitter = params.kernel0.jitter
-    else:
-        raise InputError(f"unknown GP parameter type {type(params).__name__}")
-
-    noisy = gram + params.noise_variance * np.eye(y.size)
-    L, jitter_used = _chol_with_escalating_jitter(noisy, base_jitter)
+    noisy = params.gram(x, t, x, t) + params.noise_variance * np.eye(y.size)
+    L, jitter_used = _chol_with_escalating_jitter(noisy, params.jitter)
     alpha = cho_solve((L, True), yc)
     return GpCateModel(params, x, t, y, L, alpha, y_mean, jitter_used)
-
-
-def joint_belief(model: GpCateModel, candidate, target) -> JointGaussianBelief:
-    """Exact 3-d Gaussian over (noisy y at candidate, f0(target), f1(target)).
-
-    Var[y] includes the observation-noise variance; the latent f entries do
-    not. The contrast's moments follow from the [-1, 1] combination of the
-    f rows.
-    """
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    full = model.predictive_belief(candidate, target[None, :])
-    keep = full.indices(["y", "f0@0", "f1@0"])
-    return JointGaussianBelief(
-        labels=("y", "f0", "f1"),
-        mean=full.mean[keep],
-        cov=full.cov[np.ix_(keep, keep)],
-    )
 
 
 # -- hyperparameter search -----------------------------------------------
@@ -473,9 +455,19 @@ class _ThetaCodec:
         return NsgpParams(kernel0=k0, kernel1=k1, cross_rho=rho)
 
 
-def _search_candidates(x, t, y, kind: str, search: SearchConfig | None = None,
-                       warm_params: GpParams | None = None):
-    """Multi-start coordinate search; returns (best by objective, all optima)."""
+def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
+                         warm_params: GpParams | None = None) -> GpParams:
+    """Maximize the log marginal likelihood over kernel hyperparameters.
+
+    Multi-start coordinate search over log parameters; deterministic given
+    ``search.seed``. A weak quadratic penalty anchored at the data-driven
+    initialization keeps the search away from degenerate optima (collapsed
+    lengthscales, near-singular task covariances) that marginal likelihood
+    alone can prefer; the penalty vanishes at the initial configuration, so
+    the returned configuration never scores below it. ``warm_params``
+    (typically the previous acquisition round's choice) is used as one
+    additional restart.
+    """
     search = search or SearchConfig()
     x, t, y = _as_training_arrays(x, t, y)
     if y.size < 5:
@@ -486,17 +478,15 @@ def _search_candidates(x, t, y, kind: str, search: SearchConfig | None = None,
     codec = _ThetaCodec(kind, x.shape[1], family, n_components=search.n_components)
     yc = y - y.mean()
     rng = np.random.default_rng(search.seed)
-
-    anchor = codec.initial(x, yc)
+    theta0 = codec.initial(x, yc)
 
     def objective(theta: np.ndarray) -> float:
         try:
             lml = log_marginal_likelihood(x, t, y, codec.decode(theta))
         except (NumericalError, FloatingPointError):
             return -np.inf
-        return lml - 0.5 * float(np.sum(((theta - anchor) / search.prior_scale) ** 2))
+        return lml - 0.5 * float(np.sum(((theta - theta0) / search.prior_scale) ** 2))
 
-    theta0 = codec.initial(x, yc)
     # structured restarts: heuristic lengthscales, then shorter / longer
     # scales (the main multimodality axis), then rng perturbations if more
     # restarts are requested; a warm start from the previous round leads.
@@ -543,66 +533,5 @@ def _search_candidates(x, t, y, kind: str, search: SearchConfig | None = None,
 
     if not any(np.isfinite(v) for v, _ in candidates):
         raise NumericalError("every hyperparameter candidate failed to factorize")
-    best_val, best_theta = max(candidates, key=lambda c: c[0])
-    return codec.decode(best_theta), [codec.decode(th) for v, th in candidates if np.isfinite(v)]
-
-
-def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
-                         warm_params: GpParams | None = None) -> GpParams:
-    """Maximize the log marginal likelihood over kernel hyperparameters.
-
-    Multi-start coordinate search over log parameters; deterministic given
-    ``search.seed``. A weak quadratic penalty anchored at the data-driven
-    initialization keeps the search away from degenerate optima (collapsed
-    lengthscales, near-singular task covariances) that marginal likelihood
-    alone can prefer; the penalty vanishes at the initial configuration, so
-    the returned configuration never scores below it. ``warm_params``
-    (typically the previous acquisition round's choice) is used as one
-    additional restart.
-    """
-    best, _ = _search_candidates(x, t, y, kind, search, warm_params)
-    return best
-
-
-def cross_validated_predictive_score(x, t, y, params: GpParams, n_folds: int = 2, seed: int = 0) -> float:
-    """Mean held-out factual predictive log-density under a deterministic
-    fold split; the model-selection yardstick the likelihood search lacks."""
-    x, t, y = _as_training_arrays(x, t, y)
-    order = np.random.default_rng(seed).permutation(y.size)
-    folds = np.array_split(order, n_folds)
-    total, count = 0.0, 0
-    for k in range(n_folds):
-        test_idx = folds[k]
-        train_idx = np.concatenate([folds[j] for j in range(n_folds) if j != k])
-        if train_idx.size < 2 or test_idx.size == 0:
-            return -np.inf
-        try:
-            model = fit_gp(x[train_idx], t[train_idx], y[train_idx], params)
-        except NumericalError:
-            return -np.inf
-        mean = model.latent_mean(x[test_idx], t[test_idx])
-        var = model.latent_var(x[test_idx], t[test_idx]) + params.noise_variance
-        total += float(np.sum(-0.5 * np.log(2.0 * np.pi * var) - 0.5 * (y[test_idx] - mean) ** 2 / var))
-        count += test_idx.size
-    return total / count
-
-
-def optimize_hyperparams_cv(x, t, y, kind: str, search: SearchConfig | None = None,
-                            warm_params: GpParams | None = None) -> GpParams:
-    """Likelihood search with held-out selection among the restart optima.
-
-    Marginal likelihood on flexible multi-task kernels can prefer degenerate
-    configurations that predict poorly; scoring each restart's optimum by
-    cross-validated factual predictive density and keeping the winner guards
-    the acquisition benchmark against those basins.
-    """
-    search = search or SearchConfig()
-    _, candidates = _search_candidates(x, t, y, kind, search, warm_params)
-    scored = [
-        (cross_validated_predictive_score(x, t, y, p, seed=search.seed), i, p)
-        for i, p in enumerate(candidates)
-    ]
-    best = max(scored, key=lambda s: (s[0], -s[1]))
-    if not np.isfinite(best[0]):
-        raise NumericalError("every hyperparameter candidate failed held-out scoring")
-    return best[2]
+    _, best_theta = max(candidates, key=lambda c: c[0])
+    return codec.decode(best_theta)

@@ -8,9 +8,6 @@ lengthscales) and two joint kernels over (covariate, treatment) pairs:
 * a per-arm kernel that gives each treatment arm its own stationary kernel
   and couples the arms through a cross-covariance built from the overlap of
   the two arm kernels.
-
-Scalar entry points mirror the vectorized Gram builders used by the model
-fitting code.
 """
 
 from __future__ import annotations
@@ -102,20 +99,6 @@ class CoregionalizationConfig:
         return cls(task_covariance=low @ low.T)
 
 
-def _check_dim(x: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (cfg.input_dim,):
-        raise InputError(f"input has dimension {x.shape}, kernel expects ({cfg.input_dim},)")
-    return x
-
-
-def _check_treatment(t) -> int:
-    t = int(t)
-    if t not in (0, 1):
-        raise InputError(f"treatment must be 0 or 1, got {t}")
-    return t
-
-
 def _sq_dist(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     """Squared scaled distance matrix sum_d ((a_d - b_d) / l_d)^2."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
@@ -147,24 +130,6 @@ def kernel_gram(xa: np.ndarray, xb: np.ndarray, cfg: KernelConfig) -> np.ndarray
     return _matern52_from_r2(r2, cfg.signal_variance)
 
 
-def rbf_kernel(x1, x2, cfg: KernelConfig) -> float:
-    """signal_variance * exp(-0.5 * sum_d ((x1_d - x2_d) / l_d)^2)."""
-    if cfg.family != "rbf":
-        raise InputError("rbf_kernel requires an rbf config")
-    x1 = _check_dim(x1, cfg)
-    x2 = _check_dim(x2, cfg)
-    return float(kernel_gram(x1[None, :], x2[None, :], cfg)[0, 0])
-
-
-def matern52_kernel(x1, x2, cfg: KernelConfig) -> float:
-    """Matern-5/2 value (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r) scaled by signal_variance."""
-    if cfg.family != "matern52":
-        raise InputError("matern52_kernel requires a matern52 config")
-    x1 = _check_dim(x1, cfg)
-    x2 = _check_dim(x2, cfg)
-    return float(kernel_gram(x1[None, :], x2[None, :], cfg)[0, 0])
-
-
 # -- coregionalized two-arm kernel -------------------------------------------
 
 
@@ -185,17 +150,6 @@ def cmgp_gram(
     return ccfg.task_covariance[np.ix_(ta, tb)] * base
 
 
-def cmgp_joint_kernel(p1, p2, kcfg: KernelConfig, ccfg: CoregionalizationConfig) -> float:
-    """Scalar coregionalized kernel between two (covariate, treatment) pairs."""
-    x1, t1 = p1
-    x2, t2 = p2
-    t1 = _check_treatment(t1)
-    t2 = _check_treatment(t2)
-    x1 = _check_dim(x1, kcfg)
-    x2 = _check_dim(x2, kcfg)
-    return float(cmgp_gram(x1[None, :], [t1], x2[None, :], [t2], kcfg, ccfg)[0, 0])
-
-
 # -- per-arm kernel with overlap cross-covariance ----------------------------
 #
 # Arm marginals are k0 (control) and k1 (treated). The cross-arm covariance is
@@ -205,7 +159,9 @@ def cmgp_joint_kernel(p1, p2, kcfg: KernelConfig, ccfg: CoregionalizationConfig)
 # bound; exponent 1/2 per dimension for rbf, nu = 5/2 for matern52).
 
 
-def _overlap_gram(xa: np.ndarray, xb: np.ndarray, cfg0: KernelConfig, cfg1: KernelConfig) -> np.ndarray:
+def _overlap_parts(cfg0: KernelConfig, cfg1: KernelConfig) -> tuple[float, np.ndarray]:
+    """(amplitude, mixed lengthscales) of the overlap kernel; the amplitude is
+    its value at r = 0."""
     if cfg0.family != cfg1.family:
         raise InputError("both arm kernels must share the same family")
     l0, l1 = cfg0.lengthscales, cfg1.lengthscales
@@ -214,12 +170,22 @@ def _overlap_gram(xa: np.ndarray, xb: np.ndarray, cfg0: KernelConfig, cfg1: Kern
     amp = np.sqrt(cfg0.signal_variance * cfg1.signal_variance)
     ratio = 2.0 * l0 * l1 / (l0**2 + l1**2)
     if cfg0.family == "rbf":
-        mix = np.sqrt(0.5 * (l0**2 + l1**2))
-        r2 = _sq_dist(xa, xb, mix)
-        return float(amp * np.prod(np.sqrt(ratio))) * _rbf_from_r2(r2, 1.0)
-    mix = np.sqrt(2.0 * l0**2 * l1**2 / (l0**2 + l1**2))
+        return float(amp * np.prod(np.sqrt(ratio))), np.sqrt(0.5 * (l0**2 + l1**2))
+    return float(amp * np.prod(ratio**2.5)), np.sqrt(2.0 * l0**2 * l1**2 / (l0**2 + l1**2))
+
+
+def overlap_amplitude(cfg0: KernelConfig, cfg1: KernelConfig) -> float:
+    """Overlap kernel at identical covariates: the cross-arm prior covariance
+    per unit of coupling ``rho``."""
+    return _overlap_parts(cfg0, cfg1)[0]
+
+
+def _overlap_gram(xa: np.ndarray, xb: np.ndarray, cfg0: KernelConfig, cfg1: KernelConfig) -> np.ndarray:
+    amp, mix = _overlap_parts(cfg0, cfg1)
     r2 = _sq_dist(xa, xb, mix)
-    return float(amp * np.prod(ratio**2.5)) * _matern52_from_r2(r2, 1.0)
+    if cfg0.family == "rbf":
+        return amp * _rbf_from_r2(r2, 1.0)
+    return amp * _matern52_from_r2(r2, 1.0)
 
 
 def nsgp_gram(
@@ -248,14 +214,3 @@ def nsgp_gram(
         m0a & m0b, k0, np.where(~m0a & ~m0b, k1, cross)
     )
     return out
-
-
-def nsgp_joint_kernel(p1, p2, kcfg0: KernelConfig, kcfg1: KernelConfig, rho: float = 0.5) -> float:
-    """Scalar per-arm kernel between two (covariate, treatment) pairs."""
-    x1, t1 = p1
-    x2, t2 = p2
-    t1 = _check_treatment(t1)
-    t2 = _check_treatment(t2)
-    x1 = _check_dim(x1, kcfg0)
-    x2 = _check_dim(x2, kcfg0)
-    return float(nsgp_gram(x1[None, :], [t1], x2[None, :], [t2], kcfg0, kcfg1, rho)[0, 0])

@@ -6,31 +6,35 @@ from cate_al.acquisition import (
     AcquisitionMethod,
     ScoringContext,
     bernoulli_entropy,
-    causal_eig,
-    causal_epig_global,
-    causal_epig_mu,
-    causal_epig_mu_additive,
-    causal_epig_tau,
-    combined_bald,
-    coreset_qhte,
-    epig_factual,
     fit_propensity,
     gaussian_mi_block,
     gaussian_mi_scalar,
-    mu_bald,
     predict_pi,
-    random_acq,
     score_pool,
     sign_ambiguity_score,
-    sundin_gamma,
-    tau_bald,
 )
 from cate_al.dgp import gen_causalbald
+from cate_al.ensemble import fit_ensemble
 from cate_al.errors import InputError
 from cate_al.gp import CmgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig
 
 from conftest import StubModel, random_fitted_gp
+
+
+def scores(name, model, pool_x, pool_t, targets=None, labeled=None, propensity=None, rng=0, **params):
+    """score_pool with a fresh context; targets default to the pool."""
+    pool_x = np.atleast_2d(np.asarray(pool_x, dtype=float))
+    lx, lt = labeled if labeled is not None else (np.zeros((0, pool_x.shape[1])), np.zeros(0, dtype=int))
+    ctx = ScoringContext(targets=pool_x if targets is None else np.atleast_2d(targets), labeled_x=lx,
+                         labeled_t=lt, rng=np.random.default_rng(rng), propensity=propensity)
+    return score_pool(AcquisitionMethod(name, **params), model, pool_x, pool_t, ctx)
+
+
+def score_one(name, model, candidate, targets=None, **kw):
+    """Utility of one (x, t) candidate: score_pool over a pool of one."""
+    cx, ct = candidate
+    return float(scores(name, model, np.atleast_1d(cx)[None, :], [ct], targets, **kw)[0])
 
 
 def fitted_toy(rng=None, noise=0.4, n=6, b=None, ls=0.7):
@@ -59,7 +63,7 @@ class TestCausalEpigTau:
     def test_disjoint_support_candidate_scores_zero(self):
         model = fitted_toy()
         far = (np.array([500.0]), 1)
-        assert causal_epig_tau(model, far, np.linspace(-1, 1, 5)[:, None]) < 1e-12
+        assert score_one("causal_epig_tau", model, far, np.linspace(-1, 1, 5)[:, None]) < 1e-12
 
     def test_singleton_target_reduces_to_scalar_mi(self, rng):
         model = fitted_toy(rng)
@@ -67,7 +71,7 @@ class TestCausalEpigTau:
         target = np.array([[0.5]])
         bundle = model.moment_bundle(np.array([[0.2]]), np.array([1]), target)
         expected = gaussian_mi_scalar(bundle.y_var[0], bundle.tau_var[0], bundle.cy_tau[0, 0])
-        assert causal_epig_tau(model, cand, target) == pytest.approx(expected, abs=1e-14)
+        assert score_one("causal_epig_tau", model, cand, target) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_nested_conditioning_oracle(self, rng):
         # entropy-reduction oracle: draw y, refit on the augmented set, and
@@ -87,20 +91,20 @@ class TestCausalEpigTau:
                 refit = fit_gp(x2, t2, np.concatenate([model.train_y, [y_draw]]), model.params)
                 draws_h.append(0.5 * np.log(2 * np.pi * np.e * refit.tau_sd(target[None, :])[0] ** 2))
             oracle = h_before - float(np.mean(draws_h))
-            closed = causal_epig_tau(model, (cand_x, arm), target[None, :])
+            closed = score_one("causal_epig_tau", model, (cand_x, arm), target[None, :])
             assert closed == pytest.approx(oracle, abs=2e-7)
 
     def test_invariant_to_target_permutation(self, rng):
         model = fitted_toy(rng)
         targets = rng.normal(size=(7, 1))
         cand = (np.array([0.4]), 0)
-        a = causal_epig_tau(model, cand, targets)
-        b = causal_epig_tau(model, cand, targets[rng.permutation(7)])
+        a = score_one("causal_epig_tau", model, cand, targets)
+        b = score_one("causal_epig_tau", model, cand, targets[rng.permutation(7)])
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_empty_targets_rejected(self):
         with pytest.raises(InputError):
-            causal_epig_tau(fitted_toy(), (np.array([0.0]), 0), np.zeros((0, 1)))
+            score_one("causal_epig_tau", fitted_toy(), (np.array([0.0]), 0), np.zeros((0, 1)))
 
 
 class TestCausalEpigMu:
@@ -108,8 +112,8 @@ class TestCausalEpigMu:
         model = prior_like_model(np.eye(2))
         cand = (np.array([0.0]), 1)
         targets = np.array([[0.2], [-0.4]])
-        joint = causal_epig_mu(model, cand, targets)
-        additive = causal_epig_mu_additive(model, cand, targets)
+        joint = score_one("causal_epig_mu", model, cand, targets)
+        additive = score_one("causal_epig_mu_additive", model, cand, targets)
         assert joint == pytest.approx(additive, abs=1e-10)
         # the control surface carries nothing for an arm-1 candidate here
         bundle = model.moment_bundle(np.array([[0.0]]), np.array([1]), targets)
@@ -117,7 +121,7 @@ class TestCausalEpigMu:
 
     def test_degenerate_target_variances_score_zero(self):
         stub = StubModel(y_var=[1.0], f0_var=[0.0], f1_var=[0.0], f01_cov=[0.0], cy0=[[0.0]], cy1=[[0.0]])
-        assert causal_epig_mu(stub, (np.zeros(1), 0), np.zeros((1, 1))) == 0.0
+        assert score_one("causal_epig_mu", stub, (np.zeros(1), 0), np.zeros((1, 1))) == 0.0
 
     def test_matches_block_mi_on_fitted_model(self, rng):
         model = fitted_toy(rng)
@@ -127,7 +131,7 @@ class TestCausalEpigMu:
         expected = np.mean([
             gaussian_mi_block(belief, ["y"], [f"f0@{j}", f"f1@{j}"]) for j in range(3)
         ])
-        assert causal_epig_mu(model, cand, targets) == pytest.approx(expected, abs=1e-9)
+        assert score_one("causal_epig_mu", model, cand, targets) == pytest.approx(expected, abs=1e-9)
 
 
 class TestAdditiveVariant:
@@ -146,8 +150,8 @@ class TestAdditiveVariant:
                 continue
             stub = StubModel(y_var=[vy], f0_var=[v0], f1_var=[v1], f01_cov=[c01],
                              cy0=[[cy0]], cy1=[[cy1]])
-            joint = causal_epig_mu(stub, (np.zeros(1), 0), np.zeros((1, 1)))
-            additive = causal_epig_mu_additive(stub, (np.zeros(1), 0), np.zeros((1, 1)))
+            joint = score_one("causal_epig_mu", stub, (np.zeros(1), 0), np.zeros((1, 1)))
+            additive = score_one("causal_epig_mu_additive", stub, (np.zeros(1), 0), np.zeros((1, 1)))
             mi_marginal = gaussian_mi_scalar(v0, v1, c01)
             c01_given_y = c01 - cy0 * cy1 / vy
             mi_conditional = gaussian_mi_scalar(v0 - cy0**2 / vy, v1 - cy1**2 / vy, c01_given_y)
@@ -156,15 +160,15 @@ class TestAdditiveVariant:
     def test_fully_independent_surfaces_make_additive_equal_joint(self):
         stub = StubModel(y_var=[1.0], f0_var=[1.0], f1_var=[1.0], f01_cov=[0.0],
                          cy0=[[0.0]], cy1=[[0.2]])
-        joint = causal_epig_mu(stub, (np.zeros(1), 0), np.zeros((1, 1)))
-        additive = causal_epig_mu_additive(stub, (np.zeros(1), 0), np.zeros((1, 1)))
+        joint = score_one("causal_epig_mu", stub, (np.zeros(1), 0), np.zeros((1, 1)))
+        additive = score_one("causal_epig_mu_additive", stub, (np.zeros(1), 0), np.zeros((1, 1)))
         assert additive == pytest.approx(joint, abs=1e-12)
 
     def test_hand_built_belief_values(self):
         # direct evaluation on cov [[1,.4,.2],[.4,1,.5],[.2,.5,1]] (y,f0,f1)
         stub = StubModel(y_var=[1.0], f0_var=[1.0], f1_var=[1.0], f01_cov=[0.5],
                          cy0=[[0.4]], cy1=[[0.2]])
-        additive = causal_epig_mu_additive(stub, (np.zeros(1), 0), np.zeros((1, 1)))
+        additive = score_one("causal_epig_mu_additive", stub, (np.zeros(1), 0), np.zeros((1, 1)))
         expected_additive = gaussian_mi_scalar(1, 1, 0.4) + gaussian_mi_scalar(1, 1, 0.2)
         assert additive == pytest.approx(expected_additive, abs=1e-12)
 
@@ -172,7 +176,7 @@ class TestAdditiveVariant:
         det3 = np.linalg.det(sigma)
         det_bb = 1.0 - 0.25
         expected_joint = 0.5 * np.log(1.0 * det_bb / det3)
-        joint = causal_epig_mu(stub, (np.zeros(1), 0), np.zeros((1, 1)))
+        joint = score_one("causal_epig_mu", stub, (np.zeros(1), 0), np.zeros((1, 1)))
         assert joint == pytest.approx(expected_joint, abs=1e-12)
 
 
@@ -181,11 +185,11 @@ class TestGlobalVariants:
         model = fitted_toy(rng)
         cand = (np.array([0.3]), 0)
         target = np.array([[0.1]])
-        assert causal_epig_global(model, cand, target, "tau") == pytest.approx(
-            causal_epig_tau(model, cand, target), abs=1e-10
+        assert score_one("causal_epig_tau_global", model, cand, target) == pytest.approx(
+            score_one("causal_epig_tau", model, cand, target), abs=1e-10
         )
-        assert causal_epig_global(model, cand, target, "po") == pytest.approx(
-            causal_epig_mu(model, cand, target), abs=1e-10
+        assert score_one("causal_epig_mu_global", model, cand, target) == pytest.approx(
+            score_one("causal_epig_mu", model, cand, target), abs=1e-10
         )
 
     def test_duplicated_target_matches_deduplicated(self, rng):
@@ -193,67 +197,69 @@ class TestGlobalVariants:
         cand = (np.array([0.3]), 1)
         base = rng.normal(size=(4, 1))
         dup = np.vstack([base, base[2:3]])
-        a = causal_epig_global(model, cand, base, "tau")
-        b = causal_epig_global(model, cand, dup, "tau")
+        a = score_one("causal_epig_tau_global", model, cand, base)
+        b = score_one("causal_epig_tau_global", model, cand, dup)
         assert a == pytest.approx(b, abs=1e-6)
 
     def test_bad_estimand_rejected(self):
+        # the global estimand is part of the method name
         with pytest.raises(InputError):
-            causal_epig_global(fitted_toy(), (np.array([0.0]), 0), np.zeros((1, 1)), "effect")
+            AcquisitionMethod("causal_epig_effect_global")
 
 
 class TestFactualEpig:
+    # the (x*, t*) sample is drawn from the pool, so a pool of one pairs the
+    # candidate with itself
     def test_self_pair_scores_positive(self, rng):
         model = fitted_toy(rng)
-        cand = (np.array([0.2]), 1)
-        score = epig_factual(model, cand, (np.array([[0.2]]), np.array([1])))
-        assert score > 0.0
+        assert score_one("epig_factual", model, (np.array([0.2]), 1)) > 0.0
 
     def test_disjoint_support_pair_scores_zero(self):
+        # a one-point sample of a two-point pool: the candidate left out of
+        # the sample pairs only with the other, far outside its support
         model = fitted_toy()
-        score = epig_factual(model, (np.array([0.1]), 0), (np.array([[900.0]]), np.array([0])))
-        assert score < 1e-12
+        got = scores("epig_factual", model, [[0.1], [900.0]], [0, 0], epig_sample_size=1)
+        assert got.min() < 1e-12
 
     def test_composition_matches_scalar_mi(self, rng):
         model = fitted_toy(rng)
-        cand = (np.array([0.5]), 1)
         xs = rng.normal(size=(4, 1))
         ts = rng.integers(0, 2, 4)
-        cross = model.latent_cov(np.array([[0.5]]), [1], xs, ts)[0]
-        y_var = model.latent_var(np.array([[0.5]]), [1])[0] + model.noise_variance
+        cross = model.latent_cov(xs, ts, xs, ts)
         star = model.latent_var(xs, ts) + model.noise_variance
-        expected = np.mean([gaussian_mi_scalar(y_var, star[j], cross[j]) for j in range(4)])
-        assert epig_factual(model, cand, (xs, ts)) == pytest.approx(expected, abs=1e-12)
+        expected = [np.mean([gaussian_mi_scalar(star[i], star[j], cross[i, j]) for j in range(4)]) for i in range(4)]
+        got = scores("epig_factual", model, xs, ts, epig_sample_size=4)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InputError):
-            epig_factual(fitted_toy(), (np.array([0.0]), 0), (np.zeros((0, 1)), np.zeros(0, dtype=int)))
+            AcquisitionMethod("epig_factual", epig_sample_size=0)
 
 
 class TestBaldVariants:
     def test_zero_latent_variance_scores_zero(self):
         stub = StubModel(y_var=[1.0], f0_var=[0.0], f1_var=[0.0], f01_cov=[0.0],
                          cy0=[[0.0]], cy1=[[0.0]], noise=1.0)
-        assert mu_bald(stub, (np.zeros(1), 1)) == 0.0
+        assert score_one("mu_bald", stub, (np.zeros(1), 1)) == 0.0
 
     def test_variance_equal_noise_gives_half_log_two(self):
         stub = StubModel(y_var=[0.8], f0_var=[0.4], f1_var=[0.4], f01_cov=[0.0],
                          cy0=[[0.0]], cy1=[[0.0]], noise=0.4)
-        assert mu_bald(stub, (np.zeros(1), 0)) == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
+        assert score_one("mu_bald", stub, (np.zeros(1), 0)) == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
 
     def test_ranking_matches_latent_variance_order(self, rng):
         model = fitted_toy(rng)
         pool_x = rng.normal(size=(12, 1))
         pool_t = rng.integers(0, 2, 12)
-        scores = np.array([mu_bald(model, (pool_x[i], pool_t[i])) for i in range(12)])
+        got = scores("mu_bald", model, pool_x, pool_t)
         variances = model.latent_var(pool_x, pool_t)
-        assert np.array_equal(np.argsort(scores), np.argsort(variances))
+        assert np.array_equal(np.argsort(got), np.argsort(variances))
 
     def test_tau_bald_uses_doubled_noise(self):
         stub = StubModel(y_var=[1.5], f0_var=[0.5], f1_var=[0.7], f01_cov=[0.1],
                          cy0=[[0.0]], cy1=[[0.0]], noise=0.5)
         v_tau = 0.5 + 0.7 - 0.2
-        assert tau_bald(stub, (np.zeros(1), 0)) == pytest.approx(0.5 * np.log1p(v_tau / 1.0), abs=1e-12)
+        assert score_one("tau_bald", stub, (np.zeros(1), 0)) == pytest.approx(0.5 * np.log1p(v_tau / 1.0), abs=1e-12)
 
 
 class TestCombinedBald:
@@ -264,14 +270,16 @@ class TestCombinedBald:
         # neutralize the fit so every prediction is exactly 0.5
         prop.weights[:] = 0.0
         cand = (np.array([0.2]), 1)
-        assert combined_bald(model, cand, "mu_pi", prop) == pytest.approx(0.5 * mu_bald(model, cand), abs=1e-12)
+        assert score_one("mu_pi_bald", model, cand, propensity=prop) == pytest.approx(
+            0.5 * score_one("mu_bald", model, cand), abs=1e-12)
 
     def test_max_spread_candidate_keeps_full_score(self, rng):
         model = fitted_toy(rng)
-        cand = (np.array([0.4]), 0)
-        sd = model.tau_sd(np.array([[0.4]]))[0]
-        got = combined_bald(model, cand, "mu_rho", pool_tau_sd_max=sd)
-        assert got == pytest.approx(mu_bald(model, cand), abs=1e-12)
+        pool_x = rng.normal(size=(8, 1))
+        pool_t = rng.integers(0, 2, 8)
+        top = int(np.argmax(model.tau_sd(pool_x)))
+        got = scores("mu_rho_bald", model, pool_x, pool_t)
+        assert got[top] == pytest.approx(scores("mu_bald", model, pool_x, pool_t)[top], abs=1e-12)
 
     def test_pool_weights_stay_in_unit_interval(self, rng):
         model = fitted_toy(rng)
@@ -286,7 +294,7 @@ class TestCombinedBald:
 
     def test_missing_propensity_rejected(self):
         with pytest.raises(InputError):
-            combined_bald(fitted_toy(), (np.zeros(1), 1), "mu_pi", None)
+            score_one("mu_pi_bald", fitted_toy(), (np.zeros(1), 1))
 
 
 class TestSignAmbiguity:
@@ -314,10 +322,10 @@ class TestSignAmbiguity:
 
     def test_model_level_wrapper(self, rng):
         model = fitted_toy(rng)
-        score = sundin_gamma(model, (np.array([0.1]), 1), k=100, rng=0)
+        score = score_one("sundin", model, (np.array([0.1]), 1), sundin_samples=100)
         assert 0.0 <= score <= np.log(2.0)
         with pytest.raises(InputError):
-            sundin_gamma(model, (np.array([0.1]), 1), k=1, rng=0)
+            AcquisitionMethod("sundin", sundin_samples=1)
 
 
 class TestCoreset:
@@ -325,15 +333,15 @@ class TestCoreset:
         model = fitted_toy(rng)
         lx = model.train_x
         lt = model.train_t
-        scores = coreset_qhte(model, (lx[:1], lt[:1]), (lx, lt))
-        assert scores[0] == pytest.approx(0.0, abs=1e-6)
+        got = scores("coreset_qhte", model, lx[:1], lt[:1], labeled=(lx, lt))
+        assert got[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_matches_brute_force_on_small_pool(self, rng):
         model = fitted_toy(rng)
         px = rng.normal(size=(5, 1))
         pt = rng.integers(0, 2, 5)
         lx, lt = model.train_x, model.train_t
-        scores = coreset_qhte(model, (px, pt), (lx, lt))
+        got = scores("coreset_qhte", model, px, pt, labeled=(lx, lt))
         for i in range(5):
             anchors = np.flatnonzero(lt == pt[i])
             dists = []
@@ -342,51 +350,55 @@ class TestCoreset:
                 vb = model.latent_var(lx[j : j + 1], lt[j : j + 1])[0]
                 cab = model.latent_cov(px[i : i + 1], pt[i : i + 1], lx[j : j + 1], lt[j : j + 1])[0, 0]
                 dists.append(np.sqrt(max(va + vb - 2 * cab, 0.0)))
-            assert scores[i] == pytest.approx(min(dists), abs=1e-10)
+            assert got[i] == pytest.approx(min(dists), abs=1e-10)
 
     def test_unlabeled_arm_gets_sentinel_above_pool_max(self, rng):
         model = fitted_toy(rng)
         px = rng.normal(size=(6, 1))
         pt = np.array([0, 0, 0, 1, 1, 1])
         lx = model.train_x[model.train_t == 0]
-        scores = coreset_qhte(model, (px, pt), (lx, np.zeros(len(lx), dtype=int)))
-        assert np.all(scores[3:] > scores[:3].max())
+        got = scores("coreset_qhte", model, px, pt, labeled=(lx, np.zeros(len(lx), dtype=int)))
+        assert np.all(got[3:] > got[:3].max())
 
 
 class TestCausalEig:
+    # the reference grid is the first eig_grid_size pool covariates
     def test_single_point_grid_reduces_to_singleton_contrast_gain(self, rng):
         model = fitted_toy(rng)
-        cand = (np.array([0.25]), 1)
-        grid = np.array([[0.6]])
-        assert causal_eig(model, cand, grid) == pytest.approx(
-            causal_epig_tau(model, cand, grid), abs=1e-10
-        )
+        pool_x = np.array([[0.6], [0.25]])
+        got = scores("causal_eig", model, pool_x, [0, 1], eig_grid_size=1)
+        assert got[1] == pytest.approx(score_one("causal_epig_tau", model, (pool_x[1], 1), pool_x[:1]), abs=1e-10)
 
     def test_disjoint_grid_scores_zero(self):
         model = fitted_toy()
-        assert causal_eig(model, (np.array([0.0]), 0), np.array([[700.0], [710.0]])) < 1e-10
+        got = scores("causal_eig", model, [[700.0], [710.0], [0.0]], [0, 0, 0], eig_grid_size=2)
+        assert got[2] < 1e-10
 
     def test_three_point_grid_matches_block_mi(self, rng):
         model = fitted_toy(rng)
-        cand = (np.array([-0.2]), 0)
         grid = rng.normal(size=(3, 1))
+        cand = (np.array([-0.2]), 0)
         belief = model.predictive_belief(cand, grid)
         expected = gaussian_mi_block(belief, ["y"], ["tau@0", "tau@1", "tau@2"])
-        assert causal_eig(model, cand, grid) == pytest.approx(expected, abs=1e-8)
+        got = scores("causal_eig", model, np.vstack([grid, cand[0][None, :]]), [1, 1, 1, 0], eig_grid_size=3)
+        assert got[3] == pytest.approx(expected, abs=1e-8)
 
 
 class TestRandomScores:
+    @staticmethod
+    def random_scores(n, seed):
+        return scores("random", StubModel([1.0], [1.0], [1.0], [0.0], [[0.0]], [[0.0]]),
+                      np.zeros((n, 1)), np.zeros(n, dtype=int), rng=seed)
+
     def test_reproducible_per_seed(self):
-        a = random_acq(10, np.random.default_rng(5))
-        b = random_acq(10, np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(self.random_scores(10, 5), self.random_scores(10, 5))
 
     def test_open_unit_interval(self):
-        s = random_acq(100_000, np.random.default_rng(0))
+        s = self.random_scores(100_000, 0)
         assert s.min() > 0.0 and s.max() < 1.0
 
     def test_mean_converges_to_half(self):
-        s = random_acq(100_000, np.random.default_rng(1))
+        s = self.random_scores(100_000, 1)
         assert abs(s.mean() - 0.5) < 0.01
 
 
@@ -419,25 +431,34 @@ class TestPoolScoring:
                               labeled_t=model.train_t, rng=rng)
 
     def test_vectorized_scores_match_per_candidate_ops(self, rng):
+        # the global scorers against the block MI of each candidate's belief
         model = fitted_toy(rng)
         px = rng.normal(size=(6, 1))
         pt = rng.integers(0, 2, 6)
         targets = rng.normal(size=(4, 1))
-        cases = {
-            "causal_epig_tau": causal_epig_tau,
-            "causal_epig_mu": causal_epig_mu,
-            "causal_epig_mu_additive": causal_epig_mu_additive,
-        }
-        for name, op in cases.items():
-            got = score_pool(AcquisitionMethod(name), model, px, pt, self.make_ctx(model, rng, targets))
-            want = [op(model, (px[i], pt[i]), targets) for i in range(6)]
-            np.testing.assert_allclose(got, want, atol=1e-10)
-        got = score_pool(AcquisitionMethod("causal_epig_tau_global"), model, px, pt, self.make_ctx(model, rng, targets))
-        want = [causal_epig_global(model, (px[i], pt[i]), targets, "tau") for i in range(6)]
-        np.testing.assert_allclose(got, want, atol=1e-8)
-        got = score_pool(AcquisitionMethod("causal_epig_mu_global"), model, px, pt, self.make_ctx(model, rng, targets))
-        want = [causal_epig_global(model, (px[i], pt[i]), targets, "po") for i in range(6)]
-        np.testing.assert_allclose(got, want, atol=1e-8)
+        for name, block in (("causal_epig_tau_global", ["tau@{}"]), ("causal_epig_mu_global", ["f0@{}", "f1@{}"])):
+            labels = [lab.format(j) for j in range(4) for lab in block]
+            want = [gaussian_mi_block(model.predictive_belief((px[i], pt[i]), targets), ["y"], labels)
+                    for i in range(6)]
+            np.testing.assert_allclose(scores(name, model, px, pt, targets), want, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", ["cmgp", "nsgp", "ensemble"])
+    @pytest.mark.parametrize("name", ["causal_epig_tau", "causal_epig_mu", "causal_epig_mu_additive",
+                                      "mu_bald", "tau_bald", "mu_pi_bald"])
+    def test_pool_scores_equal_one_candidate_calls(self, rng, kind, name):
+        x = rng.normal(size=(12, 1))
+        t = np.tile([0, 1], 6)
+        if kind == "ensemble":
+            model = fit_ensemble(x, t, rng.normal(size=12) + x[:, 0] * t, n_members=8, rng=1)
+        else:
+            model = random_fitted_gp(rng, n=8, kind=kind)
+        px = rng.normal(size=(7, 1))
+        pt = rng.integers(0, 2, 7)
+        targets = rng.normal(size=(5, 1))
+        prop = fit_propensity(x, t)
+        pool = scores(name, model, px, pt, targets, propensity=prop)
+        single = [score_one(name, model, (px[i], pt[i]), targets, propensity=prop) for i in range(7)]
+        np.testing.assert_allclose(pool, single, rtol=1e-12, atol=1e-12)
 
     def test_all_mi_scores_nonnegative_across_methods(self, rng):
         # every MI-based method on random fitted models stays above -1e-9

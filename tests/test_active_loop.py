@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from cate_al import active_loop
 from cate_al.acquisition import AcquisitionMethod
 from cate_al.active_loop import (
     ActiveState,
@@ -9,11 +10,10 @@ from cate_al.active_loop import (
     LoopConfig,
     run_active_learning,
     select_batch,
-    set_acquisition_target,
     warm_start,
 )
 from cate_al.dgp import gen_causalbald
-from cate_al.errors import InputError
+from cate_al.errors import InputError, NumericalError
 
 
 def small_pools(seed=0, n=40):
@@ -95,10 +95,9 @@ class TestSelectBatch:
 
 class TestTargetModes:
     def test_mode_toggles(self):
-        state = ActiveState(labeled=[0], labeled_y=[1.0], pool=[1, 2], target_mode="pool")
-        assert set_acquisition_target(state, "test").target_mode == "test"
+        assert fast_config(target_mode="test").target_mode == "test"
         with pytest.raises(InputError):
-            set_acquisition_target(state, "validation")
+            fast_config(target_mode="validation")
 
     def test_pool_targets_shrink_and_test_targets_stay(self):
         pool, test = small_pools()
@@ -181,6 +180,23 @@ class TestRunLoop:
         cfg = fast_config(method=method, n_budget=9)
         rec = run_active_learning(cfg, pool, test, np.random.default_rng(0))
         assert not rec.failed
+
+    def test_scoring_failure_fails_the_run_and_keeps_earlier_rounds(self, monkeypatch):
+        calls = []
+
+        def failing_score_pool(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalError("covariance exceeds the variance bound")
+            return original(*args)
+
+        original = active_loop.score_pool
+        monkeypatch.setattr(active_loop, "score_pool", failing_score_pool)
+        pool, test = small_pools()
+        rec = run_active_learning(fast_config(method="mu_bald"), pool, test, np.random.default_rng(0))
+        assert rec.failed
+        assert rec.failure_reason == "round 2 scoring failed: covariance exceeds the variance bound"
+        assert [e.step for e in rec.entries] == [0, 1]
 
     def test_shared_warm_start_aligns_step_zero(self):
         pool, test = small_pools()

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from cate_al import active_loop
 from cate_al.cli import (
     RESULTS_HEADER,
     SUMMARY_HEADER,
@@ -19,7 +20,7 @@ from cate_al.cli import (
     run_matrix,
     serialize_config,
 )
-from cate_al.errors import InputError
+from cate_al.errors import InputError, NumericalError
 
 MINIMAL = """
 [dataset]
@@ -51,6 +52,19 @@ def write_config(tmp_path, text=None, **kw):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def one_seed_run(tmp_path):
+    """Results of an uninterrupted two-cell run (random, causal_epig_tau)."""
+    config = parse_config(write_config(tmp_path, MINIMAL.replace("seeds = 0, 1", "seeds = 0")))
+    assert run_matrix(config) == 0
+    return config, read_rows(os.path.join(config.out_dir, "results.csv"))
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
 
 
 class TestParseConfig:
@@ -155,6 +169,26 @@ class TestRunMatrix:
         after = read_rows(os.path.join(config.out_dir, "results.csv"))
         assert before == after  # idempotent resume adds nothing
 
+    def test_scoring_failure_fails_only_its_cell(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing_score_pool(method, *args):
+            if method.name == "causal_epig_tau":
+                calls.append(1)
+                if len(calls) == 2:
+                    raise NumericalError("covariance exceeds the variance bound")
+            return original(method, *args)
+
+        original = active_loop.score_pool
+        monkeypatch.setattr(active_loop, "score_pool", failing_score_pool)
+        config = parse_config(write_config(tmp_path, MINIMAL.replace("seeds = 0, 1", "seeds = 0")))
+        assert run_matrix(config) == 1
+        rows = read_rows(os.path.join(config.out_dir, "results.csv"))[1:]
+        assert [(r[3], r[5], r[10]) for r in rows] == [
+            ("random", "0", "ok"), ("random", "1", "ok"), ("random", "2", "ok"),
+            ("causal_epig_tau", "0", "failed"), ("causal_epig_tau", "1", "failed"),
+        ]
+
     def test_parallel_rows_match_serial(self, tmp_path):
         serial = parse_config(write_config(tmp_path, out=tmp_path / "serial"))
         run_matrix(serial)
@@ -224,6 +258,26 @@ class TestSummaries:
         out1 = emit_summary(os.path.join(config.out_dir, "results.csv"), str(tmp_path / "s1.csv"))
         out2 = emit_summary(os.path.join(config.out_dir, "results.csv"), str(tmp_path / "s2.csv"))
         assert read_rows(out1) == read_rows(out2)
+
+    def test_resumed_cell_rows_give_the_uninterrupted_summary(self, tmp_path):
+        # killed after a cell's rows were flushed but before the manifest was
+        # written: the resumed run appends the same cell again
+        config, rows = one_seed_run(tmp_path)
+        first = [r for r in rows[1:] if r[3] == "random"]
+        assert rows[1 : 1 + len(first)] == first
+        resumed = write_rows(tmp_path / "resumed.csv", [rows[0]] + first + rows[1:])
+        want = emit_summary(os.path.join(config.out_dir, "results.csv"), str(tmp_path / "want.csv"))
+        got = emit_summary(resumed, str(tmp_path / "got.csv"))
+        assert open(got, "rb").read() == open(want, "rb").read()
+
+    def test_failed_attempt_then_successful_retry_counts_ok(self, tmp_path):
+        config, rows = one_seed_run(tmp_path)
+        failed = [r[:10] + ["failed"] for r in rows[1:3]]
+        retried = write_rows(tmp_path / "retried.csv", [rows[0]] + failed + rows[1:])
+        want = emit_summary(os.path.join(config.out_dir, "results.csv"), str(tmp_path / "want.csv"))
+        got = emit_summary(retried, str(tmp_path / "got.csv"))
+        assert "failed_runs" not in open(got).read()
+        assert open(got, "rb").read() == open(want, "rb").read()
 
     def test_malformed_results_diagnosed_with_row(self, tmp_path):
         results = tmp_path / "results.csv"

@@ -100,3 +100,11 @@ class TestUniformSurface:
         model = fit_ensemble(x, t, y, n_members=9, rng=6)
         resid = y - model.member_f(x, t).mean(axis=0)
         assert model.noise_variance == pytest.approx(float(np.mean(resid**2)))
+
+    def test_latent_var_is_the_latent_cov_diagonal(self, rng):
+        x, t, y = toy_data(rng)
+        model = fit_ensemble(x, t, y, n_members=9, rng=6)
+        xq = rng.normal(size=(30, 2))
+        tq = rng.integers(0, 2, 30)
+        np.testing.assert_allclose(model.latent_var(xq, tq), np.diag(model.latent_cov(xq, tq, xq, tq)),
+                                   rtol=1e-12, atol=0)

@@ -9,7 +9,6 @@ from cate_al.evaluation import (
     StepEntry,
     aggregate_runs,
     count_failures,
-    merge_summaries,
     relative_improvement,
     sqrt_pehe,
 )
@@ -107,13 +106,3 @@ class TestAggregation:
         rec.entries[1].n_labeled = rec.entries[0].n_labeled
         with pytest.raises(InputError):
             aggregate_runs([rec])
-
-    def test_merge_matches_joint_aggregation(self):
-        recs = [record(seed=s, pools=(1.0 + 0.3 * s, 0.5 + 0.1 * s)) for s in range(6)]
-        joint = aggregate_runs(recs)
-        merged = merge_summaries(aggregate_runs(recs[:2]), aggregate_runs(recs[2:]))
-        for a, b in zip(joint, merged):
-            assert a.mean_pool == pytest.approx(b.mean_pool, rel=1e-12)
-            assert a.sd_pool == pytest.approx(b.sd_pool, rel=1e-12)
-            assert a.mean_test == pytest.approx(b.mean_test, rel=1e-12)
-            assert a.count == b.count

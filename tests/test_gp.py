@@ -8,11 +8,10 @@ from cate_al.gp import (
     SearchConfig,
     _chol_with_escalating_jitter,
     fit_gp,
-    joint_belief,
     log_marginal_likelihood,
     optimize_hyperparams,
 )
-from cate_al.kernels import CoregionalizationConfig, KernelConfig
+from cate_al.kernels import CoregionalizationConfig, KernelConfig, nsgp_gram
 
 from conftest import brute_force_conditioning, random_fitted_gp, random_nsgp_params
 
@@ -68,6 +67,13 @@ class TestFit:
             _chol_with_escalating_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-8)
 
 
+def y_f0_f1_block(model, candidate, target):
+    """(y at the candidate, f0, f1 at one target) block of the predictive belief."""
+    full = model.predictive_belief(candidate, np.atleast_2d(target))
+    keep = full.indices(["y", "f0@0", "f1@0"])
+    return full.mean[keep], full.cov[np.ix_(keep, keep)]
+
+
 class TestJointBelief:
     def test_prior_cross_arm_covariance_vanishes_with_identity_tasks(self):
         # data far outside kernel support: the posterior at the origin is the
@@ -75,17 +81,16 @@ class TestJointBelief:
         params = simple_cmgp(b=np.eye(2))
         x = np.array([[1e6], [1.0000001e6]])
         model = fit_gp(x, [0, 1], [0.3, -0.2], params)
-        belief = joint_belief(model, (np.array([0.0]), 0), np.array([0.1]))
-        assert abs(belief.cov[belief.index("y"), belief.index("f1")]) < 1e-12
+        _, cov = y_f0_f1_block(model, (np.array([0.0]), 0), np.array([0.1]))
+        assert abs(cov[0, 2]) < 1e-12
 
     def test_candidate_equal_target_same_arm_cov_equals_variance(self, rng):
         model = random_fitted_gp(rng, n=6)
         xq = np.array([0.25])
-        belief = joint_belief(model, (xq, 1), xq)
-        iy, if1 = belief.index("y"), belief.index("f1")
-        assert belief.cov[iy, if1] == pytest.approx(belief.cov[if1, if1], abs=1e-10)
+        _, cov = y_f0_f1_block(model, (xq, 1), xq)
+        assert cov[0, 2] == pytest.approx(cov[2, 2], abs=1e-10)
         # y carries the observation noise on top of the latent variance
-        assert belief.cov[iy, iy] == pytest.approx(belief.cov[if1, if1] + model.noise_variance, abs=1e-10)
+        assert cov[0, 0] == pytest.approx(cov[2, 2] + model.noise_variance, abs=1e-10)
 
     @pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
     def test_full_covariance_matches_naive_conditioning(self, rng, kind):
@@ -94,7 +99,7 @@ class TestJointBelief:
             cand_x = rng.normal(size=1)
             cand_t = int(rng.integers(0, 2))
             target = rng.normal(size=1)
-            belief = joint_belief(model, (cand_x, cand_t), target)
+            belief_mean, belief_cov = y_f0_f1_block(model, (cand_x, cand_t), target)
 
             q_x = np.vstack([cand_x[None, :], target[None, :], target[None, :]])
             q_t = np.array([cand_t, 0, 1])
@@ -103,8 +108,8 @@ class TestJointBelief:
                 model.noise_variance,
             )
             cov[0, 0] += model.noise_variance
-            assert np.abs(belief.mean - mean).max() < 1e-6
-            assert np.abs(belief.cov - cov).max() < 1e-6
+            assert np.abs(belief_mean - mean).max() < 1e-6
+            assert np.abs(belief_cov - cov).max() < 1e-6
 
 
 class TestPosteriorInvariants:
@@ -194,18 +199,6 @@ class TestHyperparamSearch:
         with pytest.raises(InputError):
             optimize_hyperparams(rng.normal(size=(4, 1)), [0, 1, 0, 1], rng.normal(size=4), "cmgp")
 
-    def test_held_out_selection_variant(self, rng):
-        from cate_al.gp import cross_validated_predictive_score, optimize_hyperparams_cv
-
-        x = rng.normal(size=(16, 1))
-        t = rng.integers(0, 2, 16)
-        y = rng.normal(size=16)
-        fitted = optimize_hyperparams_cv(x, t, y, "cmgp", SearchConfig(seed=4, n_evals=20))
-        score = cross_validated_predictive_score(x, t, y, fitted, seed=4)
-        assert np.isfinite(score)
-        again = optimize_hyperparams_cv(x, t, y, "cmgp", SearchConfig(seed=4, n_evals=20))
-        assert np.array_equal(fitted.kernel.lengthscales, again.kernel.lengthscales)
-
 
 def test_lml_formula_matches_direct_computation(rng):
     model = random_fitted_gp(rng, n=6)
@@ -217,3 +210,14 @@ def test_lml_formula_matches_direct_computation(rng):
     yc = y - y.mean()
     expected = -0.5 * yc @ np.linalg.solve(k, yc) - 0.5 * np.linalg.slogdet(k)[1] - 3 * np.log(2 * np.pi)
     assert log_marginal_likelihood(x, t, y, model.params) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", ["rbf", "matern52"])
+def test_nsgp_cross_diag_is_the_gram_diagonal(rng, family):
+    for _ in range(10):
+        d = int(rng.integers(1, 4))
+        params = random_nsgp_params(rng, dim=d, family=family)
+        x = rng.normal(size=(25, d))
+        gram = nsgp_gram(x, np.zeros(25, dtype=int), x, np.ones(25, dtype=int),
+                         params.kernel0, params.kernel1, params.cross_rho)
+        np.testing.assert_array_equal(params.cross_diag(25), np.diag(gram))
