@@ -182,30 +182,31 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
 
     propensity = None
     params = None
-    try:
-        model, params = _fit_estimator(
-            config, pool_x[state.labeled], pool_t[state.labeled], np.array(state.labeled_y),
-            params, search_seed=int(search_rng.integers(2**31)),
+    step, acq_seconds, chosen = 0, 0.0, list(state.labeled)
+    while True:
+        try:
+            model, params = _fit_estimator(
+                config, pool_x[state.labeled], pool_t[state.labeled], np.array(state.labeled_y),
+                params, search_seed=int(search_rng.integers(2**31)),
+            )
+        except (NumericalError, InputError) as exc:
+            stage = f"round {step}" if step else "warm-start"
+            record.failed = True
+            record.failure_reason = f"{stage} fit failed: {exc}"
+            return record
+        record.entries.append(
+            evaluation.StepEntry(
+                step=step, n_labeled=len(state.labeled),
+                sqrt_pehe_pool=evaluation.model_sqrt_pehe(model, pool_data),
+                sqrt_pehe_test=evaluation.model_sqrt_pehe(model, test_data),
+                acq_seconds=acq_seconds, acquired=tuple(chosen),
+            )
         )
-    except (NumericalError, InputError) as exc:
-        record.failed = True
-        record.failure_reason = f"warm-start fit failed: {exc}"
-        return record
+        if len(state.labeled) >= config.n_budget or not state.pool:
+            break
 
-    record.entries.append(
-        evaluation.StepEntry(
-            step=0, n_labeled=len(state.labeled),
-            sqrt_pehe_pool=evaluation.model_sqrt_pehe(model, pool_data),
-            sqrt_pehe_test=evaluation.model_sqrt_pehe(model, test_data),
-            acq_seconds=0.0, acquired=tuple(state.labeled),
-        )
-    )
-
-    step = 0
-    while len(state.labeled) < config.n_budget and state.pool:
         step += 1
         n_take = min(config.n_b, config.n_budget - len(state.labeled), len(state.pool))
-
         targets = (
             np.asarray(test_data.covariates, dtype=float)
             if state.target_mode == "test"
@@ -237,25 +238,6 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         keep = set(positions)
         state.pool = [ix for p, ix in enumerate(state.pool) if p not in keep]
         state.validate()
-
-        try:
-            model, params = _fit_estimator(
-                config, pool_x[state.labeled], pool_t[state.labeled], np.array(state.labeled_y),
-                params, search_seed=int(search_rng.integers(2**31)),
-            )
-        except (NumericalError, InputError) as exc:
-            record.failed = True
-            record.failure_reason = f"round {step} fit failed: {exc}"
-            return record
-
-        record.entries.append(
-            evaluation.StepEntry(
-                step=step, n_labeled=len(state.labeled),
-                sqrt_pehe_pool=evaluation.model_sqrt_pehe(model, pool_data),
-                sqrt_pehe_test=evaluation.model_sqrt_pehe(model, test_data),
-                acq_seconds=acq_seconds, acquired=tuple(chosen),
-            )
-        )
 
     record.validate()
     return record

@@ -17,7 +17,7 @@ import io
 import json
 import os
 import sys
-import tempfile
+import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 
@@ -26,20 +26,9 @@ import numpy as np
 from . import __version__
 from .acquisition import AcquisitionMethod, METHOD_NAMES
 from .active_loop import ESTIMATOR_NAMES, LoopConfig, run_active_learning
-from .dgp import (
-    DATASET_NAMES,
-    SplitSpec,
-    default_split,
-    gen_causalbald,
-    gen_hahn,
-    gen_actg_outcomes,
-    gen_ihdp_outcomes,
-    load_covariates_csv,
-    make_benchmark,
-    rng_stream,
-)
+from .dgp import DATASET_NAMES, SplitSpec, dataset_info, generate_dataset, make_benchmark, rng_stream
 from .errors import InputError
-from .evaluation import RunRecord, StepEntry, aggregate_runs, count_failures
+from .evaluation import RunRecord, StepEntry, aggregate_runs, count_failures, relative_improvement
 
 OUT_ROOT_ENV = "CATE_AL_OUT_ROOT"
 
@@ -52,11 +41,6 @@ SUMMARY_HEADER = (
     "dataset", "variant", "estimator", "method", "step", "n_labeled",
     "metric", "mean", "sd", "count",
 )
-
-_DEFAULT_BUDGETS = {
-    "causalbald": 850, "hahn_linear": 850, "hahn_nonlinear": 850,
-    "ihdp": 450, "actg": 350,
-}
 
 _DATASET_KEYS = ("name", "shift", "pool_size", "val_size", "test_size", "covariates_csv")
 _LOOP_KEYS = ("n_init", "batch_size", "budget", "temperature", "refit_hyperparams", "target_mode")
@@ -133,10 +117,12 @@ def _parse_list(raw: str) -> tuple[str, ...]:
 def parse_config(path) -> ExperimentConfig:
     """Parse and validate a sectioned key-value config file."""
     parser = configparser.ConfigParser()
-    read = parser.read(path, encoding="utf-8")
-    if not read:
+    if not parser.read(path, encoding="utf-8"):
         raise InputError(f"config file {path} does not exist or is unreadable")
+    return _validated_config(parser)
 
+
+def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     known_sections = {"dataset", "loop", "run"}
     for section in parser.sections():
         if section in known_sections or section.startswith("method:"):
@@ -150,22 +136,20 @@ def parse_config(path) -> ExperimentConfig:
     if "name" not in ds:
         raise InputError("section [dataset] must set 'name'")
     name = ds["name"].strip()
-    if name not in DATASET_NAMES:
-        raise InputError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+    info = dataset_info(name)
     shift = _parse_bool(ds.get("shift", "false"), "[dataset] shift")
-    split = default_split(name, shift)
-    pool_size = int(ds.get("pool_size", split.pool_size))
-    val_size = int(ds.get("val_size", split.val_size))
-    test_size = int(ds.get("test_size", split.test_size))
+    pool_size = int(ds.get("pool_size", info.pool_size))
+    val_size = int(ds.get("val_size", info.val_size))
+    test_size = int(ds.get("test_size", info.test_size))
     covariates_csv = ds.get("covariates_csv", "").strip() or None
-    if name in ("ihdp", "actg") and covariates_csv is None:
+    if info.needs_covariates and covariates_csv is None:
         raise InputError(f"dataset {name!r} requires [dataset] covariates_csv")
 
     loop = dict(parser.items("loop")) if parser.has_section("loop") else {}
     _reject_unknown("loop", loop, _LOOP_KEYS)
     n_init = int(loop.get("n_init", 50))
     batch_size = int(loop.get("batch_size", 20))
-    budget = int(loop.get("budget", _DEFAULT_BUDGETS[name]))
+    budget = int(loop.get("budget", info.budget))
     temperature = float(loop.get("temperature", 0.0))
     refit = _parse_bool(loop.get("refit_hyperparams", "true"), "[loop] refit_hyperparams")
     target_mode = loop.get("target_mode", "").strip() or ("test" if shift else "pool")
@@ -321,11 +305,13 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(path: str, config: ExperimentConfig, statuses: dict[str, str]) -> None:
+def _write_manifest(path: str, config: ExperimentConfig, statuses: dict[str, str],
+                    reasons: dict[str, str]) -> None:
     payload = {
         "version": __version__,
         "config": serialize_config(config),
         "cells": statuses,
+        "failures": reasons,
     }
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True))
 
@@ -334,18 +320,21 @@ def load_manifest_config(manifest_path: str) -> ExperimentConfig:
     """Reconstruct the validated config embedded in a run manifest."""
     with open(manifest_path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
-        fh.write(payload["config"])
-        tmp = fh.name
-    try:
-        return parse_config(tmp)
-    finally:
-        os.unlink(tmp)
+    parser = configparser.ConfigParser()
+    parser.read_string(payload["config"])
+    return _validated_config(parser)
 
 
 def _cell_worker(args):
+    """Run one cell; whatever it raises fails that cell, never the matrix."""
     config, estimator, method_name, seed = args
-    record = run_cell(config, estimator, method_name, seed)
+    try:
+        record = run_cell(config, estimator, method_name, seed)
+    except Exception as exc:
+        traceback.print_exc()
+        record = RunRecord(method=method_name, estimator=estimator, dataset=config.dataset,
+                           variant=config.variant, seed=seed, failed=True,
+                           failure_reason=f"{type(exc).__name__}: {exc}")
     return cell_id(config.dataset, config.variant, estimator, method_name, seed), record
 
 
@@ -356,6 +345,7 @@ def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
     manifest_path = os.path.join(config.out_dir, "manifest.json")
 
     statuses: dict[str, str] = {}
+    reasons: dict[str, str] = {}
     if os.path.exists(results_path) or os.path.exists(manifest_path):
         if not append:
             raise InputError(
@@ -363,7 +353,9 @@ def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
             )
         if os.path.exists(manifest_path):
             with open(manifest_path, encoding="utf-8") as fh:
-                statuses = json.load(fh).get("cells", {})
+                payload = json.load(fh)
+            statuses = payload.get("cells", {})
+            reasons = payload.get("failures", {})
 
     todo = [
         (est, mname, seed)
@@ -385,10 +377,12 @@ def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
                 writer.writerow(row)
             fh.flush()
             statuses[cid] = "failed" if record.failed else "done"
+            reasons.pop(cid, None)
             if record.failed:
                 failures += 1
+                reasons[cid] = record.failure_reason
                 print(f"cell {cid}: FAILED ({record.failure_reason})", file=sys.stderr)
-            _write_manifest(manifest_path, config, statuses)
+            _write_manifest(manifest_path, config, statuses, reasons)
 
         if config.jobs <= 1:
             for est, mname, seed in todo:
@@ -401,7 +395,7 @@ def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
                     cid, record = fut.result()
                     consume(cid, record)
 
-    _write_manifest(manifest_path, config, statuses)
+    _write_manifest(manifest_path, config, statuses, reasons)
     return 1 if failures else 0
 
 
@@ -458,15 +452,13 @@ def emit_summary(results_path: str, out_path: str | None = None) -> str:
     rows = aggregate_runs(records)
     failures = count_failures(records)
 
-    by_cell: dict[tuple, dict] = {}
-    for row in rows:
-        key = (row.dataset, row.variant, row.estimator, row.method)
-        by_cell.setdefault(key, {})[row.step] = row
-
-    ok_records = [r for r in records if not r.failed]
-    by_run: dict[tuple, RunRecord] = {
-        (r.dataset, r.variant, r.estimator, r.method, r.seed): r for r in ok_records
-    }
+    # cell -> seed -> step -> entry, over the runs that did not fail
+    runs: dict[tuple, dict[int, dict[int, StepEntry]]] = {}
+    for rec in records:
+        if not rec.failed:
+            cell = (rec.dataset, rec.variant, rec.estimator, rec.method)
+            runs.setdefault(cell, {})[rec.seed] = {e.step: e for e in rec.entries}
+    means = {(row.dataset, row.variant, row.estimator, row.method, row.step): row for row in rows}
 
     out_lines: list[list[str]] = []
     for row in rows:
@@ -475,34 +467,22 @@ def emit_summary(results_path: str, out_path: str | None = None) -> str:
         out_lines.append(base + ["sqrt_pehe_test", _fmt(row.mean_test), _fmt(row.sd_test), str(row.count)])
         out_lines.append(base + ["acq_seconds", _fmt(row.mean_seconds), "", str(row.count)])
 
-        rand_key = (row.dataset, row.variant, row.estimator, "random")
-        rand_row = by_cell.get(rand_key, {}).get(row.step)
-        for metric, value, rand_value in (
-            ("rel_impr_pool_meancurve", row.mean_pool, None if rand_row is None else rand_row.mean_pool),
-            ("rel_impr_test_meancurve", row.mean_test, None if rand_row is None else rand_row.mean_test),
-        ):
-            if rand_value is None or rand_value == 0.0:
-                out_lines.append(base + [metric, "", "", str(row.count)])
-            else:
-                out_lines.append(base + [metric, _fmt((rand_value - value) / rand_value), "", str(row.count)])
+        rand_cell = (row.dataset, row.variant, row.estimator, "random")
+        rand_row = means.get(rand_cell + (row.step,))
+        for metric, attr in (("rel_impr_pool_meancurve", "mean_pool"), ("rel_impr_test_meancurve", "mean_test")):
+            value = None if rand_row is None else relative_improvement(
+                [getattr(row, attr)], [getattr(rand_row, attr)])[0]
+            out_lines.append(base + [metric, _fmt(value), "", str(row.count)])
 
+        # per-seed improvements, paired on seed and reduced in seed order
+        mine = runs[(row.dataset, row.variant, row.estimator, row.method)]
+        theirs = runs.get(rand_cell, {})
+        seeds = sorted(s for s in mine if row.step in theirs.get(s, {}))
         for metric, attr in (("rel_impr_pool_perseed", "sqrt_pehe_pool"), ("rel_impr_test_perseed", "sqrt_pehe_test")):
-            vals = []
-            for seed_key, rec in by_run.items():
-                if seed_key[:4] != (row.dataset, row.variant, row.estimator, row.method):
-                    continue
-                rand_rec = by_run.get((row.dataset, row.variant, row.estimator, "random", seed_key[4]))
-                if rand_rec is None:
-                    continue
-                mine = next((e for e in rec.entries if e.step == row.step), None)
-                theirs = next((e for e in rand_rec.entries if e.step == row.step), None)
-                if mine is None or theirs is None or getattr(theirs, attr) == 0.0:
-                    continue
-                vals.append((getattr(theirs, attr) - getattr(mine, attr)) / getattr(theirs, attr))
-            if vals:
-                out_lines.append(base + [metric, _fmt(float(np.mean(vals))), "", str(len(vals))])
-            else:
-                out_lines.append(base + [metric, "", "", "0"])
+            rand = np.array([getattr(theirs[s][row.step], attr) for s in seeds])
+            impr = relative_improvement([getattr(mine[s][row.step], attr) for s in seeds], rand)[rand != 0.0]
+            mean = _fmt(float(np.mean(impr))) if impr.size else ""
+            out_lines.append(base + [metric, mean, "", str(impr.size)])
 
     for (dataset, variant, estimator, method), n_failed in sorted(failures.items()):
         out_lines.append([dataset, variant, estimator, method, "", "", "failed_runs", str(n_failed), "", ""])
@@ -522,24 +502,7 @@ def emit_summary(results_path: str, out_path: str | None = None) -> str:
 def dump_dataset(name: str, out_csv: str, n: int = 2000, seed: int = 0, shift: bool = False,
                  covariates_csv: str | None = None) -> None:
     """Write one generated dataset (with ground truth columns) to CSV."""
-    rng = rng_stream(seed, name, "dump")
-    if name == "causalbald":
-        ds = gen_causalbald(n, shift=shift, rng=rng)
-    elif name in ("hahn_linear", "hahn_nonlinear"):
-        ds = gen_hahn(n, prognostic=name.split("_", 1)[1], shift=shift, rng=rng)
-    elif name in ("ihdp", "actg"):
-        if covariates_csv is None:
-            raise InputError(f"dataset {name!r} requires --covariates")
-        covs, t = load_covariates_csv(covariates_csv, name)
-        if name == "ihdp":
-            ds = gen_ihdp_outcomes(covs, t, shift=shift, rng=rng)
-        else:
-            if shift:
-                raise InputError("the actg benchmark has no shift variant")
-            ds = gen_actg_outcomes(covs, t, rng=rng)
-    else:
-        raise InputError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
-
+    ds = generate_dataset(name, n, shift, rng_stream(seed, name, "dump"), covariates_csv)
     d = ds.covariates.shape[1]
     header = [f"x{i + 1}" for i in range(d)] + ["t", "y", "mu0", "mu1", "tau"]
     if ds.propensity_true is not None:

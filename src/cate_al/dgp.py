@@ -17,14 +17,14 @@ from __future__ import annotations
 import csv
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import InputError
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-DATASET_NAMES = ("causalbald", "hahn_linear", "hahn_nonlinear", "ihdp", "actg")
 
 
 @dataclass
@@ -252,13 +252,15 @@ ACTG_COLUMNS = (
 ACTG_CONTINUOUS = ("age", "wtkg", "preanti")
 
 
-def gen_actg_outcomes(covariates, treatments, rng=None, noise_scale: float = 1.0) -> Dataset:
+def gen_actg_outcomes(covariates, treatments, shift: bool = False, rng=None, noise_scale: float = 1.0) -> Dataset:
     """Simulated outcomes on the 12-column HIV-trial covariate layout.
 
     mu = 6 + 0.3 wtkg^2 - sin(age)(gender + 1) + 0.6 hemo race - 0.2 z30;
     contrast 1 + 1.5 sin(wtkg)(karnof_hi + 1) + 2 age. Noise sd is one eighth
-    of the prognostic range over the batch.
+    of the prognostic range over the batch. There is no shift variant.
     """
+    if shift:
+        raise InputError("the actg benchmark has no shift variant")
     x = np.atleast_2d(np.asarray(covariates, dtype=float))
     t = np.asarray(treatments, dtype=int).reshape(-1)
     if x.shape[1] != len(ACTG_COLUMNS):
@@ -410,60 +412,81 @@ class Benchmark:
     test: Dataset
 
 
-def default_split(name: str, shift: bool, seed: int = 0) -> SplitSpec:
-    if name in ("causalbald", "hahn_linear", "hahn_nonlinear"):
-        return SplitSpec(pool_size=2000, val_size=200, test_size=2000, shift=shift, seed=seed)
-    if name == "ihdp":
-        return SplitSpec(pool_size=523, val_size=0, test_size=224, shift=shift, seed=seed)
-    if name == "actg":
-        return SplitSpec(pool_size=569, val_size=0, test_size=244, shift=shift, seed=seed)
-    raise InputError(f"unknown dataset {name!r}")
+@dataclass(frozen=True)
+class DatasetInfo:
+    """Per-dataset facts: the generator, the default partition sizes and
+    acquisition budget, and whether outcomes are simulated on a covariate CSV
+    file (the generator then takes (covariates, treatments) instead of n)."""
+
+    generator: Callable[..., Dataset]
+    pool_size: int
+    val_size: int
+    test_size: int
+    budget: int
+    needs_covariates: bool = False
+
+
+DATASETS = {
+    "causalbald": DatasetInfo(gen_causalbald, 2000, 200, 2000, 850),
+    "hahn_linear": DatasetInfo(partial(gen_hahn, prognostic="linear"), 2000, 200, 2000, 850),
+    "hahn_nonlinear": DatasetInfo(partial(gen_hahn, prognostic="nonlinear"), 2000, 200, 2000, 850),
+    "ihdp": DatasetInfo(gen_ihdp_outcomes, 523, 0, 224, 450, needs_covariates=True),
+    "actg": DatasetInfo(gen_actg_outcomes, 569, 0, 244, 350, needs_covariates=True),
+}
+DATASET_NAMES = tuple(DATASETS)
+
+
+def dataset_info(name: str) -> DatasetInfo:
+    if name not in DATASETS:
+        raise InputError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
+    return DATASETS[name]
+
+
+def _dataset_covariates(name: str, covariates_csv):
+    if covariates_csv is None:
+        raise InputError(f"dataset {name!r} needs a covariate CSV file")
+    return load_covariates_csv(covariates_csv, name)
+
+
+def generate_dataset(name: str, n: int, shift: bool = False, rng=None, covariates_csv=None) -> Dataset:
+    """One draw of the named dataset: n rows of a synthetic design, or
+    simulated outcomes on every row of the covariate file."""
+    info = dataset_info(name)
+    if info.needs_covariates:
+        covs, t = _dataset_covariates(name, covariates_csv)
+        return info.generator(covs, t, shift=shift, rng=rng)
+    return info.generator(n, shift=shift, rng=rng)
 
 
 def make_benchmark(name: str, shift: bool, spec: SplitSpec | None = None, seed: int = 0, covariates_csv=None) -> Benchmark:
     """Build pool / validation / test partitions for one benchmark run."""
-    if name not in DATASET_NAMES:
-        raise InputError(f"unknown dataset {name!r}; expected one of {DATASET_NAMES}")
-    spec = spec or default_split(name, shift, seed)
+    info = dataset_info(name)
+    spec = spec or SplitSpec(info.pool_size, info.val_size, info.test_size, seed=seed)
     if spec.shift != shift:
         spec = replace(spec, shift=shift)
     variant = "shift" if shift else "standard"
-
-    if name in ("causalbald", "hahn_linear", "hahn_nonlinear"):
-        gen_rng = rng_stream(seed, name, variant, "source")
-        n_source = spec.pool_size + spec.val_size + (0 if shift else spec.test_size)
-        if name == "causalbald":
-            source = gen_causalbald(n_source, shift=False, rng=gen_rng)
-            shifted = gen_causalbald(spec.test_size, shift=True, rng=rng_stream(seed, name, variant, "shifted")) if shift else None
-        else:
-            prog = name.split("_", 1)[1]
-            source = gen_hahn(n_source, prognostic=prog, shift=False, rng=gen_rng)
-            shifted = (
-                gen_hahn(spec.test_size, prognostic=prog, shift=True, rng=rng_stream(seed, name, variant, "shifted"))
-                if shift
-                else None
-            )
-        pool, validation, test = make_splits(source, spec, rng_stream(seed, name, variant, "split"), shifted_test=shifted)
-        return Benchmark(name=name, variant=variant, pool=pool, validation=validation, test=test)
-
-    if covariates_csv is None:
-        raise InputError(f"dataset {name!r} needs a covariate CSV file")
-    covs, t = load_covariates_csv(covariates_csv, "ihdp" if name == "ihdp" else "actg")
-    if name == "actg":
-        if shift:
-            raise InputError("the actg benchmark has no shift variant")
-        full = gen_actg_outcomes(covs, t, rng=rng_stream(seed, name, "outcomes"))
-        pool, validation, test = make_splits(full, spec, rng_stream(seed, name, variant, "split"))
-        return Benchmark(name=name, variant=variant, pool=pool, validation=validation, test=test)
-
-    # infant-health benchmark: one coefficient draw shared by all partitions
-    beta = sample_ihdp_beta(rng_stream(seed, name, variant, "beta"), zero_first_two=shift)
-    full = gen_ihdp_outcomes(covs, t, shift=False, rng=rng_stream(seed, name, variant, "outcomes"), beta=beta)
     split_rng = rng_stream(seed, name, variant, "split")
+
+    if not info.needs_covariates:
+        n_source = spec.pool_size + spec.val_size + (0 if shift else spec.test_size)
+        source = info.generator(n_source, shift=False, rng=rng_stream(seed, name, variant, "source"))
+        shifted_rng = rng_stream(seed, name, variant, "shifted")
+        shifted = info.generator(spec.test_size, shift=True, rng=shifted_rng) if shift else None
+        pool, validation, test = make_splits(source, spec, split_rng, shifted_test=shifted)
+        return Benchmark(name=name, variant=variant, pool=pool, validation=validation, test=test)
+
+    covs, t = _dataset_covariates(name, covariates_csv)
+    if name == "actg":
+        full = gen_actg_outcomes(covs, t, shift=shift, rng=rng_stream(seed, name, "outcomes"))
+    else:
+        # infant-health benchmark: one coefficient draw shared by all partitions
+        beta = sample_ihdp_beta(rng_stream(seed, name, variant, "beta"), zero_first_two=shift)
+        full = gen_ihdp_outcomes(covs, t, shift=False, rng=rng_stream(seed, name, variant, "outcomes"), beta=beta)
     if not shift:
         pool, validation, test = make_splits(full, spec, split_rng)
         return Benchmark(name=name, variant=variant, pool=pool, validation=validation, test=test)
 
+    # the shifted infant-health test partition
     needed = spec.pool_size + spec.val_size + spec.test_size
     if needed > full.n:
         raise InputError(f"partition sizes need {needed} rows, dataset has {full.n}")

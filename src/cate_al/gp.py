@@ -200,54 +200,43 @@ class GpCateModel(CateModel):
         mu0, mu1 = self._target_means(x)
         return mu1 - mu0
 
-    def _tau_moments(self, x):
+    def _contrast_moments(self, x):
+        """Train solves at (x, 0) and (x, 1), then Var f0, Var f1, Cov(f0, f1)
+        and Var tau per row of x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         m = x.shape[0]
         z = np.zeros(m, dtype=int)
         o = np.ones(m, dtype=int)
         v0 = self._solve_train(x, z)
         v1 = self._solve_train(x, o)
-        p00 = self.params.prior_diag(z)
-        p11 = self.params.prior_diag(o)
-        p01 = self.params.cross_diag(m)
-        var0 = p00 - np.sum(v0 * v0, axis=0)
-        var1 = p11 - np.sum(v1 * v1, axis=0)
-        cov01 = p01 - np.sum(v0 * v1, axis=0)
-        tau_var = np.maximum(var0 + var1 - 2.0 * cov01, 0.0)
-        return self.tau_mean(x), tau_var
+        f0_var = np.maximum(self.params.prior_diag(z) - np.sum(v0 * v0, axis=0), 0.0)
+        f1_var = np.maximum(self.params.prior_diag(o) - np.sum(v1 * v1, axis=0), 0.0)
+        f01_cov = self.params.cross_diag(m) - np.sum(v0 * v1, axis=0)
+        tau_var = np.maximum(f0_var + f1_var - 2.0 * f01_cov, 0.0)
+        return v0, v1, f0_var, f1_var, f01_cov, tau_var
 
     def tau_sd(self, x) -> np.ndarray:
-        _, tau_var = self._tau_moments(x)
-        return np.sqrt(tau_var)
+        return np.sqrt(self._contrast_moments(x)[-1])
 
     def tau_draws(self, x, k, rng: np.random.Generator) -> np.ndarray:
-        mean, var = self._tau_moments(np.atleast_2d(np.asarray(x, dtype=float)))
-        return rng.normal(mean[0], np.sqrt(max(var[0], 0.0)), size=int(k))
+        tau_var = self._contrast_moments(x)[-1]
+        return rng.normal(self.tau_mean(x)[0], np.sqrt(tau_var[0]), size=int(k))
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
         cand_x = np.atleast_2d(np.asarray(cand_x, dtype=float))
         cand_t = np.asarray(cand_t, dtype=int).reshape(-1)
         target_x = np.atleast_2d(np.asarray(target_x, dtype=float))
-        m = target_x.shape[0]
-        z = np.zeros(m, dtype=int)
-        o = np.ones(m, dtype=int)
-
-        vc = self._solve_train(cand_x, cand_t)
-        v0 = self._solve_train(target_x, z)
-        v1 = self._solve_train(target_x, o)
+        v0, v1, f0_var, f1_var, f01_cov, tau_var = self._contrast_moments(target_x)
 
         kc = self.prior_gram(self.train_x, self.train_t, cand_x, cand_t)
+        vc = solve_triangular(self.L, kc, lower=True)
         y_mean = self.y_mean + kc.T @ self.alpha
         f_var = self.params.prior_diag(cand_t) - np.sum(vc * vc, axis=0)
         y_var = np.maximum(f_var, 0.0) + self.noise_variance
 
-        f0_var = np.maximum(self.params.prior_diag(z) - np.sum(v0 * v0, axis=0), 0.0)
-        f1_var = np.maximum(self.params.prior_diag(o) - np.sum(v1 * v1, axis=0), 0.0)
-        f01_cov = self.params.cross_diag(m) - np.sum(v0 * v1, axis=0)
-        tau_var = np.maximum(f0_var + f1_var - 2.0 * f01_cov, 0.0)
-
-        cy0 = self.prior_gram(cand_x, cand_t, target_x, z) - vc.T @ v0
-        cy1 = self.prior_gram(cand_x, cand_t, target_x, o) - vc.T @ v1
+        m = target_x.shape[0]
+        cy0 = self.prior_gram(cand_x, cand_t, target_x, np.zeros(m, dtype=int)) - vc.T @ v0
+        cy1 = self.prior_gram(cand_x, cand_t, target_x, np.ones(m, dtype=int)) - vc.T @ v1
         return MomentBundle(
             y_mean=y_mean, y_var=y_var, f0_var=f0_var, f1_var=f1_var,
             f01_cov=f01_cov, tau_var=tau_var, cy0=cy0, cy1=cy1,

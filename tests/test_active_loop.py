@@ -198,6 +198,33 @@ class TestRunLoop:
         assert rec.failure_reason == "round 2 scoring failed: covariance exceeds the variance bound"
         assert [e.step for e in rec.entries] == [0, 1]
 
+    def test_warm_start_fit_failure_names_the_warm_start(self, monkeypatch):
+        def failing_fit(*args, **kw):
+            raise NumericalError("Cholesky failed")
+
+        monkeypatch.setattr(active_loop, "fit_ensemble", failing_fit)
+        pool, test = small_pools()
+        rec = run_active_learning(fast_config(), pool, test, np.random.default_rng(0))
+        assert rec.failed
+        assert rec.failure_reason == "warm-start fit failed: Cholesky failed"
+        assert rec.entries == []
+
+    def test_round_fit_failure_keeps_earlier_rounds(self, monkeypatch):
+        calls = []
+
+        def failing_fit(*args, **kw):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericalError("Cholesky failed")
+            return original(*args, **kw)
+
+        original = active_loop.fit_ensemble
+        monkeypatch.setattr(active_loop, "fit_ensemble", failing_fit)
+        pool, test = small_pools()
+        rec = run_active_learning(fast_config(), pool, test, np.random.default_rng(0))
+        assert rec.failure_reason == "round 2 fit failed: Cholesky failed"
+        assert [e.step for e in rec.entries] == [0, 1]
+
     def test_shared_warm_start_aligns_step_zero(self):
         pool, test = small_pools()
         recs = []

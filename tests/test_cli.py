@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from cate_al import active_loop
+from cate_al import active_loop, dgp
 from cate_al.cli import (
     RESULTS_HEADER,
     SUMMARY_HEADER,
@@ -20,6 +20,7 @@ from cate_al.cli import (
     run_matrix,
     serialize_config,
 )
+from cate_al.dgp import rng_stream
 from cate_al.errors import InputError, NumericalError
 
 MINIMAL = """
@@ -65,6 +66,20 @@ def write_rows(path, rows):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     return str(path)
+
+
+def covariate_csv(path, schema, n=60, seed=0):
+    """A covariate file in the named schema: standard-normal continuous
+    columns, fair-coin binary columns and treatment."""
+    spec = dgp.CSV_SCHEMAS[schema]
+    rng = np.random.default_rng(seed)
+    rows = [["t", *spec["columns"]]]
+    for _ in range(n):
+        rows.append([int(rng.integers(0, 2))] + [
+            f"{rng.normal():.6f}" if c in spec["continuous"] else int(rng.integers(0, 2))
+            for c in spec["columns"]
+        ])
+    return write_rows(path, rows)
 
 
 class TestParseConfig:
@@ -188,6 +203,45 @@ class TestRunMatrix:
             ("random", "0", "ok"), ("random", "1", "ok"), ("random", "2", "ok"),
             ("causal_epig_tau", "0", "failed"), ("causal_epig_tau", "1", "failed"),
         ]
+        manifest = json.load(open(os.path.join(config.out_dir, "manifest.json")))
+        failed = cell_id("causalbald", "standard", "ensemble", "causal_epig_tau", 0)
+        assert manifest["failures"] == {
+            failed: "round 2 scoring failed: covariance exceeds the variance bound"
+        }
+
+    def test_any_exception_fails_only_its_cell(self, tmp_path, monkeypatch):
+        def raising_score_pool(method, *args):
+            if method.name == "causal_epig_tau":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return original(method, *args)
+
+        original = active_loop.score_pool
+        monkeypatch.setattr(active_loop, "score_pool", raising_score_pool)
+        config = parse_config(write_config(tmp_path, MINIMAL.replace("seeds = 0, 1", "seeds = 0")))
+        assert run_matrix(config) == 1
+        rows = read_rows(os.path.join(config.out_dir, "results.csv"))[1:]
+        assert [(r[3], r[5], r[10]) for r in rows] == [
+            ("random", "0", "ok"), ("random", "1", "ok"), ("random", "2", "ok"),
+            ("causal_epig_tau", "0", "failed"),
+        ]
+        manifest = json.load(open(os.path.join(config.out_dir, "manifest.json")))
+        failed = cell_id("causalbald", "standard", "ensemble", "causal_epig_tau", 0)
+        assert manifest["cells"][failed] == "failed"
+        assert manifest["failures"] == {failed: "LinAlgError: Singular matrix"}
+
+    def test_successful_retry_clears_the_failure_reason(self, tmp_path, monkeypatch):
+        def raising_score_pool(method, *args):
+            raise FloatingPointError("overflow")
+
+        original = active_loop.score_pool
+        monkeypatch.setattr(active_loop, "score_pool", raising_score_pool)
+        config = parse_config(write_config(tmp_path, MINIMAL.replace("seeds = 0, 1", "seeds = 0")))
+        assert run_matrix(config) == 1
+        monkeypatch.setattr(active_loop, "score_pool", original)
+        assert run_matrix(config, append=True) == 0
+        manifest = json.load(open(os.path.join(config.out_dir, "manifest.json")))
+        assert set(manifest["cells"].values()) == {"done"}
+        assert manifest["failures"] == {}
 
     def test_parallel_rows_match_serial(self, tmp_path):
         serial = parse_config(write_config(tmp_path, out=tmp_path / "serial"))
@@ -279,6 +333,45 @@ class TestSummaries:
         assert "failed_runs" not in open(got).read()
         assert open(got, "rb").read() == open(want, "rb").read()
 
+    def test_shuffled_cell_blocks_give_the_same_summary(self, tmp_path):
+        config = parse_config(write_config(tmp_path))
+        run_matrix(config)
+        results = os.path.join(config.out_dir, "results.csv")
+        header, *rows = read_rows(results)
+        blocks: dict[tuple, list] = {}
+        for r in rows:
+            blocks.setdefault((r[2], r[3], r[4]), []).append(r)
+        want = open(emit_summary(results, str(tmp_path / "want.csv")), "rb").read()
+        rng = np.random.default_rng(0)
+        for k in range(3):
+            order = rng.permutation(len(blocks))
+            shuffled = [r for i in order for r in list(blocks.values())[i]]
+            path = write_rows(tmp_path / f"shuffled{k}.csv", [header] + shuffled)
+            assert open(emit_summary(path, str(tmp_path / f"got{k}.csv")), "rb").read() == want
+
+    def test_per_seed_improvement_edge_cases(self, tmp_path):
+        def row(est, method, seed, pool, test, status="ok"):
+            return ["d", "standard", est, method, str(seed), "0", "10", pool, test, "0", status]
+
+        results = write_rows(tmp_path / "results.csv", [
+            RESULTS_HEADER,
+            row("e", "random", 0, "2", "4"),
+            row("e", "random", 1, "0", "4"),           # random exactly 0: seed 1 skipped for pool
+            row("e", "random", 3, "1", "1", "failed"),  # failed random run: seed 3 skipped
+            *[row("e", "m", s, "1", "1") for s in range(4)],  # seed 2 has no random run
+            *[row("z", "random", s, "0", "0") for s in range(2)],
+            *[row("z", "m", s, "1", "1") for s in range(2)],
+        ])
+        summary = {(r[2], r[3], r[6]): r[7:] for r in read_rows(emit_summary(results))[1:]}
+        assert summary[("e", "m", "rel_impr_pool_perseed")] == ["0.5", "", "1"]
+        assert summary[("e", "m", "rel_impr_test_perseed")] == ["0.75", "", "2"]
+        assert summary[("e", "m", "rel_impr_pool_meancurve")] == ["0", "", "4"]
+        assert summary[("e", "random", "failed_runs")] == ["1", "", ""]
+        # random mean curve at exactly 0: the mean-curve cells stay empty
+        assert summary[("z", "m", "rel_impr_pool_meancurve")] == ["", "", "2"]
+        assert summary[("z", "m", "rel_impr_test_meancurve")] == ["", "", "2"]
+        assert summary[("z", "m", "rel_impr_pool_perseed")] == ["", "", "0"]
+
     def test_malformed_results_diagnosed_with_row(self, tmp_path):
         results = tmp_path / "results.csv"
         with open(results, "w", newline="") as fh:
@@ -312,6 +405,35 @@ class TestCliEntry:
         x = np.array([float(r[0]) for r in rows[1:]])
         tau = np.array([float(r[5]) for r in rows[1:]])
         np.testing.assert_allclose(tau, 2 * x + 2 - 4 * np.sin(2 * x), atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["causalbald", "hahn_linear", "hahn_nonlinear", "ihdp", "actg"])
+    def test_gen_data_writes_the_generator_draw(self, tmp_path, name):
+        argv = ["gen-data", name, str(tmp_path / "dump.csv"), "--n", "40", "--seed", "3"]
+        rng = rng_stream(3, name, "dump")
+        if name in dgp.CSV_SCHEMAS:
+            covariates = covariate_csv(tmp_path / "covs.csv", name)
+            argv += ["--covariates", covariates]
+            gen = dgp.gen_ihdp_outcomes if name == "ihdp" else dgp.gen_actg_outcomes
+            ds = gen(*dgp.load_covariates_csv(covariates, name), rng=rng)
+        elif name == "causalbald":
+            ds = dgp.gen_causalbald(40, rng=rng)
+        else:
+            ds = dgp.gen_hahn(40, prognostic=name.split("_")[1], rng=rng)
+        assert main(argv) == 0
+        got = np.array(read_rows(tmp_path / "dump.csv")[1:], dtype=float)
+        d = ds.covariates.shape[1]
+        np.testing.assert_array_equal(got[:, d], ds.treatments)
+        want = np.column_stack([ds.covariates, ds.outcomes, ds.mu0, ds.mu1, ds.tau_true]
+                               + ([] if ds.propensity_true is None else [ds.propensity_true]))
+        np.testing.assert_allclose(np.delete(got, d, axis=1), want, rtol=1e-11, atol=0)
+
+    def test_gen_data_rejects_actg_shift_and_missing_covariates(self, tmp_path, capsys):
+        covariates = covariate_csv(tmp_path / "covs.csv", "actg")
+        out = str(tmp_path / "dump.csv")
+        assert main(["gen-data", "actg", out, "--shift", "--covariates", covariates]) == 2
+        assert "no shift variant" in capsys.readouterr().err
+        assert main(["gen-data", "ihdp", out]) == 2
+        assert "covariate CSV" in capsys.readouterr().err
 
     def test_config_errors_exit_with_status_two(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

@@ -221,3 +221,13 @@ def test_nsgp_cross_diag_is_the_gram_diagonal(rng, family):
         gram = nsgp_gram(x, np.zeros(25, dtype=int), x, np.ones(25, dtype=int),
                          params.kernel0, params.kernel1, params.cross_rho)
         np.testing.assert_array_equal(params.cross_diag(25), np.diag(gram))
+
+
+@pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
+def test_tau_sd_is_the_bundle_contrast_sd(rng, kind):
+    for _ in range(5):
+        d = int(rng.integers(1, 4))
+        model = random_fitted_gp(rng, n=12, dim=d, kind=kind)
+        cand_x, targets = rng.normal(size=(7, d)), rng.normal(size=(9, d))
+        bundle = model.moment_bundle(cand_x, rng.integers(0, 2, 7), targets)
+        np.testing.assert_array_equal(model.tau_sd(targets), np.sqrt(bundle.tau_var))
