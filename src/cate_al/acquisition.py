@@ -411,28 +411,25 @@ def bernoulli_entropy(p) -> np.ndarray:
     return h
 
 
-def sign_ambiguity_score(tau_draws: np.ndarray) -> float:
-    """Sign-ambiguity information from contrast draws at one covariate.
+def sign_ambiguity_score(tau_draws: np.ndarray) -> np.ndarray:
+    """Sign-ambiguity information from an (n, k) array of contrast draws, k
+    at each of n covariates (a 1-D array is one covariate): one score per row.
 
     gamma_k = Phi(-|tau_k| / sd(tau)); score is the Jensen gap
     H(Bern(mean gamma)) - mean H(Bern(gamma_k)), zero when the draws agree.
     """
-    draws = np.asarray(tau_draws, dtype=float).reshape(-1)
-    if draws.size < 2:
+    draws = np.atleast_2d(np.asarray(tau_draws, dtype=float))
+    if draws.shape[1] < 2:
         raise InputError("need at least 2 contrast draws")
-    sd = draws.std()
-    if sd <= 0.0:
-        return 0.0
-    gamma = norm.cdf(-np.abs(draws) / sd)
-    return float(max(bernoulli_entropy(gamma.mean()) - bernoulli_entropy(gamma).mean(), 0.0))
+    sd = draws.std(axis=1, keepdims=True)
+    gamma = norm.cdf(-np.abs(draws) / np.where(sd > 0.0, sd, 1.0))
+    gap = bernoulli_entropy(gamma.mean(axis=1)) - bernoulli_entropy(gamma).mean(axis=1)
+    return np.where(sd[:, 0] > 0.0, np.maximum(gap, 0.0), 0.0)
 
 
 def _score_sundin(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Sign-ambiguity utility from draws of each candidate's contrast posterior."""
-    return np.array([
-        sign_ambiguity_score(model.tau_draws(pool_x[i], method.sundin_samples, ctx.rng))
-        for i in range(pool_t.size)
-    ])
+    return sign_ambiguity_score(model.tau_draws(pool_x, method.sundin_samples, ctx.rng))
 
 
 def _score_coreset(method, model, pool_x, pool_t, ctx) -> np.ndarray:

@@ -95,7 +95,8 @@ def warm_start(pool_indices, n_init: int, oracle: LabelOracle, rng, target_mode:
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     chosen = rng.choice(len(pool_indices), size=n_init, replace=False)
     chosen = sorted(int(pool_indices[i]) for i in chosen)
-    remaining = [i for i in pool_indices if i not in set(chosen)]
+    taken = set(chosen)
+    remaining = [i for i in pool_indices if i not in taken]
     ys = oracle.reveal(chosen)
     state = ActiveState(
         labeled=list(chosen), labeled_y=[float(v) for v in ys], pool=remaining, target_mode=target_mode

@@ -147,7 +147,8 @@ class CateModel(ABC):
 
     @abstractmethod
     def tau_draws(self, x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-        """k draws from the marginal contrast posterior at a single covariate."""
+        """(n, k) draws from the marginal contrast posterior, k per row of x,
+        taken from rng row by row: n one-row calls draw what one call draws."""
 
     @abstractmethod
     def moment_bundle(self, cand_x: np.ndarray, cand_t: np.ndarray, target_x: np.ndarray) -> MomentBundle:

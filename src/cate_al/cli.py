@@ -138,6 +138,8 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     name = ds["name"].strip()
     info = dataset_info(name)
     shift = _parse_bool(ds.get("shift", "false"), "[dataset] shift")
+    if shift and not info.shift_variant:
+        raise InputError(f"dataset {name!r} has no shift variant")
     pool_size = int(ds.get("pool_size", info.pool_size))
     val_size = int(ds.get("val_size", info.val_size))
     test_size = int(ds.get("test_size", info.test_size))
@@ -499,7 +501,7 @@ def emit_summary(results_path: str, out_path: str | None = None) -> str:
 # -- dataset dumps -------------------------------------------------------------------
 
 
-def dump_dataset(name: str, out_csv: str, n: int = 2000, seed: int = 0, shift: bool = False,
+def dump_dataset(name: str, out_csv: str, n: int | None = None, seed: int = 0, shift: bool = False,
                  covariates_csv: str | None = None) -> None:
     """Write one generated dataset (with ground truth columns) to CSV."""
     ds = generate_dataset(name, n, shift, rng_stream(seed, name, "dump"), covariates_csv)
@@ -540,7 +542,7 @@ def main(argv=None) -> int:
     p_gen = sub.add_parser("gen-data", help="dump a generated dataset to CSV")
     p_gen.add_argument("dataset", choices=DATASET_NAMES)
     p_gen.add_argument("out_csv")
-    p_gen.add_argument("--n", type=int, default=2000)
+    p_gen.add_argument("--n", type=int, default=None, help="rows of a synthetic design (default 2000)")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--shift", action="store_true")
     p_gen.add_argument("--covariates", default=None)

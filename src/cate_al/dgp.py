@@ -415,8 +415,9 @@ class Benchmark:
 @dataclass(frozen=True)
 class DatasetInfo:
     """Per-dataset facts: the generator, the default partition sizes and
-    acquisition budget, and whether outcomes are simulated on a covariate CSV
-    file (the generator then takes (covariates, treatments) instead of n)."""
+    acquisition budget, whether outcomes are simulated on a covariate CSV
+    file (the generator then takes (covariates, treatments) instead of n),
+    and whether the dataset has a shift variant."""
 
     generator: Callable[..., Dataset]
     pool_size: int
@@ -424,6 +425,7 @@ class DatasetInfo:
     test_size: int
     budget: int
     needs_covariates: bool = False
+    shift_variant: bool = True
 
 
 DATASETS = {
@@ -431,7 +433,7 @@ DATASETS = {
     "hahn_linear": DatasetInfo(partial(gen_hahn, prognostic="linear"), 2000, 200, 2000, 850),
     "hahn_nonlinear": DatasetInfo(partial(gen_hahn, prognostic="nonlinear"), 2000, 200, 2000, 850),
     "ihdp": DatasetInfo(gen_ihdp_outcomes, 523, 0, 224, 450, needs_covariates=True),
-    "actg": DatasetInfo(gen_actg_outcomes, 569, 0, 244, 350, needs_covariates=True),
+    "actg": DatasetInfo(gen_actg_outcomes, 569, 0, 244, 350, needs_covariates=True, shift_variant=False),
 }
 DATASET_NAMES = tuple(DATASETS)
 
@@ -448,14 +450,17 @@ def _dataset_covariates(name: str, covariates_csv):
     return load_covariates_csv(covariates_csv, name)
 
 
-def generate_dataset(name: str, n: int, shift: bool = False, rng=None, covariates_csv=None) -> Dataset:
-    """One draw of the named dataset: n rows of a synthetic design, or
-    simulated outcomes on every row of the covariate file."""
+def generate_dataset(name: str, n: int | None = None, shift: bool = False, rng=None, covariates_csv=None) -> Dataset:
+    """One draw of the named dataset: n rows (default 2000) of a synthetic
+    design, or simulated outcomes on every row of the covariate file, whose
+    row count n cannot set."""
     info = dataset_info(name)
     if info.needs_covariates:
+        if n is not None:
+            raise InputError(f"dataset {name!r} takes every row of its covariate CSV file; n cannot be set")
         covs, t = _dataset_covariates(name, covariates_csv)
         return info.generator(covs, t, shift=shift, rng=rng)
-    return info.generator(n, shift=shift, rng=rng)
+    return info.generator(2000 if n is None else n, shift=shift, rng=rng)
 
 
 def make_benchmark(name: str, shift: bool, spec: SplitSpec | None = None, seed: int = 0, covariates_csv=None) -> Benchmark:

@@ -27,6 +27,15 @@ def _design(x: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
+def _column_cov(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sample covariance (divisor rows - 1) between the columns of a and b,
+    rows being members; without b, ac.T @ ac keeps numpy's symmetric kernel."""
+    ac = a - a.mean(axis=0)
+    if b is None:
+        return ac.T @ ac / (a.shape[0] - 1)
+    return ac.T @ (b - b.mean(axis=0)) / (a.shape[0] - 1)
+
+
 def _member_f(mu_weights, tau_weights, x, t) -> np.ndarray:
     """(n_members, n) outcome-surface predictions f_t(x) = mu(x) + t tau(x)."""
     t = np.asarray(t, dtype=float).reshape(1, -1)
@@ -73,21 +82,14 @@ class EnsembleLinearModel(CateModel):
         return self.member_tau(x).std(axis=0, ddof=1)
 
     def tau_draws(self, x, k, rng: np.random.Generator) -> np.ndarray:
-        draws = self.member_tau(np.atleast_2d(np.asarray(x, dtype=float)))[:, 0]
-        return rng.choice(draws, size=int(k), replace=True)
+        pick = rng.integers(0, self.n_members, size=(np.atleast_2d(x).shape[0], int(k)))
+        return np.take_along_axis(self.member_tau(x).T, pick, axis=1)
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
         fc = self.member_f(cand_x, cand_t)            # (m_members, n_c)
         mu = self.member_mu(target_x)                 # (m_members, m)
         tau = self.member_tau(target_x)
         f0, f1 = mu, mu + tau
-        n = self.n_members
-
-        def cov_cols(a, b):
-            ac = a - a.mean(axis=0)
-            bc = b - b.mean(axis=0)
-            return ac.T @ bc / (n - 1)
-
         f0c = f0 - f0.mean(axis=0)
         f1c = f1 - f1.mean(axis=0)
         return MomentBundle(
@@ -95,16 +97,14 @@ class EnsembleLinearModel(CateModel):
             y_var=fc.var(axis=0, ddof=1) + self._noise_var,
             f0_var=f0.var(axis=0, ddof=1),
             f1_var=f1.var(axis=0, ddof=1),
-            f01_cov=np.sum(f0c * f1c, axis=0) / (n - 1),
+            f01_cov=np.sum(f0c * f1c, axis=0) / (self.n_members - 1),
             tau_var=tau.var(axis=0, ddof=1),
-            cy0=cov_cols(fc, f0),
-            cy1=cov_cols(fc, f1),
+            cy0=_column_cov(fc, f0),
+            cy1=_column_cov(fc, f1),
         )
 
     def tau_joint_cov(self, target_x) -> np.ndarray:
-        tau = self.member_tau(target_x)
-        tc = tau - tau.mean(axis=0)
-        cov = tc.T @ tc / (self.n_members - 1)
+        cov = _column_cov(self.member_tau(target_x))
         return 0.5 * (cov + cov.T)
 
     def po_joint_cov(self, target_x) -> np.ndarray:
@@ -114,16 +114,11 @@ class EnsembleLinearModel(CateModel):
         stacked = np.empty((self.n_members, 2 * m))
         stacked[:, 0::2] = mu
         stacked[:, 1::2] = mu + tau
-        sc = stacked - stacked.mean(axis=0)
-        cov = sc.T @ sc / (self.n_members - 1)
+        cov = _column_cov(stacked)
         return 0.5 * (cov + cov.T)
 
     def latent_cov(self, xa, ta, xb, tb) -> np.ndarray:
-        fa = self.member_f(xa, ta)
-        fb = self.member_f(xb, tb)
-        fac = fa - fa.mean(axis=0)
-        fbc = fb - fb.mean(axis=0)
-        return fac.T @ fbc / (self.n_members - 1)
+        return _column_cov(self.member_f(xa, ta), self.member_f(xb, tb))
 
     def latent_var(self, x, t) -> np.ndarray:
         return self.member_f(x, t).var(axis=0, ddof=1)

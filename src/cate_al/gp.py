@@ -219,8 +219,8 @@ class GpCateModel(CateModel):
         return np.sqrt(self._contrast_moments(x)[-1])
 
     def tau_draws(self, x, k, rng: np.random.Generator) -> np.ndarray:
-        tau_var = self._contrast_moments(x)[-1]
-        return rng.normal(self.tau_mean(x)[0], np.sqrt(tau_var[0]), size=int(k))
+        sd = np.sqrt(self._contrast_moments(x)[-1])
+        return rng.normal(self.tau_mean(x)[:, None], sd[:, None], size=(sd.size, int(k)))
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
         cand_x = np.atleast_2d(np.asarray(cand_x, dtype=float))

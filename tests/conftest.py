@@ -99,7 +99,8 @@ class StubModel(CateModel):
         return np.sqrt(np.maximum(v[: np.atleast_2d(x).shape[0]], 0.0))
 
     def tau_draws(self, x, k, rng):
-        return rng.normal(self._tau_mean, self.tau_sd(np.atleast_2d(x))[0], size=k)
+        sd = self.tau_sd(x)
+        return rng.normal(self._tau_mean, sd[:, None], size=(sd.size, k))
 
     def moment_bundle(self, cand_x, cand_t, target_x):
         n_c = np.atleast_2d(cand_x).shape[0]

@@ -299,25 +299,25 @@ class TestCombinedBald:
 
 class TestSignAmbiguity:
     def test_identical_draws_score_zero(self):
-        assert sign_ambiguity_score(np.full(16, 0.7)) == 0.0
+        assert sign_ambiguity_score(np.full((1, 16), 0.7))[0] == 0.0
 
     def test_symmetric_two_draw_case_by_hand(self):
         # sd of {-a, +a} is a, so both gammas equal Phi(-1) and the Jensen
         # gap closes exactly
         gamma = norm.cdf(-1.0)
         assert gamma == pytest.approx(0.15866, abs=5e-6)
-        assert sign_ambiguity_score(np.array([-0.8, 0.8])) == 0.0
+        assert sign_ambiguity_score(np.array([[-0.8, 0.8]]))[0] == 0.0
 
     def test_two_unequal_draws_match_hand_entropy(self):
         draws = np.array([-1.0, 2.0])
         sd = draws.std()
         gam = norm.cdf(-np.abs(draws) / sd)
         expected = bernoulli_entropy(gam.mean()) - bernoulli_entropy(gam).mean()
-        assert sign_ambiguity_score(draws) == pytest.approx(float(expected), abs=1e-14)
+        assert sign_ambiguity_score(draws[None, :])[0] == pytest.approx(float(expected), abs=1e-14)
 
     def test_score_bounded_by_log_two(self, rng):
         for _ in range(200):
-            s = sign_ambiguity_score(rng.normal(size=rng.integers(2, 40)))
+            s = sign_ambiguity_score(rng.normal(size=(1, rng.integers(2, 40))))[0]
             assert 0.0 <= s <= np.log(2.0) + 1e-12
 
     def test_model_level_wrapper(self, rng):
@@ -459,6 +459,27 @@ class TestPoolScoring:
         pool = scores(name, model, px, pt, targets, propensity=prop)
         single = [score_one(name, model, (px[i], pt[i]), targets, propensity=prop) for i in range(7)]
         np.testing.assert_allclose(pool, single, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["cmgp", "nsgp", "ensemble"])
+    def test_sundin_pool_draws_equal_one_candidate_draws(self, rng, kind):
+        # the pool call takes each candidate's contrast draws from the shared
+        # generator in pool order, as successive one-candidate calls do
+        if kind == "ensemble":
+            x = rng.normal(size=(12, 1))
+            t = np.tile([0, 1], 6)
+            model = fit_ensemble(x, t, rng.normal(size=12) + x[:, 0] * t, n_members=8, rng=1)
+        else:
+            model = random_fitted_gp(rng, n=8, kind=kind)
+        px = rng.normal(size=(7, 1))
+        pt = rng.integers(0, 2, 7)
+        method = AcquisitionMethod("sundin", sundin_samples=25)
+        pool_ctx, one_ctx = (ScoringContext(targets=px, labeled_x=np.zeros((0, 1)), labeled_t=np.zeros(0, dtype=int),
+                                            rng=np.random.default_rng(5)) for _ in range(2))
+        pool = score_pool(method, model, px, pt, pool_ctx)
+        single = [score_pool(method, model, px[i : i + 1], pt[i : i + 1], one_ctx)[0] for i in range(7)]
+        np.testing.assert_allclose(pool, single, rtol=1e-12, atol=1e-12)
+        assert pool.max() > 0.0
+        assert pool_ctx.rng.uniform() == one_ctx.rng.uniform()
 
     def test_all_mi_scores_nonnegative_across_methods(self, rng):
         # every MI-based method on random fitted models stays above -1e-9

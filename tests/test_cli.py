@@ -124,6 +124,16 @@ class TestParseConfig:
         with pytest.raises(InputError, match="covariates_csv"):
             parse_config(path)
 
+    def test_shift_rejected_for_dataset_without_shift_variant(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        covariates = covariate_csv(tmp_path / "covs.csv", "actg")
+        path.write_text(f"[dataset]\nname = actg\nshift = true\ncovariates_csv = {covariates}\n\n"
+                        f"[run]\nout_dir = {tmp_path / 'out'}\n")
+        with pytest.raises(InputError, match="'actg' has no shift variant"):
+            parse_config(path)
+        assert main(["run", str(path)]) == 2
+        assert "no shift variant" in capsys.readouterr().err
+
     def test_seed_range_syntax(self, tmp_path):
         path = tmp_path / "r.ini"
         path.write_text("[dataset]\nname = causalbald\n\n[run]\nseeds = 3..6\n")
@@ -408,7 +418,7 @@ class TestCliEntry:
 
     @pytest.mark.parametrize("name", ["causalbald", "hahn_linear", "hahn_nonlinear", "ihdp", "actg"])
     def test_gen_data_writes_the_generator_draw(self, tmp_path, name):
-        argv = ["gen-data", name, str(tmp_path / "dump.csv"), "--n", "40", "--seed", "3"]
+        argv = ["gen-data", name, str(tmp_path / "dump.csv"), "--seed", "3"]
         rng = rng_stream(3, name, "dump")
         if name in dgp.CSV_SCHEMAS:
             covariates = covariate_csv(tmp_path / "covs.csv", name)
@@ -416,8 +426,10 @@ class TestCliEntry:
             gen = dgp.gen_ihdp_outcomes if name == "ihdp" else dgp.gen_actg_outcomes
             ds = gen(*dgp.load_covariates_csv(covariates, name), rng=rng)
         elif name == "causalbald":
+            argv += ["--n", "40"]
             ds = dgp.gen_causalbald(40, rng=rng)
         else:
+            argv += ["--n", "40"]
             ds = dgp.gen_hahn(40, prognostic=name.split("_")[1], rng=rng)
         assert main(argv) == 0
         got = np.array(read_rows(tmp_path / "dump.csv")[1:], dtype=float)
@@ -434,6 +446,15 @@ class TestCliEntry:
         assert "no shift variant" in capsys.readouterr().err
         assert main(["gen-data", "ihdp", out]) == 2
         assert "covariate CSV" in capsys.readouterr().err
+
+    def test_gen_data_n_applies_to_synthetic_designs_only(self, tmp_path, capsys):
+        out = str(tmp_path / "dump.csv")
+        assert main(["gen-data", "hahn_linear", out]) == 0
+        assert len(read_rows(out)) == 2001
+        for name in ("ihdp", "actg"):
+            covariates = covariate_csv(tmp_path / f"{name}.csv", name)
+            assert main(["gen-data", name, out, "--n", "40", "--covariates", covariates]) == 2
+            assert repr(name) in capsys.readouterr().err
 
     def test_config_errors_exit_with_status_two(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
