@@ -141,8 +141,7 @@ def mc_mi_oracle(belief: JointGaussianBelief, block_a, block_b, n_samples: int, 
     Test oracle: draws from the belief, accumulates second moments in chunks,
     and evaluates the Gaussian entropies with sample log-determinants.
     """
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     block_a = list(block_a)
     block_b = list(block_b)
     if set(block_a) & set(block_b):

@@ -22,6 +22,8 @@ ESTIMATOR_NAMES = ("cmgp", "nsgp", "ensemble")
 
 TARGET_MODES = ("pool", "test")
 
+CMGP_COMPONENTS = 2  # the cmgp search keeps a short- and a long-range component
+
 
 @dataclass(frozen=True)
 class LoopConfig:
@@ -37,11 +39,8 @@ class LoopConfig:
     target_mode: str = "pool"
     seed: int = 0
     warm_start_seed: int | None = None
-    n_members: int = 32
-    ridge: float = 1e-4
     search_evals: int = 50
     search_restarts: int = 3
-    cmgp_components: int = 2
 
     def __post_init__(self):
         if self.n_init < 1 or self.n_b < 1:
@@ -92,8 +91,7 @@ def warm_start(pool_indices, n_init: int, oracle: LabelOracle, rng, target_mode:
     pool_indices = list(map(int, pool_indices))
     if n_init > len(pool_indices):
         raise InputError(f"warm-start size {n_init} exceeds pool size {len(pool_indices)}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    chosen = rng.choice(len(pool_indices), size=n_init, replace=False)
+    chosen = np.random.default_rng(rng).choice(len(pool_indices), size=n_init, replace=False)
     chosen = sorted(int(pool_indices[i]) for i in chosen)
     taken = set(chosen)
     remaining = [i for i in pool_indices if i not in taken]
@@ -114,7 +112,7 @@ def select_batch(scores, n_b: int, temperature: float, rng) -> list[int]:
         raise InputError("scores must be finite")
     if n_b > scores.size:
         raise InputError(f"batch size {n_b} exceeds {scores.size} candidates")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     if temperature == 0.0:
         order = np.lexsort((np.arange(scores.size), -scores))
         return [int(i) for i in order[:n_b]]
@@ -137,13 +135,11 @@ def select_batch(scores, n_b: int, temperature: float, rng) -> list[int]:
 def _fit_estimator(config: LoopConfig, x, t, y, params, search_seed: int):
     """Refit the configured estimator; returns (model, params carried forward)."""
     if config.estimator == "ensemble":
-        model = fit_ensemble(x, t, y, n_members=config.n_members, ridge=config.ridge,
-                             rng=np.random.default_rng(search_seed))
-        return model, None
+        return fit_ensemble(x, t, y, rng=search_seed), None
     if params is None or config.refit_hyperparams:
         search = SearchConfig(
             n_restarts=config.search_restarts, n_evals=config.search_evals, seed=search_seed,
-            n_components=config.cmgp_components,
+            n_components=CMGP_COMPONENTS,
         )
         params = optimize_hyperparams(x, t, y, config.estimator, search, warm_params=params)
     return fit_gp(x, t, y, params), params
@@ -155,8 +151,7 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
     A model-fit or scoring failure aborts the run: the partial record comes
     back with the failure flag set rather than silently skipping rounds.
     """
-    rng = np.random.default_rng(config.seed if rng is None else rng) \
-        if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(config.seed if rng is None else rng)
     record = evaluation.RunRecord(
         method=config.method.name, estimator=config.estimator,
         dataset=getattr(pool_data, "name", ""), variant="", seed=config.seed,

@@ -102,12 +102,6 @@ def rng_stream(seed: int, *keys) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int.from_bytes(digest[:16], "little")))
 
 
-def _coerce_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -123,7 +117,7 @@ def gen_causalbald(n: int, shift: bool = False, rng=None, noise_scale: float = 1
     """
     if n < 1:
         raise InputError("n must be >= 1")
-    rng = _coerce_rng(rng)
+    rng = np.random.default_rng(rng)
     x = rng.uniform(0.2, 0.5, size=n) if shift else rng.standard_normal(n)
     pi = _sigmoid(2.0 * x + 0.5)
     t = (rng.uniform(size=n) < pi).astype(int)
@@ -156,7 +150,7 @@ def gen_hahn(n: int, prognostic: str = "nonlinear", shift: bool = False, rng=Non
         raise InputError("n must be >= 2 (batch statistics need two rows)")
     if prognostic not in ("linear", "nonlinear"):
         raise InputError(f"prognostic must be 'linear' or 'nonlinear', got {prognostic!r}")
-    rng = _coerce_rng(rng)
+    rng = np.random.default_rng(rng)
     if shift:
         xc = rng.uniform(0.2, 0.5, size=(n, 3))
     else:
@@ -197,7 +191,7 @@ IHDP_BETA_PROBS = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
 
 
 def sample_ihdp_beta(rng, zero_first_two: bool = False) -> np.ndarray:
-    beta = _coerce_rng(rng).choice(IHDP_BETA_VALUES, size=IHDP_N_COLUMNS, p=IHDP_BETA_PROBS)
+    beta = np.random.default_rng(rng).choice(IHDP_BETA_VALUES, size=IHDP_N_COLUMNS, p=IHDP_BETA_PROBS)
     if zero_first_two:
         beta = beta.copy()
         beta[:2] = 0.0
@@ -218,7 +212,7 @@ def gen_ihdp_outcomes(covariates, treatments, shift: bool = False, rng=None, bet
         raise InputError(f"expected {IHDP_N_COLUMNS} covariate columns, got {x.shape[1]}")
     if x.shape[0] != t.size:
         raise InputError("covariates and treatments disagree in length")
-    rng = _coerce_rng(rng)
+    rng = np.random.default_rng(rng)
     if beta is None:
         beta = sample_ihdp_beta(rng, zero_first_two=shift)
     beta = np.asarray(beta, dtype=float).reshape(-1)
@@ -267,7 +261,7 @@ def gen_actg_outcomes(covariates, treatments, shift: bool = False, rng=None, noi
         raise InputError(f"expected {len(ACTG_COLUMNS)} covariate columns, got {x.shape[1]}")
     if x.shape[0] != t.size:
         raise InputError("covariates and treatments disagree in length")
-    rng = _coerce_rng(rng)
+    rng = np.random.default_rng(rng)
     col = {name: x[:, i] for i, name in enumerate(ACTG_COLUMNS)}
     mu = (
         6.0
@@ -381,7 +375,7 @@ def make_splits(dataset: Dataset, spec: SplitSpec, rng, shifted_test: Dataset | 
     When the split's shift flag is set and a shifted test dataset is
     supplied, the test partition is that dataset instead of source rows.
     """
-    rng = _coerce_rng(rng)
+    rng = np.random.default_rng(rng)
     use_external_test = spec.shift and shifted_test is not None
     needed = spec.pool_size + spec.val_size + (0 if use_external_test else spec.test_size)
     if needed > dataset.n:

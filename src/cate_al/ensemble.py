@@ -153,8 +153,7 @@ def fit_ensemble(x, t, y, n_members: int = 32, ridge: float = 1e-4, rng=None) ->
         raise InputError("need at least 2 labeled points")
     if np.any((t != 0) & (t != 1)):
         raise InputError("treatments must be 0 or 1")
-    if isinstance(rng, (int, np.integer)) or rng is None:
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
 
     n, d = x.shape
     base = np.hstack([np.ones((n, 1)), x])

@@ -16,6 +16,7 @@ initialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -32,6 +33,12 @@ from .kernels import (
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-3
+
+SEARCH_FAMILY = "matern52"  # kernel family the hyperparameter search fits
+SEARCH_STEP = 0.6           # first coordinate step; halved after a sweep with no move
+PRIOR_SD = 2.0              # sd of the weak anchor penalty per search coordinate
+# lengthscale multipliers of each component's start, by component count
+_COMPONENT_SPREADS = {1: (1.0,), 2: (0.5, 2.0)}
 
 
 @dataclass(frozen=True)
@@ -60,29 +67,72 @@ class CmgpParams:
     def jitter(self) -> float:
         return self.kernel.jitter
 
+    @property
+    def components(self) -> tuple[tuple[KernelConfig, CoregionalizationConfig], ...]:
+        """The (kernel, coreg) pair of each coregionalized component."""
+        first = ((self.kernel, self.coreg),)
+        return first if self.kernel2 is None else first + ((self.kernel2, self.coreg2),)
+
     def gram(self, xa, ta, xb, tb) -> np.ndarray:
         """Prior covariance K((xa, ta), (xb, tb)), summed over components."""
-        gram = cmgp_gram(xa, ta, xb, tb, self.kernel, self.coreg)
-        if self.kernel2 is not None:
-            gram = gram + cmgp_gram(xa, ta, xb, tb, self.kernel2, self.coreg2)
-        return gram
+        return reduce(np.add, (cmgp_gram(xa, ta, xb, tb, k, b) for k, b in self.components))
 
     def prior_diag(self, t: np.ndarray) -> np.ndarray:
         """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
         t = np.asarray(t)
-        b = self.coreg.task_covariance
-        out = np.where(t == 0, b[0, 0], b[1, 1]) * self.kernel.signal_variance
-        if self.kernel2 is not None:
-            b2 = self.coreg2.task_covariance
-            out = out + np.where(t == 0, b2[0, 0], b2[1, 1]) * self.kernel2.signal_variance
-        return out
+        return reduce(np.add, (
+            np.where(t == 0, b.task_covariance[0, 0], b.task_covariance[1, 1]) * k.signal_variance
+            for k, b in self.components
+        ))
 
     def cross_diag(self, n: int) -> np.ndarray:
         """Prior Cov[f0(x), f1(x)] at n identical-covariate pairs."""
-        out = self.coreg.task_covariance[0, 1] * self.kernel.signal_variance
-        if self.kernel2 is not None:
-            out = out + self.coreg2.task_covariance[0, 1] * self.kernel2.signal_variance
-        return np.full(n, out)
+        return np.full(n, reduce(np.add, (b.task_covariance[0, 1] * k.signal_variance for k, b in self.components)))
+
+    # search vector: [log l_1..d, log noise, log L11, L21, log L22] for the
+    # first component, then [log l_1..d, log L11, L21, log L22] for a second,
+    # where L is the Cholesky factor of the component's task covariance
+
+    @classmethod
+    def search_start(cls, x: np.ndarray, yc: np.ndarray, n_components: int) -> np.ndarray:
+        """Data-driven start; two components start on opposite sides of the
+        data scale so the search can keep a short- and a long-range term."""
+        ls, y_var, noise = _data_scales(x, yc)
+        log_sd = np.log(np.sqrt(y_var / n_components))
+        coords = []
+        for spread in _COMPONENT_SPREADS[n_components]:
+            coords += [np.log(ls * spread), [log_sd, 0.0, log_sd]]
+        coords.insert(1, [np.log(noise)])
+        return np.concatenate(coords)
+
+    @staticmethod
+    def lengthscale_coords(dim: int, n_components: int) -> np.ndarray:
+        return np.concatenate([np.arange(dim) + c * (dim + 4) for c in range(n_components)])
+
+    def to_theta(self) -> np.ndarray:
+        coords = []
+        for kernel, coreg in self.components:
+            low = np.linalg.cholesky(coreg.task_covariance + 1e-12 * np.eye(2))
+            coords += [np.log(kernel.lengthscales), [np.log(low[0, 0]), low[1, 0], np.log(low[1, 1])]]
+        coords.insert(1, [np.log(self.noise_variance)])
+        return np.concatenate(coords)
+
+    @classmethod
+    def from_theta(cls, theta: np.ndarray, dim: int) -> "CmgpParams":
+        theta = np.clip(theta, -8.0, 8.0)
+        noise = float(np.exp(theta[dim]))
+        components = []
+        # without the shared noise coordinate, each component is a block of dim + 3
+        for block in np.concatenate([theta[:dim], theta[dim + 1 :]]).reshape(-1, dim + 3):
+            kernel = KernelConfig(
+                family=SEARCH_FAMILY, lengthscales=np.exp(block[:dim]),
+                signal_variance=1.0, noise_variance=noise,
+            )
+            coreg = CoregionalizationConfig.from_cholesky(
+                float(np.exp(block[dim])), float(block[dim + 1]), float(np.exp(block[dim + 2]))
+            )
+            components += [kernel, coreg]
+        return cls(*components)
 
 
 @dataclass(frozen=True)
@@ -118,8 +168,53 @@ class NsgpParams:
         the overlap kernel at r = 0."""
         return np.full(n, self.cross_rho * overlap_amplitude(self.kernel0, self.kernel1))
 
+    # search vector: [log l0_1..d, log sv0, log l1_1..d, log sv1, log noise,
+    # rho_raw] with rho = 0.95 tanh(rho_raw); one per-arm pair, so the
+    # component count of a search does not apply
+
+    @classmethod
+    def search_start(cls, x: np.ndarray, yc: np.ndarray, n_components: int) -> np.ndarray:
+        ls, y_var, noise = _data_scales(x, yc)
+        return np.concatenate(
+            [np.log(ls), [np.log(y_var)], np.log(ls), [np.log(y_var), np.log(noise), np.arctanh(0.3 / 0.95)]]
+        )
+
+    @staticmethod
+    def lengthscale_coords(dim: int, n_components: int) -> np.ndarray:
+        return np.concatenate([np.arange(dim), dim + 1 + np.arange(dim)])
+
+    def to_theta(self) -> np.ndarray:
+        rho_raw = np.arctanh(np.clip(self.cross_rho / 0.95, -0.999999, 0.999999))
+        return np.concatenate([
+            np.log(self.kernel0.lengthscales), [np.log(self.kernel0.signal_variance)],
+            np.log(self.kernel1.lengthscales), [np.log(self.kernel1.signal_variance)],
+            [np.log(self.kernel0.noise_variance), rho_raw],
+        ])
+
+    @classmethod
+    def from_theta(cls, theta: np.ndarray, dim: int) -> "NsgpParams":
+        d = dim
+        theta = np.clip(theta, -8.0, 8.0)
+        noise = float(np.exp(theta[2 * d + 2]))
+        k0 = KernelConfig(
+            family=SEARCH_FAMILY, lengthscales=np.exp(theta[:d]),
+            signal_variance=float(np.exp(theta[d])), noise_variance=noise,
+        )
+        k1 = KernelConfig(
+            family=SEARCH_FAMILY, lengthscales=np.exp(theta[d + 1 : 2 * d + 1]),
+            signal_variance=float(np.exp(theta[2 * d + 1])), noise_variance=noise,
+        )
+        return cls(kernel0=k0, kernel1=k1, cross_rho=float(0.95 * np.tanh(theta[2 * d + 3])))
+
 
 GpParams = CmgpParams | NsgpParams
+
+
+def _data_scales(x: np.ndarray, yc: np.ndarray):
+    """Start lengthscales (column sds), outcome variance and noise variance."""
+    col_sd = np.std(x, axis=0)
+    y_var = max(float(np.var(yc)), 1e-4)
+    return np.where(col_sd > 1e-8, col_sd, 1.0), y_var, 0.1 * y_var
 
 
 def _as_training_arrays(x, t, y):
@@ -201,32 +296,36 @@ class GpCateModel(CateModel):
         return mu1 - mu0
 
     def _contrast_moments(self, x):
-        """Train solves at (x, 0) and (x, 1), then Var f0, Var f1, Cov(f0, f1)
-        and Var tau per row of x."""
+        """Train cross-Grams at (x, 0) and (x, 1) and their solves, then
+        Var f0, Var f1, Cov(f0, f1) and Var tau per row of x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         m = x.shape[0]
         z = np.zeros(m, dtype=int)
         o = np.ones(m, dtype=int)
-        v0 = self._solve_train(x, z)
-        v1 = self._solve_train(x, o)
+        k0 = self.prior_gram(self.train_x, self.train_t, x, z)
+        k1 = self.prior_gram(self.train_x, self.train_t, x, o)
+        v0 = solve_triangular(self.L, k0, lower=True)
+        v1 = solve_triangular(self.L, k1, lower=True)
         f0_var = np.maximum(self.params.prior_diag(z) - np.sum(v0 * v0, axis=0), 0.0)
         f1_var = np.maximum(self.params.prior_diag(o) - np.sum(v1 * v1, axis=0), 0.0)
         f01_cov = self.params.cross_diag(m) - np.sum(v0 * v1, axis=0)
         tau_var = np.maximum(f0_var + f1_var - 2.0 * f01_cov, 0.0)
-        return v0, v1, f0_var, f1_var, f01_cov, tau_var
+        return k0, k1, v0, v1, f0_var, f1_var, f01_cov, tau_var
 
     def tau_sd(self, x) -> np.ndarray:
         return np.sqrt(self._contrast_moments(x)[-1])
 
     def tau_draws(self, x, k, rng: np.random.Generator) -> np.ndarray:
-        sd = np.sqrt(self._contrast_moments(x)[-1])
-        return rng.normal(self.tau_mean(x)[:, None], sd[:, None], size=(sd.size, int(k)))
+        k0, k1, *_, tau_var = self._contrast_moments(x)
+        mean = (self.y_mean + k1.T @ self.alpha) - (self.y_mean + k0.T @ self.alpha)
+        sd = np.sqrt(tau_var)
+        return rng.normal(mean[:, None], sd[:, None], size=(sd.size, int(k)))
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
         cand_x = np.atleast_2d(np.asarray(cand_x, dtype=float))
         cand_t = np.asarray(cand_t, dtype=int).reshape(-1)
         target_x = np.atleast_2d(np.asarray(target_x, dtype=float))
-        v0, v1, f0_var, f1_var, f01_cov, tau_var = self._contrast_moments(target_x)
+        _, _, v0, v1, f0_var, f1_var, f01_cov, tau_var = self._contrast_moments(target_x)
 
         kc = self.prior_gram(self.train_x, self.train_t, cand_x, cand_t)
         vc = solve_triangular(self.L, kc, lower=True)
@@ -318,10 +417,11 @@ class SearchConfig:
     n_restarts: int = 3
     n_evals: int = 50
     seed: int = 0
-    family: str | None = None  # None = matern52 for either model kind
-    step: float = 0.6
-    prior_scale: float = 2.0   # sd of the weak anchor penalty per coordinate
     n_components: int = 1      # coregionalized components for the cmgp search
+
+    def __post_init__(self):
+        if self.n_components not in _COMPONENT_SPREADS:
+            raise InputError(f"n_components must be one of {tuple(_COMPONENT_SPREADS)}, got {self.n_components}")
 
 
 def log_marginal_likelihood(x, t, y, params: GpParams) -> float:
@@ -334,114 +434,7 @@ def log_marginal_likelihood(x, t, y, params: GpParams) -> float:
     )
 
 
-class _ThetaCodec:
-    """Maps between search vectors (log scale) and model parameter objects."""
-
-    def __init__(self, kind: str, dim: int, family: str, n_components: int = 1):
-        self.kind = kind
-        self.dim = dim
-        self.family = family
-        self.n_components = n_components if kind == "cmgp" else 1
-        # cmgp: [log l1_1..d, log noise, log b11, b21, log b22]
-        #       (+ [log l2_1..d, log c11, c21, log c22] with a second component)
-        # nsgp: [log l0_1..d, log sv0, log l1_1..d, log sv1, log noise, rho_raw]
-        if kind == "cmgp":
-            self.size = dim + 4 + (dim + 3) * (self.n_components - 1)
-            ls = [np.arange(dim)]
-            if self.n_components == 2:
-                ls.append(dim + 4 + np.arange(dim))
-            self.lengthscale_indices = np.concatenate(ls)
-        else:
-            self.size = 2 * dim + 4
-            self.lengthscale_indices = np.concatenate([np.arange(dim), dim + 1 + np.arange(dim)])
-
-    def initial(self, x: np.ndarray, yc: np.ndarray) -> np.ndarray:
-        col_sd = np.std(x, axis=0)
-        ls = np.where(col_sd > 1e-8, col_sd, 1.0)
-        y_var = max(float(np.var(yc)), 1e-4)
-        noise = 0.1 * y_var
-        if self.kind == "cmgp":
-            if self.n_components == 1:
-                sd = np.sqrt(y_var)
-                return np.concatenate([np.log(ls), [np.log(noise), np.log(sd), 0.0, np.log(sd)]])
-            sd = np.sqrt(0.5 * y_var)
-            # two components start on opposite sides of the data scale so the
-            # search can keep a short- and a long-range term
-            return np.concatenate([
-                np.log(ls / 2.0), [np.log(noise), np.log(sd), 0.0, np.log(sd)],
-                np.log(ls * 2.0), [np.log(sd), 0.0, np.log(sd)],
-            ])
-        return np.concatenate(
-            [np.log(ls), [np.log(y_var)], np.log(ls), [np.log(y_var), np.log(noise), np.arctanh(0.3 / 0.95)]]
-        )
-
-    def encode(self, params: GpParams) -> np.ndarray:
-        if self.kind == "cmgp":
-            if not isinstance(params, CmgpParams):
-                raise InputError("expected cmgp parameters")
-
-            def chol_coords(coreg):
-                low = np.linalg.cholesky(coreg.task_covariance + 1e-12 * np.eye(2))
-                return [np.log(low[0, 0]), low[1, 0], np.log(low[1, 1])]
-
-            head = [
-                np.log(params.kernel.lengthscales),
-                [np.log(params.kernel.noise_variance)], chol_coords(params.coreg),
-            ]
-            if self.n_components == 1:
-                return np.concatenate(head)
-            if params.kernel2 is None:
-                # promote to the two-component space with a negligible tail
-                second = [np.log(params.kernel.lengthscales * 4.0), [-6.0, 0.0, -6.0]]
-            else:
-                second = [np.log(params.kernel2.lengthscales), chol_coords(params.coreg2)]
-            return np.concatenate([*head, *second])
-        if not isinstance(params, NsgpParams):
-            raise InputError("expected nsgp parameters")
-        rho_raw = np.arctanh(np.clip(params.cross_rho / 0.95, -0.999999, 0.999999))
-        return np.concatenate([
-            np.log(params.kernel0.lengthscales), [np.log(params.kernel0.signal_variance)],
-            np.log(params.kernel1.lengthscales), [np.log(params.kernel1.signal_variance)],
-            [np.log(params.kernel0.noise_variance), rho_raw],
-        ])
-
-    def decode(self, theta: np.ndarray) -> GpParams:
-        d = self.dim
-        theta = np.clip(theta, -8.0, 8.0)
-        if self.kind == "cmgp":
-            noise = float(np.exp(theta[d]))
-            kernel = KernelConfig(
-                family=self.family, lengthscales=np.exp(theta[:d]),
-                signal_variance=1.0, noise_variance=noise,
-            )
-            coreg = CoregionalizationConfig.from_cholesky(
-                float(np.exp(theta[d + 1])), float(theta[d + 2]), float(np.exp(theta[d + 3]))
-            )
-            if self.n_components == 1:
-                return CmgpParams(kernel=kernel, coreg=coreg)
-            kernel2 = KernelConfig(
-                family=self.family, lengthscales=np.exp(theta[d + 4 : 2 * d + 4]),
-                signal_variance=1.0, noise_variance=noise,
-            )
-            coreg2 = CoregionalizationConfig.from_cholesky(
-                float(np.exp(theta[2 * d + 4])), float(theta[2 * d + 5]), float(np.exp(theta[2 * d + 6]))
-            )
-            return CmgpParams(kernel=kernel, coreg=coreg, kernel2=kernel2, coreg2=coreg2)
-        noise = float(np.exp(theta[2 * d + 2]))
-        k0 = KernelConfig(
-            family=self.family,
-            lengthscales=np.exp(theta[:d]),
-            signal_variance=float(np.exp(theta[d])),
-            noise_variance=noise,
-        )
-        k1 = KernelConfig(
-            family=self.family,
-            lengthscales=np.exp(theta[d + 1 : 2 * d + 1]),
-            signal_variance=float(np.exp(theta[2 * d + 1])),
-            noise_variance=noise,
-        )
-        rho = float(0.95 * np.tanh(theta[2 * d + 3]))
-        return NsgpParams(kernel0=k0, kernel1=k1, cross_rho=rho)
+_SEARCH_SPACES = {"cmgp": CmgpParams, "nsgp": NsgpParams}
 
 
 def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
@@ -455,72 +448,75 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
     alone can prefer; the penalty vanishes at the initial configuration, so
     the returned configuration never scores below it. ``warm_params``
     (typically the previous acquisition round's choice) is used as one
-    additional restart.
+    additional restart; it must be of ``kind`` and, for cmgp, have
+    ``search.n_components`` components.
     """
     search = search or SearchConfig()
     x, t, y = _as_training_arrays(x, t, y)
     if y.size < 5:
         raise InputError(f"need at least 5 labeled points to optimize hyperparameters, got {y.size}")
-    if kind not in ("cmgp", "nsgp"):
+    if kind not in _SEARCH_SPACES:
         raise InputError(f"unknown GP model kind {kind!r}")
-    family = search.family or "matern52"
-    codec = _ThetaCodec(kind, x.shape[1], family, n_components=search.n_components)
-    yc = y - y.mean()
+    space = _SEARCH_SPACES[kind]
+    dim = x.shape[1]
     rng = np.random.default_rng(search.seed)
-    theta0 = codec.initial(x, yc)
+    theta0 = space.search_start(x, y - y.mean(), search.n_components)
 
     def objective(theta: np.ndarray) -> float:
         try:
-            lml = log_marginal_likelihood(x, t, y, codec.decode(theta))
+            lml = log_marginal_likelihood(x, t, y, space.from_theta(theta, dim))
         except (NumericalError, FloatingPointError):
             return -np.inf
-        return lml - 0.5 * float(np.sum(((theta - theta0) / search.prior_scale) ** 2))
+        return lml - 0.5 * float(np.sum(((theta - theta0) / PRIOR_SD) ** 2))
+
+    def climb(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Coordinate ascent: try +step then -step on each coordinate in turn
+        and keep the first move that raises the objective; halve the step
+        after a sweep without a move. Stops at step < 1e-3 or after
+        ``search.n_evals`` objective evaluations."""
+        value, evals, step = objective(theta), 1, SEARCH_STEP
+        while True:
+            moved = False
+            for i in range(theta.size):
+                for sign in (1.0, -1.0):
+                    if evals >= search.n_evals:
+                        return value, theta
+                    trial = theta.copy()
+                    trial[i] += sign * step
+                    trial_value = objective(trial)
+                    evals += 1
+                    if trial_value > value:
+                        theta, value, moved = trial, trial_value, True
+                        break
+            if not moved:
+                step *= 0.5
+                if step < 1e-3:
+                    return value, theta
 
     # structured restarts: heuristic lengthscales, then shorter / longer
     # scales (the main multimodality axis), then rng perturbations if more
     # restarts are requested; a warm start from the previous round leads.
+    ls = space.lengthscale_coords(dim, search.n_components)
     short = theta0.copy()
-    short[codec.lengthscale_indices] -= np.log(3.0)
+    short[ls] -= np.log(3.0)
     long_ = theta0.copy()
-    long_[codec.lengthscale_indices] += np.log(3.0)
+    long_[ls] += np.log(3.0)
     inits = [theta0, short, long_]
     if warm_params is not None:
-        inits.insert(0, codec.encode(warm_params))
+        if not isinstance(warm_params, space):
+            raise InputError(f"the warm start must be {space.__name__}, got {type(warm_params).__name__}")
+        warm = warm_params.to_theta()
+        if warm.size != theta0.size:
+            raise InputError(f"the warm start has {warm.size} search coordinates, the {kind} search {theta0.size}")
+        inits.insert(0, warm)
     # n_restarts = 0 with a warm start means pure continuation of the
     # previous configuration
-    n_starts = max(1, search.n_restarts) if warm_params is None else max(1, search.n_restarts + 1)
-    candidates = []
-    for restart in range(n_starts):
-        if restart < len(inits):
-            theta = inits[restart].copy()
-        else:
-            theta = theta0 + rng.normal(scale=0.5, size=theta0.size)
-        cur_val = objective(theta)
-        evals = 1
-        steps = np.full(theta.size, search.step)
-        while evals < search.n_evals:
-            improved = False
-            for i in range(theta.size):
-                if evals >= search.n_evals:
-                    break
-                for sign in (1.0, -1.0):
-                    trial = theta.copy()
-                    trial[i] += sign * steps[i]
-                    val = objective(trial)
-                    evals += 1
-                    if val > cur_val:
-                        theta, cur_val = trial, val
-                        improved = True
-                        break
-                    if evals >= search.n_evals:
-                        break
-            if not improved:
-                steps *= 0.5
-                if np.all(steps < 1e-3):
-                    break
-        candidates.append((cur_val, theta))
-
+    n_starts = max(1, search.n_restarts + (warm_params is not None))
+    candidates = [
+        climb(inits[r] if r < len(inits) else theta0 + rng.normal(scale=0.5, size=theta0.size))
+        for r in range(n_starts)
+    ]
     if not any(np.isfinite(v) for v, _ in candidates):
         raise NumericalError("every hyperparameter candidate failed to factorize")
     _, best_theta = max(candidates, key=lambda c: c[0])
-    return codec.decode(best_theta)
+    return space.from_theta(best_theta, dim)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cate_al import gp
 from cate_al.errors import InputError, NumericalError
 from cate_al.gp import (
     CmgpParams,
@@ -174,16 +175,69 @@ class TestHyperparamSearch:
         fitted = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(seed=0))
         assert 0.5 <= fitted.kernel.lengthscales[0] <= 2.0
 
-    def test_search_never_worse_than_initial_config(self, rng):
-        from cate_al.gp import _ThetaCodec
-
+    @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
+    def test_search_never_worse_than_initial_config(self, rng, kind, n_components):
         x = rng.normal(size=(12, 1))
         t = rng.integers(0, 2, 12)
         y = rng.normal(size=12)
-        codec = _ThetaCodec("cmgp", 1, "rbf")
-        initial = codec.decode(codec.initial(x, y - y.mean()))
-        fitted = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(seed=3))
+        space = gp._SEARCH_SPACES[kind]
+        initial = space.from_theta(space.search_start(x, y - y.mean(), n_components), 1)
+        fitted = optimize_hyperparams(x, t, y, kind, SearchConfig(seed=3, n_components=n_components))
         assert log_marginal_likelihood(x, t, y, fitted) >= log_marginal_likelihood(x, t, y, initial) - 1e-9
+
+    @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
+    def test_each_restart_stays_within_its_evaluation_budget(self, rng, monkeypatch, kind, n_components):
+        x = rng.normal(size=(15, 2))
+        t = rng.integers(0, 2, 15)
+        y = rng.normal(size=15)
+        calls = []
+        original = gp.log_marginal_likelihood
+        monkeypatch.setattr(gp, "log_marginal_likelihood", lambda *a: calls.append(1) or original(*a))
+
+        def evals(n_evals, n_restarts, warm_params=None):
+            calls.clear()
+            search = SearchConfig(n_restarts=n_restarts, n_evals=n_evals, seed=1, n_components=n_components)
+            fitted = optimize_hyperparams(x, t, y, kind, search, warm_params=warm_params)
+            return len(calls), fitted
+
+        # a climb needs ten sweeps without a move to stop early, so a budget of
+        # seven is used up by every restart, and none may take more
+        for n_restarts in (1, 3, 5):
+            assert evals(7, n_restarts)[0] == 7 * n_restarts
+        count, fitted = evals(40, 3)
+        assert count <= 40 * 3
+        assert evals(7, 2, warm_params=fitted)[0] == 7 * 3
+        assert evals(1, 3)[0] == 3
+
+    def test_mismatched_warm_start_rejected(self, rng):
+        x = rng.normal(size=(10, 1))
+        t = rng.integers(0, 2, 10)
+        y = rng.normal(size=10)
+        one = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(n_evals=5, n_components=1))
+        two = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(n_evals=5, n_components=2))
+        nsgp = optimize_hyperparams(x, t, y, "nsgp", SearchConfig(n_evals=5))
+        for kind, n_components, warm in [("cmgp", 2, one), ("cmgp", 1, two), ("cmgp", 2, nsgp), ("nsgp", 1, two)]:
+            with pytest.raises(InputError):
+                optimize_hyperparams(x, t, y, kind, SearchConfig(n_evals=5, n_components=n_components),
+                                     warm_params=warm)
+        with pytest.raises(InputError):
+            SearchConfig(n_components=3)
+
+    @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
+    def test_theta_round_trip(self, rng, kind, n_components):
+        space = gp._SEARCH_SPACES[kind]
+        d = 3
+        theta = space.search_start(rng.normal(size=(20, d)), rng.normal(size=20), n_components)
+        theta = theta + rng.normal(scale=0.3, size=theta.size)
+        params = space.from_theta(theta, d)
+        np.testing.assert_allclose(params.to_theta(), theta, rtol=1e-9, atol=1e-9)
+        if kind == "cmgp":
+            assert len(params.components) == n_components
+            lengthscales = [k.lengthscales for k, _ in params.components]
+        else:
+            lengthscales = [params.kernel0.lengthscales, params.kernel1.lengthscales]
+        coords = space.lengthscale_coords(d, n_components)
+        np.testing.assert_allclose(np.log(np.concatenate(lengthscales)), theta[coords], rtol=1e-12)
 
     def test_deterministic_given_seed(self, rng):
         x = rng.normal(size=(10, 1))
@@ -231,3 +285,13 @@ def test_tau_sd_is_the_bundle_contrast_sd(rng, kind):
         cand_x, targets = rng.normal(size=(7, d)), rng.normal(size=(9, d))
         bundle = model.moment_bundle(cand_x, rng.integers(0, 2, 7), targets)
         np.testing.assert_array_equal(model.tau_sd(targets), np.sqrt(bundle.tau_var))
+
+
+@pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
+def test_tau_draws_are_normal_draws_at_the_contrast_moments(rng, kind):
+    for _ in range(5):
+        d = int(rng.integers(1, 4))
+        model = random_fitted_gp(rng, n=12, dim=d, kind=kind)
+        x = rng.normal(size=(9, d))
+        expected = np.random.default_rng(4).normal(model.tau_mean(x)[:, None], model.tau_sd(x)[:, None], size=(9, 6))
+        np.testing.assert_array_equal(model.tau_draws(x, 6, np.random.default_rng(4)), expected)
