@@ -36,7 +36,7 @@ from .dgp import (
     make_benchmark,
     make_splits,
 )
-from .ensemble import EnsembleLinearModel, fit_ensemble, posterior_draws
+from .ensemble import EnsembleLinearModel, fit_ensemble
 from .errors import InputError, NumericalError
 from .evaluation import RunRecord, aggregate_runs, relative_improvement, sqrt_pehe
 from .gp import (

@@ -4,8 +4,8 @@ Every estimator, exact or sample-based, answers predictive queries through the
 same surface: a :class:`JointGaussianBelief` over a labeled set of quantities
 (the candidate's noisy outcome first, then per-target potential-outcome means
 and their contrast), plus vectorized moment bundles used by the acquisition
-scorers. Sample-based models reach this surface by fitting a multivariate
-Gaussian to their posterior draws (:func:`empirical_gaussian_fit`).
+scorers. Sample-based models reach this surface through the sample moments
+of their posterior draws, the moments :func:`empirical_gaussian_fit` fits.
 """
 
 from __future__ import annotations

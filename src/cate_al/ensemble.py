@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beliefs import (
-    CateModel,
-    JointGaussianBelief,
-    MomentBundle,
-    SamplePosterior,
-    empirical_gaussian_fit,
-    quantity_labels,
-)
+from .beliefs import CateModel, MomentBundle
 from .errors import InputError, NumericalError
 
 
@@ -128,13 +121,6 @@ class EnsembleLinearModel(CateModel):
         tau = self.member_tau(target_x).mean(axis=0)
         return mu, mu + tau
 
-    def predictive_belief(self, candidate, target_x) -> JointGaussianBelief:
-        """Empirical-Gaussian belief from member draws, noise added to Var[y]."""
-        samples = posterior_draws(self, candidate, target_x)
-        belief = empirical_gaussian_fit(samples)
-        belief.cov[0, 0] += self._noise_var
-        return belief
-
 
 def fit_ensemble(x, t, y, n_members: int = 32, ridge: float = 1e-4, rng=None) -> EnsembleLinearModel:
     """Fit the bootstrap ensemble; deterministic given the rng seed.
@@ -176,20 +162,3 @@ def fit_ensemble(x, t, y, n_members: int = 32, ridge: float = 1e-4, rng=None) ->
 
     resid = y - _member_f(mu_w, tau_w, x, t).mean(axis=0)
     return EnsembleLinearModel(mu_w, tau_w, noise_var=float(np.mean(resid**2)))
-
-
-def posterior_draws(model: EnsembleLinearModel, candidate, target_x) -> SamplePosterior:
-    """One row per member over (f at candidate, f0/f1/tau at each target)."""
-    cx, ct = candidate
-    cx = np.atleast_1d(np.asarray(cx, dtype=float))[None, :]
-    target_x = np.atleast_2d(np.asarray(target_x, dtype=float))
-    m = target_x.shape[0]
-    fc = model.member_f(cx, [int(ct)])[:, 0]
-    mu = model.member_mu(target_x)
-    tau = model.member_tau(target_x)
-    draws = np.empty((model.n_members, 1 + 3 * m))
-    draws[:, 0] = fc
-    draws[:, 1::3] = mu
-    draws[:, 2::3] = mu + tau
-    draws[:, 3::3] = tau
-    return SamplePosterior(draws=draws, labels=quantity_labels(m))

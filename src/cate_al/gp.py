@@ -26,9 +26,12 @@ from .errors import InputError, NumericalError
 from .kernels import (
     CoregionalizationConfig,
     KernelConfig,
+    as_arms,
     cmgp_gram,
+    kernel_gram,
     nsgp_gram,
     overlap_amplitude,
+    overlap_gram,
 )
 
 JITTER_START = 1e-8
@@ -76,6 +79,22 @@ class CmgpParams:
     def gram(self, xa, ta, xb, tb) -> np.ndarray:
         """Prior covariance K((xa, ta), (xb, tb)), summed over components."""
         return reduce(np.add, (cmgp_gram(xa, ta, xb, tb, k, b) for k, b in self.components))
+
+    def arm_grams(self, xa, ta, xb) -> tuple[np.ndarray, np.ndarray]:
+        """K((xa, ta), (xb, 0)) and K((xa, ta), (xb, 1)), from one base
+        kernel per component scaled by the task covariance of each row's arm."""
+        ta = as_arms(ta)
+        grams = None
+        for kernel, coreg in self.components:
+            base = kernel_gram(xa, xb, kernel)
+            b = coreg.task_covariance
+            pair = (b[ta, 0][:, None] * base, np.multiply(base, b[ta, 1][:, None], out=base))
+            if grams is None:
+                grams = pair
+            else:
+                for total, part in zip(grams, pair):
+                    total += part
+        return grams
 
     def prior_diag(self, t: np.ndarray) -> np.ndarray:
         """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
@@ -159,6 +178,19 @@ class NsgpParams:
         """Prior covariance K((xa, ta), (xb, tb)) of the per-arm kernel."""
         return nsgp_gram(xa, ta, xb, tb, self.kernel0, self.kernel1, self.cross_rho)
 
+    def arm_grams(self, xa, ta, xb) -> tuple[np.ndarray, np.ndarray]:
+        """K((xa, ta), (xb, 0)) and K((xa, ta), (xb, 1)): the coupled overlap
+        kernel everywhere, then each arm's own kernel on that arm's rows."""
+        xa = _as_points(xa)
+        ta = as_arms(ta)
+        cross = overlap_gram(xa, xb, self.kernel0, self.kernel1)
+        np.multiply(cross, self.cross_rho, out=cross)
+        grams = (cross.copy(), cross)
+        for arm, kernel in enumerate((self.kernel0, self.kernel1)):
+            rows = ta == arm
+            grams[arm][rows] = kernel_gram(xa[rows], xb, kernel)
+        return grams
+
     def prior_diag(self, t: np.ndarray) -> np.ndarray:
         """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
         return np.where(np.asarray(t) == 0, self.kernel0.signal_variance, self.kernel1.signal_variance)
@@ -215,6 +247,10 @@ def _data_scales(x: np.ndarray, yc: np.ndarray):
     col_sd = np.std(x, axis=0)
     y_var = max(float(np.var(yc)), 1e-4)
     return np.where(col_sd > 1e-8, col_sd, 1.0), y_var, 0.1 * y_var
+
+
+def _as_points(x) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 def _as_training_arrays(x, t, y):
@@ -279,78 +315,81 @@ class GpCateModel(CateModel):
         return prior - va.T @ vb
 
     def latent_var(self, x, t) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_points(x)
         t = np.asarray(t, dtype=int).reshape(-1)
         v = self._solve_train(x, t)
         return np.maximum(self.params.prior_diag(t) - np.sum(v * v, axis=0), 0.0)
 
+    def _arm_means(self, k0, k1):
+        """Posterior means of f0 and f1 from the train cross-Grams of both arms."""
+        return self.y_mean + k0.T @ self.alpha, self.y_mean + k1.T @ self.alpha
+
     def _target_means(self, target_x):
-        target_x = np.atleast_2d(np.asarray(target_x, dtype=float))
-        m = target_x.shape[0]
-        mu0 = self.latent_mean(target_x, np.zeros(m, dtype=int))
-        mu1 = self.latent_mean(target_x, np.ones(m, dtype=int))
-        return mu0, mu1
+        return self._arm_means(*self.params.arm_grams(self.train_x, self.train_t, _as_points(target_x)))
 
     def tau_mean(self, x) -> np.ndarray:
         mu0, mu1 = self._target_means(x)
         return mu1 - mu0
 
     def _contrast_moments(self, x):
-        """Train cross-Grams at (x, 0) and (x, 1) and their solves, then
-        Var f0, Var f1, Cov(f0, f1) and Var tau per row of x."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        """Train cross-Grams at (x, 0) and (x, 1) for the 2-d points x and
+        their solves, then Var f0, Var f1, Cov(f0, f1) and Var tau per row."""
         m = x.shape[0]
-        z = np.zeros(m, dtype=int)
-        o = np.ones(m, dtype=int)
-        k0 = self.prior_gram(self.train_x, self.train_t, x, z)
-        k1 = self.prior_gram(self.train_x, self.train_t, x, o)
+        k0, k1 = self.params.arm_grams(self.train_x, self.train_t, x)
         v0 = solve_triangular(self.L, k0, lower=True)
         v1 = solve_triangular(self.L, k1, lower=True)
-        f0_var = np.maximum(self.params.prior_diag(z) - np.sum(v0 * v0, axis=0), 0.0)
-        f1_var = np.maximum(self.params.prior_diag(o) - np.sum(v1 * v1, axis=0), 0.0)
+        f0_var = np.maximum(self.params.prior_diag(np.zeros(m, dtype=int)) - np.sum(v0 * v0, axis=0), 0.0)
+        f1_var = np.maximum(self.params.prior_diag(np.ones(m, dtype=int)) - np.sum(v1 * v1, axis=0), 0.0)
         f01_cov = self.params.cross_diag(m) - np.sum(v0 * v1, axis=0)
         tau_var = np.maximum(f0_var + f1_var - 2.0 * f01_cov, 0.0)
         return k0, k1, v0, v1, f0_var, f1_var, f01_cov, tau_var
 
     def tau_sd(self, x) -> np.ndarray:
-        return np.sqrt(self._contrast_moments(x)[-1])
+        return np.sqrt(self._contrast_moments(_as_points(x))[-1])
 
     def tau_draws(self, x, k, rng: np.random.Generator) -> np.ndarray:
-        k0, k1, *_, tau_var = self._contrast_moments(x)
-        mean = (self.y_mean + k1.T @ self.alpha) - (self.y_mean + k0.T @ self.alpha)
+        k0, k1, *_, tau_var = self._contrast_moments(_as_points(x))
+        mu0, mu1 = self._arm_means(k0, k1)
         sd = np.sqrt(tau_var)
-        return rng.normal(mean[:, None], sd[:, None], size=(sd.size, int(k)))
+        return rng.normal((mu1 - mu0)[:, None], sd[:, None], size=(sd.size, int(k)))
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
-        cand_x = np.atleast_2d(np.asarray(cand_x, dtype=float))
-        cand_t = np.asarray(cand_t, dtype=int).reshape(-1)
-        target_x = np.atleast_2d(np.asarray(target_x, dtype=float))
-        _, _, v0, v1, f0_var, f1_var, f01_cov, tau_var = self._contrast_moments(target_x)
+        cand_x = _as_points(cand_x)
+        cand_t = as_arms(cand_t).reshape(-1)
+        target_x = _as_points(target_x)
+        k0, k1, v0, v1, f0_var, f1_var, f01_cov, tau_var = self._contrast_moments(target_x)
 
-        kc = self.prior_gram(self.train_x, self.train_t, cand_x, cand_t)
-        vc = solve_triangular(self.L, kc, lower=True)
+        treated = cand_t == 1
+        if np.array_equal(cand_x, target_x):
+            # pool mode: each candidate's cross-Gram and solve are the
+            # target columns of its own arm
+            kc = np.where(treated, k1, k0)
+            vc = np.where(treated, v1, v0)
+        else:
+            kc0, kc1 = self.params.arm_grams(self.train_x, self.train_t, cand_x)
+            kc = np.where(treated, kc1, kc0)
+            vc = solve_triangular(self.L, kc, lower=True)
         y_mean = self.y_mean + kc.T @ self.alpha
         f_var = self.params.prior_diag(cand_t) - np.sum(vc * vc, axis=0)
         y_var = np.maximum(f_var, 0.0) + self.noise_variance
 
-        m = target_x.shape[0]
-        cy0 = self.prior_gram(cand_x, cand_t, target_x, np.zeros(m, dtype=int)) - vc.T @ v0
-        cy1 = self.prior_gram(cand_x, cand_t, target_x, np.ones(m, dtype=int)) - vc.T @ v1
+        cy0, cy1 = self.params.arm_grams(cand_x, cand_t, target_x)
+        cy0 -= vc.T @ v0
+        cy1 -= vc.T @ v1
         return MomentBundle(
             y_mean=y_mean, y_var=y_var, f0_var=f0_var, f1_var=f1_var,
             f01_cov=f01_cov, tau_var=tau_var, cy0=cy0, cy1=cy1,
         )
 
     def _po_blocks(self, target_x):
-        target_x = np.atleast_2d(np.asarray(target_x, dtype=float))
+        target_x = _as_points(target_x)
         m = target_x.shape[0]
-        z = np.zeros(m, dtype=int)
-        o = np.ones(m, dtype=int)
-        v0 = self._solve_train(target_x, z)
-        v1 = self._solve_train(target_x, o)
-        p00 = self.prior_gram(target_x, z, target_x, z) - v0.T @ v0
-        p11 = self.prior_gram(target_x, o, target_x, o) - v1.T @ v1
-        p01 = self.prior_gram(target_x, z, target_x, o) - v0.T @ v1
+        _, _, v0, v1, *_ = self._contrast_moments(target_x)
+        p00, p01 = self.params.arm_grams(target_x, np.zeros(m, dtype=int), target_x)
+        _, p11 = self.params.arm_grams(target_x, np.ones(m, dtype=int), target_x)
+        p00 -= v0.T @ v0
+        p11 -= v1.T @ v1
+        p01 -= v0.T @ v1
         p00 = 0.5 * (p00 + p00.T)
         p11 = 0.5 * (p11 + p11.T)
         return p00, p01, p11
@@ -372,12 +411,14 @@ class GpCateModel(CateModel):
 
 
 def _chol_with_escalating_jitter(a: np.ndarray, base_jitter: float):
-    """Lower Cholesky of ``a`` with jitter escalation x10 up to JITTER_MAX."""
+    """Lower Cholesky of ``a`` with jitter escalation x10 up to JITTER_MAX;
+    each try adds its jitter to a fresh copy of ``a``."""
     jitter = max(base_jitter, JITTER_START)
-    eye = np.eye(a.shape[0])
     while True:
+        shifted = a.copy()
+        shifted.flat[:: a.shape[0] + 1] += jitter
         try:
-            return cholesky(a + jitter * eye, lower=True), jitter
+            return cholesky(shifted, lower=True), jitter
         except np.linalg.LinAlgError:
             pass
         except ValueError:
@@ -401,7 +442,8 @@ def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
     y_mean = float(y.mean())
     yc = y - y_mean
 
-    noisy = params.gram(x, t, x, t) + params.noise_variance * np.eye(y.size)
+    noisy = params.gram(x, t, x, t)
+    noisy.flat[:: y.size + 1] += params.noise_variance
     L, jitter_used = _chol_with_escalating_jitter(noisy, params.jitter)
     alpha = cho_solve((L, True), yc)
     return GpCateModel(params, x, t, y, L, alpha, y_mean, jitter_used)

@@ -94,9 +94,15 @@ class CoregionalizationConfig:
 
     @classmethod
     def from_cholesky(cls, l11: float, l21: float, l22: float) -> "CoregionalizationConfig":
-        """Build B = L L^T from lower-triangular entries; PSD by construction."""
+        """Build B = L L^T from lower-triangular entries; PSD by construction
+        and, at 2x2, exactly symmetric, so only finiteness is checked."""
         low = np.array([[l11, 0.0], [l21, l22]], dtype=float)
-        return cls(task_covariance=low @ low.T)
+        b = low @ low.T
+        if not np.all(np.isfinite(b)):
+            raise InputError("task_covariance must be finite")
+        config = object.__new__(cls)
+        object.__setattr__(config, "task_covariance", b)
+        return config
 
 
 def _sq_dist(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
@@ -106,14 +112,55 @@ def _sq_dist(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray) -> np.nda
     return cdist(xa / lengthscales, xb / lengthscales, "sqeuclidean")
 
 
+# Kernels are evaluated over the fresh r2 array in place, a block of rows of
+# about this many entries at a time, so every pass of the expression stays in
+# cache and no whole-matrix temporary is allocated.
+_BLOCK = 16384
+
+
+def _rows_per_block(r2: np.ndarray) -> int:
+    return max(1, _BLOCK // max(r2.shape[1], 1))
+
+
 def _rbf_from_r2(r2: np.ndarray, signal_variance: float) -> np.ndarray:
-    return signal_variance * np.exp(-0.5 * r2)
+    """signal_variance * exp(-0.5 r2), written over r2."""
+    rows = _rows_per_block(r2)
+    for start in range(0, r2.shape[0], rows):
+        blk = r2[start : start + rows]
+        np.multiply(blk, -0.5, out=blk)
+        np.exp(blk, out=blk)
+        np.multiply(blk, signal_variance, out=blk)
+    return r2
 
 
 def _matern52_from_r2(r2: np.ndarray, signal_variance: float) -> np.ndarray:
-    r = np.sqrt(np.maximum(r2, 0.0))
-    a = _SQRT5 * r
-    return signal_variance * (1.0 + a + (5.0 / 3.0) * r2) * np.exp(-a)
+    """signal_variance * (1 + a + 5/3 r2) * exp(-a) with a = sqrt(5 r2),
+    written over r2."""
+    rows = _rows_per_block(r2)
+    a_buf = np.empty((min(rows, r2.shape[0]), r2.shape[1]))
+    e_buf = np.empty_like(a_buf)
+    for start in range(0, r2.shape[0], rows):
+        blk = r2[start : start + rows]
+        a, e = a_buf[: blk.shape[0]], e_buf[: blk.shape[0]]
+        np.maximum(blk, 0.0, out=a)
+        np.sqrt(a, out=a)
+        np.multiply(a, _SQRT5, out=a)
+        np.negative(a, out=e)
+        np.exp(e, out=e)
+        np.add(a, 1.0, out=a)
+        np.multiply(blk, 5.0 / 3.0, out=blk)
+        np.add(a, blk, out=blk)
+        np.multiply(blk, signal_variance, out=blk)
+        np.multiply(blk, e, out=blk)
+    return r2
+
+
+def as_arms(t) -> np.ndarray:
+    """Treatments as an int array, each 0 or 1."""
+    t = np.asarray(t, dtype=int)
+    if np.any((t != 0) & (t != 1)):
+        raise InputError("treatments must be 0 or 1")
+    return t
 
 
 def kernel_gram(xa: np.ndarray, xb: np.ndarray, cfg: KernelConfig) -> np.ndarray:
@@ -142,12 +189,12 @@ def cmgp_gram(
     ccfg: CoregionalizationConfig,
 ) -> np.ndarray:
     """Gram of the coregionalized kernel B[t, t'] * k(x, x')."""
-    ta = np.asarray(ta, dtype=int)
-    tb = np.asarray(tb, dtype=int)
-    if np.any((ta != 0) & (ta != 1)) or np.any((tb != 0) & (tb != 1)):
-        raise InputError("treatments must be 0 or 1")
-    base = kernel_gram(xa, xb, kcfg)
-    return ccfg.task_covariance[np.ix_(ta, tb)] * base
+    ta = as_arms(ta)
+    tb = as_arms(tb)
+    gram = kernel_gram(xa, xb, kcfg)
+    for arm, row in enumerate(ccfg.task_covariance):
+        np.multiply(gram, row[tb], out=gram, where=(ta == arm)[:, None])
+    return gram
 
 
 # -- per-arm kernel with overlap cross-covariance ----------------------------
@@ -180,12 +227,13 @@ def overlap_amplitude(cfg0: KernelConfig, cfg1: KernelConfig) -> float:
     return _overlap_parts(cfg0, cfg1)[0]
 
 
-def _overlap_gram(xa: np.ndarray, xb: np.ndarray, cfg0: KernelConfig, cfg1: KernelConfig) -> np.ndarray:
+def overlap_gram(xa: np.ndarray, xb: np.ndarray, cfg0: KernelConfig, cfg1: KernelConfig) -> np.ndarray:
+    """Overlap kernel between two point sets: the cross-arm prior covariance
+    per unit of coupling ``rho``."""
     amp, mix = _overlap_parts(cfg0, cfg1)
     r2 = _sq_dist(xa, xb, mix)
-    if cfg0.family == "rbf":
-        return amp * _rbf_from_r2(r2, 1.0)
-    return amp * _matern52_from_r2(r2, 1.0)
+    gram = _rbf_from_r2(r2, 1.0) if cfg0.family == "rbf" else _matern52_from_r2(r2, 1.0)
+    return np.multiply(gram, amp, out=gram)
 
 
 def nsgp_gram(
@@ -201,13 +249,11 @@ def nsgp_gram(
     rho-scaled overlap kernel across arms."""
     if not -1.0 <= rho <= 1.0:
         raise InputError(f"cross-arm coupling must lie in [-1, 1], got {rho}")
-    ta = np.asarray(ta, dtype=int)
-    tb = np.asarray(tb, dtype=int)
-    if np.any((ta != 0) & (ta != 1)) or np.any((tb != 0) & (tb != 1)):
-        raise InputError("treatments must be 0 or 1")
+    ta = as_arms(ta)
+    tb = as_arms(tb)
     k0 = kernel_gram(xa, xb, kcfg0)
     k1 = kernel_gram(xa, xb, kcfg1)
-    cross = rho * _overlap_gram(xa, xb, kcfg0, kcfg1)
+    cross = rho * overlap_gram(xa, xb, kcfg0, kcfg1)
     m0a = (ta == 0)[:, None]
     m0b = (tb == 0)[None, :]
     out = np.where(

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cate_al.beliefs import empirical_gaussian_fit
-from cate_al.ensemble import EnsembleLinearModel, fit_ensemble, posterior_draws
+from cate_al.beliefs import SamplePosterior, empirical_gaussian_fit, quantity_labels
+from cate_al.ensemble import fit_ensemble
 from cate_al.errors import InputError
 
 
@@ -46,14 +46,35 @@ class TestFitEnsemble:
         assert norms.min() < 1e-3
 
 
+def member_draw_fit(model, candidate, target_x):
+    """Empirical Gaussian over one row per member of (f at the candidate,
+    f0/f1/tau at each target), observation noise added to the candidate."""
+    cx, ct = candidate
+    m = target_x.shape[0]
+    mu = model.member_mu(target_x)
+    tau = model.member_tau(target_x)
+    draws = np.empty((model.n_members, 1 + 3 * m))
+    draws[:, 0] = model.member_f(cx[None, :], [ct])[:, 0]
+    draws[:, 1::3] = mu
+    draws[:, 2::3] = mu + tau
+    draws[:, 3::3] = tau
+    belief = empirical_gaussian_fit(SamplePosterior(draws=draws, labels=quantity_labels(m)))
+    belief.cov[0, 0] += model.noise_variance
+    return belief
+
+
 class TestPosteriorDraws:
+    """The base-class belief of an ensemble is the Gaussian fit of its member draws."""
+
     def test_effect_column_is_definitional(self, rng):
         x, t, y = toy_data(rng)
         model = fit_ensemble(x, t, y, n_members=5, rng=2)
         target = np.array([0.7, -1.1])
-        sp = posterior_draws(model, (np.zeros(2), 1), target[None, :])
-        expected = model.tau_weights @ np.concatenate([[1.0], target])
-        np.testing.assert_allclose(sp.draws[:, sp.labels.index("tau@0")], expected, atol=1e-12)
+        belief = model.predictive_belief((np.zeros(2), 1), target[None, :])
+        effect = model.tau_weights @ np.concatenate([[1.0], target])
+        jt = belief.index("tau@0")
+        assert belief.mean[jt] == pytest.approx(effect.mean(), abs=1e-12)
+        assert belief.cov[jt, jt] == pytest.approx(effect.var(ddof=1), abs=1e-12)
 
     def test_identical_members_give_zero_variance(self):
         rng = np.random.default_rng(5)
@@ -62,23 +83,23 @@ class TestPosteriorDraws:
         y = np.tile([1.0, 3.0], 3)
         # every bootstrap resample of duplicated rows fits the same line
         model = fit_ensemble(x, t, y, n_members=6, ridge=1e-6, rng=0)
-        sp = posterior_draws(model, (np.array([0.4]), 0), np.array([[1.2]]))
-        belief = empirical_gaussian_fit(sp)
-        assert np.abs(belief.cov).max() < 1e-12
+        belief = model.predictive_belief((np.array([0.4]), 0), np.array([[1.2]]))
+        latent = belief.cov.copy()
+        latent[0, 0] -= model.noise_variance
+        assert np.abs(latent).max() < 1e-12
 
     def test_column_means_match_member_average(self, rng):
         x, t, y = toy_data(rng)
         model = fit_ensemble(x, t, y, n_members=7, rng=4)
         targets = rng.normal(size=(3, 2))
-        sp = posterior_draws(model, (np.zeros(2), 0), targets)
-        belief = empirical_gaussian_fit(sp)
+        belief = model.predictive_belief((np.zeros(2), 0), targets)
         base = np.hstack([np.ones((3, 1)), targets])
         mu = (model.mu_weights @ base.T).mean(axis=0)
         tau = (model.tau_weights @ base.T).mean(axis=0)
         for j in range(3):
-            assert belief.mean[sp.labels.index(f"f0@{j}")] == pytest.approx(mu[j], abs=1e-12)
-            assert belief.mean[sp.labels.index(f"tau@{j}")] == pytest.approx(tau[j], abs=1e-12)
-            assert belief.mean[sp.labels.index(f"f1@{j}")] == pytest.approx(mu[j] + tau[j], abs=1e-12)
+            assert belief.mean[belief.index(f"f0@{j}")] == pytest.approx(mu[j], abs=1e-12)
+            assert belief.mean[belief.index(f"tau@{j}")] == pytest.approx(tau[j], abs=1e-12)
+            assert belief.mean[belief.index(f"f1@{j}")] == pytest.approx(mu[j] + tau[j], abs=1e-12)
 
 
 class TestUniformSurface:
@@ -88,12 +109,16 @@ class TestUniformSurface:
         cand = (np.array([0.2, 0.4]), 1)
         targets = rng.normal(size=(2, 2))
         bundle = model.moment_bundle(np.array([cand[0]]), np.array([1]), targets)
-        belief = model.predictive_belief(cand, targets)
-        assert bundle.y_var[0] == pytest.approx(belief.cov[0, 0], abs=1e-12)
+        fit = member_draw_fit(model, cand, targets)
+        assert bundle.y_var[0] == pytest.approx(fit.cov[0, 0], abs=1e-12)
         for j in range(2):
-            jt = belief.index(f"tau@{j}")
-            assert bundle.tau_var[j] == pytest.approx(belief.cov[jt, jt], abs=1e-12)
-            assert bundle.cy_tau[0, j] == pytest.approx(belief.cov[0, jt], abs=1e-12)
+            jt = fit.index(f"tau@{j}")
+            assert bundle.tau_var[j] == pytest.approx(fit.cov[jt, jt], abs=1e-12)
+            assert bundle.cy_tau[0, j] == pytest.approx(fit.cov[0, jt], abs=1e-12)
+        belief = model.predictive_belief(cand, targets)
+        assert belief.labels == fit.labels
+        np.testing.assert_allclose(belief.mean, fit.mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(belief.cov, fit.cov, rtol=1e-12, atol=1e-14)
 
     def test_noise_variance_is_mean_squared_residual(self, rng):
         x, t, y = toy_data(rng)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
-from cate_al import gp
+from cate_al import gp, kernels
 from cate_al.errors import InputError, NumericalError
 from cate_al.gp import (
     CmgpParams,
@@ -14,7 +15,7 @@ from cate_al.gp import (
 )
 from cate_al.kernels import CoregionalizationConfig, KernelConfig, nsgp_gram
 
-from conftest import brute_force_conditioning, random_fitted_gp, random_nsgp_params
+from conftest import brute_force_conditioning, random_cmgp_params, random_fitted_gp, random_nsgp_params
 
 
 def simple_cmgp(noise=0.3, ls=0.8, b=None):
@@ -66,6 +67,16 @@ class TestFit:
     def test_cholesky_failure_raises_numerical_error(self):
         with pytest.raises(NumericalError):
             _chol_with_escalating_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-8)
+
+    def test_each_jitter_retry_starts_from_the_unjittered_matrix(self):
+        # fails at 1e-8 and 1e-7; at 1e-6 the shifted diagonal is 5e-7, where
+        # jitter accumulated over the retries would leave 6.1e-7
+        a = np.diag([1.0, -5e-7])
+        before = a.copy()
+        L, jitter = _chol_with_escalating_jitter(a, 1e-8)
+        assert jitter == pytest.approx(1e-6)
+        assert L[1, 1] ** 2 == pytest.approx(5e-7, rel=1e-9)
+        np.testing.assert_array_equal(a, before)
 
 
 def y_f0_f1_block(model, candidate, target):
@@ -295,3 +306,86 @@ def test_tau_draws_are_normal_draws_at_the_contrast_moments(rng, kind):
         x = rng.normal(size=(9, d))
         expected = np.random.default_rng(4).normal(model.tau_mean(x)[:, None], model.tau_sd(x)[:, None], size=(9, 6))
         np.testing.assert_array_equal(model.tau_draws(x, 6, np.random.default_rng(4)), expected)
+
+
+def two_component_cmgp(rng, dim, family):
+    first, second = random_cmgp_params(rng, dim, family), random_cmgp_params(rng, dim, family)
+    return CmgpParams(kernel=first.kernel, coreg=first.coreg, kernel2=second.kernel, coreg2=second.coreg)
+
+
+ARM_GRAM_PARAMS = {
+    "cmgp": random_cmgp_params,
+    "cmgp2": two_component_cmgp,
+    "nsgp": random_nsgp_params,
+}
+
+
+class TestArmGrams:
+    @pytest.mark.parametrize("rows", ["mixed", "all_control", "all_treated", "single"])
+    @pytest.mark.parametrize("family", ["rbf", "matern52"])
+    @pytest.mark.parametrize("kind", sorted(ARM_GRAM_PARAMS))
+    def test_bitwise_equal_to_gram_with_one_arm_columns(self, rng, kind, family, rows):
+        d = 3
+        params = ARM_GRAM_PARAMS[kind](rng, d, family)
+        n = 1 if rows == "single" else 11
+        ta = {"mixed": rng.integers(0, 2, n), "all_control": np.zeros(n, dtype=int),
+              "all_treated": np.ones(n, dtype=int), "single": np.array([1])}[rows]
+        xa, xb = rng.normal(size=(n, d)), rng.normal(size=(13, d))
+        k0, k1 = params.arm_grams(xa, ta, xb)
+        np.testing.assert_array_equal(k0, params.gram(xa, ta, xb, np.zeros(13, dtype=int)))
+        np.testing.assert_array_equal(k1, params.gram(xa, ta, xb, np.ones(13, dtype=int)))
+
+    @pytest.mark.parametrize("kind", sorted(ARM_GRAM_PARAMS))
+    def test_invalid_treatment_rejected(self, rng, kind):
+        params = ARM_GRAM_PARAMS[kind](rng, 1, "rbf")
+        with pytest.raises(InputError):
+            params.arm_grams(np.zeros((2, 1)), [0, 2], np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
+    def test_pool_mode_bundle_equals_explicit_build(self, rng, kind):
+        d = 2
+        model = random_fitted_gp(rng, n=12, dim=d, kind=kind)
+        pool_x, pool_t = rng.normal(size=(9, d)), rng.integers(0, 2, 9)
+        bundle = model.moment_bundle(pool_x, pool_t, pool_x.copy())
+
+        def solve(k):
+            return solve_triangular(model.L, k, lower=True)
+
+        zeros, ones = np.zeros(9, dtype=int), np.ones(9, dtype=int)
+        train = (model.train_x, model.train_t)
+        kc = model.prior_gram(*train, pool_x, pool_t)
+        vc = solve(kc)
+        v0, v1 = solve(model.prior_gram(*train, pool_x, zeros)), solve(model.prior_gram(*train, pool_x, ones))
+        y_var = np.maximum(model.params.prior_diag(pool_t) - np.sum(vc * vc, axis=0), 0.0) + model.noise_variance
+        np.testing.assert_array_equal(bundle.y_mean, model.y_mean + kc.T @ model.alpha)
+        np.testing.assert_array_equal(bundle.y_var, y_var)
+        np.testing.assert_array_equal(bundle.cy0, model.prior_gram(pool_x, pool_t, pool_x, zeros) - vc.T @ v0)
+        np.testing.assert_array_equal(bundle.cy1, model.prior_gram(pool_x, pool_t, pool_x, ones) - vc.T @ v1)
+
+        mean, cov = brute_force_conditioning(
+            model.params, model.train_x, model.train_t, model.train_y,
+            np.vstack([pool_x, pool_x, pool_x]), np.concatenate([pool_t, zeros, ones]), model.noise_variance,
+        )
+        assert np.abs(bundle.y_mean - mean[:9]).max() < 1e-6
+        assert np.abs(bundle.y_var - (np.diag(cov)[:9] + model.noise_variance)).max() < 1e-6
+        assert np.abs(bundle.cy0 - cov[:9, 9:18]).max() < 1e-6
+        assert np.abs(bundle.cy1 - cov[:9, 18:]).max() < 1e-6
+
+
+def test_pool_mode_bundle_builds_each_base_kernel_once_per_point_set(rng, monkeypatch):
+    # two components, pool mode: one train x target and one target x target
+    # base per component; a second Gram of either point pair would raise it
+    model = fit_gp(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20),
+                   two_component_cmgp(rng, 2, "matern52"))
+    pool_x, pool_t = rng.normal(size=(15, 2)), rng.integers(0, 2, 15)
+    calls = []
+    original = kernels.kernel_gram
+
+    def counting_kernel_gram(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(gp, "kernel_gram", counting_kernel_gram)
+    monkeypatch.setattr(kernels, "kernel_gram", counting_kernel_gram)
+    model.moment_bundle(pool_x, pool_t, pool_x.copy())
+    assert len(calls) == 4

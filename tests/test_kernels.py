@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cate_al import kernels
 from cate_al.errors import InputError
 from cate_al.kernels import CoregionalizationConfig, KernelConfig, cmgp_gram, kernel_gram, nsgp_gram
 
@@ -78,8 +79,15 @@ class TestConfigValidation:
 
     def test_cholesky_parameterization_is_psd(self, rng):
         for _ in range(50):
-            c = CoregionalizationConfig.from_cholesky(*rng.normal(size=3))
+            entries = rng.normal(size=3)
+            c = CoregionalizationConfig.from_cholesky(*entries)
             assert np.linalg.eigvalsh(c.task_covariance).min() >= -1e-12
+            # the same matrix as the fully validated constructor gives
+            low = np.array([[entries[0], 0.0], [entries[1], entries[2]]])
+            validated = CoregionalizationConfig(task_covariance=low @ low.T)
+            np.testing.assert_array_equal(c.task_covariance, validated.task_covariance)
+        with pytest.raises(InputError):
+            CoregionalizationConfig.from_cholesky(1.0, np.inf, 1.0)
 
 
 class TestCoregionalizedKernel:
@@ -163,3 +171,47 @@ class TestPerArmKernel:
         with pytest.raises(InputError):
             nsgp(([0.0], -1), ([0.0], 1), cfg(), cfg(), rho=0.5)
 
+
+
+def whole_matrix_matern52(r2, sv):
+    """The kernel expression evaluated over the whole matrix at once."""
+    r = np.sqrt(np.maximum(r2, 0.0))
+    a = np.sqrt(5.0) * r
+    return sv * (1.0 + a + (5.0 / 3.0) * r2) * np.exp(-a)
+
+
+def whole_matrix_rbf(r2, sv):
+    return sv * np.exp(-0.5 * r2)
+
+
+class TestBlockedEvaluation:
+    BLOCK = kernels._BLOCK
+
+    # one row block below, at and just above the block size, several blocks,
+    # and rows longer than a block
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (127, 128), (128, 128), (129, 128), (300, 301),
+                                       (3, BLOCK + 1)])
+    @pytest.mark.parametrize("family", ["rbf", "matern52"])
+    def test_bitwise_equal_to_whole_matrix_expression(self, rng, shape, family):
+        r2 = rng.uniform(0.0, 30.0, size=shape)
+        r2.flat[0] = 0.0
+        blocked, reference = {"rbf": (kernels._rbf_from_r2, whole_matrix_rbf),
+                              "matern52": (kernels._matern52_from_r2, whole_matrix_matern52)}[family]
+        expected = reference(r2, 1.7)
+        got = blocked(r2.copy(), 1.7)
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("family", ["rbf", "matern52"])
+    def test_kernel_gram_leaves_inputs_and_returns_fresh_array(self, rng, family):
+        c = cfg(family=family, ls=(0.7, 1.3))
+        xa, xb = rng.normal(size=(40, 2)), rng.normal(size=(30, 2))
+        xa_before, xb_before, ls_before = xa.copy(), xb.copy(), c.lengthscales.copy()
+        first = kernel_gram(xa, xb, c)
+        second = kernel_gram(xa, xb, c)
+        np.testing.assert_array_equal(xa, xa_before)
+        np.testing.assert_array_equal(xb, xb_before)
+        np.testing.assert_array_equal(c.lengthscales, ls_before)
+        np.testing.assert_array_equal(first, second)
+        assert first.flags.c_contiguous and first.flags.owndata
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(first, a) for a in (xa, xb, c.lengthscales))
