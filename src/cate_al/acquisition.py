@@ -283,27 +283,60 @@ def _score_epig_tau(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     return np.mean(_mi_scalar_vec(b.y_var[:, None], b.tau_var[None, :], b.cy_tau), axis=1)
 
 
-def _mu_joint_mi(bundle) -> np.ndarray:
-    """(n_c, m) MI between y and the per-target (f0, f1) pair, closed form."""
-    vy = bundle.y_var[:, None]
+# candidate rows of the pairwise MI are evaluated a block of about this many
+# entries at a time, in two buffers reused across blocks
+_MI_BLOCK = 16384
+
+
+def _mu_joint_mi_means(bundle) -> np.ndarray:
+    """(n_c,) mean over targets of the closed-form MI between y and the
+    per-target (f0, f1) pair. Each row's mean is the same pairwise sum in a
+    block as in the whole matrix, so the blocks do not change a bit."""
     eps = 1e-12 * np.maximum(np.maximum(bundle.f0_var, bundle.f1_var), 1.0)
     v0 = bundle.f0_var + eps
     v1 = bundle.f1_var + eps
     c01 = bundle.f01_cov
-    det2 = np.maximum(v0 * v1 - c01**2, DET_FLOOR)[None, :]
-    q = bundle.cy0**2 * v1[None, :] - 2.0 * bundle.cy0 * bundle.cy1 * c01[None, :] + bundle.cy1**2 * v0[None, :]
-    ratio = np.clip(q / np.maximum(det2 * vy, DET_FLOOR), 0.0, 1.0 - 1e-15)
-    out = -0.5 * np.log1p(-ratio)
-    degenerate = ((bundle.f0_var <= VARIANCE_FLOOR) & (bundle.f1_var <= VARIANCE_FLOOR))[None, :]
-    out = np.where(degenerate | (vy <= VARIANCE_FLOOR), 0.0, out)
-    return np.maximum(out, 0.0)
+    det2 = np.maximum(v0 * v1 - c01**2, DET_FLOOR)
+    degenerate = (bundle.f0_var <= VARIANCE_FLOOR) & (bundle.f1_var <= VARIANCE_FLOOR)
+    n_c, m = bundle.cy0.shape
+    rows = max(1, _MI_BLOCK // m)
+    q_buf = np.empty((min(rows, n_c), m))
+    d_buf = np.empty_like(q_buf)
+    means = np.empty(n_c)
+    for start in range(0, n_c, rows):
+        cy0, cy1 = bundle.cy0[start : start + rows], bundle.cy1[start : start + rows]
+        vy = bundle.y_var[start : start + rows, None]
+        q, d = q_buf[: vy.shape[0]], d_buf[: vy.shape[0]]
+        # q = cy0^2 v1 - 2 cy0 cy1 c01 + cy1^2 v0
+        np.square(cy0, out=q)
+        np.multiply(q, v1, out=q)
+        np.multiply(cy0, 2.0, out=d)
+        np.multiply(d, cy1, out=d)
+        np.multiply(d, c01, out=d)
+        np.subtract(q, d, out=q)
+        np.square(cy1, out=d)
+        np.multiply(d, v0, out=d)
+        np.add(q, d, out=q)
+        # MI = -1/2 log(1 - q / (det2 Var[y])), the ratio clipped below 1
+        np.multiply(det2, vy, out=d)
+        np.maximum(d, DET_FLOOR, out=d)
+        np.divide(q, d, out=q)
+        np.clip(q, 0.0, 1.0 - 1e-15, out=q)
+        np.negative(q, out=q)
+        np.log1p(q, out=q)
+        np.multiply(q, -0.5, out=q)
+        q[:, degenerate] = 0.0
+        q[vy[:, 0] <= VARIANCE_FLOOR] = 0.0
+        np.maximum(q, 0.0, out=q)
+        means[start : start + rows] = np.mean(q, axis=1)
+    return means
 
 
 def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Mean over targets of MI between the candidate's outcome and both
     potential-outcome surfaces jointly."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-    return np.mean(_mu_joint_mi(b), axis=1)
+    return _mu_joint_mi_means(b)
 
 
 def _score_epig_mu_additive(method, model, pool_x, pool_t, ctx) -> np.ndarray:

@@ -36,6 +36,8 @@ from .kernels import (
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-3
+MEMO_ENTRIES = 3            # base Grams a search keeps per kernel slot: the current
+                            # one and both trial steps of a lengthscale coordinate
 
 SEARCH_FAMILY = "matern52"  # kernel family the hyperparameter search fits
 SEARCH_STEP = 0.6           # first coordinate step; halved after a sweep with no move
@@ -95,6 +97,18 @@ class CmgpParams:
                 for total, part in zip(grams, pair):
                     total += part
         return grams
+
+    def train_gram(self, memo: _GramMemo) -> np.ndarray:
+        """Prior Gram of the memo's training points: each component's base
+        from the memo, scaled by B[t, t'] per row arm as ``cmgp_gram`` does."""
+        total = None
+        for slot, (kernel, coreg) in enumerate(self.components):
+            base = memo.base(slot, _kernel_key(kernel), kernel_gram, memo.x, memo.x, kernel)
+            gram = np.empty_like(base)
+            for rows, row in zip(memo.arm_masks, coreg.task_covariance):
+                np.multiply(base, row[memo.t], out=gram, where=rows[:, None])
+            total = gram if total is None else np.add(total, gram, out=total)
+        return total
 
     def prior_diag(self, t: np.ndarray) -> np.ndarray:
         """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
@@ -191,6 +205,22 @@ class NsgpParams:
             grams[arm][rows] = kernel_gram(xa[rows], xb, kernel)
         return grams
 
+    def train_gram(self, memo: _GramMemo) -> np.ndarray:
+        """Prior Gram of the memo's training points, built by arm blocks: k0
+        on control x control, k1 on treated x treated and the rho-scaled
+        overlap on control x treated, mirrored into treated x control (the
+        squared distances are exactly symmetric), each block scattered into
+        the rows and columns of its arm. Equal to ``nsgp_gram`` entry for entry."""
+        (i0, x0), (i1, x1) = memo.arms
+        key0, key1 = _kernel_key(self.kernel0), _kernel_key(self.kernel1)
+        gram = np.empty((memo.t.size, memo.t.size))
+        gram[np.ix_(i0, i0)] = memo.base("k0", key0, kernel_gram, x0, x0, self.kernel0)
+        gram[np.ix_(i1, i1)] = memo.base("k1", key1, kernel_gram, x1, x1, self.kernel1)
+        cross = self.cross_rho * memo.base("overlap", key0 + key1, overlap_gram, x0, x1, self.kernel0, self.kernel1)
+        gram[np.ix_(i0, i1)] = cross
+        gram[np.ix_(i1, i0)] = cross.T
+        return gram
+
     def prior_diag(self, t: np.ndarray) -> np.ndarray:
         """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
         return np.where(np.asarray(t) == 0, self.kernel0.signal_variance, self.kernel1.signal_variance)
@@ -247,6 +277,41 @@ def _data_scales(x: np.ndarray, yc: np.ndarray):
     col_sd = np.std(x, axis=0)
     y_var = max(float(np.var(yc)), 1e-4)
     return np.where(col_sd > 1e-8, col_sd, 1.0), y_var, 0.1 * y_var
+
+
+def _kernel_key(kernel: KernelConfig) -> tuple:
+    """Everything a base kernel's Gram depends on, compared bitwise."""
+    return kernel.family, kernel.lengthscales.tobytes(), kernel.signal_variance
+
+
+class _GramMemo:
+    """Base Grams over one search's training points, kept across its
+    objective evaluations.
+
+    A coordinate step changes few hyperparameters, so most evaluations find
+    every base they need. Each base is keyed by exactly the hyperparameters
+    it depends on; a slot holds at most ``MEMO_ENTRIES`` of them and drops
+    the least recently used first. Bases are read, never written. A search
+    owns its memo and drops it when it returns.
+    """
+
+    def __init__(self, x: np.ndarray, t: np.ndarray):
+        self.x = x
+        self.t = t
+        self.arm_masks = (t == 0, t == 1)
+        self.arms = tuple((rows, x[rows]) for rows in map(np.flatnonzero, self.arm_masks))
+        self._slots: dict = {}
+
+    def base(self, slot, key, build, *args) -> np.ndarray:
+        """The base Gram of ``slot`` at ``key``, from ``build(*args)`` on a miss."""
+        entries = self._slots.setdefault(slot, {})
+        gram = entries.pop(key, None)
+        if gram is None:
+            gram = build(*args)
+            if len(entries) == MEMO_ENTRIES:
+                del entries[next(iter(entries))]
+        entries[key] = gram
+        return gram
 
 
 def _as_points(x) -> np.ndarray:
@@ -430,6 +495,17 @@ def _chol_with_escalating_jitter(a: np.ndarray, base_jitter: float):
             )
 
 
+def _condition(x, t, y, params: GpParams, gram: np.ndarray) -> GpCateModel:
+    """Posterior given validated training arrays and their prior Gram, to
+    whose diagonal the noise is added in place."""
+    y_mean = float(y.mean())
+    yc = y - y_mean
+    gram.flat[:: y.size + 1] += params.noise_variance
+    L, jitter_used = _chol_with_escalating_jitter(gram, params.jitter)
+    alpha = cho_solve((L, True), yc)
+    return GpCateModel(params, x, t, y, L, alpha, y_mean, jitter_used)
+
+
 def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
     """Condition the configured GP prior on labeled data.
 
@@ -439,14 +515,7 @@ def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
     x, t, y = _as_training_arrays(x, t, y)
     if y.size < 2:
         raise InputError(f"need at least 2 labeled points to fit, got {y.size}")
-    y_mean = float(y.mean())
-    yc = y - y_mean
-
-    noisy = params.gram(x, t, x, t)
-    noisy.flat[:: y.size + 1] += params.noise_variance
-    L, jitter_used = _chol_with_escalating_jitter(noisy, params.jitter)
-    alpha = cho_solve((L, True), yc)
-    return GpCateModel(params, x, t, y, L, alpha, y_mean, jitter_used)
+    return _condition(x, t, y, params, params.gram(x, t, x, t))
 
 
 # -- hyperparameter search -----------------------------------------------
@@ -466,9 +535,19 @@ class SearchConfig:
             raise InputError(f"n_components must be one of {tuple(_COMPONENT_SPREADS)}, got {self.n_components}")
 
 
-def log_marginal_likelihood(x, t, y, params: GpParams) -> float:
-    """log p(y | X, theta) = -1/2 y^T alpha - sum log L_ii - n/2 log 2 pi."""
-    model = fit_gp(x, t, y, params)
+def log_marginal_likelihood(x, t, y, params: GpParams, memo: _GramMemo | None = None) -> float:
+    """log p(y | X, theta) = -1/2 y^T alpha - sum log L_ii - n/2 log 2 pi.
+
+    A search passes its memo, built from the already validated ``x`` and
+    ``t``; the training Gram then reuses the base Grams the memo holds and
+    has the same bits as without one.
+    """
+    if memo is None:
+        model = fit_gp(x, t, y, params)
+    elif x is memo.x and t is memo.t:
+        model = _condition(x, t, y, params, params.train_gram(memo))
+    else:
+        raise InputError("the Gram memo was built for other training points")
     yc = model.train_y - model.y_mean
     n = yc.size
     return float(
@@ -503,10 +582,11 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
     dim = x.shape[1]
     rng = np.random.default_rng(search.seed)
     theta0 = space.search_start(x, y - y.mean(), search.n_components)
+    memo = _GramMemo(x, t)
 
     def objective(theta: np.ndarray) -> float:
         try:
-            lml = log_marginal_likelihood(x, t, y, space.from_theta(theta, dim))
+            lml = log_marginal_likelihood(x, t, y, space.from_theta(theta, dim), memo)
         except (NumericalError, FloatingPointError):
             return -np.inf
         return lml - 0.5 * float(np.sum(((theta - theta0) / PRIOR_SD) ** 2))

@@ -134,6 +134,34 @@ class TestCausalEpigMu:
         assert score_one("causal_epig_mu", model, cand, targets) == pytest.approx(expected, abs=1e-9)
 
 
+    @pytest.mark.parametrize("n_c, m", [(1, 1), (5, 3), (300, 150), (40, 20000)])
+    def test_pool_scores_bitwise_equal_to_whole_matrix_expression(self, rng, n_c, m):
+        # the pre-blocking expression over all candidate rows at once, with
+        # degenerate targets and candidates at the variance floor; (300, 150)
+        # and (40, 20000) span several row blocks, the last one ragged
+        f0, f1 = rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)
+        f0[::4], f1[::8] = 0.0, 0.0
+        f01 = rng.uniform(-0.9, 0.9, m) * np.sqrt(f0 * f1)
+        y_var = rng.uniform(0.0, 2.0, n_c)
+        y_var[::6] = 0.0
+        cy0, cy1 = 0.3 * rng.normal(size=(n_c, m)), 0.3 * rng.normal(size=(n_c, m))
+        stub = StubModel(y_var=y_var, f0_var=f0, f1_var=f1, f01_cov=f01, cy0=cy0, cy1=cy1)
+
+        vy = y_var[:, None]
+        eps = 1e-12 * np.maximum(np.maximum(f0, f1), 1.0)
+        v0, v1 = f0 + eps, f1 + eps
+        det2 = np.maximum(v0 * v1 - f01**2, 1e-300)[None, :]
+        q = cy0**2 * v1[None, :] - 2.0 * cy0 * cy1 * f01[None, :] + cy1**2 * v0[None, :]
+        ratio = np.clip(q / np.maximum(det2 * vy, 1e-300), 0.0, 1.0 - 1e-15)
+        out = -0.5 * np.log1p(-ratio)
+        degenerate = ((f0 <= 1e-12) & (f1 <= 1e-12))[None, :]
+        out = np.where(degenerate | (vy <= 1e-12), 0.0, out)
+        expected = np.mean(np.maximum(out, 0.0), axis=1)
+
+        got = scores("causal_epig_mu", stub, np.zeros((n_c, 1)), np.zeros(n_c, dtype=int), np.zeros((m, 1)))
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestAdditiveVariant:
     def test_joint_minus_additive_is_the_surface_interaction_gap(self, rng):
         # exact decomposition: joint - additive = I(f0; f1 | y) - I(f0; f1);

@@ -372,20 +372,139 @@ class TestArmGrams:
         assert np.abs(bundle.cy1 - cov[:9, 18:]).max() < 1e-6
 
 
-def test_pool_mode_bundle_builds_each_base_kernel_once_per_point_set(rng, monkeypatch):
+@pytest.fixture
+def base_kernel_calls(monkeypatch):
+    """A list that grows by one per base kernel evaluated (``kernel_gram`` or
+    ``overlap_gram``), wherever ``gp`` or ``kernels`` looks it up."""
+    calls = []
+    for name in ("kernel_gram", "overlap_gram"):
+        original = getattr(kernels, name)
+
+        def counting(*args, original=original):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(gp, name, counting)
+        monkeypatch.setattr(kernels, name, counting)
+    return calls
+
+
+def test_pool_mode_bundle_builds_each_base_kernel_once_per_point_set(rng, base_kernel_calls):
     # two components, pool mode: one train x target and one target x target
     # base per component; a second Gram of either point pair would raise it
     model = fit_gp(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20),
                    two_component_cmgp(rng, 2, "matern52"))
     pool_x, pool_t = rng.normal(size=(15, 2)), rng.integers(0, 2, 15)
-    calls = []
-    original = kernels.kernel_gram
-
-    def counting_kernel_gram(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(gp, "kernel_gram", counting_kernel_gram)
-    monkeypatch.setattr(kernels, "kernel_gram", counting_kernel_gram)
+    base_kernel_calls.clear()
     model.moment_bundle(pool_x, pool_t, pool_x.copy())
-    assert len(calls) == 4
+    assert len(base_kernel_calls) == 4
+
+
+TRAIN_ARMS = {
+    "mixed": lambda rng, n: rng.integers(0, 2, n),
+    "all_control": lambda rng, n: np.zeros(n, dtype=int),
+    "all_treated": lambda rng, n: np.ones(n, dtype=int),
+    "pair": lambda rng, n: np.array([1, 0]),
+}
+
+
+class TestTrainGram:
+    @pytest.mark.parametrize("arms", sorted(TRAIN_ARMS))
+    @pytest.mark.parametrize("dim", [1, 5])
+    @pytest.mark.parametrize("family", ["rbf", "matern52"])
+    @pytest.mark.parametrize("kind", sorted(ARM_GRAM_PARAMS))
+    def test_bitwise_equal_to_gram(self, rng, kind, family, dim, arms):
+        params = ARM_GRAM_PARAMS[kind](rng, dim, family)
+        n = 2 if arms == "pair" else 23
+        x, t, _ = gp._as_training_arrays(rng.normal(size=(n, dim)), TRAIN_ARMS[arms](rng, n), np.zeros(n))
+        np.testing.assert_array_equal(params.train_gram(gp._GramMemo(x, t)), params.gram(x, t, x, t))
+
+    @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
+    def test_lml_with_a_memo_equals_lml_without(self, rng, kind, n_components, base_kernel_calls):
+        # the first lengthscale takes five values in turn, three steps each, so
+        # its first value is evicted before it comes back at step 15; the other
+        # steps move a coordinate that leaves every base as it is
+        dim = 2
+        x, t, y = gp._as_training_arrays(rng.normal(size=(30, dim)), rng.integers(0, 2, 30), rng.normal(size=30))
+        space = gp._SEARCH_SPACES[kind]
+        theta0 = space.search_start(x, y - y.mean(), n_components)
+        if kind == "nsgp":
+            others = np.array([2 * dim + 2, 2 * dim + 3])  # noise and rho
+        else:
+            others = np.setdiff1d(np.arange(theta0.size), space.lengthscale_coords(dim, n_components))
+        memo = gp._GramMemo(x, t)
+        built = []
+        for step in range(24):
+            theta = theta0.copy()
+            theta[0] += 0.3 * (step // 3 % 5)
+            theta[others[step % others.size]] += 0.1 * step
+            params = space.from_theta(theta, dim)
+            base_kernel_calls.clear()
+            with_memo = log_marginal_likelihood(x, t, y, params, memo)
+            built.append(len(base_kernel_calls))
+            assert with_memo == log_marginal_likelihood(x, t, y, params)
+            assert all(len(entries) <= gp.MEMO_ENTRIES for entries in memo._slots.values())
+        assert built[15] > 0 and built.count(0) >= 16
+
+    def test_memo_of_other_points_rejected(self, rng):
+        x, t, y = gp._as_training_arrays(rng.normal(size=(6, 1)), [0, 1] * 3, rng.normal(size=6))
+        with pytest.raises(InputError):
+            log_marginal_likelihood(x.copy(), t, y, simple_cmgp(), gp._GramMemo(x, t))
+
+
+def param_values(params):
+    """Every number a parameter set holds, flattened."""
+    if isinstance(params, NsgpParams):
+        kernel_configs, extra = (params.kernel0, params.kernel1), [params.cross_rho]
+    else:
+        kernel_configs = [k for k, _ in params.components]
+        extra = [b.task_covariance.ravel() for _, b in params.components]
+    return np.concatenate(
+        [np.concatenate([k.lengthscales, [k.signal_variance, k.noise_variance]]) for k in kernel_configs]
+        + [np.ravel(e) for e in extra]
+    )
+
+
+class TestSearchMemo:
+    @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
+    def test_search_equals_the_unmemoized_search(self, rng, monkeypatch, kind, n_components):
+        x = rng.normal(size=(40, 2))
+        t = rng.integers(0, 2, 40)
+        y = np.sin(x[:, 0]) + t * x[:, 1] + 0.3 * rng.normal(size=40)
+        search = SearchConfig(n_restarts=2, n_evals=60, seed=5, n_components=n_components)
+        sizes = []
+        base = gp._GramMemo.base
+
+        def bounded_base(memo, slot, *args):
+            gram = base(memo, slot, *args)
+            sizes.append(len(memo._slots[slot]))
+            return gram
+
+        monkeypatch.setattr(gp._GramMemo, "base", bounded_base)
+        memoized = optimize_hyperparams(x[:30], t[:30], y[:30], kind, search)
+        warm = optimize_hyperparams(x, t, y, kind, search, warm_params=memoized)
+        assert sizes and max(sizes) <= gp.MEMO_ENTRIES
+
+        original = gp.log_marginal_likelihood
+        monkeypatch.setattr(gp, "log_marginal_likelihood", lambda x, t, y, params, memo: original(x, t, y, params))
+        plain = optimize_hyperparams(x[:30], t[:30], y[:30], kind, search)
+        np.testing.assert_array_equal(param_values(memoized), param_values(plain))
+        plain_warm = optimize_hyperparams(x, t, y, kind, search, warm_params=plain)
+        np.testing.assert_array_equal(param_values(warm), param_values(plain_warm))
+
+    @pytest.mark.parametrize("kind, dim, n_components, expected", [("cmgp", 1, 2, 28), ("nsgp", 5, 1, 358)])
+    def test_search_base_kernel_count(self, kind, dim, n_components, expected, base_kernel_calls, monkeypatch):
+        # one search of 200 evaluations at n = 60 builds this many base kernels
+        # (arm blocks for nsgp), where evaluating every base of every trial
+        # builds 400 (cmgp, two components) and 600 (nsgp); a change that
+        # builds unchanged bases again fails here
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(60, dim))
+        t = rng.integers(0, 2, 60)
+        y = np.sin(x[:, 0]) + t * x[:, -1] + 0.3 * rng.normal(size=60)
+        evals = []
+        original = gp.log_marginal_likelihood
+        monkeypatch.setattr(gp, "log_marginal_likelihood", lambda *a: evals.append(1) or original(*a))
+        optimize_hyperparams(x, t, y, kind, SearchConfig(n_restarts=1, n_evals=200, seed=0, n_components=n_components))
+        assert len(evals) == 200
+        assert len(base_kernel_calls) == expected
