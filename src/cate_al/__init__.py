@@ -38,7 +38,7 @@ from .dgp import (
 )
 from .ensemble import EnsembleLinearModel, fit_ensemble
 from .errors import InputError, NumericalError
-from .evaluation import RunRecord, aggregate_runs, relative_improvement, sqrt_pehe
+from .evaluation import RunRecord, relative_improvement, sqrt_pehe, summarize_runs
 from .gp import (
     CmgpParams,
     NsgpParams,

@@ -24,6 +24,9 @@ from .beliefs import CateModel, JointGaussianBelief, VARIANCE_FLOOR
 from .errors import InputError, NumericalError
 
 DET_FLOOR = 1e-300
+PROPENSITY_RIDGE = 1e-3    # L2 penalty of the logistic propensity fit
+PROPENSITY_MAX_ITER = 100  # its damped-Newton steps
+PROPENSITY_TOL = 1e-8      # gradient norm that ends them
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ class PropensityModel:
     weights: np.ndarray
 
 
-def fit_propensity(x, t, ridge: float = 1e-3, max_iter: int = 100, tol: float = 1e-8) -> PropensityModel:
+def fit_propensity(x, t) -> PropensityModel:
     """Damped-Newton logistic fit of treatment on covariates."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float).reshape(-1)
@@ -204,15 +207,15 @@ def fit_propensity(x, t, ridge: float = 1e-3, max_iter: int = 100, tol: float = 
 
     def nll(wv):
         logits = z @ wv
-        return float(np.sum(np.logaddexp(0.0, logits) - t * logits) + 0.5 * ridge * wv @ wv)
+        return float(np.sum(np.logaddexp(0.0, logits) - t * logits) + 0.5 * PROPENSITY_RIDGE * wv @ wv)
 
     cur = nll(w)
-    for _ in range(max_iter):
+    for _ in range(PROPENSITY_MAX_ITER):
         p = 1.0 / (1.0 + np.exp(-(z @ w)))
-        grad = z.T @ (p - t) + ridge * w
-        if np.linalg.norm(grad) < tol:
+        grad = z.T @ (p - t) + PROPENSITY_RIDGE * w
+        if np.linalg.norm(grad) < PROPENSITY_TOL:
             return PropensityModel(weights=w)
-        h = z.T @ (z * (p * (1.0 - p))[:, None]) + ridge * np.eye(z.shape[1])
+        h = z.T @ (z * (p * (1.0 - p))[:, None]) + PROPENSITY_RIDGE * np.eye(z.shape[1])
         try:
             step = np.linalg.solve(h, grad)
         except np.linalg.LinAlgError as exc:
@@ -228,8 +231,8 @@ def fit_propensity(x, t, ridge: float = 1e-3, max_iter: int = 100, tol: float = 
         else:
             break
     p = 1.0 / (1.0 + np.exp(-(z @ w)))
-    grad = z.T @ (p - t) + ridge * w
-    if np.linalg.norm(grad) >= max(tol, 1e-5 * (1.0 + abs(cur))):
+    grad = z.T @ (p - t) + PROPENSITY_RIDGE * w
+    if np.linalg.norm(grad) >= max(PROPENSITY_TOL, 1e-5 * (1.0 + abs(cur))):
         raise NumericalError(f"propensity fit did not converge: |grad| = {np.linalg.norm(grad):.3g}")
     return PropensityModel(weights=w)
 

@@ -47,7 +47,7 @@ class LoopConfig:
             raise InputError("n_init and n_b must be >= 1")
         if self.n_budget < self.n_init:
             raise InputError("budget must be >= the warm-start size")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN too
             raise InputError("temperature must be >= 0")
         if self.estimator not in ESTIMATOR_NAMES:
             raise InputError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_NAMES}")

@@ -28,7 +28,7 @@ from .acquisition import AcquisitionMethod, METHOD_NAMES
 from .active_loop import ESTIMATOR_NAMES, LoopConfig, run_active_learning
 from .dgp import DATASET_NAMES, SplitSpec, dataset_info, generate_dataset, make_benchmark, rng_stream
 from .errors import InputError
-from .evaluation import RunRecord, StepEntry, aggregate_runs, count_failures, relative_improvement
+from .evaluation import RunRecord, StepEntry, summarize_runs
 
 OUT_ROOT_ENV = "CATE_AL_OUT_ROOT"
 
@@ -84,6 +84,19 @@ class ExperimentConfig:
                 return m
         raise InputError(f"method {name!r} is not part of this config")
 
+    def split_spec(self, seed: int) -> SplitSpec:
+        return SplitSpec(pool_size=self.pool_size, val_size=self.val_size,
+                         test_size=self.test_size, shift=self.shift, seed=seed)
+
+    def loop_config(self, estimator: str, method: AcquisitionMethod, seed: int,
+                    warm_start_seed: int | None = None) -> LoopConfig:
+        return LoopConfig(
+            n_init=self.n_init, n_b=self.batch_size, n_budget=self.budget,
+            temperature=self.temperature, refit_hyperparams=self.refit_hyperparams,
+            estimator=estimator, method=method, target_mode=self.target_mode,
+            seed=seed, warm_start_seed=warm_start_seed,
+        )
+
 
 def _reject_unknown(section: str, keys, valid) -> None:
     for key in keys:
@@ -102,12 +115,20 @@ def _parse_bool(raw: str, where: str) -> bool:
     raise InputError(f"{where}: expected a boolean, got {raw!r}")
 
 
+def _parse_number(raw, kind: type, where: str):
+    try:
+        return kind(raw)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise InputError(f"{where}: expected {expected}, got {raw!r}") from None
+
+
 def _parse_seeds(raw: str) -> tuple[int, ...]:
     raw = raw.strip()
     if ".." in raw:
-        lo, hi = raw.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(v) for v in raw.split(",") if v.strip())
+        lo, hi = (_parse_number(v, int, "[run] seeds") for v in raw.split("..", 1))
+        return tuple(range(lo, hi + 1))
+    return tuple(_parse_number(v, int, "[run] seeds") for v in raw.split(",") if v.strip())
 
 
 def _parse_list(raw: str) -> tuple[str, ...]:
@@ -140,23 +161,21 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     shift = _parse_bool(ds.get("shift", "false"), "[dataset] shift")
     if shift and not info.shift_variant:
         raise InputError(f"dataset {name!r} has no shift variant")
-    pool_size = int(ds.get("pool_size", info.pool_size))
-    val_size = int(ds.get("val_size", info.val_size))
-    test_size = int(ds.get("test_size", info.test_size))
+    pool_size = _parse_number(ds.get("pool_size", info.pool_size), int, "[dataset] pool_size")
+    val_size = _parse_number(ds.get("val_size", info.val_size), int, "[dataset] val_size")
+    test_size = _parse_number(ds.get("test_size", info.test_size), int, "[dataset] test_size")
     covariates_csv = ds.get("covariates_csv", "").strip() or None
     if info.needs_covariates and covariates_csv is None:
         raise InputError(f"dataset {name!r} requires [dataset] covariates_csv")
 
     loop = dict(parser.items("loop")) if parser.has_section("loop") else {}
     _reject_unknown("loop", loop, _LOOP_KEYS)
-    n_init = int(loop.get("n_init", 50))
-    batch_size = int(loop.get("batch_size", 20))
-    budget = int(loop.get("budget", info.budget))
-    temperature = float(loop.get("temperature", 0.0))
+    n_init = _parse_number(loop.get("n_init", 50), int, "[loop] n_init")
+    batch_size = _parse_number(loop.get("batch_size", 20), int, "[loop] batch_size")
+    budget = _parse_number(loop.get("budget", info.budget), int, "[loop] budget")
+    temperature = _parse_number(loop.get("temperature", 0.0), float, "[loop] temperature")
     refit = _parse_bool(loop.get("refit_hyperparams", "true"), "[loop] refit_hyperparams")
     target_mode = loop.get("target_mode", "").strip() or ("test" if shift else "pool")
-    if target_mode not in ("pool", "test"):
-        raise InputError(f"[loop] target_mode must be 'pool' or 'test', got {target_mode!r}")
 
     run = dict(parser.items("run")) if parser.has_section("run") else {}
     _reject_unknown("run", run, _RUN_KEYS)
@@ -182,7 +201,7 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             items = dict(parser.items(msec))
             _reject_unknown(msec, items, _METHOD_KEYS)
             for key, raw in items.items():
-                extra[key] = int(raw)
+                extra[key] = _parse_number(raw, int, f"[{msec}] {key}")
         methods.append(AcquisitionMethod(mname, **extra))
 
     seeds = _parse_seeds(run.get("seeds", "0..9"))
@@ -192,10 +211,10 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     root = os.environ.get(OUT_ROOT_ENV, "")
     if root and not os.path.isabs(out_dir):
         out_dir = os.path.join(root, out_dir)
-    jobs = int(run.get("jobs", 1))
-    master_seed = int(run.get("master_seed", 0))
+    jobs = _parse_number(run.get("jobs", 1), int, "[run] jobs")
+    master_seed = _parse_number(run.get("master_seed", 0), int, "[run] master_seed")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         dataset=name, shift=shift, pool_size=pool_size, val_size=val_size,
         test_size=test_size, covariates_csv=covariates_csv, n_init=n_init,
         batch_size=batch_size, budget=budget, temperature=temperature,
@@ -203,6 +222,10 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         estimators=tuple(estimators), methods=tuple(methods), seeds=seeds,
         out_dir=out_dir, jobs=jobs, master_seed=master_seed,
     )
+    # the settings every cell would reject fail here, by the cells' own checks
+    config.split_spec(seed=0)
+    config.loop_config(estimators[0], methods[0], seed=0)
+    return config
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -253,13 +276,9 @@ def cell_id(dataset: str, variant: str, estimator: str, method: str, seed: int) 
 
 
 def _benchmark_for(config: ExperimentConfig, seed: int):
-    spec = SplitSpec(
-        pool_size=config.pool_size, val_size=config.val_size,
-        test_size=config.test_size, shift=config.shift, seed=seed,
-    )
     return make_benchmark(
-        config.dataset, config.shift, spec, seed=config.master_seed * 1000003 + seed,
-        covariates_csv=config.covariates_csv,
+        config.dataset, config.shift, config.split_spec(seed),
+        seed=config.master_seed * 1000003 + seed, covariates_csv=config.covariates_csv,
     )
 
 
@@ -270,12 +289,7 @@ def run_cell(config: ExperimentConfig, estimator: str, method_name: str, seed: i
     data_key = (config.master_seed, config.dataset, config.variant, seed)
     warm_seed = int(rng_stream(0, *data_key, "warm").integers(2**31))
     loop_rng = rng_stream(0, *data_key, estimator, method_name, "loop")
-    loop_config = LoopConfig(
-        n_init=config.n_init, n_b=config.batch_size, n_budget=config.budget,
-        temperature=config.temperature, refit_hyperparams=config.refit_hyperparams,
-        estimator=estimator, method=method, target_mode=config.target_mode,
-        seed=seed, warm_start_seed=warm_seed,
-    )
+    loop_config = config.loop_config(estimator, method, seed, warm_seed)
     record = run_active_learning(loop_config, bench.pool, bench.test, loop_rng)
     record.dataset = config.dataset
     record.variant = config.variant
@@ -440,59 +454,27 @@ def _read_results(results_path: str):
     return list(records.values())
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None or (isinstance(v, float) and np.isnan(v)) else f"{v:.12g}"
+def _fmt(v) -> str:
+    """One summary field: text as is, integers exactly, floats to 12
+    significant digits, and an absent or NaN value as an empty cell."""
+    if isinstance(v, str):
+        return v
+    if v is None or (isinstance(v, float) and np.isnan(v)):
+        return ""
+    return str(v) if isinstance(v, int) else f"{v:.12g}"
 
 
 def emit_summary(results_path: str, out_path: str | None = None) -> str:
     """Aggregate curves plus relative improvement over the random baseline.
 
-    Long-format rows, one per metric; undefined improvements (random curve at
-    exactly 0) are left as empty cells. Written atomically.
+    Long-format rows, one per metric, as :func:`summarize_runs` yields them;
+    undefined improvements (random curve at exactly 0) are left as empty
+    cells. Written atomically.
     """
-    records = _read_results(results_path)
-    rows = aggregate_runs(records)
-    failures = count_failures(records)
-
-    # cell -> seed -> step -> entry, over the runs that did not fail
-    runs: dict[tuple, dict[int, dict[int, StepEntry]]] = {}
-    for rec in records:
-        if not rec.failed:
-            cell = (rec.dataset, rec.variant, rec.estimator, rec.method)
-            runs.setdefault(cell, {})[rec.seed] = {e.step: e for e in rec.entries}
-    means = {(row.dataset, row.variant, row.estimator, row.method, row.step): row for row in rows}
-
-    out_lines: list[list[str]] = []
-    for row in rows:
-        base = [row.dataset, row.variant, row.estimator, row.method, str(row.step), str(row.n_labeled)]
-        out_lines.append(base + ["sqrt_pehe_pool", _fmt(row.mean_pool), _fmt(row.sd_pool), str(row.count)])
-        out_lines.append(base + ["sqrt_pehe_test", _fmt(row.mean_test), _fmt(row.sd_test), str(row.count)])
-        out_lines.append(base + ["acq_seconds", _fmt(row.mean_seconds), "", str(row.count)])
-
-        rand_cell = (row.dataset, row.variant, row.estimator, "random")
-        rand_row = means.get(rand_cell + (row.step,))
-        for metric, attr in (("rel_impr_pool_meancurve", "mean_pool"), ("rel_impr_test_meancurve", "mean_test")):
-            value = None if rand_row is None else relative_improvement(
-                [getattr(row, attr)], [getattr(rand_row, attr)])[0]
-            out_lines.append(base + [metric, _fmt(value), "", str(row.count)])
-
-        # per-seed improvements, paired on seed and reduced in seed order
-        mine = runs[(row.dataset, row.variant, row.estimator, row.method)]
-        theirs = runs.get(rand_cell, {})
-        seeds = sorted(s for s in mine if row.step in theirs.get(s, {}))
-        for metric, attr in (("rel_impr_pool_perseed", "sqrt_pehe_pool"), ("rel_impr_test_perseed", "sqrt_pehe_test")):
-            rand = np.array([getattr(theirs[s][row.step], attr) for s in seeds])
-            impr = relative_improvement([getattr(mine[s][row.step], attr) for s in seeds], rand)[rand != 0.0]
-            mean = _fmt(float(np.mean(impr))) if impr.size else ""
-            out_lines.append(base + [metric, mean, "", str(impr.size)])
-
-    for (dataset, variant, estimator, method), n_failed in sorted(failures.items()):
-        out_lines.append([dataset, variant, estimator, method, "", "", "failed_runs", str(n_failed), "", ""])
-
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SUMMARY_HEADER)
-    writer.writerows(out_lines)
+    writer.writerows([_fmt(v) for v in line] for line in summarize_runs(_read_results(results_path)))
     out_path = out_path or os.path.join(os.path.dirname(os.path.abspath(results_path)), "summary.csv")
     _atomic_write(out_path, buf.getvalue())
     return out_path

@@ -1,4 +1,4 @@
-"""Root-PEHE metrics and cross-seed aggregation.
+"""Root-PEHE metrics and cross-seed summaries.
 
 Ground truth is read here and nowhere else in the pipeline: the acquisition
 loop hands datasets to :func:`model_sqrt_pehe` and never inspects
@@ -79,71 +79,70 @@ def relative_improvement(method_curve, random_curve) -> np.ndarray:
     return out
 
 
-@dataclass
-class SummaryRow:
-    """Aggregate of one (method, estimator, dataset, variant, step) cell."""
-
-    dataset: str
-    variant: str
-    estimator: str
-    method: str
-    step: int
-    n_labeled: int
-    mean_pool: float
-    sd_pool: float
-    mean_test: float
-    sd_test: float
-    mean_seconds: float
-    count: int
+_PEHES = {"sqrt_pehe_pool": "pool", "sqrt_pehe_test": "test"}  # metric -> improvement label
 
 
-def aggregate_runs(records) -> list[SummaryRow]:
-    """Cross-seed mean and sd per step; failed runs are excluded and counted.
+def summarize_runs(records):
+    """Every summary line of a set of runs, from one grouping of them by cell.
 
-    Raises if surviving runs of the same cell disagree on their step grid.
-    Returns rows sorted by (dataset, variant, estimator, method, step).
+    Yields ``(dataset, variant, estimator, method, step, n_labeled, metric,
+    mean, sd, count)``, with ``None`` where a field does not apply. Per cell
+    and step: the mean and sd of both root PEHEs, the mean acquisition
+    seconds, and the mean-curve and seed-paired relative improvements over
+    the same estimator's random cell; then one ``failed_runs`` line per cell
+    with failed runs, which every other line excludes. Each reduction runs
+    over one contiguous array in seed order, so record order does not matter.
+    Raises if the surviving runs of a cell disagree on their step grid.
     """
     groups: dict[tuple, list[RunRecord]] = {}
+    failures: dict[tuple, int] = {}
     for rec in records:
+        cell = (rec.dataset, rec.variant, rec.estimator, rec.method)
         if rec.failed:
-            continue
-        rec.validate()
-        groups.setdefault((rec.dataset, rec.variant, rec.estimator, rec.method), []).append(rec)
+            failures[cell] = failures.get(cell, 0) + 1
+        else:
+            rec.validate()
+            groups.setdefault(cell, []).append(rec)
 
-    rows = []
-    for (dataset, variant, estimator, method), recs in sorted(groups.items()):
-        recs.sort(key=lambda r: r.seed)  # permutation-insensitive reductions
+    # cell -> (seeds, step grid, metric -> steps x seeds values)
+    table = {}
+    for cell, recs in groups.items():
+        recs.sort(key=lambda r: r.seed)
         grids = {tuple((e.step, e.n_labeled) for e in r.entries) for r in recs}
         if len(grids) != 1:
-            raise InputError(
-                f"inconsistent step grids for {dataset}/{variant}/{estimator}/{method}"
-            )
+            raise InputError(f"inconsistent step grids for {'/'.join(cell)}")
         grid = grids.pop()
+        values = {attr: np.array([[getattr(r.entries[k], attr) for r in recs] for k in range(len(grid))])
+                  for attr in (*_PEHES, "acq_seconds")}
+        table[cell] = ([r.seed for r in recs], grid, values)
+
+    for cell in sorted(table):
+        seeds, grid, values = table[cell]
+        rand_seeds, rand_grid, rand_values = table.get(cell[:3] + ("random",), ((), (), {}))
+        rand_row = {step: k for k, (step, _) in enumerate(rand_grid)}
+        paired = {s: i for i, s in enumerate(rand_seeds)}
+        mine = np.array([i for i, s in enumerate(seeds) if s in paired], dtype=np.intp)
+        theirs = np.array([paired[s] for s in seeds if s in paired], dtype=np.intp)
+        count = len(seeds)
         for k, (step, n_labeled) in enumerate(grid):
-            pool = np.array([r.entries[k].sqrt_pehe_pool for r in recs])
-            test = np.array([r.entries[k].sqrt_pehe_test for r in recs])
-            secs = np.array([r.entries[k].acq_seconds for r in recs])
-            count = len(recs)
-            rows.append(
-                SummaryRow(
-                    dataset=dataset, variant=variant, estimator=estimator, method=method,
-                    step=step, n_labeled=n_labeled,
-                    mean_pool=float(pool.mean()),
-                    sd_pool=float(pool.std(ddof=1)) if count > 1 else 0.0,
-                    mean_test=float(test.mean()),
-                    sd_test=float(test.std(ddof=1)) if count > 1 else 0.0,
-                    mean_seconds=float(secs.mean()),
-                    count=count,
-                )
-            )
-    return rows
+            head = (*cell, step, n_labeled)
+            means = {attr: float(v[k].mean()) for attr, v in values.items()}
+            for attr in _PEHES:
+                sd = float(values[attr][k].std(ddof=1)) if count > 1 else 0.0
+                yield (*head, attr, means[attr], sd, count)
+            yield (*head, "acq_seconds", means["acq_seconds"], None, count)
+            r = rand_row.get(step)
+            for attr, label in _PEHES.items():
+                value = None if r is None else relative_improvement(
+                    [means[attr]], [rand_values[attr][r].mean()])[0]
+                yield (*head, f"rel_impr_{label}_meancurve", value, None, count)
+            for attr, label in _PEHES.items():
+                impr = np.empty(0)
+                if r is not None:
+                    base = rand_values[attr][r, theirs]
+                    impr = relative_improvement(values[attr][k, mine], base)[base != 0.0]
+                mean = float(np.mean(impr)) if impr.size else None
+                yield (*head, f"rel_impr_{label}_perseed", mean, None, impr.size)
 
-
-def count_failures(records) -> dict[tuple, int]:
-    """Failed-run tally per (dataset, variant, estimator, method)."""
-    out: dict[tuple, int] = {}
-    for rec in records:
-        if rec.failed:
-            key = (rec.dataset, rec.variant, rec.estimator, rec.method)
-            out[key] = out.get(key, 0) + 1
-    return out
+    for cell, n_failed in sorted(failures.items()):
+        yield (*cell, None, None, "failed_runs", n_failed, None, None)

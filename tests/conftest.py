@@ -17,7 +17,7 @@ def brute_force_conditioning(params, train_x, train_t, train_y, query_x, query_t
     query_x = np.atleast_2d(query_x)
     if isinstance(params, CmgpParams):
         def gram(xa, ta, xb, tb):
-            return cmgp_gram(xa, ta, xb, tb, params.kernel, params.coreg)
+            return sum(cmgp_gram(xa, ta, xb, tb, k, b) for k, b in params.components)
     else:
         def gram(xa, ta, xb, tb):
             return nsgp_gram(xa, ta, xb, tb, params.kernel0, params.kernel1, params.cross_rho)
@@ -47,6 +47,11 @@ def random_cmgp_params(rng, dim=1, family="rbf"):
     )
 
 
+def two_component_cmgp(rng, dim=1, family="rbf"):
+    first, second = random_cmgp_params(rng, dim, family), random_cmgp_params(rng, dim, family)
+    return CmgpParams(kernel=first.kernel, coreg=first.coreg, kernel2=second.kernel, coreg2=second.coreg)
+
+
 def random_nsgp_params(rng, dim=1, family="matern52"):
     noise = rng.uniform(0.05, 0.8)
     return NsgpParams(
@@ -58,7 +63,12 @@ def random_nsgp_params(rng, dim=1, family="matern52"):
     )
 
 
+RANDOM_PARAMS = {"cmgp": random_cmgp_params, "cmgp2": two_component_cmgp, "nsgp": random_nsgp_params}
+
+
 def random_fitted_gp(rng, n=8, dim=1, kind="cmgp"):
+    """A GP of the given kind ("cmgp2" is the two-component cmgp the loop
+    fits) on n random points, with random parameters."""
     x = rng.normal(size=(n, dim))
     t = rng.integers(0, 2, n)
     if not (t == 0).any():
@@ -66,8 +76,7 @@ def random_fitted_gp(rng, n=8, dim=1, kind="cmgp"):
     if not (t == 1).any():
         t[-1] = 1
     y = rng.normal(size=n)
-    params = random_cmgp_params(rng, dim) if kind == "cmgp" else random_nsgp_params(rng, dim)
-    return fit_gp(x, t, y, params)
+    return fit_gp(x, t, y, RANDOM_PARAMS[kind](rng, dim))
 
 
 class StubModel(CateModel):

@@ -254,6 +254,8 @@ class TestRunLoop:
             fast_config(estimator="forest")
         with pytest.raises(InputError):
             fast_config(temperature=-1.0)
+        with pytest.raises(InputError):
+            fast_config(temperature=float("nan"))
 
 
 class TestStateValidation:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -68,6 +69,45 @@ def write_rows(path, rows):
     return str(path)
 
 
+def messy_results(path):
+    """A deterministic results.csv with every case the summary must handle:
+    two datasets/variants, several estimators and methods, ten seeds in some
+    cells, failed runs (with and without rows, and a cell whose every run
+    failed), a killed attempt followed by its rerun, exact-zero random values
+    (one random step at 0 for every seed), a method seed with no random run,
+    and shuffled cell blocks."""
+    rng = np.random.default_rng(20251)
+    cells = [("causalbald", "standard", 6, 10), ("hahn_linear", "shift", 4, 3)]
+    blocks = []
+    for dataset, variant, steps, n_seeds in cells:
+        for est in ("cmgp", "ensemble"):
+            for method in ("random", "causal_epig_tau", "mu_bald"):
+                for seed in range(n_seeds):
+                    if method == "random" and seed == 1 and dataset == "causalbald":
+                        continue  # the method cells' seed 1 has no random run
+                    failed = ((est, method, seed) in (("cmgp", "mu_bald", 2), ("ensemble", "random", 0))
+                              or (dataset, est, method) == ("hahn_linear", "cmgp", "causal_epig_tau"))
+                    if failed and dataset == "hahn_linear":
+                        blocks.append([[dataset, variant, est, method, str(seed), "0", "0",
+                                        "nan", "nan", "0", "failed"]])
+                        continue
+                    block = []
+                    for step in range(steps):
+                        pool, test = rng.uniform(0.05, 3.0, size=2)
+                        if method == "random" and (
+                                (dataset, seed, step) == ("causalbald", 2, 3)
+                                or (dataset, est, step) == ("hahn_linear", "ensemble", 0)):
+                            pool, test = 0.0, 0.0
+                        block.append([dataset, variant, est, method, str(seed), str(step),
+                                      str(10 + 7 * step), f"{pool:.12g}", f"{test:.12g}",
+                                      f"{rng.uniform(0, 0.2):.6g}", "failed" if failed else "ok"])
+                    blocks.append(block)
+    rows = [r for i in rng.permutation(len(blocks)) for r in blocks[i]]
+    killed = [["causalbald", "standard", "ensemble", "causal_epig_tau", "4", str(step), str(10 + 7 * step),
+               "9.5", "9.5", "0.5", "ok"] for step in range(3)]
+    return write_rows(path, [RESULTS_HEADER] + killed + rows)
+
+
 def covariate_csv(path, schema, n=60, seed=0):
     """A covariate file in the named schema: standard-normal continuous
     columns, fair-coin binary columns and treatment."""
@@ -80,6 +120,27 @@ def covariate_csv(path, schema, n=60, seed=0):
             for c in spec["columns"]
         ])
     return write_rows(path, rows)
+
+
+# config text after "[dataset] name = causalbald", by the key it gets wrong
+MALFORMED_NUMBERS = {
+    "pool_size": "pool_size = 1e3\n",
+    "budget": "\n[loop]\nbudget = lots\n",
+    "temperature": "\n[loop]\ntemperature = warm\n",
+    "seeds": "\n[run]\nseeds = x..3\n",
+    "jobs": "\n[run]\njobs = 2.5\n",
+    "sundin_samples": "\n[run]\nmethods = sundin\n\n[method:sundin]\nsundin_samples = many\n",
+}
+
+# settings that every cell would reject, and the rejecting check's message
+REJECTED_SETTINGS = {
+    "n_init_above_budget": ("\n[loop]\nn_init = 50\nbudget = 20\n", "budget must be >= the warm-start size"),
+    "zero_batch": ("\n[loop]\nbatch_size = 0\n", "n_b must be >= 1"),
+    "negative_temperature": ("\n[loop]\ntemperature = -0.5\n", "temperature must be >= 0"),
+    "nan_temperature": ("\n[loop]\ntemperature = nan\n", "temperature must be >= 0"),
+    "unknown_target_mode": ("\n[loop]\ntarget_mode = both\n", "target_mode must be one of"),
+    "empty_pool": ("pool_size = 0\n", "pool and test sizes must be > 0"),
+}
 
 
 class TestParseConfig:
@@ -133,6 +194,22 @@ class TestParseConfig:
             parse_config(path)
         assert main(["run", str(path)]) == 2
         assert "no shift variant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", sorted(MALFORMED_NUMBERS))
+    def test_malformed_number_exits_with_status_two(self, tmp_path, capsys, key):
+        path = tmp_path / "bad.ini"
+        path.write_text("[dataset]\nname = causalbald\n" + MALFORMED_NUMBERS[key])
+        assert main(["run", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_SETTINGS))
+    def test_settings_every_cell_rejects_fail_at_parse_time(self, tmp_path, capsys, case):
+        text, message = REJECTED_SETTINGS[case]
+        path = tmp_path / "bad.ini"
+        path.write_text("[dataset]\nname = causalbald\n" + text + f"\n[run]\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_range_syntax(self, tmp_path):
         path = tmp_path / "r.ini"
@@ -283,6 +360,9 @@ class TestRunMatrix:
         assert fresh == old
 
 
+MESSY_SUMMARY_SHA256 = "1de652940cece73e5e4f49aba13080d50dfa005a85d919795ef69c0fe868feaa"
+
+
 class TestSummaries:
     def test_empty_results_give_header_only(self, tmp_path):
         results = tmp_path / "results.csv"
@@ -381,6 +461,12 @@ class TestSummaries:
         assert summary[("z", "m", "rel_impr_pool_meancurve")] == ["", "", "2"]
         assert summary[("z", "m", "rel_impr_test_meancurve")] == ["", "", "2"]
         assert summary[("z", "m", "rel_impr_pool_perseed")] == ["", "", "0"]
+
+    def test_summary_bytes_are_pinned(self, tmp_path):
+        # any change to a summary value's last bit, the line order or the
+        # formatting changes this hash
+        out = emit_summary(messy_results(tmp_path / "results.csv"))
+        assert hashlib.sha256(open(out, "rb").read()).hexdigest() == MESSY_SUMMARY_SHA256
 
     def test_malformed_results_diagnosed_with_row(self, tmp_path):
         results = tmp_path / "results.csv"

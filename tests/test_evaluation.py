@@ -7,10 +7,9 @@ from cate_al.errors import InputError
 from cate_al.evaluation import (
     RunRecord,
     StepEntry,
-    aggregate_runs,
-    count_failures,
     relative_improvement,
     sqrt_pehe,
+    summarize_runs,
 )
 
 
@@ -72,37 +71,42 @@ def record(method="m", seed=0, pools=(1.0, 0.5), failed=False, dataset="d", esti
                      seed=seed, entries=entries, failed=failed)
 
 
+def pool_lines(records):
+    """The sqrt_pehe_pool lines of a summary, as (step, mean, sd, count)."""
+    return [(line[4], *line[7:]) for line in summarize_runs(records) if line[6] == "sqrt_pehe_pool"]
+
+
 class TestAggregation:
     def test_single_run_reports_zero_sd_with_unit_count(self):
-        rows = aggregate_runs([record()])
-        assert all(r.sd_pool == 0.0 and r.count == 1 for r in rows)
+        lines = pool_lines([record()])
+        assert len(lines) == 2
+        assert all(sd == 0.0 and count == 1 for _, _, sd, count in lines)
 
     def test_two_run_mean_and_sd(self):
-        rows = aggregate_runs([record(seed=0, pools=(1.0,)), record(seed=1, pools=(3.0,))])
-        assert rows[0].mean_pool == pytest.approx(2.0)
-        assert rows[0].sd_pool == pytest.approx(np.sqrt(2.0))
-        assert rows[0].count == 2
+        (line,) = pool_lines([record(seed=0, pools=(1.0,)), record(seed=1, pools=(3.0,))])
+        assert line[1] == pytest.approx(2.0)
+        assert line[2] == pytest.approx(np.sqrt(2.0))
+        assert line[3] == 2
 
     def test_order_insensitive(self):
-        recs = [record(seed=s, pools=(1.0 + s, 0.5)) for s in range(4)]
-        a = aggregate_runs(recs)
-        b = aggregate_runs(recs[::-1])
-        assert a == b
+        recs = [record(method=m, seed=s, pools=(1.0 + s + (m == "random"), 0.5))
+                for m in ("m", "random") for s in range(4)]
+        assert list(summarize_runs(recs)) == list(summarize_runs(recs[::-1]))
 
     def test_failed_runs_excluded_and_counted(self):
-        rows = aggregate_runs([record(seed=0), record(seed=1, failed=True)])
-        assert all(r.count == 1 for r in rows)
-        failures = count_failures([record(seed=1, failed=True)])
-        assert failures[("d", "standard", "e", "m")] == 1
+        recs = [record(seed=0), record(seed=1, failed=True)]
+        assert all(count == 1 for *_, count in pool_lines(recs))
+        failed_line = ("d", "standard", "e", "m", None, None, "failed_runs", 1, None, None)
+        assert list(summarize_runs(recs))[-1] == failed_line
 
     def test_inconsistent_grids_rejected(self):
         bad = record(seed=1)
         bad.entries[1].n_labeled = 999
         with pytest.raises(InputError):
-            aggregate_runs([record(seed=0), bad])
+            list(summarize_runs([record(seed=0), bad]))
 
     def test_strictly_increasing_label_counts_enforced(self):
         rec = record()
         rec.entries[1].n_labeled = rec.entries[0].n_labeled
         with pytest.raises(InputError):
-            aggregate_runs([rec])
+            list(summarize_runs([rec]))

@@ -15,7 +15,13 @@ from cate_al.gp import (
 )
 from cate_al.kernels import CoregionalizationConfig, KernelConfig, nsgp_gram
 
-from conftest import brute_force_conditioning, random_cmgp_params, random_fitted_gp, random_nsgp_params
+from conftest import (
+    brute_force_conditioning,
+    random_cmgp_params,
+    random_fitted_gp,
+    random_nsgp_params,
+    two_component_cmgp,
+)
 
 
 def simple_cmgp(noise=0.3, ls=0.8, b=None):
@@ -104,7 +110,7 @@ class TestJointBelief:
         # y carries the observation noise on top of the latent variance
         assert cov[0, 0] == pytest.approx(cov[2, 2] + model.noise_variance, abs=1e-10)
 
-    @pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
+    @pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
     def test_full_covariance_matches_naive_conditioning(self, rng, kind):
         for _ in range(10):
             model = random_fitted_gp(rng, n=7, kind=kind)
@@ -308,11 +314,6 @@ def test_tau_draws_are_normal_draws_at_the_contrast_moments(rng, kind):
         np.testing.assert_array_equal(model.tau_draws(x, 6, np.random.default_rng(4)), expected)
 
 
-def two_component_cmgp(rng, dim, family):
-    first, second = random_cmgp_params(rng, dim, family), random_cmgp_params(rng, dim, family)
-    return CmgpParams(kernel=first.kernel, coreg=first.coreg, kernel2=second.kernel, coreg2=second.coreg)
-
-
 ARM_GRAM_PARAMS = {
     "cmgp": random_cmgp_params,
     "cmgp2": two_component_cmgp,
@@ -341,7 +342,7 @@ class TestArmGrams:
         with pytest.raises(InputError):
             params.arm_grams(np.zeros((2, 1)), [0, 2], np.zeros((3, 1)))
 
-    @pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
+    @pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
     def test_pool_mode_bundle_equals_explicit_build(self, rng, kind):
         d = 2
         model = random_fitted_gp(rng, n=12, dim=d, kind=kind)
