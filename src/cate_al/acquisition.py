@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .beliefs import CateModel, JointGaussianBelief, VARIANCE_FLOOR
 from .errors import InputError, NumericalError
@@ -457,7 +457,7 @@ def sign_ambiguity_score(tau_draws: np.ndarray) -> np.ndarray:
     if draws.shape[1] < 2:
         raise InputError("need at least 2 contrast draws")
     sd = draws.std(axis=1, keepdims=True)
-    gamma = norm.cdf(-np.abs(draws) / np.where(sd > 0.0, sd, 1.0))
+    gamma = ndtr(-np.abs(draws) / np.where(sd > 0.0, sd, 1.0))
     gap = bernoulli_entropy(gamma.mean(axis=1)) - bernoulli_entropy(gamma).mean(axis=1)
     return np.where(sd[:, 0] > 0.0, np.maximum(gap, 0.0), 0.0)
 

@@ -53,6 +53,10 @@ class LoopConfig:
             raise InputError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_NAMES}")
         if self.target_mode not in TARGET_MODES:
             raise InputError(f"target_mode must be one of {TARGET_MODES}")
+        self.search_config()  # search settings every GP fit would reject fail here
+
+    def search_config(self) -> SearchConfig:
+        return SearchConfig(n_restarts=self.search_restarts, n_evals=self.search_evals, n_components=CMGP_COMPONENTS)
 
 
 class LabelOracle:
@@ -132,16 +136,12 @@ def select_batch(scores, n_b: int, temperature: float, rng) -> list[int]:
     return picked
 
 
-def _fit_estimator(config: LoopConfig, x, t, y, params, search_seed: int):
+def _fit_estimator(config: LoopConfig, x, t, y, params, fit_seed: int):
     """Refit the configured estimator; returns (model, params carried forward)."""
     if config.estimator == "ensemble":
-        return fit_ensemble(x, t, y, rng=search_seed), None
+        return fit_ensemble(x, t, y, rng=fit_seed), None
     if params is None or config.refit_hyperparams:
-        search = SearchConfig(
-            n_restarts=config.search_restarts, n_evals=config.search_evals, seed=search_seed,
-            n_components=CMGP_COMPONENTS,
-        )
-        params = optimize_hyperparams(x, t, y, config.estimator, search, warm_params=params)
+        params = optimize_hyperparams(x, t, y, config.estimator, config.search_config(), warm_params=params)
     return fit_gp(x, t, y, params), params
 
 
@@ -170,9 +170,9 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         else rng
     )
     state = warm_start(range(n_pool), config.n_init, oracle, warm_rng, config.target_mode)
-    # hyperparameter-search seeds come from the warm-start stream so paired
-    # runs that share a warm start also share the step-0 model exactly
-    search_rng = np.random.default_rng(
+    # ensemble fit seeds come from the warm-start stream so paired runs that
+    # share a warm start also share the step-0 model exactly
+    fit_rng = np.random.default_rng(
         config.warm_start_seed if config.warm_start_seed is not None else config.seed
     )
 
@@ -183,7 +183,7 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         try:
             model, params = _fit_estimator(
                 config, pool_x[state.labeled], pool_t[state.labeled], np.array(state.labeled_y),
-                params, search_seed=int(search_rng.integers(2**31)),
+                params, fit_seed=int(fit_rng.integers(2**31)),
             )
         except (NumericalError, InputError) as exc:
             stage = f"round {step}" if step else "warm-start"

@@ -85,8 +85,7 @@ class ExperimentConfig:
         raise InputError(f"method {name!r} is not part of this config")
 
     def split_spec(self, seed: int) -> SplitSpec:
-        return SplitSpec(pool_size=self.pool_size, val_size=self.val_size,
-                         test_size=self.test_size, shift=self.shift, seed=seed)
+        return SplitSpec(pool_size=self.pool_size, val_size=self.val_size, test_size=self.test_size, seed=seed)
 
     def loop_config(self, estimator: str, method: AcquisitionMethod, seed: int,
                     warm_start_seed: int | None = None) -> LoopConfig:
@@ -98,12 +97,22 @@ class ExperimentConfig:
         )
 
 
+def _did_you_mean(word: str, choices, form: str = "{!r}") -> str:
+    hint = difflib.get_close_matches(word, list(choices), n=1)
+    return f"; did you mean {form.format(hint[0])}?" if hint else ""
+
+
 def _reject_unknown(section: str, keys, valid) -> None:
     for key in keys:
         if key not in valid:
-            hint = difflib.get_close_matches(key, valid, n=1)
-            suffix = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise InputError(f"unknown key {key!r} in section [{section}]{suffix}")
+            raise InputError(f"unknown key {key!r} in section [{section}]{_did_you_mean(key, valid)}")
+
+
+def _reject_repeats(where: str, values) -> None:
+    """A repeated estimator, method or seed would run its cells twice."""
+    for v in values:
+        if values.count(v) > 1:
+            raise InputError(f"{where} lists {v!r} twice")
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -148,9 +157,8 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     for section in parser.sections():
         if section in known_sections or section.startswith("method:"):
             continue
-        hint = difflib.get_close_matches(section, sorted(known_sections), n=1)
-        suffix = f"; did you mean [{hint[0]}]?" if hint else ""
-        raise InputError(f"unknown section [{section}]{suffix}")
+        hint = _did_you_mean(section, sorted(known_sections), "[{}]")
+        raise InputError(f"unknown section [{section}]{hint}")
 
     ds = dict(parser.items("dataset")) if parser.has_section("dataset") else {}
     _reject_unknown("dataset", ds, _DATASET_KEYS)
@@ -182,19 +190,17 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     estimators = _parse_list(run.get("estimators", "cmgp"))
     for est in estimators:
         if est not in ESTIMATOR_NAMES:
-            hint = difflib.get_close_matches(est, ESTIMATOR_NAMES, n=1)
-            suffix = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise InputError(f"unknown estimator {est!r}{suffix}")
+            raise InputError(f"unknown estimator {est!r}{_did_you_mean(est, ESTIMATOR_NAMES)}")
     method_names = _parse_list(run.get("methods", "random"))
     if not estimators or not method_names:
         raise InputError("estimators and methods must be non-empty")
+    _reject_repeats("[run] estimators", estimators)
+    _reject_repeats("[run] methods", method_names)
 
     methods = []
     for mname in method_names:
         if mname not in METHOD_NAMES:
-            hint = difflib.get_close_matches(mname, METHOD_NAMES, n=1)
-            suffix = f"; did you mean {hint[0]!r}?" if hint else ""
-            raise InputError(f"unknown method {mname!r}{suffix}")
+            raise InputError(f"unknown method {mname!r}{_did_you_mean(mname, METHOD_NAMES)}")
         extra = {}
         msec = f"method:{mname}"
         if parser.has_section(msec):
@@ -203,10 +209,16 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
             for key, raw in items.items():
                 extra[key] = _parse_number(raw, int, f"[{msec}] {key}")
         methods.append(AcquisitionMethod(mname, **extra))
+    method_sections = [f"method:{m}" for m in method_names]
+    for section in parser.sections():
+        if section.startswith("method:") and section not in method_sections:
+            hint = _did_you_mean(section, method_sections, "[{}]")
+            raise InputError(f"section [{section}] configures no method listed in [run] methods{hint}")
 
     seeds = _parse_seeds(run.get("seeds", "0..9"))
     if not seeds:
         raise InputError("seeds must be non-empty")
+    _reject_repeats("[run] seeds", seeds)
     out_dir = run.get("out_dir", "results").strip()
     root = os.environ.get(OUT_ROOT_ENV, "")
     if root and not os.path.isabs(out_dir):

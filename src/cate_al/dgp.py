@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -82,12 +82,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Sizes and flags for the pool / validation / test partition."""
+    """Sizes of the pool / validation / test partition."""
 
     pool_size: int
     val_size: int
     test_size: int
-    shift: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -318,6 +317,9 @@ def load_covariates_csv(path, schema: str):
         except StopIteration:
             raise InputError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise InputError(f"{path}: repeated columns {repeated}")
         missing = sorted(expected - set(header))
         if missing:
             raise InputError(f"{path}: missing columns {missing}")
@@ -372,12 +374,11 @@ def _is_number(v: str) -> bool:
 def make_splits(dataset: Dataset, spec: SplitSpec, rng, shifted_test: Dataset | None = None):
     """Disjoint (pool, validation, test) partition of a dataset.
 
-    When the split's shift flag is set and a shifted test dataset is
-    supplied, the test partition is that dataset instead of source rows.
+    A supplied shifted test dataset is the test partition instead of source
+    rows.
     """
     rng = np.random.default_rng(rng)
-    use_external_test = spec.shift and shifted_test is not None
-    needed = spec.pool_size + spec.val_size + (0 if use_external_test else spec.test_size)
+    needed = spec.pool_size + spec.val_size + (0 if shifted_test is not None else spec.test_size)
     if needed > dataset.n:
         raise InputError(f"partition sizes need {needed} rows, dataset has {dataset.n}")
     perm = rng.permutation(dataset.n)
@@ -385,7 +386,7 @@ def make_splits(dataset: Dataset, spec: SplitSpec, rng, shifted_test: Dataset | 
     val_idx = np.sort(perm[spec.pool_size : spec.pool_size + spec.val_size])
     pool = dataset.subset(pool_idx)
     validation = dataset.subset(val_idx) if spec.val_size else None
-    if use_external_test:
+    if shifted_test is not None:
         if shifted_test.n != spec.test_size:
             raise InputError(f"shifted test set has {shifted_test.n} rows, spec wants {spec.test_size}")
         test = shifted_test
@@ -457,12 +458,9 @@ def generate_dataset(name: str, n: int | None = None, shift: bool = False, rng=N
     return info.generator(2000 if n is None else n, shift=shift, rng=rng)
 
 
-def make_benchmark(name: str, shift: bool, spec: SplitSpec | None = None, seed: int = 0, covariates_csv=None) -> Benchmark:
+def make_benchmark(name: str, shift: bool, spec: SplitSpec, seed: int = 0, covariates_csv=None) -> Benchmark:
     """Build pool / validation / test partitions for one benchmark run."""
     info = dataset_info(name)
-    spec = spec or SplitSpec(info.pool_size, info.val_size, info.test_size, seed=seed)
-    if spec.shift != shift:
-        spec = replace(spec, shift=shift)
     variant = "shift" if shift else "standard"
     split_rng = rng_stream(seed, name, variant, "split")
 
@@ -472,30 +470,22 @@ def make_benchmark(name: str, shift: bool, spec: SplitSpec | None = None, seed: 
         shifted_rng = rng_stream(seed, name, variant, "shifted")
         shifted = info.generator(spec.test_size, shift=True, rng=shifted_rng) if shift else None
         pool, validation, test = make_splits(source, spec, split_rng, shifted_test=shifted)
-        return Benchmark(name=name, variant=variant, pool=pool, validation=validation, test=test)
-
-    covs, t = _dataset_covariates(name, covariates_csv)
-    if name == "actg":
-        full = gen_actg_outcomes(covs, t, shift=shift, rng=rng_stream(seed, name, "outcomes"))
     else:
-        # infant-health benchmark: one coefficient draw shared by all partitions
-        beta = sample_ihdp_beta(rng_stream(seed, name, variant, "beta"), zero_first_two=shift)
-        full = gen_ihdp_outcomes(covs, t, shift=False, rng=rng_stream(seed, name, variant, "outcomes"), beta=beta)
-    if not shift:
+        covs, t = _dataset_covariates(name, covariates_csv)
+        if name == "actg":
+            full = gen_actg_outcomes(covs, t, shift=shift, rng=rng_stream(seed, name, "outcomes"))
+        else:
+            # infant-health benchmark: one coefficient draw shared by all partitions
+            beta = sample_ihdp_beta(rng_stream(seed, name, variant, "beta"), zero_first_two=shift)
+            full = gen_ihdp_outcomes(covs, t, shift=False, rng=rng_stream(seed, name, variant, "outcomes"), beta=beta)
         pool, validation, test = make_splits(full, spec, split_rng)
-        return Benchmark(name=name, variant=variant, pool=pool, validation=validation, test=test)
-
-    # the shifted infant-health test partition
-    needed = spec.pool_size + spec.val_size + spec.test_size
-    if needed > full.n:
-        raise InputError(f"partition sizes need {needed} rows, dataset has {full.n}")
-    perm = split_rng.permutation(full.n)
-    pool = full.subset(np.sort(perm[: spec.pool_size]))
-    validation = full.subset(np.sort(perm[spec.pool_size : spec.pool_size + spec.val_size])) if spec.val_size else None
-    test_idx = np.sort(perm[spec.pool_size + spec.val_size : needed])
-    shift_rng = rng_stream(seed, name, variant, "shift_test")
-    test_cov = covs[test_idx].copy()
-    test_cov[:, 0] = shift_rng.uniform(0.0, 0.5, size=test_idx.size)
-    test_cov[:, 1] = shift_rng.uniform(0.0, 0.5, size=test_idx.size)
-    test = gen_ihdp_outcomes(test_cov, t[test_idx], shift=True, rng=shift_rng, beta=beta)
+        if shift:
+            # the shifted infant-health test partition (actg has no shift
+            # variant): the test rows with bw and b.head redrawn from
+            # U(0, 0.5), under the shift contrast
+            shift_rng = rng_stream(seed, name, variant, "shift_test")
+            test_cov = test.covariates.copy()
+            test_cov[:, 0] = shift_rng.uniform(0.0, 0.5, size=test.n)
+            test_cov[:, 1] = shift_rng.uniform(0.0, 0.5, size=test.n)
+            test = gen_ihdp_outcomes(test_cov, test.treatments, shift=True, rng=shift_rng, beta=beta)
     return Benchmark(name=name, variant=variant, pool=pool, validation=validation, test=test)

@@ -357,32 +357,27 @@ class GpCateModel(CateModel):
     def noise_variance(self) -> float:
         return self.params.noise_variance
 
-    def prior_gram(self, xa, ta, xb, tb) -> np.ndarray:
-        ta = np.asarray(ta, dtype=int).reshape(-1)
-        tb = np.asarray(tb, dtype=int).reshape(-1)
-        return self.params.gram(xa, ta, xb, tb)
-
-    def _solve_train(self, xq, tq) -> np.ndarray:
-        """L^-1 K(train, query); the workhorse of every posterior reduction."""
-        k = self.prior_gram(self.train_x, self.train_t, xq, tq)
-        return solve_triangular(self.L, k, lower=True)
+    def _gram(self, xa, ta, xb, tb) -> np.ndarray:
+        """Prior covariance K((xa, ta), (xb, tb)): each column of the arm
+        Grams of (xa, ta) against xb, taken from the arm in ``tb``."""
+        k0, k1 = self.params.arm_grams(xa, as_arms(ta).reshape(-1), xb)
+        np.copyto(k0, k1, where=as_arms(tb).reshape(-1) == 1)
+        return k0
 
     # -- posterior queries ----------------------------------------------
 
     def latent_mean(self, xq, tq) -> np.ndarray:
-        k = self.prior_gram(self.train_x, self.train_t, xq, tq)
+        k = self._gram(self.train_x, self.train_t, xq, tq)
         return self.y_mean + k.T @ self.alpha
 
     def latent_cov(self, xa, ta, xb, tb) -> np.ndarray:
-        prior = self.prior_gram(xa, ta, xb, tb)
-        va = self._solve_train(xa, ta)
-        vb = self._solve_train(xb, tb)
-        return prior - va.T @ vb
+        va = solve_triangular(self.L, self._gram(self.train_x, self.train_t, xa, ta), lower=True)
+        vb = solve_triangular(self.L, self._gram(self.train_x, self.train_t, xb, tb), lower=True)
+        return self._gram(xa, ta, xb, tb) - va.T @ vb
 
     def latent_var(self, x, t) -> np.ndarray:
-        x = _as_points(x)
-        t = np.asarray(t, dtype=int).reshape(-1)
-        v = self._solve_train(x, t)
+        t = as_arms(t).reshape(-1)
+        v = solve_triangular(self.L, self._gram(self.train_x, self.train_t, x, t), lower=True)
         return np.maximum(self.params.prior_diag(t) - np.sum(v * v, axis=0), 0.0)
 
     def _arm_means(self, k0, k1):
@@ -431,8 +426,7 @@ class GpCateModel(CateModel):
             kc = np.where(treated, k1, k0)
             vc = np.where(treated, v1, v0)
         else:
-            kc0, kc1 = self.params.arm_grams(self.train_x, self.train_t, cand_x)
-            kc = np.where(treated, kc1, kc0)
+            kc = self._gram(self.train_x, self.train_t, cand_x, cand_t)
             vc = solve_triangular(self.L, kc, lower=True)
         y_mean = self.y_mean + kc.T @ self.alpha
         f_var = self.params.prior_diag(cand_t) - np.sum(vc * vc, axis=0)
@@ -525,12 +519,13 @@ def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
 class SearchConfig:
     """Derivative-free multi-start coordinate search settings."""
 
-    n_restarts: int = 3
+    n_restarts: int = 3        # structured starts climbed besides a warm start, at most 3
     n_evals: int = 50
-    seed: int = 0
     n_components: int = 1      # coregionalized components for the cmgp search
 
     def __post_init__(self):
+        if not 0 <= self.n_restarts <= 3:
+            raise InputError(f"n_restarts must lie in [0, 3], one per structured start, got {self.n_restarts}")
         if self.n_components not in _COMPONENT_SPREADS:
             raise InputError(f"n_components must be one of {tuple(_COMPONENT_SPREADS)}, got {self.n_components}")
 
@@ -562,15 +557,14 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
                          warm_params: GpParams | None = None) -> GpParams:
     """Maximize the log marginal likelihood over kernel hyperparameters.
 
-    Multi-start coordinate search over log parameters; deterministic given
-    ``search.seed``. A weak quadratic penalty anchored at the data-driven
-    initialization keeps the search away from degenerate optima (collapsed
-    lengthscales, near-singular task covariances) that marginal likelihood
-    alone can prefer; the penalty vanishes at the initial configuration, so
-    the returned configuration never scores below it. ``warm_params``
-    (typically the previous acquisition round's choice) is used as one
-    additional restart; it must be of ``kind`` and, for cmgp, have
-    ``search.n_components`` components.
+    Deterministic multi-start coordinate search over log parameters. A weak
+    quadratic penalty anchored at the data-driven initialization keeps the
+    search away from degenerate optima (collapsed lengthscales, near-singular
+    task covariances) that marginal likelihood alone can prefer; the penalty
+    vanishes at the initial configuration, so the returned configuration
+    never scores below it. ``warm_params`` (typically the previous
+    acquisition round's choice) is used as one additional restart; it must
+    be of ``kind`` and, for cmgp, have ``search.n_components`` components.
     """
     search = search or SearchConfig()
     x, t, y = _as_training_arrays(x, t, y)
@@ -580,7 +574,6 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
         raise InputError(f"unknown GP model kind {kind!r}")
     space = _SEARCH_SPACES[kind]
     dim = x.shape[1]
-    rng = np.random.default_rng(search.seed)
     theta0 = space.search_start(x, y - y.mean(), search.n_components)
     memo = _GramMemo(x, t)
 
@@ -616,8 +609,8 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
                     return value, theta
 
     # structured restarts: heuristic lengthscales, then shorter / longer
-    # scales (the main multimodality axis), then rng perturbations if more
-    # restarts are requested; a warm start from the previous round leads.
+    # scales (the main multimodality axis); a warm start from the previous
+    # round leads.
     ls = space.lengthscale_coords(dim, search.n_components)
     short = theta0.copy()
     short[ls] -= np.log(3.0)
@@ -634,10 +627,7 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
     # n_restarts = 0 with a warm start means pure continuation of the
     # previous configuration
     n_starts = max(1, search.n_restarts + (warm_params is not None))
-    candidates = [
-        climb(inits[r] if r < len(inits) else theta0 + rng.normal(scale=0.5, size=theta0.size))
-        for r in range(n_starts)
-    ]
+    candidates = [climb(theta) for theta in inits[:n_starts]]
     if not any(np.isfinite(v) for v, _ in candidates):
         raise NumericalError("every hyperparameter candidate failed to factorize")
     _, best_theta = max(candidates, key=lambda c: c[0])

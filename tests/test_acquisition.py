@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import cate_al
 from cate_al.acquisition import (
     AcquisitionMethod,
     ScoringContext,
@@ -354,6 +359,21 @@ class TestSignAmbiguity:
         assert 0.0 <= score <= np.log(2.0)
         with pytest.raises(InputError):
             AcquisitionMethod("sundin", sundin_samples=1)
+
+    def test_bitwise_equal_to_the_norm_cdf_build(self, rng):
+        draws = rng.normal(size=(200, 50)) * rng.uniform(0.01, 5.0, size=(200, 1))
+        gamma = norm.cdf(-np.abs(draws) / draws.std(axis=1, keepdims=True))
+        gap = bernoulli_entropy(gamma.mean(axis=1)) - bernoulli_entropy(gamma).mean(axis=1)
+        np.testing.assert_array_equal(sign_ambiguity_score(draws), np.maximum(gap, 0.0))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone costs more than the rest of the package's import
+    src = os.path.dirname(os.path.dirname(cate_al.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, cate_al; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCoreset:

@@ -256,6 +256,8 @@ class TestRunLoop:
             fast_config(temperature=-1.0)
         with pytest.raises(InputError):
             fast_config(temperature=float("nan"))
+        with pytest.raises(InputError, match="n_restarts"):
+            fast_config(search_restarts=4)
 
 
 class TestStateValidation:

@@ -142,6 +142,18 @@ REJECTED_SETTINGS = {
     "empty_pool": ("pool_size = 0\n", "pool and test sizes must be > 0"),
 }
 
+# [run] entries and method sections that would run a cell twice or be
+# dropped without a word, and what the rejection names
+DROPPED_OR_REPEATED = {
+    "misspelled_method_section": ("methods = sundin\n\n[method:sundim]\nsundin_samples = 7\n",
+                                  "[method:sundim]", "did you mean [method:sundin]?"),
+    "unlisted_method_section": ("methods = random\n\n[method:sundin]\nsundin_samples = 7\n",
+                                "[method:sundin]", "no method listed in [run] methods"),
+    "repeated_seed": ("seeds = 0, 0\n", "[run] seeds", "0 twice"),
+    "repeated_method": ("methods = random, random\n", "[run] methods", "'random' twice"),
+    "repeated_estimator": ("estimators = ensemble, ensemble\n", "[run] estimators", "'ensemble' twice"),
+}
+
 
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
@@ -209,6 +221,18 @@ class TestParseConfig:
         path.write_text("[dataset]\nname = causalbald\n" + text + f"\n[run]\nout_dir = {tmp_path / 'out'}\n")
         assert main(["run", str(path)]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(DROPPED_OR_REPEATED))
+    def test_dropped_or_repeated_entries_exit_with_status_two(self, tmp_path, capsys, case):
+        text, where, message = DROPPED_OR_REPEATED[case]
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[dataset]\nname = causalbald\npool_size = 30\nval_size = 0\ntest_size = 20\n\n"
+                        f"[loop]\nn_init = 5\nbatch_size = 3\nbudget = 8\n\n"
+                        f"[run]\nout_dir = {tmp_path / 'out'}\n" + text)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert where in err and message in err
         assert not (tmp_path / "out").exists()
 
     def test_seed_range_syntax(self, tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from cate_al.dgp import (
     ACTG_COLUMNS,
+    DATASET_NAMES,
     IHDP_BINARY,
     IHDP_CONTINUOUS,
     Dataset,
@@ -215,6 +217,19 @@ def ihdp_csv(path, rng, n=40):
     return path
 
 
+def actg_csv(path, rng, n=30):
+    header = ["t", *ACTG_COLUMNS]
+    binaries = ("hemo", "homo", "drugs", "oprior", "z30", "race", "gender", "str2", "karnof_hi")
+    rows = []
+    for i in range(n):
+        row = [i % 2, *np.round(rng.normal(size=12), 5)]
+        for name in binaries:
+            row[1 + ACTG_COLUMNS.index(name)] = int(rng.uniform() < 0.5)
+        rows.append(row)
+    write_csv(path, header, rows)
+    return path
+
+
 class TestCsvLoader:
     def test_fixture_roundtrip_and_standardization(self, tmp_path, rng):
         path = ihdp_csv(tmp_path / "ihdp.csv", rng)
@@ -254,6 +269,14 @@ class TestCsvLoader:
         write_csv(tmp_path / "actg.csv", header, rows)
         with pytest.raises(InputError, match="row 3"):
             load_covariates_csv(tmp_path / "actg.csv", "actg")
+
+    def test_repeated_column_rejected(self, tmp_path, rng):
+        path = ihdp_csv(tmp_path / "ihdp.csv", rng)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        write_csv(path, header + ["bw"], [row + [row[header.index("bw")]] for row in rows])
+        with pytest.raises(InputError, match="repeated columns \\['bw'\\]"):
+            load_covariates_csv(path, "ihdp")
 
     def test_unknown_column_rejected(self, tmp_path):
         header = ["t", "extra", *ACTG_COLUMNS]
@@ -301,7 +324,7 @@ class TestBenchmarks:
         assert bench.variant == "standard"
 
     def test_shift_benchmark_regenerates_test_from_shifted_law(self):
-        bench = make_benchmark("hahn_linear", shift=True, spec=SplitSpec(80, 10, 60, shift=True), seed=1)
+        bench = make_benchmark("hahn_linear", shift=True, spec=SplitSpec(80, 10, 60), seed=1)
         cont = bench.test.covariates[:, :3]
         assert cont.min() >= 0.2 and cont.max() <= 0.5
         assert bench.pool.covariates[:, :3].std() > 0.5  # pool keeps the wide law
@@ -315,21 +338,46 @@ class TestBenchmarks:
 
     def test_ihdp_shift_installs_new_contrast_on_test(self, tmp_path, rng):
         path = ihdp_csv(tmp_path / "ihdp.csv", rng, n=60)
-        bench = make_benchmark("ihdp", shift=True, spec=SplitSpec(30, 0, 20, shift=True), seed=3, covariates_csv=path)
+        bench = make_benchmark("ihdp", shift=True, spec=SplitSpec(30, 0, 20), seed=3, covariates_csv=path)
         x = bench.test.covariates
         np.testing.assert_allclose(bench.test.tau_true, 3.0 * x[:, 0] * x[:, 1], atol=1e-12)
         assert x[:, 0].min() >= 0.0 and x[:, 0].max() <= 0.5
 
     def test_actg_has_no_shift_variant(self, tmp_path, rng):
-        header = ["t", *ACTG_COLUMNS]
-        binaries = ("hemo", "homo", "drugs", "oprior", "z30", "race", "gender", "str2", "karnof_hi")
-        rows = []
-        for i in range(30):
-            row = [i % 2, *np.round(rng.normal(size=12), 5)]
-            for name in binaries:
-                row[1 + ACTG_COLUMNS.index(name)] = int(rng.uniform() < 0.5)
-            rows.append(row)
-        write_csv(tmp_path / "actg.csv", header, rows)
+        path = actg_csv(tmp_path / "actg.csv", rng)
         with pytest.raises(InputError):
-            make_benchmark("actg", shift=True, spec=SplitSpec(20, 0, 10, shift=True), seed=0,
-                           covariates_csv=tmp_path / "actg.csv")
+            make_benchmark("actg", shift=True, spec=SplitSpec(20, 0, 10), seed=0, covariates_csv=path)
+
+    def test_partitions_are_pinned(self, tmp_path):
+        # sha256 over every partition array of every dataset and variant,
+        # seeds 0-3, with and without a validation partition: a change that
+        # moves any partition value, by a bit or a row, fails here
+        rng = np.random.default_rng(2025)
+        csvs = {"ihdp": ihdp_csv(tmp_path / "ihdp.csv", rng, n=300),
+                "actg": actg_csv(tmp_path / "actg.csv", rng, n=300)}
+        digest = hashlib.sha256()
+        for name in DATASET_NAMES:
+            for shift in (False, True):
+                for seed in range(4):
+                    spec = SplitSpec(150, 20 * (seed % 2), 80)
+                    if name == "actg" and shift:
+                        with pytest.raises(InputError, match="no shift variant"):
+                            make_benchmark(name, shift, spec, seed=seed, covariates_csv=csvs[name])
+                        continue
+                    bench = make_benchmark(name, shift, spec, seed=seed, covariates_csv=csvs.get(name))
+                    digest.update(f"{bench.name}|{bench.variant}|{seed}".encode())
+                    for part in (bench.pool, bench.validation, bench.test):
+                        digest.update(dataset_bytes(part))
+        assert digest.hexdigest() == PARTITION_DIGEST
+
+
+PARTITION_DIGEST = "34904519cbf2ad0e7b06aa5a59e147a8e94037776da467a3ee95638c5ddf96d4"
+
+
+def dataset_bytes(ds):
+    if ds is None:
+        return b"none"
+    fields = [ds.covariates, ds.treatments, ds.outcomes, ds.mu0, ds.mu1, ds.tau_true, ds.propensity_true]
+    parts = [f"{ds.name}|{ds.noise_sd!r}|{ds.covariates.shape}".encode()]
+    parts += [b"none" if v is None else np.ascontiguousarray(v, dtype=float).tobytes() for v in fields]
+    return b"|".join(parts)

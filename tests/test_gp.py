@@ -189,7 +189,7 @@ class TestHyperparamSearch:
         gram = cmgp_gram(x, t, x, t, true.kernel, true.coreg)
         f = np.linalg.cholesky(gram + 1e-10 * np.eye(n)) @ rng.standard_normal(n)
         y = f + np.sqrt(0.1) * rng.standard_normal(n)
-        fitted = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(seed=0))
+        fitted = optimize_hyperparams(x, t, y, "cmgp", SearchConfig())
         assert 0.5 <= fitted.kernel.lengthscales[0] <= 2.0
 
     @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
@@ -199,7 +199,7 @@ class TestHyperparamSearch:
         y = rng.normal(size=12)
         space = gp._SEARCH_SPACES[kind]
         initial = space.from_theta(space.search_start(x, y - y.mean(), n_components), 1)
-        fitted = optimize_hyperparams(x, t, y, kind, SearchConfig(seed=3, n_components=n_components))
+        fitted = optimize_hyperparams(x, t, y, kind, SearchConfig(n_components=n_components))
         assert log_marginal_likelihood(x, t, y, fitted) >= log_marginal_likelihood(x, t, y, initial) - 1e-9
 
     @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
@@ -213,14 +213,17 @@ class TestHyperparamSearch:
 
         def evals(n_evals, n_restarts, warm_params=None):
             calls.clear()
-            search = SearchConfig(n_restarts=n_restarts, n_evals=n_evals, seed=1, n_components=n_components)
+            search = SearchConfig(n_restarts=n_restarts, n_evals=n_evals, n_components=n_components)
             fitted = optimize_hyperparams(x, t, y, kind, search, warm_params=warm_params)
             return len(calls), fitted
 
         # a climb needs ten sweeps without a move to stop early, so a budget of
         # seven is used up by every restart, and none may take more
-        for n_restarts in (1, 3, 5):
+        for n_restarts in (1, 2, 3):
             assert evals(7, n_restarts)[0] == 7 * n_restarts
+        for n_restarts in (-1, 4):  # one restart per structured start
+            with pytest.raises(InputError, match="n_restarts"):
+                SearchConfig(n_restarts=n_restarts)
         count, fitted = evals(40, 3)
         assert count <= 40 * 3
         assert evals(7, 2, warm_params=fitted)[0] == 7 * 3
@@ -260,8 +263,8 @@ class TestHyperparamSearch:
         x = rng.normal(size=(10, 1))
         t = rng.integers(0, 2, 10)
         y = rng.normal(size=10)
-        a = optimize_hyperparams(x, t, y, "nsgp", SearchConfig(seed=11))
-        b = optimize_hyperparams(x, t, y, "nsgp", SearchConfig(seed=11))
+        a = optimize_hyperparams(x, t, y, "nsgp", SearchConfig())
+        b = optimize_hyperparams(x, t, y, "nsgp", SearchConfig())
         assert np.array_equal(a.kernel0.lengthscales, b.kernel0.lengthscales)
         assert a.cross_rho == b.cross_rho
         assert a.kernel1.signal_variance == b.kernel1.signal_variance
@@ -343,6 +346,35 @@ class TestArmGrams:
             params.arm_grams(np.zeros((2, 1)), [0, 2], np.zeros((3, 1)))
 
     @pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
+    def test_mixed_arm_queries_equal_a_build_from_gram(self, rng, kind):
+        # latent_mean, latent_var, latent_cov and the off-pool bundle, bitwise
+        # against the posterior built from the mixed-arm params.gram, on query
+        # sets whose rows and columns mix both arms
+        for d in (1, 2, 3):
+            model = random_fitted_gp(rng, n=12, dim=d, kind=kind)
+            params, train = model.params, (model.train_x, model.train_t)
+            xa, ta = rng.normal(size=(9, d)), rng.integers(0, 2, 9)
+            xb, tb = rng.normal(size=(6, d)), rng.integers(0, 2, 6)
+
+            def solve(x, t):
+                return solve_triangular(model.L, params.gram(*train, x, t), lower=True)
+
+            va, vb = solve(xa, ta), solve(xb, tb)
+            f_var = np.maximum(params.prior_diag(ta) - np.sum(va * va, axis=0), 0.0)
+            y_mean = model.y_mean + params.gram(*train, xa, ta).T @ model.alpha
+            np.testing.assert_array_equal(model.latent_mean(xa, ta), y_mean)
+            np.testing.assert_array_equal(model.latent_var(xa, ta), f_var)
+            np.testing.assert_array_equal(model.latent_cov(xa, ta, xb, tb), params.gram(xa, ta, xb, tb) - va.T @ vb)
+            np.testing.assert_array_equal(model.latent_cov(xa, ta, xa, ta), params.gram(xa, ta, xa, ta) - va.T @ va)
+
+            bundle = model.moment_bundle(xa, ta, xb)
+            zeros, ones = np.zeros(6, dtype=int), np.ones(6, dtype=int)
+            np.testing.assert_array_equal(bundle.y_mean, y_mean)
+            np.testing.assert_array_equal(bundle.y_var, f_var + model.noise_variance)
+            np.testing.assert_array_equal(bundle.cy0, params.gram(xa, ta, xb, zeros) - va.T @ solve(xb, zeros))
+            np.testing.assert_array_equal(bundle.cy1, params.gram(xa, ta, xb, ones) - va.T @ solve(xb, ones))
+
+    @pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
     def test_pool_mode_bundle_equals_explicit_build(self, rng, kind):
         d = 2
         model = random_fitted_gp(rng, n=12, dim=d, kind=kind)
@@ -354,14 +386,14 @@ class TestArmGrams:
 
         zeros, ones = np.zeros(9, dtype=int), np.ones(9, dtype=int)
         train = (model.train_x, model.train_t)
-        kc = model.prior_gram(*train, pool_x, pool_t)
+        kc = model.params.gram(*train, pool_x, pool_t)
         vc = solve(kc)
-        v0, v1 = solve(model.prior_gram(*train, pool_x, zeros)), solve(model.prior_gram(*train, pool_x, ones))
+        v0, v1 = solve(model.params.gram(*train, pool_x, zeros)), solve(model.params.gram(*train, pool_x, ones))
         y_var = np.maximum(model.params.prior_diag(pool_t) - np.sum(vc * vc, axis=0), 0.0) + model.noise_variance
         np.testing.assert_array_equal(bundle.y_mean, model.y_mean + kc.T @ model.alpha)
         np.testing.assert_array_equal(bundle.y_var, y_var)
-        np.testing.assert_array_equal(bundle.cy0, model.prior_gram(pool_x, pool_t, pool_x, zeros) - vc.T @ v0)
-        np.testing.assert_array_equal(bundle.cy1, model.prior_gram(pool_x, pool_t, pool_x, ones) - vc.T @ v1)
+        np.testing.assert_array_equal(bundle.cy0, model.params.gram(pool_x, pool_t, pool_x, zeros) - vc.T @ v0)
+        np.testing.assert_array_equal(bundle.cy1, model.params.gram(pool_x, pool_t, pool_x, ones) - vc.T @ v1)
 
         mean, cov = brute_force_conditioning(
             model.params, model.train_x, model.train_t, model.train_y,
@@ -472,7 +504,7 @@ class TestSearchMemo:
         x = rng.normal(size=(40, 2))
         t = rng.integers(0, 2, 40)
         y = np.sin(x[:, 0]) + t * x[:, 1] + 0.3 * rng.normal(size=40)
-        search = SearchConfig(n_restarts=2, n_evals=60, seed=5, n_components=n_components)
+        search = SearchConfig(n_restarts=2, n_evals=60, n_components=n_components)
         sizes = []
         base = gp._GramMemo.base
 
@@ -506,6 +538,6 @@ class TestSearchMemo:
         evals = []
         original = gp.log_marginal_likelihood
         monkeypatch.setattr(gp, "log_marginal_likelihood", lambda *a: evals.append(1) or original(*a))
-        optimize_hyperparams(x, t, y, kind, SearchConfig(n_restarts=1, n_evals=200, seed=0, n_components=n_components))
+        optimize_hyperparams(x, t, y, kind, SearchConfig(n_restarts=1, n_evals=200, n_components=n_components))
         assert len(evals) == 200
         assert len(base_kernel_calls) == expected
