@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .beliefs import CateModel, MomentBundle
 from .errors import InputError, NumericalError
@@ -211,14 +212,15 @@ class NsgpParams:
         overlap on control x treated, mirrored into treated x control (the
         squared distances are exactly symmetric), each block scattered into
         the rows and columns of its arm. Equal to ``nsgp_gram`` entry for entry."""
-        (i0, x0), (i1, x1) = memo.arms
+        x0, x1 = memo.arm_x
+        block00, block11, block01, block10 = memo.arm_blocks
         key0, key1 = _kernel_key(self.kernel0), _kernel_key(self.kernel1)
         gram = np.empty((memo.t.size, memo.t.size))
-        gram[np.ix_(i0, i0)] = memo.base("k0", key0, kernel_gram, x0, x0, self.kernel0)
-        gram[np.ix_(i1, i1)] = memo.base("k1", key1, kernel_gram, x1, x1, self.kernel1)
+        gram[block00] = memo.base("k0", key0, kernel_gram, x0, x0, self.kernel0)
+        gram[block11] = memo.base("k1", key1, kernel_gram, x1, x1, self.kernel1)
         cross = self.cross_rho * memo.base("overlap", key0 + key1, overlap_gram, x0, x1, self.kernel0, self.kernel1)
-        gram[np.ix_(i0, i1)] = cross
-        gram[np.ix_(i1, i0)] = cross.T
+        gram[block01] = cross
+        gram[block10] = cross.T
         return gram
 
     def prior_diag(self, t: np.ndarray) -> np.ndarray:
@@ -299,7 +301,11 @@ class _GramMemo:
         self.x = x
         self.t = t
         self.arm_masks = (t == 0, t == 1)
-        self.arms = tuple((rows, x[rows]) for rows in map(np.flatnonzero, self.arm_masks))
+        i0, i1 = map(np.flatnonzero, self.arm_masks)
+        self.arm_x = (x[i0], x[i1])
+        # open-mesh indices of the (control, control), (treated, treated),
+        # (control, treated) and (treated, control) blocks of the n x n Gram
+        self.arm_blocks = (np.ix_(i0, i0), np.ix_(i1, i1), np.ix_(i0, i1), np.ix_(i1, i0))
         self._slots: dict = {}
 
     def base(self, slot, key, build, *args) -> np.ndarray:
@@ -471,17 +477,20 @@ class GpCateModel(CateModel):
 
 def _chol_with_escalating_jitter(a: np.ndarray, base_jitter: float):
     """Lower Cholesky of ``a`` with jitter escalation x10 up to JITTER_MAX;
-    each try adds its jitter to a fresh copy of ``a``."""
+    each try adds its jitter to a fresh Fortran-ordered copy of ``a``, which
+    LAPACK factorizes in place (the copy ``scipy.linalg.cholesky`` makes, so
+    the factor has the same bits)."""
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(f"the {a.shape[0]}x{a.shape[0]} Gram matrix is not finite")
     jitter = max(base_jitter, JITTER_START)
     while True:
-        shifted = a.copy()
+        shifted = np.array(a, order="F")
         shifted.flat[:: a.shape[0] + 1] += jitter
-        try:
-            return cholesky(shifted, lower=True), jitter
-        except np.linalg.LinAlgError:
-            pass
-        except ValueError:
-            pass
+        factor, info = dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return factor, jitter
+        if info < 0:
+            raise ValueError(f"LAPACK dpotrf rejected its argument {-info}")
         jitter *= 10.0
         if jitter > JITTER_MAX:
             raise NumericalError(
@@ -496,7 +505,7 @@ def _condition(x, t, y, params: GpParams, gram: np.ndarray) -> GpCateModel:
     yc = y - y_mean
     gram.flat[:: y.size + 1] += params.noise_variance
     L, jitter_used = _chol_with_escalating_jitter(gram, params.jitter)
-    alpha = cho_solve((L, True), yc)
+    alpha, _ = dpotrs(L, yc, lower=1)
     return GpCateModel(params, x, t, y, L, alpha, y_mean, jitter_used)
 
 

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+from cate_al.active_loop import _openblas_thread_controls
 from cate_al.beliefs import CateModel, MomentBundle
 from cate_al.gp import CmgpParams, NsgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig, cmgp_gram, nsgp_gram
+
+
+def pytest_report_header(config):
+    """The BLAS thread counts the wall-clock tests run with, outside a cell."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        return "blas: no OpenBLAS with a thread setter found"
+    return [f"blas: {label}, {get()} thread(s)" for label, get, _ in controls]
 
 
 def brute_force_conditioning(params, train_x, train_t, train_y, query_x, query_t, noise_var):

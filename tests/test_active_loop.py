@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -258,6 +262,86 @@ class TestRunLoop:
             fast_config(temperature=float("nan"))
         with pytest.raises(InputError, match="n_restarts"):
             fast_config(search_restarts=4)
+
+
+def entry_bits(record):
+    """Every recorded field of each round except its wall-clock seconds."""
+    return [(e.step, e.n_labeled, e.sqrt_pehe_pool.hex(), e.sqrt_pehe_test.hex(), e.acquired) for e in record.entries]
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def two_threads(self):
+        """Every OpenBLAS at two threads for the test, then as it was."""
+        controls = active_loop._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS with a thread setter is loaded")
+        saved = [get() for _, get, _ in controls]
+        for _, _, set_ in controls:
+            set_(2)
+        yield lambda: [get() for _, get, _ in controls]
+        for (_, _, set_), count in zip(controls, saved):
+            set_(count)
+
+    def test_a_cell_runs_on_one_thread_and_restores_the_callers_count(self, two_threads, monkeypatch):
+        seen = []
+
+        def counting_fit(*args, **kw):
+            seen.append(two_threads())
+            return original(*args, **kw)
+
+        original = active_loop.fit_ensemble
+        monkeypatch.setattr(active_loop, "fit_ensemble", counting_fit)
+        pool, test = small_pools()
+        assert not run_active_learning(fast_config(), pool, test, np.random.default_rng(0)).failed
+        assert len(seen) == 3 and all(set(counts) == {1} for counts in seen)
+        assert set(two_threads()) == {2}
+
+    def test_a_raising_cell_restores_the_callers_count(self, two_threads, monkeypatch):
+        def broken_score_pool(*args):
+            raise RuntimeError("scorer bug")
+
+        monkeypatch.setattr(active_loop, "score_pool", broken_score_pool)
+        pool, test = small_pools()
+        with pytest.raises(RuntimeError, match="scorer bug"):
+            run_active_learning(fast_config(), pool, test, np.random.default_rng(0))
+        assert set(two_threads()) == {2}
+
+    def test_a_cell_without_openblas_runs_unchanged(self, monkeypatch):
+        pool, test = small_pools()
+        cfg = fast_config(method="causal_epig_tau", estimator="cmgp", n_init=8, n_budget=14)
+        expected = run_active_learning(cfg, pool, test, np.random.default_rng(0))
+        monkeypatch.setattr(active_loop, "_openblas_thread_controls", lambda: [])
+        assert entry_bits(run_active_learning(cfg, pool, test, np.random.default_rng(0))) == entry_bits(expected)
+
+    def test_cell_rows_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS's multi-threaded potrf and gemm round differently from its
+        # single-threaded ones once the fits reach n >= 150
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one core: OpenBLAS runs single-threaded either way")
+        if not active_loop._openblas_thread_controls():
+            pytest.skip("no OpenBLAS with a thread setter is loaded")
+        code = (
+            "import numpy as np\n"
+            "from test_active_loop import entry_bits, fast_config\n"
+            "from cate_al.active_loop import run_active_learning\n"
+            "from cate_al.dgp import gen_causalbald\n"
+            "cfg = fast_config(method='causal_epig_tau', estimator='cmgp', n_init=150, n_b=10, n_budget=170)\n"
+            "rec = run_active_learning(cfg, gen_causalbald(300, rng=0), gen_causalbald(100, rng=1),\n"
+            "                          np.random.default_rng(0))\n"
+            "assert not rec.failed, rec.failure_reason\n"
+            "print(entry_bits(rec))\n"
+        )
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests_dir), "src")
+        base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests_dir, os.environ.get("PYTHONPATH")]))
+        rows = [
+            subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                           timeout=300).stdout
+            for env in (base, {**base, "OPENBLAS_NUM_THREADS": "1"})
+        ]
+        assert rows[0] == rows[1]
 
 
 class TestStateValidation:

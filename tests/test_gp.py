@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from cate_al import gp, kernels
 from cate_al.errors import InputError, NumericalError
@@ -73,6 +73,33 @@ class TestFit:
     def test_cholesky_failure_raises_numerical_error(self):
         with pytest.raises(NumericalError):
             _chol_with_escalating_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-8)
+
+    def test_nonfinite_gram_raises_at_once(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            _chol_with_escalating_jitter(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1e-8)
+
+    @pytest.mark.parametrize("n", [5, 60, 200])
+    def test_factor_and_weights_equal_scipy_cholesky_and_cho_solve(self, rng, n):
+        x, t, y = gp._as_training_arrays(rng.normal(size=(n, 2)), rng.integers(0, 2, n), rng.normal(size=n))
+        params = two_component_cmgp(rng, dim=2)
+        gram = params.gram(x, t, x, t)
+        model = gp._condition(x, t, y, params, gram.copy())
+        noisy = gram.copy()
+        noisy.flat[:: n + 1] += params.noise_variance
+        noisy.flat[:: n + 1] += model.jitter_used
+        L = cholesky(noisy, lower=True)
+        np.testing.assert_array_equal(model.L, L)
+        np.testing.assert_array_equal(model.alpha, cho_solve((L, True), y - y.mean()))
+
+    def test_jittered_factor_equals_scipy_cholesky(self, rng):
+        # a rank-3 Gram minus 1e-7 I is indefinite until the jitter reaches 1e-6
+        root = rng.normal(size=(40, 3))
+        a = root @ root.T - 1e-7 * np.eye(40)
+        L, jitter = _chol_with_escalating_jitter(a, 1e-8)
+        assert jitter == pytest.approx(1e-6)
+        shifted = a.copy()
+        shifted.flat[::41] += jitter
+        np.testing.assert_array_equal(L, cholesky(shifted, lower=True))
 
     def test_each_jitter_retry_starts_from_the_unjittered_matrix(self):
         # fails at 1e-8 and 1e-7; at 1e-6 the shifted diagonal is 5e-7, where
