@@ -5,9 +5,6 @@ __version__ = "0.1.0"
 from .acquisition import (
     AcquisitionMethod,
     fit_propensity,
-    gaussian_mi_block,
-    gaussian_mi_scalar,
-    mc_mi_oracle,
     predict_pi,
     score_pool,
 )
@@ -19,12 +16,7 @@ from .active_loop import (
     select_batch,
     warm_start,
 )
-from .beliefs import (
-    CateModel,
-    JointGaussianBelief,
-    SamplePosterior,
-    empirical_gaussian_fit,
-)
+from .beliefs import CateModel
 from .dgp import (
     Dataset,
     SplitSpec,

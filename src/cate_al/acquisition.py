@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import ndtr
 
-from .beliefs import CateModel, JointGaussianBelief, VARIANCE_FLOOR
+from .beliefs import CateModel, VARIANCE_FLOOR
 from .errors import InputError, NumericalError
 
 DET_FLOOR = 1e-300
@@ -59,27 +59,14 @@ class AcquisitionMethod:
 # -- Gaussian mutual information ---------------------------------------------
 
 
-def gaussian_mi_scalar(var_a: float, var_b: float, cov_ab: float) -> float:
-    """MI of two jointly Gaussian scalars: 1/2 log(va vb / (va vb - cov^2)).
-
-    Returns 0 when either variance sits at the certainty floor or the
-    covariance is 0; raises :class:`NumericalError` when |cov| exceeds the
-    Cauchy-Schwarz bound beyond rounding slack.
-    """
-    va, vb, c = float(var_a), float(var_b), float(cov_ab)
-    if va < 0 or vb < 0:
-        raise InputError("variances must be nonnegative")
-    if abs(c) > np.sqrt(max(va * vb, 0.0)) * (1.0 + 1e-6):
-        raise NumericalError(f"covariance {c} exceeds the variance bound sqrt({va} * {vb})")
-    if va <= VARIANCE_FLOOR or vb <= VARIANCE_FLOOR or c == 0.0:
-        return 0.0
-    prod = max(va * vb, DET_FLOOR)
-    det = max(prod - c * c, DET_FLOOR)
-    return max(0.5 * float(np.log(prod / det)), 0.0)
-
-
 def _mi_scalar_vec(var_a: np.ndarray, var_b: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Broadcast variant of :func:`gaussian_mi_scalar` used by the scorers."""
+    """MI of jointly Gaussian scalar pairs, 1/2 log(va vb / (va vb - cov^2)),
+    elementwise over broadcast arrays.
+
+    A pair scores 0 when either variance sits at the certainty floor or the
+    covariance is 0; raises :class:`NumericalError` when any |cov| exceeds
+    the Cauchy-Schwarz bound beyond rounding slack.
+    """
     va, vb, c = np.broadcast_arrays(var_a, var_b, cov)
     bound = np.sqrt(np.maximum(va * vb, 0.0)) * (1.0 + 1e-6)
     if np.any(np.abs(c) > bound):
@@ -90,98 +77,6 @@ def _mi_scalar_vec(var_a: np.ndarray, var_b: np.ndarray, cov: np.ndarray) -> np.
     out = 0.5 * np.log(prod / det)
     out = np.where((va <= VARIANCE_FLOOR) | (vb <= VARIANCE_FLOOR) | (c == 0.0), 0.0, out)
     return np.maximum(out, 0.0)
-
-
-def gaussian_mi_block(belief: JointGaussianBelief, block_a, block_b) -> float:
-    """MI between two disjoint label blocks: 1/2 log(|Saa| |Sbb| / |S|).
-
-    All three determinants come from one jitter-shifted copy of the joint
-    block, so rank deficiencies (for example duplicated quantities) perturb
-    the joint and its marginals identically and cancel in the ratio. Blocks
-    whose variances all sit at the certainty floor carry no information and
-    score 0.
-    """
-    block_a = list(block_a)
-    block_b = list(block_b)
-    if not block_a or not block_b:
-        raise InputError("both blocks must be non-empty")
-    if set(block_a) & set(block_b):
-        raise InputError(f"blocks overlap: {sorted(set(block_a) & set(block_b))}")
-    ia = belief.indices(block_a)
-    ib = belief.indices(block_b)
-    diag = np.diag(belief.cov)
-    if np.all(diag[ia] <= VARIANCE_FLOOR) or np.all(diag[ib] <= VARIANCE_FLOOR):
-        return 0.0
-    # canonical (belief-order) union keeps MI(a;b) == MI(b;a) bitwise
-    union = np.array(sorted(set(ia) | set(ib)), dtype=int)
-    joint = belief.cov[np.ix_(union, union)]
-    pos = {g: i for i, g in enumerate(union)}
-    pa = np.array([pos[i] for i in ia])
-    pb = np.array([pos[i] for i in ib])
-
-    # exact factorization when clearly positive definite; otherwise a firm
-    # relative jitter large enough that the spurious determinant
-    # contributions of degenerate directions cancel above rounding noise
-    scale = max(float(np.mean(np.diag(joint))), VARIANCE_FLOOR)
-    for jitter in (0.0, 1e-8, 1e-6):
-        shifted = joint if jitter == 0.0 else joint + jitter * scale * np.eye(joint.shape[0])
-        try:
-            lj = cholesky(shifted, lower=True)
-            la = cholesky(shifted[np.ix_(pa, pa)], lower=True)
-            lb = cholesky(shifted[np.ix_(pb, pb)], lower=True)
-        except np.linalg.LinAlgError:
-            continue
-        if jitter == 0.0 and np.diag(lj).min() ** 2 < 1e-10 * scale:
-            continue  # near-singular; redo with explicit regularization
-        ld = lambda f: 2.0 * float(np.sum(np.log(np.diag(f))))
-        return max(0.5 * (ld(la) + ld(lb) - ld(lj)), 0.0)
-    raise NumericalError(f"belief block of size {joint.shape[0]} is not factorizable even with jitter")
-
-
-def mc_mi_oracle(belief: JointGaussianBelief, block_a, block_b, n_samples: int, rng) -> float:
-    """Monte-Carlo MI estimate H(a) + H(b) - H(a, b) from sampled covariances.
-
-    Test oracle: draws from the belief, accumulates second moments in chunks,
-    and evaluates the Gaussian entropies with sample log-determinants.
-    """
-    rng = np.random.default_rng(rng)
-    block_a = list(block_a)
-    block_b = list(block_b)
-    if set(block_a) & set(block_b):
-        raise InputError("blocks overlap")
-    ia = belief.indices(block_a)
-    ib = belief.indices(block_b)
-    union = np.array(sorted(set(ia) | set(ib)), dtype=int)
-    pos = {g: i for i, g in enumerate(union)}
-    pa = np.array([pos[i] for i in ia])
-    pb = np.array([pos[i] for i in ib])
-
-    cov = belief.cov[np.ix_(union, union)]
-    k = cov.shape[0]
-    scale = max(float(np.mean(np.diag(cov))), VARIANCE_FLOOR)
-    L = cholesky(cov + 1e-12 * scale * np.eye(k), lower=True)
-
-    n = int(n_samples)
-    total = np.zeros(k)
-    outer = np.zeros((k, k))
-    chunk = 1_000_000
-    done = 0
-    while done < n:
-        take = min(chunk, n - done)
-        z = rng.standard_normal((take, k)) @ L.T
-        total += z.sum(axis=0)
-        outer += z.T @ z
-        done += take
-    mean = total / n
-    sample_cov = (outer - n * np.outer(mean, mean)) / (n - 1)
-
-    def ld(idx):
-        sign, val = np.linalg.slogdet(sample_cov[np.ix_(idx, idx)])
-        if sign <= 0:
-            raise NumericalError("sample covariance is not positive definite")
-        return val
-
-    return 0.5 * (ld(pa) + ld(pb) - ld(np.arange(k)))
 
 
 # -- propensity ----------------------------------------------------------------

@@ -90,7 +90,6 @@ class ActiveState:
     labeled: list[int]
     labeled_y: list[float]
     pool: list[int]
-    target_mode: str
 
     def validate(self) -> None:
         if set(self.labeled) & set(self.pool):
@@ -99,7 +98,7 @@ class ActiveState:
             raise InputError("labeled outcomes out of sync with labeled indices")
 
 
-def warm_start(pool_indices, n_init: int, oracle: LabelOracle, rng, target_mode: str = "pool") -> ActiveState:
+def warm_start(pool_indices, n_init: int, oracle: LabelOracle, rng) -> ActiveState:
     """Move n_init uniform-without-replacement indices to the labeled set."""
     pool_indices = list(map(int, pool_indices))
     if n_init > len(pool_indices):
@@ -109,9 +108,7 @@ def warm_start(pool_indices, n_init: int, oracle: LabelOracle, rng, target_mode:
     taken = set(chosen)
     remaining = [i for i in pool_indices if i not in taken]
     ys = oracle.reveal(chosen)
-    state = ActiveState(
-        labeled=list(chosen), labeled_y=[float(v) for v in ys], pool=remaining, target_mode=target_mode
-    )
+    state = ActiveState(labeled=list(chosen), labeled_y=[float(v) for v in ys], pool=remaining)
     state.validate()
     return state
 
@@ -213,15 +210,13 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
     pool_t = np.asarray(pool_data.treatments, dtype=int)
     oracle = LabelOracle(pool_data.outcomes)
     n_pool = pool_t.size
-    if config.n_init > n_pool:
-        raise InputError(f"warm-start size {config.n_init} exceeds pool size {n_pool}")
 
     warm_rng = (
         np.random.default_rng(config.warm_start_seed)
         if config.warm_start_seed is not None
         else rng
     )
-    state = warm_start(range(n_pool), config.n_init, oracle, warm_rng, config.target_mode)
+    state = warm_start(range(n_pool), config.n_init, oracle, warm_rng)
     # ensemble fit seeds come from the warm-start stream so paired runs that
     # share a warm start also share the step-0 model exactly
     fit_rng = np.random.default_rng(
@@ -257,7 +252,7 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         n_take = min(config.n_b, config.n_budget - len(state.labeled), len(state.pool))
         targets = (
             np.asarray(test_data.covariates, dtype=float)
-            if state.target_mode == "test"
+            if config.target_mode == "test"
             else pool_x[state.pool]
         )
         try:

@@ -3,8 +3,9 @@
 Each member is a ridge regression on a bootstrap resample of the design
 ``[1, x, t, t * x]``, so the fitted surface decomposes into a baseline head
 ``mu(x)`` and an effect head ``tau(x)`` with ``f(x, t) = mu(x) + t * tau(x)``.
-The spread across members stands in for posterior draws; beliefs are obtained
-by fitting a Gaussian to those draws (the sample-based posterior route).
+The spread across members stands in for posterior draws: every predictive
+moment is the sample mean or sample covariance (divisor members - 1) of the
+members' predictions.
 """
 
 from __future__ import annotations
@@ -115,11 +116,6 @@ class EnsembleLinearModel(CateModel):
 
     def latent_var(self, x, t) -> np.ndarray:
         return self.member_f(x, t).var(axis=0, ddof=1)
-
-    def _target_means(self, target_x):
-        mu = self.member_mu(target_x).mean(axis=0)
-        tau = self.member_tau(target_x).mean(axis=0)
-        return mu, mu + tau
 
 
 def fit_ensemble(x, t, y, n_members: int = 32, ridge: float = 1e-4, rng=None) -> EnsembleLinearModel:

@@ -372,10 +372,6 @@ class GpCateModel(CateModel):
 
     # -- posterior queries ----------------------------------------------
 
-    def latent_mean(self, xq, tq) -> np.ndarray:
-        k = self._gram(self.train_x, self.train_t, xq, tq)
-        return self.y_mean + k.T @ self.alpha
-
     def latent_cov(self, xa, ta, xb, tb) -> np.ndarray:
         va = solve_triangular(self.L, self._gram(self.train_x, self.train_t, xa, ta), lower=True)
         vb = solve_triangular(self.L, self._gram(self.train_x, self.train_t, xb, tb), lower=True)
@@ -390,11 +386,8 @@ class GpCateModel(CateModel):
         """Posterior means of f0 and f1 from the train cross-Grams of both arms."""
         return self.y_mean + k0.T @ self.alpha, self.y_mean + k1.T @ self.alpha
 
-    def _target_means(self, target_x):
-        return self._arm_means(*self.params.arm_grams(self.train_x, self.train_t, _as_points(target_x)))
-
     def tau_mean(self, x) -> np.ndarray:
-        mu0, mu1 = self._target_means(x)
+        mu0, mu1 = self._arm_means(*self.params.arm_grams(self.train_x, self.train_t, _as_points(x)))
         return mu1 - mu0
 
     def _contrast_moments(self, x):
@@ -514,8 +507,10 @@ def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
 
     Requires at least two labeled points and finite outcomes. Raises
     :class:`NumericalError` if the Gram factorization fails at maximum jitter.
+    The model keeps copies of the training arrays, so the caller may reuse
+    its own.
     """
-    x, t, y = _as_training_arrays(x, t, y)
+    x, t, y = (a.copy() for a in _as_training_arrays(x, t, y))
     if y.size < 2:
         raise InputError(f"need at least 2 labeled points to fit, got {y.size}")
     return _condition(x, t, y, params, params.gram(x, t, x, t))

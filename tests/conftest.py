@@ -151,10 +151,6 @@ class StubModel(CateModel):
     def latent_var(self, x, t):
         return np.broadcast_to(self._y_var - self._noise, (np.atleast_2d(x).shape[0],)).copy()
 
-    def _target_means(self, target_x):
-        m = np.atleast_2d(target_x).shape[0]
-        return np.zeros(m), np.full(m, self._tau_mean)
-
 
 @pytest.fixture
 def rng():

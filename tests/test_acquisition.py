@@ -12,8 +12,6 @@ from cate_al.acquisition import (
     ScoringContext,
     bernoulli_entropy,
     fit_propensity,
-    gaussian_mi_block,
-    gaussian_mi_scalar,
     predict_pi,
     score_pool,
     sign_ambiguity_score,
@@ -25,6 +23,7 @@ from cate_al.gp import CmgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig
 
 from conftest import StubModel, random_fitted_gp
+from oracles import gaussian_mi_block, gaussian_mi_scalar, latent_mean, predictive_belief
 
 
 def scores(name, model, pool_x, pool_t, targets=None, labeled=None, propensity=None, rng=0, **params):
@@ -85,7 +84,7 @@ class TestCausalEpigTau:
         target = np.array([0.1])
         for arm in (0, 1):
             cand_x = np.array([rng.normal()])
-            mu_y = model.latent_mean(cand_x[None, :], [arm])[0]
+            mu_y = latent_mean(model, cand_x[None, :], [arm])[0]
             var_y = model.latent_var(cand_x[None, :], [arm])[0] + model.noise_variance
             h_before = 0.5 * np.log(2 * np.pi * np.e * model.tau_sd(target[None, :])[0] ** 2)
             x2 = np.vstack([model.train_x, cand_x[None, :]])
@@ -132,7 +131,7 @@ class TestCausalEpigMu:
         model = fitted_toy(rng)
         cand = (np.array([-0.3]), 1)
         targets = rng.normal(size=(3, 1))
-        belief = model.predictive_belief(cand, targets)
+        belief = predictive_belief(model, cand, targets)
         expected = np.mean([
             gaussian_mi_block(belief, ["y"], [f"f0@{j}", f"f1@{j}"]) for j in range(3)
         ])
@@ -426,7 +425,7 @@ class TestCausalEig:
         model = fitted_toy(rng)
         grid = rng.normal(size=(3, 1))
         cand = (np.array([-0.2]), 0)
-        belief = model.predictive_belief(cand, grid)
+        belief = predictive_belief(model, cand, grid)
         expected = gaussian_mi_block(belief, ["y"], ["tau@0", "tau@1", "tau@2"])
         got = scores("causal_eig", model, np.vstack([grid, cand[0][None, :]]), [1, 1, 1, 0], eig_grid_size=3)
         assert got[3] == pytest.approx(expected, abs=1e-8)
@@ -486,7 +485,7 @@ class TestPoolScoring:
         targets = rng.normal(size=(4, 1))
         for name, block in (("causal_epig_tau_global", ["tau@{}"]), ("causal_epig_mu_global", ["f0@{}", "f1@{}"])):
             labels = [lab.format(j) for j in range(4) for lab in block]
-            want = [gaussian_mi_block(model.predictive_belief((px[i], pt[i]), targets), ["y"], labels)
+            want = [gaussian_mi_block(predictive_belief(model, (px[i], pt[i]), targets), ["y"], labels)
                     for i in range(6)]
             np.testing.assert_allclose(scores(name, model, px, pt, targets), want, atol=1e-8)
 

@@ -346,6 +346,6 @@ class TestBlasThreads:
 
 class TestStateValidation:
     def test_overlap_detected(self):
-        state = ActiveState(labeled=[1], labeled_y=[0.0], pool=[1, 2], target_mode="pool")
+        state = ActiveState(labeled=[1], labeled_y=[0.0], pool=[1, 2])
         with pytest.raises(InputError):
             state.validate()

@@ -3,10 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cate_al.beliefs import JointGaussianBelief, SamplePosterior, empirical_gaussian_fit, quantity_labels
 from cate_al.errors import InputError
 
 from conftest import random_fitted_gp
+from oracles import (
+    JointGaussianBelief,
+    SamplePosterior,
+    empirical_gaussian_fit,
+    predictive_belief,
+    quantity_labels,
+)
 
 
 class TestSamplePosterior:
@@ -86,7 +92,7 @@ class TestUniformInterface:
         for _ in range(50):
             kind = "cmgp" if rng.uniform() < 0.5 else "nsgp"
             model = random_fitted_gp(rng, n=int(rng.integers(4, 9)), kind=kind)
-            belief = model.predictive_belief((rng.normal(size=1), int(rng.integers(0, 2))), rng.normal(size=(2, 1)))
+            belief = predictive_belief(model, (rng.normal(size=1), int(rng.integers(0, 2))), rng.normal(size=(2, 1)))
             iy = belief.index("y")
             for j in range(2):
                 it = belief.index(f"tau@{j}")
@@ -98,7 +104,7 @@ class TestUniformInterface:
         model = random_fitted_gp(rng, n=6, kind="cmgp")
         candidate = (np.array([0.1]), 1)
         targets = np.array([[0.3]])
-        belief = model.predictive_belief(candidate, targets)
+        belief = predictive_belief(model, candidate, targets)
 
         sampler = np.random.default_rng(42)
         scale = np.abs(belief.cov).max()

@@ -1,8 +1,10 @@
-"""The benchmark's per-layer trace still sees every layer boundary.
+"""The benchmark's per-layer trace still sees every layer boundary, and its
+layer probes still run.
 
 ``bench/tracer.py`` wraps ``cate_al`` functions where their callers look them
 up; a refactor that renames or moves one of them silently drops its span.
-The tracer is imported from its file and used as is.
+``bench/probes.py`` calls library names directly; removing one breaks the
+benchmark. Both are imported from their files and used as is.
 """
 
 import importlib.util
@@ -15,15 +17,19 @@ from cate_al import active_loop
 
 from conftest import random_cmgp_params, random_nsgp_params
 
-TRACER_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "tracer.py")
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", os.path.join(BENCH_DIR, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer_module():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_bench_module("tracer")
 
 
 def test_every_boundary_exists(tracer_module):
@@ -46,3 +52,8 @@ def test_traced_fit_records_a_kernel_span(tracer_module, rng, make_params):
     kernels = [s for s in spans.values() if s["name"].startswith("kernels.")]
     assert len(fits) == 1
     assert kernels and all(s["parent"] == fits[0] for s in kernels)
+
+
+def test_layer_probes_run_at_a_small_scale():
+    values = load_bench_module("probes").layer_probes(0, scale=0.02)
+    assert values and all(np.isfinite(value) for value, _ in values.values())

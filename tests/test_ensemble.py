@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cate_al.beliefs import SamplePosterior, empirical_gaussian_fit, quantity_labels
 from cate_al.ensemble import fit_ensemble
 from cate_al.errors import InputError
+
+from oracles import SamplePosterior, empirical_gaussian_fit, predictive_belief, quantity_labels
 
 
 def toy_data(rng, n=40, d=2):
@@ -64,13 +65,13 @@ def member_draw_fit(model, candidate, target_x):
 
 
 class TestPosteriorDraws:
-    """The base-class belief of an ensemble is the Gaussian fit of its member draws."""
+    """The belief assembled from an ensemble's queries is the Gaussian fit of its member draws."""
 
     def test_effect_column_is_definitional(self, rng):
         x, t, y = toy_data(rng)
         model = fit_ensemble(x, t, y, n_members=5, rng=2)
         target = np.array([0.7, -1.1])
-        belief = model.predictive_belief((np.zeros(2), 1), target[None, :])
+        belief = predictive_belief(model, (np.zeros(2), 1), target[None, :])
         effect = model.tau_weights @ np.concatenate([[1.0], target])
         jt = belief.index("tau@0")
         assert belief.mean[jt] == pytest.approx(effect.mean(), abs=1e-12)
@@ -83,7 +84,7 @@ class TestPosteriorDraws:
         y = np.tile([1.0, 3.0], 3)
         # every bootstrap resample of duplicated rows fits the same line
         model = fit_ensemble(x, t, y, n_members=6, ridge=1e-6, rng=0)
-        belief = model.predictive_belief((np.array([0.4]), 0), np.array([[1.2]]))
+        belief = predictive_belief(model, (np.array([0.4]), 0), np.array([[1.2]]))
         latent = belief.cov.copy()
         latent[0, 0] -= model.noise_variance
         assert np.abs(latent).max() < 1e-12
@@ -92,7 +93,7 @@ class TestPosteriorDraws:
         x, t, y = toy_data(rng)
         model = fit_ensemble(x, t, y, n_members=7, rng=4)
         targets = rng.normal(size=(3, 2))
-        belief = model.predictive_belief((np.zeros(2), 0), targets)
+        belief = predictive_belief(model, (np.zeros(2), 0), targets)
         base = np.hstack([np.ones((3, 1)), targets])
         mu = (model.mu_weights @ base.T).mean(axis=0)
         tau = (model.tau_weights @ base.T).mean(axis=0)
@@ -115,7 +116,7 @@ class TestUniformSurface:
             jt = fit.index(f"tau@{j}")
             assert bundle.tau_var[j] == pytest.approx(fit.cov[jt, jt], abs=1e-12)
             assert bundle.cy_tau[0, j] == pytest.approx(fit.cov[0, jt], abs=1e-12)
-        belief = model.predictive_belief(cand, targets)
+        belief = predictive_belief(model, cand, targets)
         assert belief.labels == fit.labels
         np.testing.assert_allclose(belief.mean, fit.mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(belief.cov, fit.cov, rtol=1e-12, atol=1e-14)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cate_al.acquisition import gaussian_mi_block, gaussian_mi_scalar, mc_mi_oracle
-from cate_al.beliefs import JointGaussianBelief
 from cate_al.errors import InputError, NumericalError
+
+from oracles import JointGaussianBelief, gaussian_mi_block, gaussian_mi_scalar, mc_mi_oracle
 
 
 def belief_from_cov(cov, labels=None):
