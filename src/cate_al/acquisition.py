@@ -21,7 +21,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.special import ndtr
 
 from .beliefs import CateModel, VARIANCE_FLOOR
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, as_arms, as_labeled
 
 DET_FLOOR = 1e-300
 PROPENSITY_RIDGE = 1e-3    # L2 penalty of the logistic propensity fit
@@ -91,12 +91,7 @@ class PropensityModel:
 
 def fit_propensity(x, t) -> PropensityModel:
     """Damped-Newton logistic fit of treatment on covariates."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if x.shape[0] != t.size:
-        raise InputError("covariates and treatments disagree in length")
-    if np.any((t != 0.0) & (t != 1.0)):
-        raise InputError("treatments must be 0 or 1")
+    x, t = as_labeled(x, t)
     z = np.hstack([np.ones((x.shape[0], 1)), x])
     w = np.zeros(z.shape[1])
 
@@ -371,7 +366,7 @@ def _score_coreset(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """
     lx = ctx.labeled_x
     lx = np.atleast_2d(np.asarray(lx, dtype=float)) if np.size(lx) else np.zeros((0, pool_x.shape[1]))
-    lt = np.asarray(ctx.labeled_t, dtype=int).reshape(-1)
+    lt = as_arms(ctx.labeled_t)
 
     scores = np.full(pool_t.size, np.nan)
     for arm in (0, 1):
@@ -422,10 +417,21 @@ _SCORERS = {
 
 METHOD_NAMES = tuple(_SCORERS)
 
+# the AcquisitionMethod parameters each method reads
+METHOD_KEYS = {name: () for name in METHOD_NAMES} | {
+    "causal_epig_tau": ("target_cap",),
+    "causal_epig_mu": ("target_cap",),
+    "causal_epig_mu_additive": ("target_cap",),
+    "causal_epig_tau_global": ("target_cap",),
+    "causal_epig_mu_global": ("target_cap",),
+    "sundin": ("sundin_samples",),
+    "causal_eig": ("eig_grid_size",),
+    "epig_factual": ("epig_sample_size",),
+}
+
 
 def score_pool(method: AcquisitionMethod, model: CateModel, pool_x, pool_t, ctx: ScoringContext) -> np.ndarray:
     """Utility scores for every pool candidate, by pool index; the one entry
     point of every acquisition method."""
-    pool_x = np.atleast_2d(np.asarray(pool_x, dtype=float))
-    pool_t = np.asarray(pool_t, dtype=int).reshape(-1)
+    pool_x, pool_t = as_labeled(pool_x, pool_t)
     return _SCORERS[method.name](method, model, pool_x, pool_t, ctx)

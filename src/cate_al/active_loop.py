@@ -20,7 +20,7 @@ from scipy.linalg import _flapack
 from . import evaluation
 from .acquisition import AcquisitionMethod, ScoringContext, fit_propensity, score_pool
 from .ensemble import fit_ensemble
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, as_arms
 from .gp import SearchConfig, fit_gp, optimize_hyperparams
 
 ESTIMATOR_NAMES = ("cmgp", "nsgp", "ensemble")
@@ -207,7 +207,7 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
     )
 
     pool_x = np.asarray(pool_data.covariates, dtype=float)
-    pool_t = np.asarray(pool_data.treatments, dtype=int)
+    pool_t = as_arms(pool_data.treatments)
     oracle = LabelOracle(pool_data.outcomes)
     n_pool = pool_t.size
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .acquisition import AcquisitionMethod, METHOD_NAMES
+from .acquisition import AcquisitionMethod, METHOD_KEYS, METHOD_NAMES
 from .active_loop import ESTIMATOR_NAMES, LoopConfig, run_active_learning
 from .dgp import DATASET_NAMES, SplitSpec, dataset_info, generate_dataset, make_benchmark, rng_stream
 from .errors import InputError
@@ -45,7 +45,6 @@ SUMMARY_HEADER = (
 _DATASET_KEYS = ("name", "shift", "pool_size", "val_size", "test_size", "covariates_csv")
 _LOOP_KEYS = ("n_init", "batch_size", "budget", "temperature", "refit_hyperparams", "target_mode")
 _RUN_KEYS = ("estimators", "methods", "seeds", "out_dir", "jobs", "master_seed")
-_METHOD_KEYS = ("target_cap", "sundin_samples", "eig_grid_size", "epig_sample_size")
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
         msec = f"method:{mname}"
         if parser.has_section(msec):
             items = dict(parser.items(msec))
-            _reject_unknown(msec, items, _METHOD_KEYS)
+            _reject_unknown(msec, items, METHOD_KEYS[mname])
             for key, raw in items.items():
                 extra[key] = _parse_number(raw, int, f"[{msec}] {key}")
         methods.append(AcquisitionMethod(mname, **extra))
@@ -271,7 +270,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     for m in config.methods:
         defaults = AcquisitionMethod(m.name)
         overrides = {
-            k: getattr(m, k) for k in _METHOD_KEYS if getattr(m, k) != getattr(defaults, k)
+            k: getattr(m, k) for k in METHOD_KEYS[m.name] if getattr(m, k) != getattr(defaults, k)
         }
         if overrides:
             parser[f"method:{m.name}"] = {k: str(v) for k, v in overrides.items()}

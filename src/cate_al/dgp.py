@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, as_arms, as_labeled
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -42,17 +43,13 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        self.covariates = np.atleast_2d(np.asarray(self.covariates, dtype=float))
+        self.covariates, self.treatments, self.outcomes = as_labeled(self.covariates, self.treatments, self.outcomes)
         n = self.covariates.shape[0]
-        for attr in ("treatments", "outcomes", "mu0", "mu1", "tau_true"):
+        for attr in ("mu0", "mu1", "tau_true"):
             v = np.asarray(getattr(self, attr)).reshape(-1)
             if v.size != n:
                 raise InputError(f"{attr} has {v.size} rows, covariates have {n}")
-            setattr(self, attr, v.astype(int) if attr == "treatments" else v.astype(float))
-        if np.any((self.treatments != 0) & (self.treatments != 1)):
-            raise InputError("treatments must be 0 or 1")
-        if not np.all(np.isfinite(self.outcomes)):
-            raise InputError("outcomes must be finite")
+            setattr(self, attr, v.astype(float))
         if not np.allclose(self.tau_true, self.mu1 - self.mu0, atol=1e-10, rtol=0):
             raise InputError("tau_true must equal mu1 - mu0 elementwise")
         if self.propensity_true is not None:
@@ -205,12 +202,9 @@ def gen_ihdp_outcomes(covariates, treatments, shift: bool = False, rng=None, bet
     two entries are zero and mu1 = mu0 + 3 x_bw x_bhead, making the contrast
     3 x_bw x_bhead. Outcome noise is standard normal.
     """
-    x = np.atleast_2d(np.asarray(covariates, dtype=float))
-    t = np.asarray(treatments, dtype=int).reshape(-1)
+    x, t = as_labeled(covariates, treatments)
     if x.shape[1] != IHDP_N_COLUMNS:
         raise InputError(f"expected {IHDP_N_COLUMNS} covariate columns, got {x.shape[1]}")
-    if x.shape[0] != t.size:
-        raise InputError("covariates and treatments disagree in length")
     rng = np.random.default_rng(rng)
     if beta is None:
         beta = sample_ihdp_beta(rng, zero_first_two=shift)
@@ -254,12 +248,9 @@ def gen_actg_outcomes(covariates, treatments, shift: bool = False, rng=None, noi
     """
     if shift:
         raise InputError("the actg benchmark has no shift variant")
-    x = np.atleast_2d(np.asarray(covariates, dtype=float))
-    t = np.asarray(treatments, dtype=int).reshape(-1)
+    x, t = as_labeled(covariates, treatments)
     if x.shape[1] != len(ACTG_COLUMNS):
         raise InputError(f"expected {len(ACTG_COLUMNS)} covariate columns, got {x.shape[1]}")
-    if x.shape[0] != t.size:
-        raise InputError("covariates and treatments disagree in length")
     rng = np.random.default_rng(rng)
     col = {name: x[:, i] for i, name in enumerate(ACTG_COLUMNS)}
     mu = (
@@ -302,9 +293,9 @@ CSV_SCHEMAS = {
 def load_covariates_csv(path, schema: str):
     """Load a covariate file: header-validated, comma-delimited, UTF-8.
 
-    Continuous columns are standardized over the file; the treatment column
-    ``t`` must hold 0/1 values. Returns (covariates in schema order,
-    treatments).
+    Every cell must be a finite number. Continuous columns are standardized
+    over the file; the treatment column ``t`` must hold 0/1 values. Returns
+    (covariates in schema order, treatments).
     """
     if schema not in CSV_SCHEMAS:
         raise InputError(f"unknown covariate schema {schema!r}; expected one of {tuple(CSV_SCHEMAS)}")
@@ -330,11 +321,10 @@ def load_covariates_csv(path, schema: str):
         for r, rec in enumerate(reader, start=2):
             if len(rec) != len(header):
                 raise InputError(f"{path}: row {r} has {len(rec)} cells, header has {len(header)}")
-            try:
-                rows.append([float(v) for v in rec])
-            except ValueError:
-                bad = next(name for name, v in zip(header, rec) if not _is_number(v))
-                raise InputError(f"{path}: row {r}, column {bad!r} is not numeric") from None
+            bad = next((name for name, v in zip(header, rec) if not _is_finite_number(v)), None)
+            if bad is not None:
+                raise InputError(f"{path}: row {r}, column {bad!r} is not a finite number")
+            rows.append([float(v) for v in rec])
     if not rows:
         raise InputError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=float)
@@ -357,13 +347,12 @@ def load_covariates_csv(path, schema: str):
             bad = np.flatnonzero((v != 0.0) & (v != 1.0))[0]
             raise InputError(f"{path}: row {bad + 2}, column {name!r} must be binary 0/1")
         cols.append(v)
-    return np.column_stack(cols), t.astype(int)
+    return np.column_stack(cols), as_arms(t)
 
 
-def _is_number(v: str) -> bool:
+def _is_finite_number(v: str) -> bool:
     try:
-        float(v)
-        return True
+        return math.isfinite(float(v))
     except ValueError:
         return False
 

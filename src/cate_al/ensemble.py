@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .beliefs import CateModel, MomentBundle
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, as_arms, as_labeled
 
 
 def _design(x: np.ndarray) -> np.ndarray:
@@ -32,7 +32,7 @@ def _column_cov(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
 
 def _member_f(mu_weights, tau_weights, x, t) -> np.ndarray:
     """(n_members, n) outcome-surface predictions f_t(x) = mu(x) + t tau(x)."""
-    t = np.asarray(t, dtype=float).reshape(1, -1)
+    t = as_arms(t)
     design = _design(x).T
     return mu_weights @ design + t * (tau_weights @ design)
 
@@ -124,17 +124,13 @@ def fit_ensemble(x, t, y, n_members: int = 32, ridge: float = 1e-4, rng=None) ->
     Members whose bootstrap resample contains a single treatment arm have
     their effect head shrunk to zero (the contrast is unidentified there).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    t = np.asarray(t, dtype=int).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    x, t, y = as_labeled(x, t, y)
     if int(n_members) < 2:
         raise InputError(f"need at least 2 ensemble members, got {n_members}")
     if ridge <= 0:
         raise InputError("ridge penalty must be > 0")
     if y.size < 2:
         raise InputError("need at least 2 labeled points")
-    if np.any((t != 0) & (t != 1)):
-        raise InputError("treatments must be 0 or 1")
     rng = np.random.default_rng(rng)
 
     n, d = x.shape

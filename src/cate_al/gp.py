@@ -23,11 +23,10 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .beliefs import CateModel, MomentBundle
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, as_arms, as_labeled
 from .kernels import (
     CoregionalizationConfig,
     KernelConfig,
-    as_arms,
     cmgp_gram,
     kernel_gram,
     nsgp_gram,
@@ -324,21 +323,6 @@ def _as_points(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def _as_training_arrays(x, t, y):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    t = np.asarray(t, dtype=int).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.shape[0] != t.size or t.size != y.size:
-        raise InputError(f"inconsistent training sizes: x {x.shape}, t {t.shape}, y {y.shape}")
-    if np.any((t != 0) & (t != 1)):
-        raise InputError("treatments must be 0 or 1")
-    if not np.all(np.isfinite(y)):
-        raise InputError("outcomes must be finite")
-    if not np.all(np.isfinite(x)):
-        raise InputError("covariates must be finite")
-    return x, t, y
-
-
 class GpCateModel(CateModel):
     """Fitted GP posterior over the two potential-outcome surfaces.
 
@@ -366,8 +350,8 @@ class GpCateModel(CateModel):
     def _gram(self, xa, ta, xb, tb) -> np.ndarray:
         """Prior covariance K((xa, ta), (xb, tb)): each column of the arm
         Grams of (xa, ta) against xb, taken from the arm in ``tb``."""
-        k0, k1 = self.params.arm_grams(xa, as_arms(ta).reshape(-1), xb)
-        np.copyto(k0, k1, where=as_arms(tb).reshape(-1) == 1)
+        k0, k1 = self.params.arm_grams(xa, ta, xb)
+        np.copyto(k0, k1, where=as_arms(tb) == 1)
         return k0
 
     # -- posterior queries ----------------------------------------------
@@ -378,7 +362,7 @@ class GpCateModel(CateModel):
         return self._gram(xa, ta, xb, tb) - va.T @ vb
 
     def latent_var(self, x, t) -> np.ndarray:
-        t = as_arms(t).reshape(-1)
+        t = as_arms(t)
         v = solve_triangular(self.L, self._gram(self.train_x, self.train_t, x, t), lower=True)
         return np.maximum(self.params.prior_diag(t) - np.sum(v * v, axis=0), 0.0)
 
@@ -414,7 +398,7 @@ class GpCateModel(CateModel):
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
         cand_x = _as_points(cand_x)
-        cand_t = as_arms(cand_t).reshape(-1)
+        cand_t = as_arms(cand_t)
         target_x = _as_points(target_x)
         k0, k1, v0, v1, f0_var, f1_var, f01_cov, tau_var = self._contrast_moments(target_x)
 
@@ -510,7 +494,7 @@ def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
     The model keeps copies of the training arrays, so the caller may reuse
     its own.
     """
-    x, t, y = (a.copy() for a in _as_training_arrays(x, t, y))
+    x, t, y = as_labeled(x, t, y)
     if y.size < 2:
         raise InputError(f"need at least 2 labeled points to fit, got {y.size}")
     return _condition(x, t, y, params, params.gram(x, t, x, t))
@@ -571,7 +555,7 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
     be of ``kind`` and, for cmgp, have ``search.n_components`` components.
     """
     search = search or SearchConfig()
-    x, t, y = _as_training_arrays(x, t, y)
+    x, t, y = as_labeled(x, t, y)
     if y.size < 5:
         raise InputError(f"need at least 5 labeled points to optimize hyperparameters, got {y.size}")
     if kind not in _SEARCH_SPACES:

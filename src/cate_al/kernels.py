@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InputError
+from .errors import InputError, as_arms
 
 KERNEL_FAMILIES = ("rbf", "matern52")
 
@@ -33,7 +33,7 @@ class KernelConfig:
     family : str
         "rbf" or "matern52".
     lengthscales : array_like, shape (d,)
-        Positive per-dimension lengthscales.
+        Positive per-dimension lengthscales; the config keeps a read-only copy.
     signal_variance : float
         Positive prior variance k(x, x).
     noise_variance : float
@@ -52,11 +52,12 @@ class KernelConfig:
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
             raise InputError(f"unknown kernel family {self.family!r}; expected one of {KERNEL_FAMILIES}")
-        ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
+        ls = np.array(self.lengthscales, dtype=float, ndmin=1)
         if ls.ndim != 1 or ls.size == 0:
             raise InputError("lengthscales must be a non-empty 1-d array")
         if not np.all(np.isfinite(ls)) or np.any(ls <= 0):
             raise InputError("lengthscales must be finite and > 0")
+        ls.flags.writeable = False
         object.__setattr__(self, "lengthscales", ls)
         for name in ("signal_variance", "noise_variance"):
             v = float(getattr(self, name))
@@ -153,14 +154,6 @@ def _matern52_from_r2(r2: np.ndarray, signal_variance: float) -> np.ndarray:
         np.multiply(blk, signal_variance, out=blk)
         np.multiply(blk, e, out=blk)
     return r2
-
-
-def as_arms(t) -> np.ndarray:
-    """Treatments as an int array, each 0 or 1."""
-    t = np.asarray(t, dtype=int)
-    if np.any((t != 0) & (t != 1)):
-        raise InputError("treatments must be 0 or 1")
-    return t
 
 
 def kernel_gram(xa: np.ndarray, xb: np.ndarray, cfg: KernelConfig) -> np.ndarray:

@@ -19,14 +19,12 @@ from cate_al.acquisition import (
 from cate_al.active_loop import LoopConfig, run_active_learning
 from cate_al.cli import load_manifest_config, parse_config, run_cell, run_matrix, _record_rows
 from cate_al.dgp import (
-    Dataset,
     gen_actg_outcomes,
     gen_causalbald,
     gen_hahn,
     gen_ihdp_outcomes,
     rng_stream,
 )
-from cate_al.ensemble import fit_ensemble
 from cate_al.evaluation import sqrt_pehe
 from cate_al.gp import CmgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig

@@ -10,9 +10,7 @@ from cate_al import active_loop, dgp
 from cate_al.cli import (
     RESULTS_HEADER,
     SUMMARY_HEADER,
-    ExperimentConfig,
     cell_id,
-    dump_dataset,
     emit_summary,
     load_manifest_config,
     main,
@@ -149,6 +147,8 @@ DROPPED_OR_REPEATED = {
                                   "[method:sundim]", "did you mean [method:sundin]?"),
     "unlisted_method_section": ("methods = random\n\n[method:sundin]\nsundin_samples = 7\n",
                                 "[method:sundin]", "no method listed in [run] methods"),
+    "key_the_method_never_reads": ("methods = random\n\n[method:random]\nsundin_samples = 7\n",
+                                   "[method:random]", "unknown key 'sundin_samples'"),
     "repeated_seed": ("seeds = 0, 0\n", "[run] seeds", "0 twice"),
     "repeated_method": ("methods = random, random\n", "[run] methods", "'random' twice"),
     "repeated_estimator": ("estimators = ensemble, ensemble\n", "[run] estimators", "'ensemble' twice"),

@@ -190,9 +190,10 @@ class TestConsistency:
         np.testing.assert_array_equal(a.outcomes, b.outcomes)
 
     def test_dataset_invariants_enforced(self):
-        with pytest.raises(InputError):
-            Dataset(covariates=np.zeros((2, 1)), treatments=[0, 2], outcomes=[0.0, 1.0],
-                    mu0=[0.0, 0.0], mu1=[1.0, 1.0], tau_true=[1.0, 1.0])
+        for bad in (2, 0.5, np.nan):
+            with pytest.raises(InputError):
+                Dataset(covariates=np.zeros((2, 1)), treatments=[0, bad], outcomes=[0.0, 1.0],
+                        mu0=[0.0, 0.0], mu1=[1.0, 1.0], tau_true=[1.0, 1.0])
         with pytest.raises(InputError):
             Dataset(covariates=np.zeros((2, 1)), treatments=[0, 1], outcomes=[0.0, 1.0],
                     mu0=[0.0, 0.0], mu1=[1.0, 1.0], tau_true=[1.0, 2.0])
@@ -258,10 +259,11 @@ class TestCsvLoader:
         header = ["t", *ACTG_COLUMNS]
         good = [0, *np.linspace(0, 1, 12)]
         bad = [0, *np.linspace(0, 1, 12)]
-        bad[2] = "heavy"
-        write_csv(tmp_path / "actg.csv", header, [good, bad, good])
-        with pytest.raises(InputError, match=r"row 3.*wtkg"):
-            load_covariates_csv(tmp_path / "actg.csv", "actg")
+        for cell in ("heavy", "nan", "inf", "-inf"):
+            bad[2] = cell
+            write_csv(tmp_path / "actg.csv", header, [good, bad, good])
+            with pytest.raises(InputError, match=r"row 3.*wtkg"):
+                load_covariates_csv(tmp_path / "actg.csv", "actg")
 
     def test_bad_treatment_value_diagnosed(self, tmp_path):
         header = ["t", *ACTG_COLUMNS]

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from cate_al import gp, kernels
-from cate_al.errors import InputError, NumericalError
+from cate_al.errors import InputError, NumericalError, as_labeled
 from cate_al.gp import (
     CmgpParams,
     NsgpParams,
@@ -32,6 +32,13 @@ def simple_cmgp(noise=0.3, ls=0.8, b=None):
         kernel=KernelConfig(family="rbf", lengthscales=[ls], signal_variance=1.0, noise_variance=noise),
         coreg=CoregionalizationConfig(task_covariance=b),
     )
+
+
+def posterior_queries(model, xq):
+    """tau_mean, latent_var and every moment_bundle field at four query points."""
+    tq = np.array([0, 1, 1, 0])
+    bundle = model.moment_bundle(xq, tq, xq[:3])
+    return [model.tau_mean(xq), model.latent_var(xq, tq), *vars(bundle).values()]
 
 
 class TestFit:
@@ -67,18 +74,29 @@ class TestFit:
         # the caller reusing its arrays after a fit leaves the posterior as it was
         x, t, y = rng.normal(size=(10, 2)), np.tile([0, 1], 5), rng.normal(size=10)
         model = fit_gp(x, t, y, RANDOM_PARAMS[kind](rng, 2))
-        xq, tq = rng.normal(size=(4, 2)), np.array([0, 1, 1, 0])
-
-        def queries():
-            bundle = model.moment_bundle(xq, tq, xq[:3])
-            return [model.tau_mean(xq), model.latent_var(xq, tq), *vars(bundle).values()]
-
-        before = queries()
+        xq = rng.normal(size=(4, 2))
+        before = posterior_queries(model, xq)
         x += 1.0
         t[:] = 1 - t
         y *= 2.0
-        for got, want in zip(queries(), before):
+        for got, want in zip(posterior_queries(model, xq), before):
             np.testing.assert_array_equal(got, want)
+
+    def test_config_owns_its_lengthscales(self, rng):
+        # the caller reusing its lengthscale array after a fit leaves the
+        # posterior as it was, and the config's own copy cannot be written
+        ls = np.array([0.8, 1.3])
+        cfg = KernelConfig(family="matern52", lengthscales=ls, signal_variance=1.0, noise_variance=0.3)
+        x, t, y = rng.normal(size=(10, 2)), np.tile([0, 1], 5), rng.normal(size=10)
+        xq = rng.normal(size=(4, 2))
+        for params in (CmgpParams(kernel=cfg, coreg=CoregionalizationConfig()), NsgpParams(kernel0=cfg, kernel1=cfg)):
+            model = fit_gp(x, t, y, params)
+            before = posterior_queries(model, xq)
+            ls *= 3.0
+            for got, want in zip(posterior_queries(model, xq), before):
+                np.testing.assert_array_equal(got, want)
+        with pytest.raises(ValueError):
+            cfg.lengthscales[0] = 1.0
 
     def test_too_few_points_rejected(self):
         with pytest.raises(InputError):
@@ -100,7 +118,7 @@ class TestFit:
 
     @pytest.mark.parametrize("n", [5, 60, 200])
     def test_factor_and_weights_equal_scipy_cholesky_and_cho_solve(self, rng, n):
-        x, t, y = gp._as_training_arrays(rng.normal(size=(n, 2)), rng.integers(0, 2, n), rng.normal(size=n))
+        x, t, y = as_labeled(rng.normal(size=(n, 2)), rng.integers(0, 2, n), rng.normal(size=n))
         params = two_component_cmgp(rng, dim=2)
         gram = params.gram(x, t, x, t)
         model = gp._condition(x, t, y, params, gram.copy())
@@ -389,8 +407,9 @@ class TestArmGrams:
     @pytest.mark.parametrize("kind", sorted(ARM_GRAM_PARAMS))
     def test_invalid_treatment_rejected(self, rng, kind):
         params = ARM_GRAM_PARAMS[kind](rng, 1, "rbf")
-        with pytest.raises(InputError):
-            params.arm_grams(np.zeros((2, 1)), [0, 2], np.zeros((3, 1)))
+        for bad in (2, 0.5, np.nan):
+            with pytest.raises(InputError):
+                params.arm_grams(np.zeros((2, 1)), [0, bad], np.zeros((3, 1)))
 
     @pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
     def test_mixed_arm_queries_equal_a_build_from_gram(self, rng, kind):
@@ -496,7 +515,7 @@ class TestTrainGram:
     def test_bitwise_equal_to_gram(self, rng, kind, family, dim, arms):
         params = ARM_GRAM_PARAMS[kind](rng, dim, family)
         n = 2 if arms == "pair" else 23
-        x, t, _ = gp._as_training_arrays(rng.normal(size=(n, dim)), TRAIN_ARMS[arms](rng, n), np.zeros(n))
+        x, t, _ = as_labeled(rng.normal(size=(n, dim)), TRAIN_ARMS[arms](rng, n), np.zeros(n))
         np.testing.assert_array_equal(params.train_gram(gp._GramMemo(x, t)), params.gram(x, t, x, t))
 
     @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
@@ -505,7 +524,7 @@ class TestTrainGram:
         # its first value is evicted before it comes back at step 15; the other
         # steps move a coordinate that leaves every base as it is
         dim = 2
-        x, t, y = gp._as_training_arrays(rng.normal(size=(30, dim)), rng.integers(0, 2, 30), rng.normal(size=30))
+        x, t, y = as_labeled(rng.normal(size=(30, dim)), rng.integers(0, 2, 30), rng.normal(size=30))
         space = gp._SEARCH_SPACES[kind]
         theta0 = space.search_start(x, y - y.mean(), n_components)
         if kind == "nsgp":
@@ -527,7 +546,7 @@ class TestTrainGram:
         assert built[15] > 0 and built.count(0) >= 16
 
     def test_memo_of_other_points_rejected(self, rng):
-        x, t, y = gp._as_training_arrays(rng.normal(size=(6, 1)), [0, 1] * 3, rng.normal(size=6))
+        x, t, y = as_labeled(rng.normal(size=(6, 1)), [0, 1] * 3, rng.normal(size=6))
         with pytest.raises(InputError):
             log_marginal_likelihood(x.copy(), t, y, simple_cmgp(), gp._GramMemo(x, t))
 

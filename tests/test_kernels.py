@@ -113,8 +113,9 @@ class TestCoregionalizedKernel:
             assert np.linalg.eigvalsh(g).min() >= -1e-8
 
     def test_invalid_treatment(self):
-        with pytest.raises(InputError):
-            cmgp(([0.0], 2), ([0.0], 1), cfg(), CoregionalizationConfig())
+        for bad in (2, 0.5, np.nan):
+            with pytest.raises(InputError):
+                cmgp(([0.0], bad), ([0.0], 1), cfg(), CoregionalizationConfig())
 
 
 class TestPerArmKernel:
@@ -168,8 +169,9 @@ class TestPerArmKernel:
             nsgp(([0.0], 0), ([0.0], 1), cfg(), cfg(family="matern52"), rho=0.5)
 
     def test_invalid_treatment(self):
-        with pytest.raises(InputError):
-            nsgp(([0.0], -1), ([0.0], 1), cfg(), cfg(), rho=0.5)
+        for bad in (-1, 0.5, np.nan):
+            with pytest.raises(InputError):
+                nsgp(([0.0], bad), ([0.0], 1), cfg(), cfg(), rho=0.5)
 
 
 
