@@ -9,12 +9,10 @@ from .acquisition import (
     score_pool,
 )
 from .active_loop import (
-    ActiveState,
     LabelOracle,
     LoopConfig,
     run_active_learning,
     select_batch,
-    warm_start,
 )
 from .beliefs import CateModel
 from .dgp import (

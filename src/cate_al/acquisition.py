@@ -14,7 +14,7 @@ index so parallel evaluation order never changes results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -50,6 +50,9 @@ class AcquisitionMethod:
             raise InputError("eig_grid_size must be >= 1")
         if self.epig_sample_size < 1:
             raise InputError("epig_sample_size must be >= 1")
+        for f in fields(self)[1:]:  # the parameters, after the name
+            if f.name not in METHOD_KEYS[self.name] and getattr(self, f.name) != f.default:
+                raise InputError(f"method {self.name!r} does not read {f.name!r}")
 
     @property
     def needs_propensity(self) -> bool:
@@ -364,10 +367,7 @@ def _score_coreset(method, model, pool_x, pool_t, ctx) -> np.ndarray:
 
     The squared distance is Var[f_t(x)] + Var[f_t(x')] - 2 Cov[f_t(x), f_t(x')].
     """
-    lx = ctx.labeled_x
-    lx = np.atleast_2d(np.asarray(lx, dtype=float)) if np.size(lx) else np.zeros((0, pool_x.shape[1]))
-    lt = as_arms(ctx.labeled_t)
-
+    lx, lt = ctx.labeled_x, ctx.labeled_t
     scores = np.full(pool_t.size, np.nan)
     for arm in (0, 1):
         cand = np.flatnonzero(pool_t == arm)
@@ -434,4 +434,22 @@ def score_pool(method: AcquisitionMethod, model: CateModel, pool_x, pool_t, ctx:
     """Utility scores for every pool candidate, by pool index; the one entry
     point of every acquisition method."""
     pool_x, pool_t = as_labeled(pool_x, pool_t)
-    return _SCORERS[method.name](method, model, pool_x, pool_t, ctx)
+    return _SCORERS[method.name](method, model, pool_x, pool_t, _checked_context(ctx, pool_x.shape[1]))
+
+
+def _checked_context(ctx: ScoringContext, width: int) -> ScoringContext:
+    """``ctx`` with its targets and labeled covariates checked to be finite
+    2-d arrays of the pool's width, uncopied, and its labeled treatments
+    through :func:`as_arms`, as many as the labeled covariates."""
+    arrays = {}
+    for name in ("targets", "labeled_x"):
+        a = np.asarray(getattr(ctx, name))
+        if a.ndim != 2 or a.shape[1] != width:
+            raise InputError(f"{name} must be 2-d with the pool's {width} columns, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise InputError(f"{name} must be finite")
+        arrays[name] = a
+    labeled_t = as_arms(ctx.labeled_t)
+    if labeled_t.size != arrays["labeled_x"].shape[0]:
+        raise InputError(f"{labeled_t.size} labeled treatments for {arrays['labeled_x'].shape[0]} labeled covariates")
+    return replace(ctx, labeled_t=labeled_t, **arrays)

@@ -27,7 +27,8 @@ ESTIMATOR_NAMES = ("cmgp", "nsgp", "ensemble")
 
 TARGET_MODES = ("pool", "test")
 
-CMGP_COMPONENTS = 2  # the cmgp search keeps a short- and a long-range component
+# every GP search of the loop; the cmgp search keeps a short- and a long-range component
+SEARCH_CONFIG = SearchConfig(n_components=2)
 
 # the (prefix, suffix) forms of OpenBLAS's thread getter and setter names, by
 # build; the first form a library exports is used
@@ -48,8 +49,6 @@ class LoopConfig:
     target_mode: str = "pool"
     seed: int = 0
     warm_start_seed: int | None = None
-    search_evals: int = 50
-    search_restarts: int = 3
 
     def __post_init__(self):
         if self.n_init < 1 or self.n_b < 1:
@@ -62,10 +61,6 @@ class LoopConfig:
             raise InputError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATOR_NAMES}")
         if self.target_mode not in TARGET_MODES:
             raise InputError(f"target_mode must be one of {TARGET_MODES}")
-        self.search_config()  # search settings every GP fit would reject fail here
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(n_restarts=self.search_restarts, n_evals=self.search_evals, n_components=CMGP_COMPONENTS)
 
 
 class LabelOracle:
@@ -81,36 +76,6 @@ class LabelOracle:
         for i, v in zip(indices.tolist(), values.tolist()):
             self.revealed[i] = v
         return values
-
-
-@dataclass
-class ActiveState:
-    """Labeled / pool bookkeeping across acquisition rounds."""
-
-    labeled: list[int]
-    labeled_y: list[float]
-    pool: list[int]
-
-    def validate(self) -> None:
-        if set(self.labeled) & set(self.pool):
-            raise InputError("labeled and pool index sets overlap")
-        if len(self.labeled) != len(self.labeled_y):
-            raise InputError("labeled outcomes out of sync with labeled indices")
-
-
-def warm_start(pool_indices, n_init: int, oracle: LabelOracle, rng) -> ActiveState:
-    """Move n_init uniform-without-replacement indices to the labeled set."""
-    pool_indices = list(map(int, pool_indices))
-    if n_init > len(pool_indices):
-        raise InputError(f"warm-start size {n_init} exceeds pool size {len(pool_indices)}")
-    chosen = np.random.default_rng(rng).choice(len(pool_indices), size=n_init, replace=False)
-    chosen = sorted(int(pool_indices[i]) for i in chosen)
-    taken = set(chosen)
-    remaining = [i for i in pool_indices if i not in taken]
-    ys = oracle.reveal(chosen)
-    state = ActiveState(labeled=list(chosen), labeled_y=[float(v) for v in ys], pool=remaining)
-    state.validate()
-    return state
 
 
 def select_batch(scores, n_b: int, temperature: float, rng) -> list[int]:
@@ -147,7 +112,7 @@ def _fit_estimator(config: LoopConfig, x, t, y, params, fit_seed: int):
     if config.estimator == "ensemble":
         return fit_ensemble(x, t, y, rng=fit_seed), None
     if params is None or config.refit_hyperparams:
-        params = optimize_hyperparams(x, t, y, config.estimator, config.search_config(), warm_params=params)
+        params = optimize_hyperparams(x, t, y, config.estimator, SEARCH_CONFIG, warm_params=params)
     return fit_gp(x, t, y, params), params
 
 
@@ -210,13 +175,17 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
     pool_t = as_arms(pool_data.treatments)
     oracle = LabelOracle(pool_data.outcomes)
     n_pool = pool_t.size
+    if config.n_init > n_pool:
+        raise InputError(f"warm-start size {config.n_init} exceeds pool size {n_pool}")
 
     warm_rng = (
         np.random.default_rng(config.warm_start_seed)
         if config.warm_start_seed is not None
         else rng
     )
-    state = warm_start(range(n_pool), config.n_init, oracle, warm_rng)
+    # the loop's only state: the uniform warm start sorted, then each batch
+    # in selection order
+    labeled = sorted(warm_rng.choice(n_pool, size=config.n_init, replace=False).tolist())
     # ensemble fit seeds come from the warm-start stream so paired runs that
     # share a warm start also share the step-0 model exactly
     fit_rng = np.random.default_rng(
@@ -225,11 +194,11 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
 
     propensity = None
     params = None
-    step, acq_seconds, chosen = 0, 0.0, list(state.labeled)
+    step, acq_seconds, chosen = 0, 0.0, list(labeled)
     while True:
         try:
             model, params = _fit_estimator(
-                config, pool_x[state.labeled], pool_t[state.labeled], np.array(state.labeled_y),
+                config, pool_x[labeled], pool_t[labeled], oracle.reveal(labeled),
                 params, fit_seed=int(fit_rng.integers(2**31)),
             )
         except (NumericalError, InputError) as exc:
@@ -239,34 +208,37 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             return record
         record.entries.append(
             evaluation.StepEntry(
-                step=step, n_labeled=len(state.labeled),
+                step=step, n_labeled=len(labeled),
                 sqrt_pehe_pool=evaluation.model_sqrt_pehe(model, pool_data),
                 sqrt_pehe_test=evaluation.model_sqrt_pehe(model, test_data),
                 acq_seconds=acq_seconds, acquired=tuple(chosen),
             )
         )
-        if len(state.labeled) >= config.n_budget or not state.pool:
+        if len(labeled) >= min(config.n_budget, n_pool):
             break
 
         step += 1
-        n_take = min(config.n_b, config.n_budget - len(state.labeled), len(state.pool))
+        unlabeled = np.ones(n_pool, dtype=bool)
+        unlabeled[labeled] = False
+        pool = np.flatnonzero(unlabeled)
+        n_take = min(config.n_b, config.n_budget - len(labeled), pool.size)
         targets = (
             np.asarray(test_data.covariates, dtype=float)
             if config.target_mode == "test"
-            else pool_x[state.pool]
+            else pool_x[pool]
         )
         try:
             if config.method.needs_propensity and propensity is None:
                 propensity = fit_propensity(pool_x, pool_t)
             ctx = ScoringContext(
                 targets=targets,
-                labeled_x=pool_x[state.labeled],
-                labeled_t=pool_t[state.labeled],
+                labeled_x=pool_x[labeled],
+                labeled_t=pool_t[labeled],
                 rng=rng,
                 propensity=propensity,
             )
             t0 = time.perf_counter()
-            scores = score_pool(config.method, model, pool_x[state.pool], pool_t[state.pool], ctx)
+            scores = score_pool(config.method, model, pool_x[pool], pool_t[pool], ctx)
             positions = select_batch(scores, n_take, config.temperature, rng)
             acq_seconds = time.perf_counter() - t0
         except (NumericalError, InputError) as exc:
@@ -274,13 +246,8 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             record.failure_reason = f"round {step} scoring failed: {exc}"
             return record
 
-        chosen = [state.pool[p] for p in positions]
-        ys = oracle.reveal(chosen)
-        state.labeled.extend(chosen)
-        state.labeled_y.extend(float(v) for v in ys)
-        keep = set(positions)
-        state.pool = [ix for p, ix in enumerate(state.pool) if p not in keep]
-        state.validate()
+        chosen = pool[positions].tolist()
+        labeled.extend(chosen)
 
     record.validate()
     return record

@@ -19,7 +19,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -352,6 +352,20 @@ def load_manifest_config(manifest_path: str) -> ExperimentConfig:
     return _validated_config(parser)
 
 
+def _check_resumable(recorded: ExperimentConfig, config: ExperimentConfig) -> None:
+    """A resumed run must have the manifest's config, apart from how many
+    jobs run the cells and where they write."""
+    differ = [
+        f.name for f in fields(ExperimentConfig)
+        if f.name not in ("jobs", "out_dir") and getattr(recorded, f.name) != getattr(config, f.name)
+    ]
+    if differ:
+        raise InputError(
+            f"{config.out_dir} was run with another config ({', '.join(differ)} differ); "
+            "--append resumes only the config in its manifest.json"
+        )
+
+
 def _cell_worker(args):
     """Run one cell; whatever it raises fails that cell, never the matrix."""
     config, estimator, method_name, seed = args
@@ -379,6 +393,7 @@ def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
                 f"output directory {config.out_dir} already holds results; pass --append to resume"
             )
         if os.path.exists(manifest_path):
+            _check_resumable(load_manifest_config(manifest_path), config)
             with open(manifest_path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             statuses = payload.get("cells", {})

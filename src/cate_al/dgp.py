@@ -46,16 +46,20 @@ class Dataset:
         self.covariates, self.treatments, self.outcomes = as_labeled(self.covariates, self.treatments, self.outcomes)
         n = self.covariates.shape[0]
         for attr in ("mu0", "mu1", "tau_true"):
-            v = np.asarray(getattr(self, attr)).reshape(-1)
+            v = np.asarray(getattr(self, attr)).reshape(-1).astype(float)
             if v.size != n:
                 raise InputError(f"{attr} has {v.size} rows, covariates have {n}")
-            setattr(self, attr, v.astype(float))
+            if not np.all(np.isfinite(v)):
+                raise InputError(f"{attr} must be finite")
+            setattr(self, attr, v)
         if not np.allclose(self.tau_true, self.mu1 - self.mu0, atol=1e-10, rtol=0):
             raise InputError("tau_true must equal mu1 - mu0 elementwise")
         if self.propensity_true is not None:
             p = np.asarray(self.propensity_true, dtype=float).reshape(-1)
             if p.size != n:
                 raise InputError("propensity_true length mismatch")
+            if not np.all((p >= 0) & (p <= 1)):  # NaN too
+                raise InputError("propensity_true must lie in [0, 1]")
             self.propensity_true = p
 
     @property

@@ -41,9 +41,12 @@ class EnsembleLinearModel(CateModel):
     """Fitted bootstrap ensemble; immutable, predictions are pure."""
 
     def __init__(self, mu_weights, tau_weights, noise_var):
-        # weights: (n_members, d + 1) with the intercept first
-        self.mu_weights = mu_weights
-        self.tau_weights = tau_weights
+        # weights: (n_members, d + 1) with the intercept first, kept as
+        # read-only copies
+        self.mu_weights = np.array(mu_weights, dtype=float)
+        self.tau_weights = np.array(tau_weights, dtype=float)
+        for w in (self.mu_weights, self.tau_weights):
+            w.flags.writeable = False
         self._noise_var = float(noise_var)
 
     @property

@@ -327,11 +327,14 @@ class GpCateModel(CateModel):
     """Fitted GP posterior over the two potential-outcome surfaces.
 
     Stores the Cholesky factor of (K + noise * I) and the weight vector
-    alpha = (K + noise * I)^-1 (y - mean). Immutable after construction;
-    all predictive queries are read-only.
+    alpha = (K + noise * I)^-1 (y - mean). Immutable after construction: it
+    takes arrays the library made for it and marks them read-only, and all
+    predictive queries are read-only.
     """
 
     def __init__(self, params: GpParams, x, t, y, L, alpha, y_mean, jitter_used):
+        for a in (x, t, y, L, alpha):
+            a.flags.writeable = False
         self.params = params
         self.train_x = x
         self.train_t = t

@@ -76,7 +76,8 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class CoregionalizationConfig:
-    """2x2 symmetric PSD task covariance coupling the two treatment arms."""
+    """2x2 symmetric PSD task covariance coupling the two treatment arms;
+    the config keeps a read-only matrix of its own."""
 
     task_covariance: np.ndarray = field(default_factory=lambda: np.eye(2))
 
@@ -91,6 +92,7 @@ class CoregionalizationConfig:
         b = 0.5 * (b + b.T)
         if np.linalg.eigvalsh(b).min() < -1e-10 * max(1.0, np.abs(b).max()):
             raise InputError("task_covariance must be positive semi-definite")
+        b.flags.writeable = False
         object.__setattr__(self, "task_covariance", b)
 
     @classmethod
@@ -101,6 +103,7 @@ class CoregionalizationConfig:
         b = low @ low.T
         if not np.all(np.isfinite(b)):
             raise InputError("task_covariance must be finite")
+        b.flags.writeable = False
         config = object.__new__(cls)
         object.__setattr__(config, "task_covariance", b)
         return config

@@ -283,8 +283,7 @@ def test_criterion_8_no_counterfactual_leakage():
     pool = AuditedDataset(gen_causalbald(60, rng=rng_stream(0, "accept8", "pool")))
     test = AuditedDataset(gen_causalbald(40, rng=rng_stream(0, "accept8", "test")))
     cfg = LoopConfig(n_init=10, n_b=5, n_budget=25, estimator="cmgp",
-                     method=AcquisitionMethod("causal_epig_tau"), seed=0,
-                     search_evals=15, search_restarts=1)
+                     method=AcquisitionMethod("causal_epig_tau"), seed=0)
     rec = run_active_learning(cfg, pool, test, np.random.default_rng(0))
     assert not rec.failed
 

@@ -9,12 +9,10 @@ from scipy.stats import chisquare
 from cate_al import active_loop
 from cate_al.acquisition import AcquisitionMethod
 from cate_al.active_loop import (
-    ActiveState,
     LabelOracle,
     LoopConfig,
     run_active_learning,
     select_batch,
-    warm_start,
 )
 from cate_al.dgp import gen_causalbald
 from cate_al.errors import InputError, NumericalError
@@ -31,32 +29,48 @@ def fast_config(method="random", **kw):
     return LoopConfig(**defaults)
 
 
+def acquired(record):
+    return [i for e in record.entries for i in e.acquired]
+
+
 class TestWarmStart:
     def test_taking_the_whole_pool_empties_it(self):
-        oracle = LabelOracle(np.arange(5, dtype=float))
-        state = warm_start(range(5), 5, oracle, rng=0)
-        assert state.pool == []
-        assert sorted(state.labeled) == [0, 1, 2, 3, 4]
+        pool, test = small_pools(n=6)
+        rec = run_active_learning(fast_config(n_init=6), pool, test, np.random.default_rng(0))
+        assert not rec.failed
+        assert [e.acquired for e in rec.entries] == [(0, 1, 2, 3, 4, 5)]
 
     def test_fixed_seed_reproducible(self):
-        a = warm_start(range(30), 10, LabelOracle(np.zeros(30)), rng=7)
-        b = warm_start(range(30), 10, LabelOracle(np.zeros(30)), rng=7)
-        assert a.labeled == b.labeled
+        pool, test = small_pools(n=30)
+        a, b = (run_active_learning(fast_config(n_init=10, n_budget=10), pool, test, np.random.default_rng(7))
+                for _ in range(2))
+        assert a.entries[0].acquired == b.entries[0].acquired
 
     def test_no_duplicates_selected(self):
-        state = warm_start(range(50), 25, LabelOracle(np.zeros(50)), rng=1)
-        assert len(set(state.labeled)) == 25
+        pool, test = small_pools(n=50)
+        rec = run_active_learning(fast_config(n_init=25, n_b=5, n_budget=40), pool, test, np.random.default_rng(1))
+        warm = rec.entries[0].acquired
+        assert list(warm) == sorted(warm) and len(warm) == 25
+        assert len(set(acquired(rec))) == len(acquired(rec)) == 40
 
     def test_oversized_request_rejected(self):
-        with pytest.raises(InputError):
-            warm_start(range(3), 4, LabelOracle(np.zeros(3)), rng=0)
+        pool, test = small_pools(n=3)
+        with pytest.raises(InputError, match="warm-start size 4 exceeds pool size 3"):
+            run_active_learning(fast_config(n_init=4, n_budget=4), pool, test, np.random.default_rng(0))
 
-    def test_reveals_factual_outcomes_only_for_chosen(self):
-        outcomes = np.arange(10, dtype=float)
-        oracle = LabelOracle(outcomes)
-        state = warm_start(range(10), 4, oracle, rng=2)
-        assert set(oracle.revealed) == set(state.labeled)
-        assert state.labeled_y == [outcomes[i] for i in state.labeled]
+    def test_reveals_factual_outcomes_only_for_chosen(self, monkeypatch):
+        oracles = []
+
+        class RecordingOracle(LabelOracle):
+            def __init__(self, outcomes):
+                super().__init__(outcomes)
+                oracles.append(self)
+
+        monkeypatch.setattr(active_loop, "LabelOracle", RecordingOracle)
+        pool, test = small_pools()
+        rec = run_active_learning(fast_config(), pool, test, np.random.default_rng(2))
+        assert [len(e.acquired) for e in rec.entries] == [6, 3, 3]
+        assert oracles[0].revealed == {i: pool.outcomes[i] for i in acquired(rec)}
 
 
 class TestSelectBatch:
@@ -165,7 +179,7 @@ class TestRunLoop:
     def test_gp_estimator_with_informative_method_runs(self):
         pool, test = small_pools(n=30)
         cfg = fast_config(method="causal_epig_mu", estimator="cmgp", n_init=8,
-                          n_b=4, n_budget=16, search_evals=20, search_restarts=1)
+                          n_b=4, n_budget=16)
         rec = run_active_learning(cfg, pool, test, np.random.default_rng(0))
         assert not rec.failed
         assert all(e.sqrt_pehe_pool >= 0 for e in rec.entries)
@@ -260,8 +274,6 @@ class TestRunLoop:
             fast_config(temperature=-1.0)
         with pytest.raises(InputError):
             fast_config(temperature=float("nan"))
-        with pytest.raises(InputError, match="n_restarts"):
-            fast_config(search_restarts=4)
 
 
 def entry_bits(record):
@@ -342,10 +354,3 @@ class TestBlasThreads:
             for env in (base, {**base, "OPENBLAS_NUM_THREADS": "1"})
         ]
         assert rows[0] == rows[1]
-
-
-class TestStateValidation:
-    def test_overlap_detected(self):
-        state = ActiveState(labeled=[1], labeled_y=[0.0], pool=[1, 2])
-        with pytest.raises(InputError):
-            state.validate()

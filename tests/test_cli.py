@@ -2,11 +2,13 @@ import csv
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cate_al import active_loop, dgp
+from cate_al.acquisition import AcquisitionMethod
 from cate_al.cli import (
     RESULTS_HEADER,
     SUMMARY_HEADER,
@@ -294,6 +296,17 @@ class TestRunMatrix:
         assert run_matrix(config, append=True) == 0
         after = read_rows(os.path.join(config.out_dir, "results.csv"))
         assert before == after  # idempotent resume adds nothing
+
+    def test_append_refuses_a_changed_config(self, tmp_path):
+        config = parse_config(write_config(tmp_path, MINIMAL.replace("seeds = 0, 1", "seeds = 0")))
+        run_matrix(config)
+        manifest = open(os.path.join(config.out_dir, "manifest.json")).read()
+        changed = replace(config, budget=14, methods=config.methods + (AcquisitionMethod("mu_bald"),))
+        with pytest.raises(InputError, match=r"\(budget, methods differ\)"):
+            run_matrix(changed, append=True)
+        assert open(os.path.join(config.out_dir, "manifest.json")).read() == manifest
+        # how many jobs run the cells is not part of what a manifest pins
+        assert run_matrix(replace(config, jobs=2), append=True) == 0
 
     def test_scoring_failure_fails_only_its_cell(self, tmp_path, monkeypatch):
         calls = []

@@ -197,6 +197,14 @@ class TestConsistency:
         with pytest.raises(InputError):
             Dataset(covariates=np.zeros((2, 1)), treatments=[0, 1], outcomes=[0.0, 1.0],
                     mu0=[0.0, 0.0], mu1=[1.0, 1.0], tau_true=[1.0, 2.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InputError, match="must be finite"):
+                Dataset(covariates=np.zeros((2, 1)), treatments=[0, 1], outcomes=[0.0, 1.0],
+                        mu0=[0.0, 0.0], mu1=[bad, 1.0], tau_true=[bad, 1.0])
+        for bad in (np.nan, 7.0, -0.1, np.inf):
+            with pytest.raises(InputError, match=r"propensity_true must lie in \[0, 1\]"):
+                Dataset(covariates=np.zeros((2, 1)), treatments=[0, 1], outcomes=[0.0, 1.0],
+                        mu0=[0.0, 0.0], mu1=[1.0, 1.0], tau_true=[1.0, 1.0], propensity_true=[0.5, bad])
 
 
 def write_csv(path, header, rows):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cate_al.ensemble import fit_ensemble
+from cate_al.ensemble import EnsembleLinearModel, fit_ensemble
 from cate_al.errors import InputError
 
 from oracles import SamplePosterior, empirical_gaussian_fit, predictive_belief, quantity_labels
@@ -45,6 +45,22 @@ class TestFitEnsemble:
         # members whose bootstrap saw one arm carry a (near) zero effect head
         norms = np.linalg.norm(model.tau_weights, axis=1)
         assert norms.min() < 1e-3
+
+    def test_model_owns_read_only_weights(self, rng):
+        # the caller reusing its weight arrays leaves the predictions as they
+        # were, and the model's own copies cannot be written
+        mu, tau = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+        model = EnsembleLinearModel(mu, tau, noise_var=0.3)
+        xq, tq = rng.normal(size=(4, 2)), np.array([0, 1, 1, 0])
+        before = [model.tau_mean(xq), model.latent_var(xq, tq), *vars(model.moment_bundle(xq, tq, xq[:3])).values()]
+        mu[:] = 0.0
+        tau[:] = 0.0
+        after = [model.tau_mean(xq), model.latent_var(xq, tq), *vars(model.moment_bundle(xq, tq, xq[:3])).values()]
+        for got, want in zip(after, before):
+            np.testing.assert_array_equal(got, want)
+        for weights in (model.mu_weights, model.tau_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[:] = 0.0
 
 
 def member_draw_fit(model, candidate, target_x):

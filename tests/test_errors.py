@@ -1,6 +1,7 @@
 """Every entry point that takes caller data rejects what the input contract
 forbids: a treatment other than exactly 0 or 1, a non-finite covariate or
-outcome, and arrays of different lengths."""
+outcome, arrays of different lengths or widths, and a method parameter the
+method never reads."""
 
 import numpy as np
 import pytest
@@ -35,8 +36,8 @@ def ensemble_model():
     return fit_ensemble(X, T, Y, n_members=4, rng=3)
 
 
-def context(labeled_t=T):
-    return ScoringContext(targets=X, labeled_x=X, labeled_t=labeled_t, rng=np.random.default_rng(4))
+def context(labeled_t=T, targets=X, labeled_x=X):
+    return ScoringContext(targets=targets, labeled_x=labeled_x, labeled_t=labeled_t, rng=np.random.default_rng(4))
 
 
 TREATMENT_ENTRY_POINTS = {
@@ -68,6 +69,20 @@ INVALID_INPUTS = {
     "fit_propensity-inf_x": lambda: fit_propensity(with_first(X, np.inf), T),
     "score_pool-short_x": lambda: score_pool(AcquisitionMethod("random"), ensemble_model(), X[:-1], T, context()),
     "score_pool-nan_x": lambda: score_pool(AcquisitionMethod("mu_bald"), ensemble_model(), with_first(X, np.nan), T, context()),
+    "score_pool-short_labeled_x": lambda: score_pool(AcquisitionMethod("coreset_qhte"), gp_model(), X, T,
+                                                     context(labeled_x=X[:5])),
+    "score_pool-nan_target": lambda: score_pool(AcquisitionMethod("causal_epig_tau"), gp_model(), X, T,
+                                                context(targets=with_first(X, np.nan))),
+    "score_pool-wide_targets": lambda: score_pool(AcquisitionMethod("causal_epig_tau"), ensemble_model(), X, T,
+                                                  context(targets=np.hstack([X, X]))),
+    # checked for every method, including those that never read the context
+    "score_pool-1d_targets": lambda: score_pool(AcquisitionMethod("random"), gp_model(), X, T, context(targets=X[0])),
+    "score_pool-inf_labeled_x": lambda: score_pool(AcquisitionMethod("random"), gp_model(), X, T,
+                                                   context(labeled_x=with_first(X, np.inf))),
+    "score_pool-narrow_labeled_x": lambda: score_pool(AcquisitionMethod("random"), gp_model(), X, T,
+                                                      context(labeled_x=X[:, :1])),
+    "AcquisitionMethod-unread_param": lambda: AcquisitionMethod("random", sundin_samples=7),
+    "AcquisitionMethod-unread_target_cap": lambda: AcquisitionMethod("sundin", target_cap=3),
 }
 
 
@@ -77,3 +92,4 @@ INVALID_INPUTS = {
 def test_entry_point_rejects_invalid_input(case):
     with pytest.raises(InputError):
         INVALID_INPUTS[case]()
+

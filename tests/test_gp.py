@@ -71,7 +71,8 @@ class TestFit:
 
     @pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
     def test_model_owns_its_training_arrays(self, rng, kind):
-        # the caller reusing its arrays after a fit leaves the posterior as it was
+        # the caller reusing its arrays after a fit leaves the posterior as it
+        # was, and the model's own arrays cannot be written
         x, t, y = rng.normal(size=(10, 2)), np.tile([0, 1], 5), rng.normal(size=10)
         model = fit_gp(x, t, y, RANDOM_PARAMS[kind](rng, 2))
         xq = rng.normal(size=(4, 2))
@@ -81,6 +82,9 @@ class TestFit:
         y *= 2.0
         for got, want in zip(posterior_queries(model, xq), before):
             np.testing.assert_array_equal(got, want)
+        for name in ("train_x", "train_t", "train_y", "L", "alpha"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(model, name).flat[0] = 4
 
     def test_config_owns_its_lengthscales(self, rng):
         # the caller reusing its lengthscale array after a fit leaves the
@@ -97,6 +101,20 @@ class TestFit:
                 np.testing.assert_array_equal(got, want)
         with pytest.raises(ValueError):
             cfg.lengthscales[0] = 1.0
+
+    def test_config_owns_its_task_covariance(self, rng):
+        # the caller's matrix is not kept, and the config's own cannot be written
+        b = np.array([[1.5, 0.6], [0.6, 1.2]])
+        x, t, y = rng.normal(size=(10, 1)), np.tile([0, 1], 5), rng.normal(size=10)
+        xq = rng.normal(size=(4, 1))
+        model = fit_gp(x, t, y, simple_cmgp(b=b))
+        before = posterior_queries(model, xq)
+        b[1, 1] = 4.0
+        for got, want in zip(posterior_queries(model, xq), before):
+            np.testing.assert_array_equal(got, want)
+        for coreg in (model.params.coreg, CoregionalizationConfig.from_cholesky(1.0, 0.2, 0.7)):
+            with pytest.raises(ValueError, match="read-only"):
+                coreg.task_covariance[1, 1] = 4.0
 
     def test_too_few_points_rejected(self):
         with pytest.raises(InputError):
