@@ -60,26 +60,74 @@ class AcquisitionMethod:
 
 
 # -- Gaussian mutual information ---------------------------------------------
+#
+# The mean-over-targets scorers reduce an (n_c, m) candidate-by-target MI
+# matrix to its row means. One kernel evaluates that matrix a block of rows
+# of about _MI_BLOCK entries at a time, in buffers reused across blocks, so
+# scoring holds O(block) memory beyond the moment bundle. Every entry goes
+# through the whole-matrix operations in the same order, and each row's mean
+# is the same pairwise sum over a C-contiguous row, so the blocks do not
+# change a bit.
+
+_MI_BLOCK = 16384
 
 
-def _mi_scalar_vec(var_a: np.ndarray, var_b: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """MI of jointly Gaussian scalar pairs, 1/2 log(va vb / (va vb - cov^2)),
-    elementwise over broadcast arrays.
+def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
+    """(n_c,) row means of an (n_c, m) MI matrix evaluated by row blocks.
 
-    A pair scores 0 when either variance sits at the certainty floor or the
-    covariance is 0; raises :class:`NumericalError` when any |cov| exceeds
-    the Cauchy-Schwarz bound beyond rounding slack.
+    ``block(rows, bufs)`` writes the MI of the candidate slice ``rows`` into
+    ``bufs[0]``, with ``bufs[1:]`` as work space, all C-contiguous (r, m), and
+    returns the block's worst excess of each covariance it reads over the
+    Cauchy-Schwarz bound (-inf where none exceeds it). The first covariance
+    with an excess in any block raises :class:`NumericalError` with its
+    worst excess over all blocks.
     """
-    va, vb, c = np.broadcast_arrays(var_a, var_b, cov)
-    bound = np.sqrt(np.maximum(va * vb, 0.0)) * (1.0 + 1e-6)
-    if np.any(np.abs(c) > bound):
-        worst = float(np.max(np.abs(c) - bound))
-        raise NumericalError(f"covariance exceeds the variance bound by up to {worst}")
-    prod = np.maximum(va * vb, DET_FLOOR)
-    det = np.maximum(prod - c * c, DET_FLOOR)
-    out = 0.5 * np.log(prod / det)
-    out = np.where((va <= VARIANCE_FLOOR) | (vb <= VARIANCE_FLOOR) | (c == 0.0), 0.0, out)
-    return np.maximum(out, 0.0)
+    rows = max(1, _MI_BLOCK // max(m, 1))
+    buffers = np.empty((n_buffers, min(rows, n_c), m))
+    means = np.empty(n_c)
+    worst = None
+    for start in range(0, n_c, rows):
+        bufs = buffers[:, : min(rows, n_c - start)]
+        excess = block(slice(start, start + rows), bufs)
+        worst = excess if worst is None else [max(a, b) for a, b in zip(worst, excess)]
+        means[start : start + rows] = np.mean(bufs[0], axis=1)
+    for w in worst or ():
+        if w > -np.inf:
+            raise NumericalError(f"covariance exceeds the variance bound by up to {w}")
+    return means
+
+
+def _scalar_mi_block(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndarray) -> float:
+    """Writes into ``out`` the MI of jointly Gaussian scalar pairs with
+    variances ``va`` (r, 1) and ``vb`` (m,) and covariances ``c`` (r, m),
+    1/2 log(va vb / (va vb - c^2)); a pair scores 0 when either variance
+    sits at the certainty floor or c is 0. ``work`` and ``prod`` are (r, m)
+    work space. Returns the worst excess of |c| over the bound
+    sqrt(va vb) (1 + 1e-6), leaving ``out`` unset, when any entry exceeds
+    it, else -inf.
+    """
+    np.multiply(va, vb, out=prod)
+    np.maximum(prod, 0.0, out=work)
+    np.sqrt(work, out=work)
+    np.multiply(work, 1.0 + 1e-6, out=work)  # the bound, with rounding slack
+    np.absolute(c, out=out)
+    mask = np.greater(out, work)
+    if mask.any():
+        return float(np.max(np.subtract(out, work, out=out)))
+    # prod = max(va vb, floor), det = max(prod - c^2, floor)
+    np.maximum(prod, DET_FLOOR, out=out)
+    np.multiply(c, c, out=work)
+    np.subtract(out, work, out=work)
+    np.maximum(work, DET_FLOOR, out=work)
+    np.divide(out, work, out=out)
+    np.log(out, out=out)
+    np.multiply(out, 0.5, out=out)
+    np.equal(c, 0.0, out=mask)
+    out[mask] = 0.0
+    out[:, vb <= VARIANCE_FLOOR] = 0.0
+    out[va[:, 0] <= VARIANCE_FLOOR] = 0.0
+    np.maximum(out, 0.0, out=out)
+    return -np.inf
 
 
 # -- propensity ----------------------------------------------------------------
@@ -176,33 +224,31 @@ def _score_random(method, model, pool_x, pool_t, ctx) -> np.ndarray:
 def _score_epig_tau(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Mean over targets of MI between the candidate's outcome and the contrast."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-    return np.mean(_mi_scalar_vec(b.y_var[:, None], b.tau_var[None, :], b.cy_tau), axis=1)
+
+    def block(rows, bufs):
+        out, work, prod, c = bufs
+        # the contrast covariance of the block only; the bundle's whole
+        # cy_tau is never built
+        np.subtract(b.cy1[rows], b.cy0[rows], out=c)
+        return (_scalar_mi_block(out, work, prod, b.y_var[rows, None], b.tau_var, c),)
+
+    return _mi_row_means(*b.cy0.shape, 4, block)
 
 
-# candidate rows of the pairwise MI are evaluated a block of about this many
-# entries at a time, in two buffers reused across blocks
-_MI_BLOCK = 16384
-
-
-def _mu_joint_mi_means(bundle) -> np.ndarray:
-    """(n_c,) mean over targets of the closed-form MI between y and the
-    per-target (f0, f1) pair. Each row's mean is the same pairwise sum in a
-    block as in the whole matrix, so the blocks do not change a bit."""
-    eps = 1e-12 * np.maximum(np.maximum(bundle.f0_var, bundle.f1_var), 1.0)
-    v0 = bundle.f0_var + eps
-    v1 = bundle.f1_var + eps
-    c01 = bundle.f01_cov
+def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
+    """Mean over targets of MI between the candidate's outcome and both
+    potential-outcome surfaces jointly."""
+    _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
+    eps = 1e-12 * np.maximum(np.maximum(b.f0_var, b.f1_var), 1.0)
+    v0 = b.f0_var + eps
+    v1 = b.f1_var + eps
+    c01 = b.f01_cov
     det2 = np.maximum(v0 * v1 - c01**2, DET_FLOOR)
-    degenerate = (bundle.f0_var <= VARIANCE_FLOOR) & (bundle.f1_var <= VARIANCE_FLOOR)
-    n_c, m = bundle.cy0.shape
-    rows = max(1, _MI_BLOCK // m)
-    q_buf = np.empty((min(rows, n_c), m))
-    d_buf = np.empty_like(q_buf)
-    means = np.empty(n_c)
-    for start in range(0, n_c, rows):
-        cy0, cy1 = bundle.cy0[start : start + rows], bundle.cy1[start : start + rows]
-        vy = bundle.y_var[start : start + rows, None]
-        q, d = q_buf[: vy.shape[0]], d_buf[: vy.shape[0]]
+    degenerate = (b.f0_var <= VARIANCE_FLOOR) & (b.f1_var <= VARIANCE_FLOOR)
+
+    def block(rows, bufs):
+        cy0, cy1, vy = b.cy0[rows], b.cy1[rows], b.y_var[rows, None]
+        q, d = bufs
         # q = cy0^2 v1 - 2 cy0 cy1 c01 + cy1^2 v0
         np.square(cy0, out=q)
         np.multiply(q, v1, out=q)
@@ -224,23 +270,24 @@ def _mu_joint_mi_means(bundle) -> np.ndarray:
         q[:, degenerate] = 0.0
         q[vy[:, 0] <= VARIANCE_FLOOR] = 0.0
         np.maximum(q, 0.0, out=q)
-        means[start : start + rows] = np.mean(q, axis=1)
-    return means
+        return ()
 
-
-def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
-    """Mean over targets of MI between the candidate's outcome and both
-    potential-outcome surfaces jointly."""
-    _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-    return _mu_joint_mi_means(b)
+    return _mi_row_means(*b.cy0.shape, 2, block)
 
 
 def _score_epig_mu_additive(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Additive variant: per-target MI with f0 plus MI with f1, averaged."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-    mi0 = _mi_scalar_vec(b.y_var[:, None], b.f0_var[None, :], b.cy0)
-    mi1 = _mi_scalar_vec(b.y_var[:, None], b.f1_var[None, :], b.cy1)
-    return np.mean(mi0 + mi1, axis=1)
+
+    def block(rows, bufs):
+        mi0, mi1, work, prod = bufs
+        vy = b.y_var[rows, None]
+        excess = (_scalar_mi_block(mi0, work, prod, vy, b.f0_var, b.cy0[rows]),
+                  _scalar_mi_block(mi1, work, prod, vy, b.f1_var, b.cy1[rows]))
+        np.add(mi0, mi1, out=mi0)
+        return excess
+
+    return _mi_row_means(*b.cy0.shape, 4, block)
 
 
 def _global_quad_mi(y_var: np.ndarray, q: np.ndarray, joint_cov: np.ndarray) -> np.ndarray:
@@ -297,7 +344,12 @@ def _score_epig_factual(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     cross = model.latent_cov(pool_x, pool_t, xs, ts)
     y_var = model.latent_var(pool_x, pool_t) + model.noise_variance
     star_var = model.latent_var(xs, ts) + model.noise_variance
-    return np.mean(_mi_scalar_vec(y_var[:, None], star_var[None, :], cross), axis=1)
+
+    def block(rows, bufs):
+        out, work, prod = bufs
+        return (_scalar_mi_block(out, work, prod, y_var[rows, None], star_var, cross[rows]),)
+
+    return _mi_row_means(*cross.shape, 3, block)
 
 
 def _score_mu_bald(method, model, pool_x, pool_t, ctx) -> np.ndarray:

@@ -7,6 +7,8 @@ way round: a :class:`JointGaussianBelief` over a labeled set of quantities
 and their contrast), assembled from a model's public queries, and MI between
 label blocks from determinants or from Monte-Carlo draws. Sample-based
 beliefs come from :func:`empirical_gaussian_fit` of posterior draws.
+:func:`_mi_scalar_vec` is the whole-matrix scalar-MI formula that the
+blocked mean-over-targets scorers must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -187,6 +189,26 @@ def gaussian_mi_scalar(var_a: float, var_b: float, cov_ab: float) -> float:
     prod = max(va * vb, DET_FLOOR)
     det = max(prod - c * c, DET_FLOOR)
     return max(0.5 * float(np.log(prod / det)), 0.0)
+
+
+def _mi_scalar_vec(var_a: np.ndarray, var_b: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """MI of jointly Gaussian scalar pairs, 1/2 log(va vb / (va vb - cov^2)),
+    elementwise over broadcast arrays.
+
+    A pair scores 0 when either variance sits at the certainty floor or the
+    covariance is 0; raises :class:`NumericalError` when any |cov| exceeds
+    the Cauchy-Schwarz bound beyond rounding slack.
+    """
+    va, vb, c = np.broadcast_arrays(var_a, var_b, cov)
+    bound = np.sqrt(np.maximum(va * vb, 0.0)) * (1.0 + 1e-6)
+    if np.any(np.abs(c) > bound):
+        worst = float(np.max(np.abs(c) - bound))
+        raise NumericalError(f"covariance exceeds the variance bound by up to {worst}")
+    prod = np.maximum(va * vb, DET_FLOOR)
+    det = np.maximum(prod - c * c, DET_FLOOR)
+    out = 0.5 * np.log(prod / det)
+    out = np.where((va <= VARIANCE_FLOOR) | (vb <= VARIANCE_FLOOR) | (c == 0.0), 0.0, out)
+    return np.maximum(out, 0.0)
 
 
 def gaussian_mi_block(belief: JointGaussianBelief, block_a, block_b) -> float:

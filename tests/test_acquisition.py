@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,12 @@ from cate_al.acquisition import (
 )
 from cate_al.dgp import gen_causalbald
 from cate_al.ensemble import fit_ensemble
-from cate_al.errors import InputError
+from cate_al.errors import InputError, NumericalError
 from cate_al.gp import CmgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig
 
 from conftest import StubModel, random_fitted_gp
-from oracles import gaussian_mi_block, gaussian_mi_scalar, latent_mean, predictive_belief
+from oracles import _mi_scalar_vec, gaussian_mi_block, gaussian_mi_scalar, latent_mean, predictive_belief
 
 
 def scores(name, model, pool_x, pool_t, targets=None, labeled=None, propensity=None, rng=0, **params):
@@ -266,6 +267,143 @@ class TestFactualEpig:
     def test_empty_sample_rejected(self):
         with pytest.raises(InputError):
             AcquisitionMethod("epig_factual", epig_sample_size=0)
+
+
+def factor_moments(rng, n_c, m):
+    """StubModel moments of a three-factor Gaussian model, so every
+    covariance is within its Cauchy-Schwarz bound. Every sixth candidate and
+    every fourth target sit below the variance floor with small nonzero
+    covariances, which score only through the floor rule; f1 alone does so
+    at every eighth target from the second; a grid of covariances is 0."""
+    a = rng.normal(size=(n_c, 3))
+    a[::6] *= 1e-7
+    b0, b1 = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
+    b0[::4], b1[::4], b1[1::8] = 1e-7 * b0[::4], 1e-7 * b1[::4], 1e-7 * b1[1::8]
+    noise = rng.uniform(0.1, 1.0, n_c)
+    noise[::6] = 0.0
+    y_var = np.sum(a * a, axis=1) + noise
+    cy0, cy1 = a @ b0.T, a @ b1.T
+    cy0[::3, ::5], cy1[::3, ::5] = 0.0, 0.0
+    return dict(y_var=y_var, f0_var=np.sum(b0 * b0, axis=1), f1_var=np.sum(b1 * b1, axis=1),
+                f01_cov=np.sum(b0 * b1, axis=1), cy0=cy0, cy1=cy1)
+
+
+def mean_over_targets(name, stub):
+    """``name``'s scores of a StubModel pool against its own targets."""
+    n_c, m = stub._cy0.shape
+    return scores(name, stub, np.zeros((n_c, 1)), np.zeros(n_c, dtype=int), np.zeros((m, 1)))
+
+
+class IndexedLatentStub(StubModel):
+    """Latent moments looked up by the index each point carries as its
+    covariate, for the factual-outcome scorer."""
+
+    def __init__(self, latent_var, latent_cross):
+        super().__init__([1.0], [1.0], [1.0], [0.0], [[0.0]], [[0.0]], noise=0.0)
+        self._var, self._cross = latent_var, latent_cross
+
+    def latent_var(self, x, t):
+        return self._var[x[:, 0].astype(int)]
+
+    def latent_cov(self, xa, ta, xb, tb):
+        return self._cross[np.ix_(xa[:, 0].astype(int), xb[:, 0].astype(int))]
+
+
+class TestBlockedMeanOverTargets:
+    # the blocked scorers against the whole-matrix scalar-MI oracle; (300,
+    # 150) and (40, 20000) span several row blocks, the last one ragged, and
+    # (40, 20000) has one row per block
+    SHAPES = [(1, 1), (5, 3), (300, 150), (40, 20000)]
+
+    @pytest.mark.parametrize("n_c, m", SHAPES)
+    def test_contrast_scores_bitwise_equal_to_whole_matrix_oracle(self, rng, n_c, m):
+        mo = factor_moments(rng, n_c, m)
+        tau_var = mo["f0_var"] + mo["f1_var"] - 2.0 * mo["f01_cov"]
+        expected = np.mean(_mi_scalar_vec(mo["y_var"][:, None], tau_var[None, :], mo["cy1"] - mo["cy0"]), axis=1)
+        np.testing.assert_array_equal(mean_over_targets("causal_epig_tau", StubModel(**mo)), expected)
+
+    @pytest.mark.parametrize("n_c, m", SHAPES)
+    def test_additive_scores_bitwise_equal_to_whole_matrix_oracle(self, rng, n_c, m):
+        mo = factor_moments(rng, n_c, m)
+        vy = mo["y_var"][:, None]
+        mi0 = _mi_scalar_vec(vy, mo["f0_var"][None, :], mo["cy0"])
+        mi1 = _mi_scalar_vec(vy, mo["f1_var"][None, :], mo["cy1"])
+        expected = np.mean(mi0 + mi1, axis=1)
+        np.testing.assert_array_equal(mean_over_targets("causal_epig_mu_additive", StubModel(**mo)), expected)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (5, 3), (300, 150), (600, 500)])
+    def test_factual_scores_bitwise_equal_to_whole_matrix_oracle(self, rng, n, m):
+        # the sample is drawn from the pool, so m <= n; (600, 500) spans
+        # ragged blocks of 32 rows
+        a = rng.normal(size=(n, 3))
+        a[::6] *= 1e-7  # latent variance ~1e-14 and no noise: below the floor
+        var, cross = np.sum(a * a, axis=1), a @ a.T
+        cross[::3, ::5] = 0.0
+        pick = np.random.default_rng(0).choice(n, size=m, replace=False)
+        expected = np.mean(_mi_scalar_vec(var[:, None], var[pick][None, :], cross[:, pick]), axis=1)
+        got = scores("epig_factual", IndexedLatentStub(var, cross), np.arange(n, dtype=float)[:, None],
+                     np.zeros(n, dtype=int), epig_sample_size=m)
+        np.testing.assert_array_equal(got, expected)
+
+    @staticmethod
+    def oracle_message(var_a, var_b, cov):
+        with pytest.raises(NumericalError) as caught:
+            _mi_scalar_vec(var_a[:, None], var_b[None, :], cov)
+        return str(caught.value)
+
+    def test_contrast_bound_violation_in_the_last_ragged_block_only(self, rng):
+        # 109 rows per block at m = 150: rows 218..299 form the ragged last block
+        mo = factor_moments(rng, 300, 150)
+        mo["cy1"][299, 7] += 10.0
+        tau_var = mo["f0_var"] + mo["f1_var"] - 2.0 * mo["f01_cov"]
+        message = self.oracle_message(mo["y_var"], tau_var, mo["cy1"] - mo["cy0"])
+        with pytest.raises(NumericalError) as caught:
+            mean_over_targets("causal_epig_tau", StubModel(**mo))
+        assert str(caught.value) == message
+
+    def test_contrast_bound_reports_the_worst_excess_over_all_blocks(self, rng):
+        mo = factor_moments(rng, 300, 150)
+        mo["cy1"][1, 7] += 3.0
+        mo["cy1"][299, 7] += 10.0
+        mo["cy1"][150, 9] += 5.0
+        tau_var = mo["f0_var"] + mo["f1_var"] - 2.0 * mo["f01_cov"]
+        message = self.oracle_message(mo["y_var"], tau_var, mo["cy1"] - mo["cy0"])
+        with pytest.raises(NumericalError) as caught:
+            mean_over_targets("causal_epig_tau", StubModel(**mo))
+        assert str(caught.value) == message
+
+    def test_additive_bound_violation_in_the_last_ragged_block_only(self, rng):
+        mo = factor_moments(rng, 300, 150)
+        mo["cy1"][299, 7] += 10.0
+        message = self.oracle_message(mo["y_var"], mo["f1_var"], mo["cy1"])
+        with pytest.raises(NumericalError) as caught:
+            mean_over_targets("causal_epig_mu_additive", StubModel(**mo))
+        assert str(caught.value) == message
+
+    def test_additive_reports_the_control_violation_before_the_treated_one(self, rng):
+        # the larger treated-arm excess sits in an earlier block, yet the
+        # control arm's is the one reported, as the whole-matrix order does
+        mo = factor_moments(rng, 300, 150)
+        mo["cy0"][299, 7] += 2.0
+        mo["cy1"][1, 7] += 10.0
+        message = self.oracle_message(mo["y_var"], mo["f0_var"], mo["cy0"])
+        assert message != self.oracle_message(mo["y_var"], mo["f1_var"], mo["cy1"])
+        with pytest.raises(NumericalError) as caught:
+            mean_over_targets("causal_epig_mu_additive", StubModel(**mo))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("name", ["causal_epig_tau", "causal_epig_mu", "causal_epig_mu_additive"])
+    def test_scoring_holds_the_bundle_plus_a_block(self, rng, name):
+        # the bundle's cy0 and cy1 are the only (n_c, m) arrays scoring makes
+        stub = StubModel(**factor_moments(rng, 1500, 1500))
+        bundle_bytes = 2 * 1500 * 1500 * 8
+        tracemalloc.start()
+        try:
+            mean_over_targets(name, stub)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bundle_bytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestBaldVariants:
