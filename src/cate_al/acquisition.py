@@ -21,6 +21,7 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.special import ndtr
 
 from .beliefs import CateModel, VARIANCE_FLOOR
+from .blas import one_blas_thread
 from .errors import InputError, NumericalError, as_arms, as_labeled
 
 DET_FLOOR = 1e-300
@@ -63,11 +64,12 @@ class AcquisitionMethod:
 #
 # The mean-over-targets scorers reduce an (n_c, m) candidate-by-target MI
 # matrix to its row means. One kernel evaluates that matrix a block of rows
-# of about _MI_BLOCK entries at a time, in buffers reused across blocks, so
-# scoring holds O(block) memory beyond the moment bundle. Every entry goes
-# through the whole-matrix operations in the same order, and each row's mean
-# is the same pairwise sum over a C-contiguous row, so the blocks do not
-# change a bit.
+# of about _MI_BLOCK entries at a time, in buffers reused across blocks, and
+# each scorer reads the bundle's covariance rows of that block only, so
+# scoring holds O(block) memory beyond what the bundle itself holds. Every
+# entry goes through the whole-matrix operations in the same order, and each
+# row's mean is the same pairwise sum over a C-contiguous row, so the blocks
+# do not change a bit.
 
 _MI_BLOCK = 16384
 
@@ -101,20 +103,22 @@ def _scalar_mi_block(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndar
     """Writes into ``out`` the MI of jointly Gaussian scalar pairs with
     variances ``va`` (r, 1) and ``vb`` (m,) and covariances ``c`` (r, m),
     1/2 log(va vb / (va vb - c^2)); a pair scores 0 when either variance
-    sits at the certainty floor or c is 0. ``work`` and ``prod`` are (r, m)
-    work space. Returns the worst excess of |c| over the bound
+    sits at the certainty floor. ``work`` and ``prod`` are (r, m) work
+    space. Returns the worst excess of |c| over the bound
     sqrt(va vb) (1 + 1e-6), leaving ``out`` unset, when any entry exceeds
     it, else -inf.
+
+    With prod = max(va vb, floor) and det = max(prod - c^2, floor), det never
+    exceeds prod, so the log is never negative, and c = 0 gives det = prod,
+    so it scores exactly 0.
     """
     np.multiply(va, vb, out=prod)
     np.maximum(prod, 0.0, out=work)
     np.sqrt(work, out=work)
     np.multiply(work, 1.0 + 1e-6, out=work)  # the bound, with rounding slack
     np.absolute(c, out=out)
-    mask = np.greater(out, work)
-    if mask.any():
+    if np.greater(out, work).any():
         return float(np.max(np.subtract(out, work, out=out)))
-    # prod = max(va vb, floor), det = max(prod - c^2, floor)
     np.maximum(prod, DET_FLOOR, out=out)
     np.multiply(c, c, out=work)
     np.subtract(out, work, out=work)
@@ -122,11 +126,8 @@ def _scalar_mi_block(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndar
     np.divide(out, work, out=out)
     np.log(out, out=out)
     np.multiply(out, 0.5, out=out)
-    np.equal(c, 0.0, out=mask)
-    out[mask] = 0.0
     out[:, vb <= VARIANCE_FLOOR] = 0.0
     out[va[:, 0] <= VARIANCE_FLOOR] = 0.0
-    np.maximum(out, 0.0, out=out)
     return -np.inf
 
 
@@ -227,12 +228,10 @@ def _score_epig_tau(method, model, pool_x, pool_t, ctx) -> np.ndarray:
 
     def block(rows, bufs):
         out, work, prod, c = bufs
-        # the contrast covariance of the block only; the bundle's whole
-        # cy_tau is never built
-        np.subtract(b.cy1[rows], b.cy0[rows], out=c)
+        c = b.cy_tau_rows(rows, out=c)
         return (_scalar_mi_block(out, work, prod, b.y_var[rows, None], b.tau_var, c),)
 
-    return _mi_row_means(*b.cy0.shape, 4, block)
+    return _mi_row_means(*b.shape, 4, block)
 
 
 def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
@@ -247,8 +246,8 @@ def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     degenerate = (b.f0_var <= VARIANCE_FLOOR) & (b.f1_var <= VARIANCE_FLOOR)
 
     def block(rows, bufs):
-        cy0, cy1, vy = b.cy0[rows], b.cy1[rows], b.y_var[rows, None]
-        q, d = bufs
+        q, d, cy0, cy1 = bufs
+        cy0, cy1, vy = b.cy0_rows(rows, out=cy0), b.cy1_rows(rows, out=cy1), b.y_var[rows, None]
         # q = cy0^2 v1 - 2 cy0 cy1 c01 + cy1^2 v0
         np.square(cy0, out=q)
         np.multiply(q, v1, out=q)
@@ -272,7 +271,7 @@ def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
         np.maximum(q, 0.0, out=q)
         return ()
 
-    return _mi_row_means(*b.cy0.shape, 2, block)
+    return _mi_row_means(*b.shape, 4, block)
 
 
 def _score_epig_mu_additive(method, model, pool_x, pool_t, ctx) -> np.ndarray:
@@ -280,14 +279,14 @@ def _score_epig_mu_additive(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
 
     def block(rows, bufs):
-        mi0, mi1, work, prod = bufs
+        mi0, mi1, work, prod, c = bufs
         vy = b.y_var[rows, None]
-        excess = (_scalar_mi_block(mi0, work, prod, vy, b.f0_var, b.cy0[rows]),
-                  _scalar_mi_block(mi1, work, prod, vy, b.f1_var, b.cy1[rows]))
+        excess = (_scalar_mi_block(mi0, work, prod, vy, b.f0_var, b.cy0_rows(rows, out=c)),
+                  _scalar_mi_block(mi1, work, prod, vy, b.f1_var, b.cy1_rows(rows, out=c)))
         np.add(mi0, mi1, out=mi0)
         return excess
 
-    return _mi_row_means(*b.cy0.shape, 4, block)
+    return _mi_row_means(*b.shape, 5, block)
 
 
 def _global_quad_mi(y_var: np.ndarray, q: np.ndarray, joint_cov: np.ndarray) -> np.ndarray:
@@ -482,9 +481,12 @@ METHOD_KEYS = {name: () for name in METHOD_NAMES} | {
 }
 
 
+@one_blas_thread()
 def score_pool(method: AcquisitionMethod, model: CateModel, pool_x, pool_t, ctx: ScoringContext) -> np.ndarray:
     """Utility scores for every pool candidate, by pool index; the one entry
-    point of every acquisition method."""
+    point of every acquisition method. Scoring holds the BLAS at one thread,
+    as a cell does (see :mod:`cate_al.blas`), so a direct call gives the
+    same scores on any core count."""
     pool_x, pool_t = as_labeled(pool_x, pool_t)
     return _SCORERS[method.name](method, model, pool_x, pool_t, _checked_context(ctx, pool_x.shape[1]))
 

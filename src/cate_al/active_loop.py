@@ -7,18 +7,14 @@ Ground-truth effects are consumed exclusively by the evaluation module.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import _umath_linalg
-from scipy.linalg import _flapack
 
 from . import evaluation
 from .acquisition import AcquisitionMethod, ScoringContext, fit_propensity, score_pool
+from .blas import one_blas_thread
 from .ensemble import fit_ensemble
 from .errors import InputError, NumericalError, as_arms
 from .gp import SearchConfig, fit_gp, optimize_hyperparams
@@ -29,10 +25,6 @@ TARGET_MODES = ("pool", "test")
 
 # every GP search of the loop; the cmgp search keeps a short- and a long-range component
 SEARCH_CONFIG = SearchConfig(n_components=2)
-
-# the (prefix, suffix) forms of OpenBLAS's thread getter and setter names, by
-# build; the first form a library exports is used
-_OPENBLAS_SYMBOL_FORMS = (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", ""))
 
 
 @dataclass(frozen=True)
@@ -116,54 +108,13 @@ def _fit_estimator(config: LoopConfig, x, t, y, params, fit_seed: int):
     return fit_gp(x, t, y, params), params
 
 
-def _openblas_thread_controls() -> list[tuple[str, Callable[[], int], Callable[[int], None]]]:
-    """(label, thread getter, thread setter) of the OpenBLAS that each of
-    numpy's and scipy's LAPACK extensions links; empty for other BLAS builds
-    (MKL, Accelerate)."""
-    controls = []
-    for module in (_umath_linalg, _flapack):
-        lib = ctypes.CDLL(module.__file__)
-        for prefix, suffix in _OPENBLAS_SYMBOL_FORMS:
-            try:
-                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            controls.append((f"{prefix}{suffix} via {module.__name__}", get, set_))
-            break
-    return controls
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold every loaded OpenBLAS at one thread, then restore each count.
-
-    numpy's and scipy's OpenBLAS keep separate thread pools; on matrices of a
-    few thousand rows at most, each pool's spinning workers only slow the
-    other's calls, and a thread count changes the last bits of a Cholesky or
-    a matmul. A cell therefore computes the same rows on any core count, and
-    parallelism comes from running cells side by side.
-    """
-    controls = _openblas_thread_controls()
-    saved = [get() for _, get, _ in controls]
-    try:
-        for _, _, set_ in controls:
-            set_(1)
-        yield
-    finally:
-        for (_, _, set_), count in zip(controls, saved):
-            set_(count)
-
-
-@_one_blas_thread()
+@one_blas_thread()
 def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> evaluation.RunRecord:
     """Execute one budgeted run and record the per-round trajectory.
 
     A model-fit or scoring failure aborts the run: the partial record comes
     back with the failure flag set rather than silently skipping rounds.
-    The run holds the BLAS at one thread (see ``_one_blas_thread``).
+    The run holds the BLAS at one thread (see :mod:`cate_al.blas`).
     """
     rng = np.random.default_rng(config.seed if rng is None else rng)
     record = evaluation.RunRecord(

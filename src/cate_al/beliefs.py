@@ -20,11 +20,22 @@ VARIANCE_FLOOR = 1e-12
 
 
 @dataclass
-class MomentBundle:
+class MomentBundle(ABC):
     """Vectorized predictive moments for a candidate set against a target set.
 
     Shapes: candidate axis n_c, target axis m. ``y_var`` includes observation
     noise; latent f moments do not.
+
+    The (n_c, m) candidate-by-target covariances Cov[y_c, f0(x*_j)],
+    Cov[y_c, f1(x*_j)] and Cov[y_c, tau(x*_j)] are served by row block:
+    ``cy0_rows(rows, out)``, ``cy1_rows`` and ``cy_tau_rows`` return those
+    of the candidate slice ``rows``, possibly written into ``out``, a
+    C-contiguous (r, m) buffer. The mean-over-targets scorers read them block
+    by block, so a bundle that computes its rows on demand (the ensemble's)
+    holds no candidate-by-target matrix while they score, and one that holds
+    its two matrices (the GPs') serves slices of them. ``cy0`` and ``cy1``
+    (a field or a property of each subclass) and ``cy_tau`` read all rows
+    at once.
     """
 
     y_mean: np.ndarray   # (n_c,)
@@ -33,12 +44,45 @@ class MomentBundle:
     f1_var: np.ndarray   # (m,)
     f01_cov: np.ndarray  # (m,)
     tau_var: np.ndarray  # (m,)
-    cy0: np.ndarray      # (n_c, m) Cov[y_c, f0(x*_j)]
-    cy1: np.ndarray      # (n_c, m) Cov[y_c, f1(x*_j)]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(n_c, m) of the candidate-by-target covariances."""
+        return self.y_var.size, self.f0_var.size
+
+    @abstractmethod
+    def cy0_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Cov[y_c, f0(x*_j)] of the candidates ``rows``."""
+
+    @abstractmethod
+    def cy1_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Cov[y_c, f1(x*_j)] of the candidates ``rows``."""
+
+    @abstractmethod
+    def cy_tau_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """Cov[y_c, tau(x*_j)] of the candidates ``rows``."""
 
     @property
     def cy_tau(self) -> np.ndarray:
-        return self.cy1 - self.cy0
+        return self.cy_tau_rows(slice(None))
+
+
+@dataclass
+class HeldMomentBundle(MomentBundle):
+    """Moment bundle holding its two covariance matrices whole; a row block
+    is a slice of them, and the contrast's is the difference of the slices."""
+
+    cy0: np.ndarray      # (n_c, m) Cov[y_c, f0(x*_j)]
+    cy1: np.ndarray      # (n_c, m) Cov[y_c, f1(x*_j)]
+
+    def cy0_rows(self, rows, out=None):
+        return self.cy0[rows]
+
+    def cy1_rows(self, rows, out=None):
+        return self.cy1[rows]
+
+    def cy_tau_rows(self, rows, out=None):
+        return np.subtract(self.cy1[rows], self.cy0[rows], out=out)
 
 
 class CateModel(ABC):

@@ -10,6 +10,8 @@ members' predictions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .beliefs import CateModel, MomentBundle
@@ -35,6 +37,52 @@ def _member_f(mu_weights, tau_weights, x, t) -> np.ndarray:
     t = as_arms(t)
     design = _design(x).T
     return mu_weights @ design + t * (tau_weights @ design)
+
+
+@dataclass
+class MemberMomentBundle(MomentBundle):
+    """Moment bundle that computes its covariance rows from the centred
+    member predictions, one (r, members) x (members, m) product per block:
+    no candidate-by-target matrix exists until a whole one is read. With two
+    or more targets, a block's f0 and f1 rows are bitwise the rows of
+    ``_column_cov``'s whole matrices; with one, BLAS takes its matrix-vector
+    path for both and only the whole set of rows, the scorers' one block
+    there, is. The contrast's rows come from the effect deviations directly,
+    not as a difference of the two."""
+
+    cand_dev: np.ndarray  # (members, n_c) centred candidate outcome surfaces
+    f0_dev: np.ndarray    # (members, m) centred f0 at the targets
+    f1_dev: np.ndarray    # (members, m) centred f1 at the targets
+    tau_dev: np.ndarray   # (members, m) centred contrast at the targets
+
+    def _rows(self, target_dev, rows, out):
+        n_c = self.cand_dev.shape[1]
+        start, stop, _ = rows.indices(n_c)
+        if stop - start == 1 and n_c > 1:
+            # BLAS evaluates a one-row product as a matrix-vector product,
+            # which rounds differently from the rows of the whole matrix's
+            # product: take the row from a product with a neighbour
+            low = min(start, n_c - 2)
+            return self._rows(target_dev, slice(low, low + 2), None)[start - low : start - low + 1]
+        out = np.matmul(self.cand_dev[:, rows].T, target_dev, out=out)
+        return np.divide(out, self.cand_dev.shape[0] - 1, out=out)
+
+    def cy0_rows(self, rows, out=None):
+        return self._rows(self.f0_dev, rows, out)
+
+    def cy1_rows(self, rows, out=None):
+        return self._rows(self.f1_dev, rows, out)
+
+    def cy_tau_rows(self, rows, out=None):
+        return self._rows(self.tau_dev, rows, out)
+
+    @property
+    def cy0(self) -> np.ndarray:
+        return self.cy0_rows(slice(None))
+
+    @property
+    def cy1(self) -> np.ndarray:
+        return self.cy1_rows(slice(None))
 
 
 class EnsembleLinearModel(CateModel):
@@ -82,22 +130,25 @@ class EnsembleLinearModel(CateModel):
         pick = rng.integers(0, self.n_members, size=(np.atleast_2d(x).shape[0], int(k)))
         return np.take_along_axis(self.member_tau(x).T, pick, axis=1)
 
-    def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
-        fc = self.member_f(cand_x, cand_t)            # (m_members, n_c)
-        mu = self.member_mu(target_x)                 # (m_members, m)
+    def moment_bundle(self, cand_x, cand_t, target_x) -> MemberMomentBundle:
+        fc = self.member_f(cand_x, cand_t)            # (n_members, n_c)
+        mu = self.member_mu(target_x)                 # (n_members, m)
         tau = self.member_tau(target_x)
         f0, f1 = mu, mu + tau
         f0c = f0 - f0.mean(axis=0)
         f1c = f1 - f1.mean(axis=0)
-        return MomentBundle(
-            y_mean=fc.mean(axis=0),
+        y_mean = fc.mean(axis=0)
+        return MemberMomentBundle(
+            y_mean=y_mean,
             y_var=fc.var(axis=0, ddof=1) + self._noise_var,
             f0_var=f0.var(axis=0, ddof=1),
             f1_var=f1.var(axis=0, ddof=1),
             f01_cov=np.sum(f0c * f1c, axis=0) / (self.n_members - 1),
             tau_var=tau.var(axis=0, ddof=1),
-            cy0=_column_cov(fc, f0),
-            cy1=_column_cov(fc, f1),
+            cand_dev=fc - y_mean,
+            f0_dev=f0c,
+            f1_dev=f1c,
+            tau_dev=tau - tau.mean(axis=0),
         )
 
     def tau_joint_cov(self, target_x) -> np.ndarray:

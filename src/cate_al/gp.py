@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .beliefs import CateModel, MomentBundle
+from .beliefs import CateModel, HeldMomentBundle
 from .errors import InputError, NumericalError, as_arms, as_labeled
 from .kernels import (
     CoregionalizationConfig,
@@ -157,10 +157,7 @@ class CmgpParams:
         components = []
         # without the shared noise coordinate, each component is a block of dim + 3
         for block in np.concatenate([theta[:dim], theta[dim + 1 :]]).reshape(-1, dim + 3):
-            kernel = KernelConfig(
-                family=SEARCH_FAMILY, lengthscales=np.exp(block[:dim]),
-                signal_variance=1.0, noise_variance=noise,
-            )
+            kernel = KernelConfig.trusted(SEARCH_FAMILY, np.exp(block[:dim]), 1.0, noise)
             coreg = CoregionalizationConfig.from_cholesky(
                 float(np.exp(block[dim])), float(block[dim + 1]), float(np.exp(block[dim + 2]))
             )
@@ -259,14 +256,8 @@ class NsgpParams:
         d = dim
         theta = np.clip(theta, -8.0, 8.0)
         noise = float(np.exp(theta[2 * d + 2]))
-        k0 = KernelConfig(
-            family=SEARCH_FAMILY, lengthscales=np.exp(theta[:d]),
-            signal_variance=float(np.exp(theta[d])), noise_variance=noise,
-        )
-        k1 = KernelConfig(
-            family=SEARCH_FAMILY, lengthscales=np.exp(theta[d + 1 : 2 * d + 1]),
-            signal_variance=float(np.exp(theta[2 * d + 1])), noise_variance=noise,
-        )
+        k0 = KernelConfig.trusted(SEARCH_FAMILY, np.exp(theta[:d]), np.exp(theta[d]), noise)
+        k1 = KernelConfig.trusted(SEARCH_FAMILY, np.exp(theta[d + 1 : 2 * d + 1]), np.exp(theta[2 * d + 1]), noise)
         return cls(kernel0=k0, kernel1=k1, cross_rho=float(0.95 * np.tanh(theta[2 * d + 3])))
 
 
@@ -399,7 +390,7 @@ class GpCateModel(CateModel):
         sd = np.sqrt(tau_var)
         return rng.normal((mu1 - mu0)[:, None], sd[:, None], size=(sd.size, int(k)))
 
-    def moment_bundle(self, cand_x, cand_t, target_x) -> MomentBundle:
+    def moment_bundle(self, cand_x, cand_t, target_x) -> HeldMomentBundle:
         cand_x = _as_points(cand_x)
         cand_t = as_arms(cand_t)
         target_x = _as_points(target_x)
@@ -421,7 +412,7 @@ class GpCateModel(CateModel):
         cy0, cy1 = self.params.arm_grams(cand_x, cand_t, target_x)
         cy0 -= vc.T @ v0
         cy1 -= vc.T @ v1
-        return MomentBundle(
+        return HeldMomentBundle(
             y_mean=y_mean, y_var=y_var, f0_var=f0_var, f1_var=f1_var,
             f01_cov=f01_cov, tau_var=tau_var, cy0=cy0, cy1=cy1,
         )

@@ -69,6 +69,21 @@ class KernelConfig:
             raise InputError(f"jitter must lie in [1e-10, 1e-3], got {j}")
         object.__setattr__(self, "jitter", j)
 
+    @classmethod
+    def trusted(cls, family: str, lengthscales: np.ndarray, signal_variance: float,
+                noise_variance: float) -> "KernelConfig":
+        """Build from values the caller guarantees valid, as a search decoding
+        clipped log parameters does: a known family, a non-empty 1-d array of
+        finite lengthscales > 0 and finite variances > 0. Keeps one read-only
+        copy of the lengthscales and the default jitter; checks nothing."""
+        ls = np.array(lengthscales, dtype=float)
+        ls.flags.writeable = False
+        config = object.__new__(cls)
+        for name, value in (("family", family), ("lengthscales", ls), ("signal_variance", float(signal_variance)),
+                            ("noise_variance", float(noise_variance)), ("jitter", cls.jitter)):
+            object.__setattr__(config, name, value)
+        return config
+
     @property
     def input_dim(self) -> int:
         return self.lengthscales.size

@@ -1,18 +1,37 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from cate_al.active_loop import _openblas_thread_controls
-from cate_al.beliefs import CateModel, MomentBundle
+from cate_al.beliefs import CateModel, HeldMomentBundle
+from cate_al.blas import openblas_thread_controls
 from cate_al.gp import CmgpParams, NsgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig, cmgp_gram, nsgp_gram
 
 
 def pytest_report_header(config):
     """The BLAS thread counts the wall-clock tests run with, outside a cell."""
-    controls = _openblas_thread_controls()
+    controls = openblas_thread_controls()
     if not controls:
         return "blas: no OpenBLAS with a thread setter found"
     return [f"blas: {label}, {get()} thread(s)" for label, get, _ in controls]
+
+
+def stdout_at_default_and_one_blas_thread(code: str) -> list[str]:
+    """Standard output of ``python -c code``, with ``src`` and ``tests`` on
+    the path, run once with the BLAS thread variables unset and once with
+    ``OPENBLAS_NUM_THREADS=1``."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests_dir), "src")
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests_dir, os.environ.get("PYTHONPATH")]))
+    return [
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                       timeout=300).stdout
+        for env in (base, {**base, "OPENBLAS_NUM_THREADS": "1"})
+    ]
 
 
 def brute_force_conditioning(params, train_x, train_t, train_y, query_x, query_t, noise_var):
@@ -122,7 +141,7 @@ class StubModel(CateModel):
 
     def moment_bundle(self, cand_x, cand_t, target_x):
         n_c = np.atleast_2d(cand_x).shape[0]
-        return MomentBundle(
+        return HeldMomentBundle(
             y_mean=np.zeros(n_c),
             y_var=np.broadcast_to(self._y_var, (n_c,)).copy(),
             f0_var=self._f0,
@@ -150,6 +169,21 @@ class StubModel(CateModel):
 
     def latent_var(self, x, t):
         return np.broadcast_to(self._y_var - self._noise, (np.atleast_2d(x).shape[0],)).copy()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS at two threads for the test, then as it was; yields a
+    function that reads their counts."""
+    controls = openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS with a thread setter is loaded")
+    saved = [get() for _, get, _ in controls]
+    for _, _, set_ in controls:
+        set_(2)
+    yield lambda: [get() for _, get, _ in controls]
+    for (_, _, set_), count in zip(controls, saved):
+        set_(count)
 
 
 @pytest.fixture

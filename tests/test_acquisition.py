@@ -2,12 +2,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import cate_al
+from cate_al import blas
 from cate_al.acquisition import (
     AcquisitionMethod,
     ScoringContext,
@@ -17,13 +19,14 @@ from cate_al.acquisition import (
     score_pool,
     sign_ambiguity_score,
 )
+from cate_al.beliefs import HeldMomentBundle, MomentBundle
 from cate_al.dgp import gen_causalbald
-from cate_al.ensemble import fit_ensemble
+from cate_al.ensemble import EnsembleLinearModel, fit_ensemble
 from cate_al.errors import InputError, NumericalError
 from cate_al.gp import CmgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig
 
-from conftest import StubModel, random_fitted_gp
+from conftest import StubModel, random_fitted_gp, stdout_at_default_and_one_blas_thread
 from oracles import _mi_scalar_vec, gaussian_mi_block, gaussian_mi_scalar, latent_mean, predictive_belief
 
 
@@ -404,6 +407,83 @@ class TestBlockedMeanOverTargets:
         finally:
             tracemalloc.stop()
         assert peak < bundle_bytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class HeldEnsemble(EnsembleLinearModel):
+    """The same ensemble with its bundle's covariance matrices computed whole
+    and held, as the bundle served them before it computed rows per block."""
+
+    def moment_bundle(self, cand_x, cand_t, target_x):
+        b = super().moment_bundle(cand_x, cand_t, target_x)
+        moments = {f.name: getattr(b, f.name) for f in fields(MomentBundle)}
+        return HeldMomentBundle(**moments, cy0=b.cy0, cy1=b.cy1)
+
+
+class TestRowServedBundle:
+    @staticmethod
+    def ensemble(rng):
+        x = rng.normal(size=(200, 3))
+        t = rng.integers(0, 2, 200)
+        return fit_ensemble(x, t, x[:, 0] + t * x[:, 1] + rng.normal(size=200), rng=1)
+
+    @pytest.mark.parametrize("n_c, m", [(1, 5), (301, 150), (37, 9000)])
+    def test_ensemble_scores_equal_scores_from_held_matrices(self, rng, n_c, m):
+        # (301, 150) ends in a ragged block; at m = 9000 every block is one row
+        model = self.ensemble(rng)
+        held = HeldEnsemble(model.mu_weights, model.tau_weights, model.noise_variance)
+        px, pt, tx = rng.normal(size=(n_c, 3)), rng.integers(0, 2, n_c), rng.normal(size=(m, 3))
+        for name in ("causal_epig_mu", "causal_epig_mu_additive"):
+            np.testing.assert_array_equal(scores(name, model, px, pt, tx), scores(name, held, px, pt, tx))
+        # the contrast rows come from one product, not a difference of two
+        np.testing.assert_allclose(scores("causal_epig_tau", model, px, pt, tx),
+                                   scores("causal_epig_tau", held, px, pt, tx), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", ["causal_epig_tau", "causal_epig_mu", "causal_epig_mu_additive"])
+    def test_ensemble_scoring_holds_no_candidate_by_target_matrix(self, rng, name):
+        model = self.ensemble(rng)
+        px, pt = rng.normal(size=(2000, 3)), rng.integers(0, 2, 2000)
+        tracemalloc.start()
+        try:
+            scores(name, model, px, pt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix_bytes = 2000 * 2000 * 8
+        assert peak < matrix_bytes / 4, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestOneBlasThread:
+    def test_scoring_runs_on_one_thread_and_restores_the_callers_count(self, two_blas_threads):
+        seen = []
+
+        class CountingStub(StubModel):
+            def moment_bundle(self, *args):
+                seen.append(two_blas_threads())
+                return super().moment_bundle(*args)
+
+        stub = CountingStub([2.0], [1.0], [1.0], [0.5], [[0.3]], [[0.4]])
+        scores("causal_epig_tau", stub, [[0.0]], [1], [[0.0]])
+        assert len(seen) == 1 and set(seen[0]) == {1}
+        assert set(two_blas_threads()) == {2}
+
+    def test_scores_do_not_depend_on_the_blas_thread_count(self):
+        # a GP's moment bundle rounds differently under a multi-threaded gemm
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("one core: OpenBLAS runs single-threaded either way")
+        if not blas.openblas_thread_controls():
+            pytest.skip("no OpenBLAS with a thread setter is loaded")
+        code = (
+            "import numpy as np\n"
+            "from conftest import random_fitted_gp\n"
+            "from test_acquisition import scores\n"
+            "rng = np.random.default_rng(3)\n"
+            "model = random_fitted_gp(rng, n=60, dim=4, kind='cmgp2')\n"
+            "px, pt, tx = rng.normal(size=(401, 4)), rng.integers(0, 2, 401), rng.normal(size=(300, 4))\n"
+            "for name in ('causal_epig_tau', 'causal_epig_mu'):\n"
+            "    print([v.hex() for v in scores(name, model, px, pt, tx)])\n"
+        )
+        rows = stdout_at_default_and_one_blas_thread(code)
+        assert rows[0] == rows[1]
 
 
 class TestBaldVariants:

@@ -1,12 +1,10 @@
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from cate_al import active_loop
+from cate_al import active_loop, blas
 from cate_al.acquisition import AcquisitionMethod
 from cate_al.active_loop import (
     LabelOracle,
@@ -16,6 +14,8 @@ from cate_al.active_loop import (
 )
 from cate_al.dgp import gen_causalbald
 from cate_al.errors import InputError, NumericalError
+
+from conftest import stdout_at_default_and_one_blas_thread
 
 
 def small_pools(seed=0, n=40):
@@ -282,24 +282,11 @@ def entry_bits(record):
 
 
 class TestBlasThreads:
-    @pytest.fixture
-    def two_threads(self):
-        """Every OpenBLAS at two threads for the test, then as it was."""
-        controls = active_loop._openblas_thread_controls()
-        if not controls:
-            pytest.skip("no OpenBLAS with a thread setter is loaded")
-        saved = [get() for _, get, _ in controls]
-        for _, _, set_ in controls:
-            set_(2)
-        yield lambda: [get() for _, get, _ in controls]
-        for (_, _, set_), count in zip(controls, saved):
-            set_(count)
-
-    def test_a_cell_runs_on_one_thread_and_restores_the_callers_count(self, two_threads, monkeypatch):
+    def test_a_cell_runs_on_one_thread_and_restores_the_callers_count(self, two_blas_threads, monkeypatch):
         seen = []
 
         def counting_fit(*args, **kw):
-            seen.append(two_threads())
+            seen.append(two_blas_threads())
             return original(*args, **kw)
 
         original = active_loop.fit_ensemble
@@ -307,9 +294,9 @@ class TestBlasThreads:
         pool, test = small_pools()
         assert not run_active_learning(fast_config(), pool, test, np.random.default_rng(0)).failed
         assert len(seen) == 3 and all(set(counts) == {1} for counts in seen)
-        assert set(two_threads()) == {2}
+        assert set(two_blas_threads()) == {2}
 
-    def test_a_raising_cell_restores_the_callers_count(self, two_threads, monkeypatch):
+    def test_a_raising_cell_restores_the_callers_count(self, two_blas_threads, monkeypatch):
         def broken_score_pool(*args):
             raise RuntimeError("scorer bug")
 
@@ -317,13 +304,13 @@ class TestBlasThreads:
         pool, test = small_pools()
         with pytest.raises(RuntimeError, match="scorer bug"):
             run_active_learning(fast_config(), pool, test, np.random.default_rng(0))
-        assert set(two_threads()) == {2}
+        assert set(two_blas_threads()) == {2}
 
     def test_a_cell_without_openblas_runs_unchanged(self, monkeypatch):
         pool, test = small_pools()
         cfg = fast_config(method="causal_epig_tau", estimator="cmgp", n_init=8, n_budget=14)
         expected = run_active_learning(cfg, pool, test, np.random.default_rng(0))
-        monkeypatch.setattr(active_loop, "_openblas_thread_controls", lambda: [])
+        monkeypatch.setattr(blas, "openblas_thread_controls", lambda: ())
         assert entry_bits(run_active_learning(cfg, pool, test, np.random.default_rng(0))) == entry_bits(expected)
 
     def test_cell_rows_do_not_depend_on_the_blas_thread_count(self):
@@ -331,7 +318,7 @@ class TestBlasThreads:
         # single-threaded ones once the fits reach n >= 150
         if (os.cpu_count() or 1) < 2:
             pytest.skip("one core: OpenBLAS runs single-threaded either way")
-        if not active_loop._openblas_thread_controls():
+        if not blas.openblas_thread_controls():
             pytest.skip("no OpenBLAS with a thread setter is loaded")
         code = (
             "import numpy as np\n"
@@ -344,13 +331,5 @@ class TestBlasThreads:
             "assert not rec.failed, rec.failure_reason\n"
             "print(entry_bits(rec))\n"
         )
-        tests_dir = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.join(os.path.dirname(tests_dir), "src")
-        base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests_dir, os.environ.get("PYTHONPATH")]))
-        rows = [
-            subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
-                           timeout=300).stdout
-            for env in (base, {**base, "OPENBLAS_NUM_THREADS": "1"})
-        ]
+        rows = stdout_at_default_and_one_blas_thread(code)
         assert rows[0] == rows[1]

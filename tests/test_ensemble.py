@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cate_al.ensemble import EnsembleLinearModel, fit_ensemble
+from cate_al.ensemble import EnsembleLinearModel, _column_cov, fit_ensemble
 from cate_al.errors import InputError
 
 from oracles import SamplePosterior, empirical_gaussian_fit, predictive_belief, quantity_labels
@@ -150,3 +150,49 @@ class TestUniformSurface:
         tq = rng.integers(0, 2, 30)
         np.testing.assert_allclose(model.latent_var(xq, tq), np.diag(model.latent_cov(xq, tq, xq, tq)),
                                    rtol=1e-12, atol=0)
+
+
+class TestMemberBundleRows:
+    # the bundle computes its covariance rows per block from the centred
+    # member predictions; the f0 and f1 rows must be bitwise those of the
+    # whole-matrix _column_cov the bundle held before
+
+    @staticmethod
+    def bundle_and_whole(rng, n_c, m):
+        x, t, y = toy_data(rng, n=60)
+        model = fit_ensemble(x, t, y, rng=6)
+        cx, ct, tx = rng.normal(size=(n_c, 2)), rng.integers(0, 2, n_c), rng.normal(size=(m, 2))
+        fc, mu, tau = model.member_f(cx, ct), model.member_mu(tx), model.member_tau(tx)
+        return model.moment_bundle(cx, ct, tx), _column_cov(fc, mu), _column_cov(fc, mu + tau)
+
+    @staticmethod
+    def blocks(n_c, rows):
+        return [slice(start, start + rows) for start in range(0, n_c, rows)]
+
+    # (n_c, m, rows per block): 2- and 8-row blocks with ragged tails of 1 and
+    # 5 rows, the scorers' own 109-row layout at m = 150, and m > 8192, where
+    # the scorers read one row per block and BLAS would take its
+    # matrix-vector path for a one-row product
+    LAYOUTS = [(301, 150, 2), (17, 150, 8), (301, 150, 8), (301, 150, 109), (37, 9000, 1), (37, 9000, 2)]
+
+    @pytest.mark.parametrize("n_c, m, rows", LAYOUTS)
+    def test_potential_outcome_blocks_bitwise_equal_whole_matrix_rows(self, rng, n_c, m, rows):
+        bundle, cy0, cy1 = self.bundle_and_whole(rng, n_c, m)
+        buf = np.empty((rows, m))
+        for block in self.blocks(n_c, rows):
+            out = buf[: cy0[block].shape[0]]
+            np.testing.assert_array_equal(bundle.cy0_rows(block, out), cy0[block])
+            np.testing.assert_array_equal(bundle.cy1_rows(block, out), cy1[block])
+        np.testing.assert_array_equal(bundle.cy0, cy0)
+        np.testing.assert_array_equal(bundle.cy1, cy1)
+
+    @pytest.mark.parametrize("n_c, m, rows", LAYOUTS)
+    def test_contrast_blocks_match_the_difference_of_the_whole_matrices(self, rng, n_c, m, rows):
+        bundle, cy0, cy1 = self.bundle_and_whole(rng, n_c, m)
+        diff = cy1 - cy0
+        scale = np.abs(diff).max()
+        buf = np.empty((rows, m))
+        for block in self.blocks(n_c, rows):
+            got = bundle.cy_tau_rows(block, buf[: diff[block].shape[0]])
+            assert np.abs(got - diff[block]).max() <= 1e-12 * scale
+        assert np.abs(bundle.cy_tau - diff).max() <= 1e-12 * scale

@@ -342,6 +342,34 @@ class TestHyperparamSearch:
         coords = space.lengthscale_coords(d, n_components)
         np.testing.assert_allclose(np.log(np.concatenate(lengthscales)), theta[coords], rtol=1e-12)
 
+    @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
+    def test_decoded_kernels_equal_validated_ones(self, rng, kind, n_components):
+        # the search decodes its clipped vector without re-validating; each
+        # kernel must equal, field for field and bitwise, the one the
+        # validating constructor builds from the same clipped coordinates
+        space = gp._SEARCH_SPACES[kind]
+        d = 3
+        size = space.search_start(rng.normal(size=(20, d)), rng.normal(size=20), n_components).size
+        for theta in rng.normal(scale=6.0, size=(40, size)):  # about a fifth beyond +-8
+            params = space.from_theta(theta, d)
+            c = np.exp(np.clip(theta, -8.0, 8.0))
+            noise = float(c[d] if kind == "cmgp" else c[2 * d + 2])
+            if kind == "cmgp":
+                blocks = np.concatenate([c[:d], c[d + 1 :]]).reshape(-1, d + 3)
+                decoded = [k for k, _ in params.components]
+                wanted = [(block[:d], 1.0) for block in blocks]
+            else:
+                decoded = [params.kernel0, params.kernel1]
+                wanted = [(c[:d], float(c[d])), (c[d + 1 : 2 * d + 1], float(c[2 * d + 1]))]
+            for got, (ls, sv) in zip(decoded, wanted, strict=True):
+                want = KernelConfig(family="matern52", lengthscales=ls, signal_variance=sv, noise_variance=noise)
+                for name in ("family", "signal_variance", "noise_variance", "jitter"):
+                    assert type(getattr(got, name)) is type(getattr(want, name))
+                    assert getattr(got, name) == getattr(want, name)
+                assert got.lengthscales.dtype == want.lengthscales.dtype
+                np.testing.assert_array_equal(got.lengthscales, want.lengthscales)
+                assert not got.lengthscales.flags.writeable
+
     def test_deterministic_given_seed(self, rng):
         x = rng.normal(size=(10, 1))
         t = rng.integers(0, 2, 10)
@@ -487,6 +515,26 @@ class TestArmGrams:
         assert np.abs(bundle.y_var - (np.diag(cov)[:9] + model.noise_variance)).max() < 1e-6
         assert np.abs(bundle.cy0 - cov[:9, 9:18]).max() < 1e-6
         assert np.abs(bundle.cy1 - cov[:9, 18:]).max() < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["cmgp2", "nsgp"])
+def test_bundle_blocks_are_slices_of_its_whole_matrices(rng, kind):
+    # the GP holds cy0 and cy1 whole: a block is a slice of them, bitwise,
+    # and the contrast's is the difference of the slices
+    model = random_fitted_gp(rng, n=30, dim=2, kind=kind)
+    cx, ct, tx = rng.normal(size=(23, 2)), rng.integers(0, 2, 23), rng.normal(size=(11, 2))
+    bundle = model.moment_bundle(cx, ct, tx)
+    train = (model.train_x, model.train_t)
+    vc = solve_triangular(model.L, model.params.gram(*train, cx, ct), lower=True)
+    whole = [model.params.gram(cx, ct, tx, np.full(11, arm))
+             - vc.T @ solve_triangular(model.L, model.params.gram(*train, tx, np.full(11, arm)), lower=True)
+             for arm in (0, 1)]
+    for rows in (slice(0, 2), slice(8, 16), slice(16, 23), slice(22, 23)):
+        out = np.empty((rows.stop - rows.start, 11))
+        np.testing.assert_array_equal(bundle.cy0_rows(rows, out), whole[0][rows])
+        np.testing.assert_array_equal(bundle.cy1_rows(rows, out), whole[1][rows])
+        np.testing.assert_array_equal(bundle.cy_tau_rows(rows, out), whole[1][rows] - whole[0][rows])
+    np.testing.assert_array_equal(bundle.cy_tau, whole[1] - whole[0])
 
 
 @pytest.fixture
