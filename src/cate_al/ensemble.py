@@ -192,11 +192,14 @@ def fit_ensemble(x, t, y, n_members: int = 32, ridge: float = 1e-4, rng=None) ->
     width = d + 1
     mu_w = np.empty((int(n_members), width))
     tau_w = np.empty((int(n_members), width))
+    zb = np.empty((n, 2 * width))
     for j in range(int(n_members)):
         idx = rng.integers(0, n, size=n)
-        zb = np.hstack([base[idx], t[idx, None] * base[idx]])
+        tb = t[idx]
+        np.take(base, idx, axis=0, out=zb[:, :width])
+        np.multiply(tb[:, None], zb[:, :width], out=zb[:, width:])
         penalty = np.full(2 * width, ridge)
-        if len(np.unique(t[idx])) < 2:
+        if tb.min() == tb.max():
             penalty[width:] = 1e8  # single-arm resample: pin the effect head at 0
         lhs = zb.T @ zb + np.diag(penalty)
         try:

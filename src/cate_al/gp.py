@@ -32,6 +32,7 @@ from .kernels import (
     nsgp_gram,
     overlap_amplitude,
     overlap_gram,
+    rows_per_block,
 )
 
 JITTER_START = 1e-8
@@ -99,16 +100,24 @@ class CmgpParams:
         return grams
 
     def train_gram(self, memo: _GramMemo) -> np.ndarray:
-        """Prior Gram of the memo's training points: each component's base
-        from the memo, scaled by B[t, t'] per row arm as ``cmgp_gram`` does."""
-        total = None
-        for slot, (kernel, coreg) in enumerate(self.components):
-            base = memo.base(slot, _kernel_key(kernel), kernel_gram, memo.x, memo.x, kernel)
-            gram = np.empty_like(base)
-            for rows, row in zip(memo.arm_masks, coreg.task_covariance):
-                np.multiply(base, row[memo.t], out=gram, where=rows[:, None])
-            total = gram if total is None else np.add(total, gram, out=total)
-        return total
+        """Prior Gram of the memo's training points, written into the memo's
+        buffer a row block at a time: each component's base from the memo
+        times B[t, t'] (the rows of ``B[:, t]`` gathered by the block's arms),
+        the second component added within the block. The products and the
+        sum ``gram`` forms, so equal to it entry for entry."""
+        (base, scale), *others = [
+            (memo.base(slot, _kernel_key(kernel), kernel_gram, memo.x, memo.x, kernel),
+             coreg.task_covariance[:, memo.t])
+            for slot, (kernel, coreg) in enumerate(self.components)
+        ]
+        step = rows_per_block(memo.t.size)
+        for start in range(0, memo.t.size, step):
+            rows = slice(start, start + step)
+            block, arms = memo.gram[rows], memo.t[rows]
+            np.multiply(base[rows], scale[arms], out=block)
+            for other, other_scale in others:
+                block += other[rows] * other_scale[arms]
+        return memo.gram
 
     def prior_diag(self, t: np.ndarray) -> np.ndarray:
         """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
@@ -203,21 +212,32 @@ class NsgpParams:
         return grams
 
     def train_gram(self, memo: _GramMemo) -> np.ndarray:
-        """Prior Gram of the memo's training points, built by arm blocks: k0
-        on control x control, k1 on treated x treated and the rho-scaled
+        """Prior Gram of the memo's training points, from arm blocks: k0 on
+        control x control, k1 on treated x treated and the rho-scaled
         overlap on control x treated, mirrored into treated x control (the
-        squared distances are exactly symmetric), each block scattered into
-        the rows and columns of its arm. Equal to ``nsgp_gram`` entry for entry."""
+        squared distances are exactly symmetric). The rows of one arm are
+        assembled a block at a time in a cache-sized scratch, their control
+        and treated columns from that arm's two blocks, and each block is
+        copied to its rows of the memo's buffer: half the time of scattering
+        every arm block over both axes at once. Equal to ``nsgp_gram`` entry
+        for entry."""
         x0, x1 = memo.arm_x
-        block00, block11, block01, block10 = memo.arm_blocks
+        i0, i1 = memo.arm_rows
         key0, key1 = _kernel_key(self.kernel0), _kernel_key(self.kernel1)
-        gram = np.empty((memo.t.size, memo.t.size))
-        gram[block00] = memo.base("k0", key0, kernel_gram, x0, x0, self.kernel0)
-        gram[block11] = memo.base("k1", key1, kernel_gram, x1, x1, self.kernel1)
+        k0 = memo.base("k0", key0, kernel_gram, x0, x0, self.kernel0)
+        k1 = memo.base("k1", key1, kernel_gram, x1, x1, self.kernel1)
         cross = self.cross_rho * memo.base("overlap", key0 + key1, overlap_gram, x0, x1, self.kernel0, self.kernel1)
-        gram[block01] = cross
-        gram[block10] = cross.T
-        return gram
+        n = memo.t.size
+        step = rows_per_block(n)
+        scratch = np.empty((min(step, n), n))
+        for arm_rows, to_control, to_treated in ((i0, k0, cross), (i1, cross.T, k1)):
+            for start in range(0, arm_rows.size, step):
+                rows = slice(start, start + step)
+                block = scratch[: arm_rows[rows].size]
+                block[:, i0] = to_control[rows]
+                block[:, i1] = to_treated[rows]
+                memo.gram[arm_rows[rows]] = block
+        return memo.gram
 
     def prior_diag(self, t: np.ndarray) -> np.ndarray:
         """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
@@ -278,24 +298,25 @@ def _kernel_key(kernel: KernelConfig) -> tuple:
 
 class _GramMemo:
     """Base Grams over one search's training points, kept across its
-    objective evaluations.
+    objective evaluations, and the one n x n buffer its evaluations work in.
 
     A coordinate step changes few hyperparameters, so most evaluations find
     every base they need. Each base is keyed by exactly the hyperparameters
     it depends on; a slot holds at most ``MEMO_ENTRIES`` of them and drops
-    the least recently used first. Bases are read, never written. A search
-    owns its memo and drops it when it returns.
+    the least recently used first. Bases are read, never written.
+    ``train_gram`` writes every entry of ``gram``, and an evaluation then
+    factorizes it in place, so an evaluation is not reentrant: the buffer
+    holds one evaluation's Gram and factor at a time. A search owns its
+    memo and drops it when it returns.
     """
 
     def __init__(self, x: np.ndarray, t: np.ndarray):
         self.x = x
         self.t = t
-        self.arm_masks = (t == 0, t == 1)
-        i0, i1 = map(np.flatnonzero, self.arm_masks)
+        self.gram = np.empty((t.size, t.size))
+        i0, i1 = np.flatnonzero(t == 0), np.flatnonzero(t == 1)
+        self.arm_rows = (i0, i1)
         self.arm_x = (x[i0], x[i1])
-        # open-mesh indices of the (control, control), (treated, treated),
-        # (control, treated) and (treated, control) blocks of the n x n Gram
-        self.arm_blocks = (np.ix_(i0, i0), np.ix_(i1, i1), np.ix_(i0, i1), np.ix_(i1, i0))
         self._slots: dict = {}
 
     def base(self, slot, key, build, *args) -> np.ndarray:
@@ -409,9 +430,16 @@ class GpCateModel(CateModel):
         f_var = self.params.prior_diag(cand_t) - np.sum(vc * vc, axis=0)
         y_var = np.maximum(f_var, 0.0) + self.noise_variance
 
-        cy0, cy1 = self.params.arm_grams(cand_x, cand_t, target_x)
-        cy0 -= vc.T @ v0
-        cy1 -= vc.T @ v1
+        # the products whole (row blocks of them round differently), then
+        # the candidates' prior covariances less them, a row block at a time
+        cy0 = vc.T @ v0
+        cy1 = vc.T @ v1
+        step = rows_per_block(target_x.shape[0])
+        for start in range(0, cand_t.size, step):
+            rows = slice(start, start + step)
+            p0, p1 = self.params.arm_grams(cand_x[rows], cand_t[rows], target_x)
+            np.subtract(p0, cy0[rows], out=cy0[rows])
+            np.subtract(p1, cy1[rows], out=cy1[rows])
         return HeldMomentBundle(
             y_mean=y_mean, y_var=y_var, f0_var=f0_var, f1_var=f1_var,
             f01_cov=f01_cov, tau_var=tau_var, cy0=cy0, cy1=cy1,
@@ -446,27 +474,55 @@ class GpCateModel(CateModel):
         return 0.5 * (cov + cov.T)
 
 
-def _chol_with_escalating_jitter(a: np.ndarray, base_jitter: float):
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writeable strided view of the diagonal of the C-contiguous square ``a``."""
+    return a.reshape(-1)[:: a.shape[0] + 1]
+
+
+def _chol_with_escalating_jitter(a: np.ndarray, base_jitter: float, overwrite: bool = False):
     """Lower Cholesky of ``a`` with jitter escalation x10 up to JITTER_MAX;
-    each try adds its jitter to a fresh Fortran-ordered copy of ``a``, which
-    LAPACK factorizes in place (the copy ``scipy.linalg.cholesky`` makes, so
-    the factor has the same bits)."""
+    each try adds its jitter to the unjittered ``a``. Returns the factor and
+    the jitter used.
+
+    By default each try factorizes a fresh Fortran-ordered copy of ``a`` in
+    place (the copy ``scipy.linalg.cholesky`` makes, so the factor has the
+    same bits), and ``a`` is left untouched. With ``overwrite`` (the search's
+    evaluations), ``a`` must be C-contiguous and exactly symmetric: its
+    transpose is then the same matrix in Fortran order, and LAPACK
+    factorizes that transpose in place. The returned factor is the
+    transpose; its lower triangle is bitwise the default's factor, and its
+    strict upper triangle still holds ``a``'s entries. A failed try leaves
+    that triangle untouched (``clean=0``: scipy's wrapper zeroes it even
+    when ``dpotrf`` fails), so the next try restores the factored triangle
+    from it and the diagonal from a saved copy. After a ``NumericalError``
+    ``a`` holds no useful values.
+    """
+    n = a.shape[0]
     if not np.all(np.isfinite(a)):
-        raise NumericalError(f"the {a.shape[0]}x{a.shape[0]} Gram matrix is not finite")
+        raise NumericalError(f"the {n}x{n} Gram matrix is not finite")
     jitter = max(base_jitter, JITTER_START)
+    if overwrite:
+        diag = a.diagonal().copy()
     while True:
-        shifted = np.array(a, order="F")
-        shifted.flat[:: a.shape[0] + 1] += jitter
-        factor, info = dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
+        if overwrite:
+            work = a.T
+            np.add(diag, jitter, out=_diagonal(a))
+        else:
+            work = np.array(a, order="F")
+            work.flat[:: n + 1] += jitter
+        factor, info = dpotrf(work, lower=1, clean=int(not overwrite), overwrite_a=1)
         if info == 0:
             return factor, jitter
         if info < 0:
             raise ValueError(f"LAPACK dpotrf rejected its argument {-info}")
         jitter *= 10.0
         if jitter > JITTER_MAX:
-            raise NumericalError(
-                f"Cholesky failed for a {a.shape[0]}x{a.shape[0]} Gram matrix even at jitter {JITTER_MAX}"
-            )
+            raise NumericalError(f"Cholesky failed for a {n}x{n} Gram matrix even at jitter {JITTER_MAX}")
+        if overwrite:
+            # the try overwrote a's upper triangle (the transpose's lower
+            # one): restore it from a's untouched lower triangle
+            rows, cols = np.tril_indices(n, -1)
+            a[cols, rows] = a[rows, cols]
 
 
 def _condition(x, t, y, params: GpParams, gram: np.ndarray) -> GpCateModel:
@@ -515,20 +571,32 @@ class SearchConfig:
 def log_marginal_likelihood(x, t, y, params: GpParams, memo: _GramMemo | None = None) -> float:
     """log p(y | X, theta) = -1/2 y^T alpha - sum log L_ii - n/2 log 2 pi.
 
-    A search passes its memo, built from the already validated ``x`` and
-    ``t``; the training Gram then reuses the base Grams the memo holds and
-    has the same bits as without one.
+    Without a memo this conditions a model as ``fit_gp`` does. A search
+    passes its memo, built from the already validated ``x``, ``t`` (and
+    ``y``): the training Gram is then built into the memo's buffer from the
+    base Grams the memo holds, the noise is added on its diagonal, and the
+    buffer is factorized in place, with no model built. The result has the
+    same bits as without a memo; two evaluations must not share a memo at
+    the same time.
     """
     if memo is None:
         model = fit_gp(x, t, y, params)
-    elif x is memo.x and t is memo.t:
-        model = _condition(x, t, y, params, params.train_gram(memo))
-    else:
+        return _lml(model.train_y - model.y_mean, model.L, model.alpha)
+    if x is not memo.x or t is not memo.t:
         raise InputError("the Gram memo was built for other training points")
-    yc = model.train_y - model.y_mean
-    n = yc.size
+    gram = params.train_gram(memo)
+    _diagonal(gram)[:] += params.noise_variance
+    factor, _ = _chol_with_escalating_jitter(gram, params.jitter, overwrite=True)
+    yc = y - float(y.mean())
+    alpha, _ = dpotrs(factor, yc, lower=1)
+    return _lml(yc, factor, alpha)
+
+
+def _lml(yc: np.ndarray, factor: np.ndarray, alpha: np.ndarray) -> float:
+    """The log marginal likelihood from the centred outcomes, the lower
+    Cholesky factor of the noisy Gram and the weights it solves for."""
     return float(
-        -0.5 * yc @ model.alpha - np.sum(np.log(np.diag(model.L))) - 0.5 * n * np.log(2.0 * np.pi)
+        -0.5 * yc @ alpha - np.sum(np.log(np.diag(factor))) - 0.5 * yc.size * np.log(2.0 * np.pi)
     )
 
 

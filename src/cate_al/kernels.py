@@ -133,17 +133,19 @@ def _sq_dist(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray) -> np.nda
 
 # Kernels are evaluated over the fresh r2 array in place, a block of rows of
 # about this many entries at a time, so every pass of the expression stays in
-# cache and no whole-matrix temporary is allocated.
+# cache and no whole-matrix temporary is allocated. The GP's training Gram and
+# moment bundle are assembled in blocks of the same size.
 _BLOCK = 16384
 
 
-def _rows_per_block(r2: np.ndarray) -> int:
-    return max(1, _BLOCK // max(r2.shape[1], 1))
+def rows_per_block(width: int) -> int:
+    """Rows of a ``width``-column matrix in one block of about ``_BLOCK`` entries."""
+    return max(1, _BLOCK // max(width, 1))
 
 
 def _rbf_from_r2(r2: np.ndarray, signal_variance: float) -> np.ndarray:
     """signal_variance * exp(-0.5 r2), written over r2."""
-    rows = _rows_per_block(r2)
+    rows = rows_per_block(r2.shape[1])
     for start in range(0, r2.shape[0], rows):
         blk = r2[start : start + rows]
         np.multiply(blk, -0.5, out=blk)
@@ -155,7 +157,7 @@ def _rbf_from_r2(r2: np.ndarray, signal_variance: float) -> np.ndarray:
 def _matern52_from_r2(r2: np.ndarray, signal_variance: float) -> np.ndarray:
     """signal_variance * (1 + a + 5/3 r2) * exp(-a) with a = sqrt(5 r2),
     written over r2."""
-    rows = _rows_per_block(r2)
+    rows = rows_per_block(r2.shape[1])
     a_buf = np.empty((min(rows, r2.shape[0]), r2.shape[1]))
     e_buf = np.empty_like(a_buf)
     for start in range(0, r2.shape[0], rows):

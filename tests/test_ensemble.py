@@ -46,6 +46,33 @@ class TestFitEnsemble:
         norms = np.linalg.norm(model.tau_weights, axis=1)
         assert norms.min() < 1e-3
 
+    @pytest.mark.parametrize("n, arms", [(2, "mixed"), (5, "mixed"), (40, "mixed"), (7, "control"), (7, "treated")])
+    def test_member_weights_equal_a_resample_by_resample_fit(self, rng, n, arms):
+        # each member written out as a plain loop: the resample's own design,
+        # its arms counted with np.unique; the library's weights are bitwise these
+        x = rng.normal(size=(n, 3))
+        t = {"mixed": rng.integers(0, 2, n), "control": np.zeros(n, int), "treated": np.ones(n, int)}[arms]
+        y = rng.normal(size=n)
+        members, ridge = 48, 1e-4
+        model = fit_ensemble(x, t, y, n_members=members, ridge=ridge, rng=11)
+        draws = np.random.default_rng(11)
+        base = np.hstack([np.ones((n, 1)), x])
+        pinned = 0
+        for j in range(members):
+            idx = draws.integers(0, n, size=n)
+            zb = np.hstack([base[idx], t[idx, None] * base[idx]])
+            penalty = np.full(8, ridge)
+            if len(np.unique(t[idx])) < 2:
+                penalty[4:] = 1e8
+                pinned += 1
+            w = np.linalg.solve(zb.T @ zb + np.diag(penalty), zb.T @ y[idx])
+            np.testing.assert_array_equal(model.mu_weights[j], w[:4])
+            np.testing.assert_array_equal(model.tau_weights[j], w[4:])
+        if arms != "mixed":
+            assert pinned == members
+        elif n == 2:
+            assert 0 < pinned < members  # both kinds of resample were fitted
+
     def test_model_owns_read_only_weights(self, rng):
         # the caller reusing its weight arrays leaves the predictions as they
         # were, and the model's own copies cannot be written

@@ -26,6 +26,17 @@ from conftest import (
 from oracles import latent_mean, predictive_belief
 
 
+def _rank_3_gram(rng):
+    # a rank-3 Gram minus 1e-7 I is indefinite until the jitter reaches 1e-6
+    root = rng.normal(size=(40, 3))
+    a = root @ root.T - 1e-7 * np.eye(40)
+    return 0.5 * (a + a.T)
+
+
+# exactly symmetric matrices whose factorization fails at jitter 1e-8 and 1e-7
+RETRY_GRAMS = {"diagonal": lambda rng: np.diag([1.0, -5e-7]), "rank_3": _rank_3_gram}
+
+
 def simple_cmgp(noise=0.3, ls=0.8, b=None):
     b = np.array([[1.5, 0.6], [0.6, 1.2]]) if b is None else b
     return CmgpParams(
@@ -166,6 +177,27 @@ class TestFit:
         assert jitter == pytest.approx(1e-6)
         assert L[1, 1] ** 2 == pytest.approx(5e-7, rel=1e-9)
         np.testing.assert_array_equal(a, before)
+
+    @pytest.mark.parametrize("case", sorted(RETRY_GRAMS))
+    def test_in_place_factor_equals_the_default(self, rng, case):
+        # both matrices fail at jitter 1e-8 and 1e-7, so the in-place path
+        # restores its matrix from the untouched triangle between tries
+        a = RETRY_GRAMS[case](rng)
+        before = a.copy()
+        L, jitter = _chol_with_escalating_jitter(a, 1e-8)
+        np.testing.assert_array_equal(a, before)
+        work = a.copy()
+        factor, in_place_jitter = _chol_with_escalating_jitter(work, 1e-8, overwrite=True)
+        assert in_place_jitter == jitter == pytest.approx(1e-6)
+        assert np.shares_memory(factor, work)
+        np.testing.assert_array_equal(np.tril(factor), L)
+        np.testing.assert_array_equal(np.triu(factor, 1), np.triu(before, 1))
+
+    def test_nonfinite_gram_raises_at_once_in_place(self):
+        a = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(NumericalError, match="not finite"):
+            _chol_with_escalating_jitter(a, 1e-8, overwrite=True)
+        np.testing.assert_array_equal(a, [[1.0, np.nan], [np.nan, 1.0]])
 
 
 def y_f0_f1_block(model, candidate, target):
@@ -537,6 +569,23 @@ def test_bundle_blocks_are_slices_of_its_whole_matrices(rng, kind):
     np.testing.assert_array_equal(bundle.cy_tau, whole[1] - whole[0])
 
 
+@pytest.mark.parametrize("n_c, m", [(400, 60), (3, 20000)])
+@pytest.mark.parametrize("kind", ["cmgp2", "nsgp"])
+def test_bundle_matrices_built_in_row_blocks_equal_the_whole_build(rng, kind, n_c, m):
+    # the candidates' prior covariances come a row block at a time (blocks
+    # of 273 rows, then of one row); each matrix is bitwise the whole prior
+    # less the whole product
+    model = random_fitted_gp(rng, n=30, dim=2, kind=kind)
+    cx, ct, tx = rng.normal(size=(n_c, 2)), rng.integers(0, 2, n_c), rng.normal(size=(m, 2))
+    bundle = model.moment_bundle(cx, ct, tx)
+    train = (model.train_x, model.train_t)
+    vc = solve_triangular(model.L, model.params.gram(*train, cx, ct), lower=True)
+    for arm, got in enumerate((bundle.cy0, bundle.cy1)):
+        arms = np.full(m, arm)
+        v = solve_triangular(model.L, model.params.gram(*train, tx, arms), lower=True)
+        np.testing.assert_array_equal(got, model.params.gram(cx, ct, tx, arms) - vc.T @ v)
+
+
 @pytest.fixture
 def base_kernel_calls(monkeypatch):
     """A list that grows by one per base kernel evaluated (``kernel_gram`` or
@@ -610,6 +659,50 @@ class TestTrainGram:
             assert with_memo == log_marginal_likelihood(x, t, y, params)
             assert all(len(entries) <= gp.MEMO_ENTRIES for entries in memo._slots.values())
         assert built[15] > 0 and built.count(0) >= 16
+
+    @pytest.mark.parametrize("arms", ["mixed", "all_control", "all_treated"])
+    @pytest.mark.parametrize("n", [7, 131, 300])
+    @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
+    def test_memo_lml_is_bitwise_the_plain_lml_across_row_blocks(self, rng, kind, n_components, n, arms):
+        # the training Gram of n = 7, 131 and 300 points is built in 1, 2
+        # and 6 row blocks
+        dim = 2
+        x, t, y = as_labeled(rng.normal(size=(n, dim)), TRAIN_ARMS[arms](rng, n), rng.normal(size=n))
+        space = gp._SEARCH_SPACES[kind]
+        theta0 = space.search_start(x, y - y.mean(), n_components)
+        memo = gp._GramMemo(x, t)
+        for _ in range(4):
+            params = space.from_theta(theta0 + rng.normal(size=theta0.size), dim)
+            assert log_marginal_likelihood(x, t, y, params, memo) == log_marginal_likelihood(x, t, y, params)
+
+    @pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
+    def test_successive_evaluations_on_one_memo_equal_fresh_memos(self, rng, kind):
+        # one memo through a plain evaluation, one whose factorization
+        # retries, one that fails at the largest jitter and a plain one
+        # again: each gives the bits of a fresh memo and of no memo, so no
+        # factor leaks from one evaluation's buffer into the next
+        n = 131
+        x = rng.normal(size=(4, 2))[rng.integers(0, 4, n)] + 1e-9 * rng.normal(size=(n, 2))
+        x, t, y = as_labeled(x, rng.integers(0, 2, n), rng.normal(size=n))
+
+        def params(signal_variance, noise):
+            k0 = KernelConfig("matern52", [1.0, 1.0], signal_variance, noise)
+            if kind == "nsgp":
+                return NsgpParams(k0, KernelConfig("matern52", [0.7, 1.2], signal_variance, noise), 0.9)
+            return CmgpParams(kernel=k0, coreg=CoregionalizationConfig(np.array([[1.0, 0.9], [0.9, 1.0]])))
+
+        plain, retried, failing = params(1.0, 0.1), params(1e9, 1e-10), params(1e12, 1e-10)
+        assert fit_gp(x, t, y, retried).jitter_used > gp.JITTER_START
+        memo = gp._GramMemo(x, t)
+        for p in (plain, retried, failing, retried, plain):
+            if p is failing:
+                for fresh in (memo, gp._GramMemo(x, t), None):
+                    with pytest.raises(NumericalError):
+                        log_marginal_likelihood(x, t, y, p, fresh)
+                continue
+            lml = log_marginal_likelihood(x, t, y, p, memo)
+            assert lml == log_marginal_likelihood(x, t, y, p, gp._GramMemo(x, t))
+            assert lml == log_marginal_likelihood(x, t, y, p)
 
     def test_memo_of_other_points_rejected(self, rng):
         x, t, y = as_labeled(rng.normal(size=(6, 1)), [0, 1] * 3, rng.normal(size=6))
