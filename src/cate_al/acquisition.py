@@ -83,6 +83,9 @@ def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
     Cauchy-Schwarz bound (-inf where none exceeds it). The first covariance
     with an excess in any block raises :class:`NumericalError` with its
     worst excess over all blocks.
+
+    Each row is summed by ``np.add.reduce`` into its mean's slot, and all
+    the sums are divided by m once: ``np.mean``'s own sum and divide.
     """
     rows = max(1, _MI_BLOCK // max(m, 1))
     buffers = np.empty((n_buffers, min(rows, n_c), m))
@@ -92,11 +95,11 @@ def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
         bufs = buffers[:, : min(rows, n_c - start)]
         excess = block(slice(start, start + rows), bufs)
         worst = excess if worst is None else [max(a, b) for a, b in zip(worst, excess)]
-        means[start : start + rows] = np.mean(bufs[0], axis=1)
+        np.add.reduce(bufs[0], axis=1, out=means[start : start + rows])
     for w in worst or ():
         if w > -np.inf:
             raise NumericalError(f"covariance exceeds the variance bound by up to {w}")
-    return means
+    return np.divide(means, m, out=means)
 
 
 def _scalar_mi_block(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndarray) -> float:
@@ -107,6 +110,39 @@ def _scalar_mi_block(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndar
     space. Returns the worst excess of |c| over the bound
     sqrt(va vb) (1 + 1e-6), leaving ``out`` unset, when any entry exceeds
     it, else -inf.
+
+    A screen settles an ordinary block in the passes the formula needs. If
+    every variance is >= 0 and fl(min va * min vb) >= DET_FLOOR, then, as
+    rounding is monotone, every product va vb is its own floor. The
+    determinant p - c^2 is then formed, and if none is negative no entry
+    exceeds the bound: |c| > fl(fl(sqrt p) (1 + 1e-6)) implies fl(c^2) > p,
+    so p - fl(c^2) < 0. The block finishes as :func:`_scalar_mi_exact`
+    would, with the same operations in the same order, and with no square
+    root, bound or |c|. Any other block (a variance that is negative or
+    NaN, a product under the floor, a negative or NaN determinant) goes
+    through :func:`_scalar_mi_exact`, so its bits, raise and worst excess
+    are unchanged.
+    """
+    lo_a, lo_b = va.min(), vb.min()
+    if lo_a >= 0.0 and lo_b >= 0.0 and lo_a * lo_b >= DET_FLOOR:
+        np.multiply(va, vb, out=out)
+        np.multiply(c, c, out=work)
+        np.subtract(out, work, out=work)
+        if work.min() >= 0.0:
+            np.maximum(work, DET_FLOOR, out=work)
+            np.divide(out, work, out=out)
+            np.log(out, out=out)
+            np.multiply(out, 0.5, out=out)
+            if min(lo_a, lo_b) <= VARIANCE_FLOOR:
+                out[:, vb <= VARIANCE_FLOOR] = 0.0
+                out[va[:, 0] <= VARIANCE_FLOOR] = 0.0
+            return -np.inf
+    return _scalar_mi_exact(out, work, prod, va, vb, c)
+
+
+def _scalar_mi_exact(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndarray) -> float:
+    """:func:`_scalar_mi_block` for any block: the bound checked entry by
+    entry, then the floored formula.
 
     With prod = max(va vb, floor) and det = max(prod - c^2, floor), det never
     exceeds prod, so the log is never negative, and c = 0 gives det = prod,

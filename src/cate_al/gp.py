@@ -29,10 +29,12 @@ from .kernels import (
     KernelConfig,
     cmgp_gram,
     kernel_gram,
+    kernel_points,
     nsgp_gram,
-    overlap_amplitude,
     overlap_gram,
+    overlap_parts,
     rows_per_block,
+    scaled_gram,
 )
 
 JITTER_START = 1e-8
@@ -84,19 +86,33 @@ class CmgpParams:
         return reduce(np.add, (cmgp_gram(xa, ta, xb, tb, k, b) for k, b in self.components))
 
     def arm_grams(self, xa, ta, xb) -> tuple[np.ndarray, np.ndarray]:
-        """K((xa, ta), (xb, 0)) and K((xa, ta), (xb, 1)), from one base
-        kernel per component scaled by the task covariance of each row's arm."""
+        """K((xa, ta), (xb, 0)) and K((xa, ta), (xb, 1))."""
+        return self.arm_gram_rows(xa, ta, xb)(slice(None))
+
+    def arm_gram_rows(self, xa, ta, xb):
+        """The function of a slice ``rows`` of xa that returns ``arm_grams``
+        of (xa, ta)[rows] against xb: one base kernel per component scaled
+        by the task covariance of each row's arm. The points are checked,
+        and divided by each component's lengthscales, once for all slices."""
         ta = as_arms(ta)
-        grams = None
+        parts = []
         for kernel, coreg in self.components:
-            base = kernel_gram(xa, xb, kernel)
-            b = coreg.task_covariance
-            pair = (b[ta, 0][:, None] * base, np.multiply(base, b[ta, 1][:, None], out=base))
-            if grams is None:
-                grams = pair
-            else:
-                for total, part in zip(grams, pair):
-                    total += part
+            xa, xb = kernel_points(xa, xb, kernel.input_dim)
+            b, ls = coreg.task_covariance, kernel.lengthscales
+            parts.append((xa / ls, xb / ls, kernel, b[ta, 0][:, None], b[ta, 1][:, None]))
+
+        def grams(rows):
+            total = None
+            for sa, sb, kernel, scale0, scale1 in parts:
+                base = scaled_gram(sa[rows], sb, kernel.family, kernel.signal_variance)
+                pair = (scale0[rows] * base, np.multiply(base, scale1[rows], out=base))
+                if total is None:
+                    total = pair
+                else:
+                    for whole, part in zip(total, pair):
+                        whole += part
+            return total
+
         return grams
 
     def train_gram(self, memo: _GramMemo) -> np.ndarray:
@@ -161,16 +177,20 @@ class CmgpParams:
 
     @classmethod
     def from_theta(cls, theta: np.ndarray, dim: int) -> "CmgpParams":
-        theta = np.clip(theta, -8.0, 8.0)
-        noise = float(np.exp(theta[dim]))
+        # np.clip's bits without its overhead, and one exp of every
+        # coordinate (the same bits as an exp of each log coordinate alone),
+        # both read as Python floats
+        theta = np.minimum(np.maximum(theta, -8.0), 8.0)
+        coords, scales = theta.tolist(), np.exp(theta).tolist()
         components = []
-        # without the shared noise coordinate, each component is a block of dim + 3
-        for block in np.concatenate([theta[:dim], theta[dim + 1 :]]).reshape(-1, dim + 3):
-            kernel = KernelConfig.trusted(SEARCH_FAMILY, np.exp(block[:dim]), 1.0, noise)
-            coreg = CoregionalizationConfig.from_cholesky(
-                float(np.exp(block[dim])), float(block[dim + 1]), float(np.exp(block[dim + 2]))
-            )
-            components += [kernel, coreg]
+        start = 0
+        for _ in range((len(coords) - 1) // (dim + 3)):
+            tri = start + dim + (start == 0)  # the shared noise follows the first lengthscales
+            components += [
+                KernelConfig.trusted(SEARCH_FAMILY, scales[start : start + dim], 1.0, scales[dim]),
+                CoregionalizationConfig.from_cholesky(scales[tri], coords[tri + 1], scales[tri + 2]),
+            ]
+            start = tri + 3
         return cls(*components)
 
 
@@ -199,16 +219,34 @@ class NsgpParams:
         return nsgp_gram(xa, ta, xb, tb, self.kernel0, self.kernel1, self.cross_rho)
 
     def arm_grams(self, xa, ta, xb) -> tuple[np.ndarray, np.ndarray]:
-        """K((xa, ta), (xb, 0)) and K((xa, ta), (xb, 1)): the coupled overlap
-        kernel everywhere, then each arm's own kernel on that arm's rows."""
-        xa = _as_points(xa)
+        """K((xa, ta), (xb, 0)) and K((xa, ta), (xb, 1))."""
+        return self.arm_gram_rows(xa, ta, xb)(slice(None))
+
+    def arm_gram_rows(self, xa, ta, xb):
+        """The function of a slice ``rows`` of xa that returns ``arm_grams``
+        of (xa, ta)[rows] against xb: the coupled overlap kernel everywhere,
+        then each arm's own kernel on that arm's rows. The points are
+        checked, the overlap's amplitude and mixed lengthscales found, and
+        the points divided by each kernel's lengthscales, once for all
+        slices."""
+        amp, mix = overlap_parts(self.kernel0, self.kernel1)
+        xa, xb = kernel_points(xa, xb, mix.size)
         ta = as_arms(ta)
-        cross = overlap_gram(xa, xb, self.kernel0, self.kernel1)
-        np.multiply(cross, self.cross_rho, out=cross)
-        grams = (cross.copy(), cross)
-        for arm, kernel in enumerate((self.kernel0, self.kernel1)):
-            rows = ta == arm
-            grams[arm][rows] = kernel_gram(xa[rows], xb, kernel)
+        family = self.kernel0.family
+        arms = [(ta == arm, xa / kernel.lengthscales, xb / kernel.lengthscales, kernel.signal_variance)
+                for arm, kernel in enumerate((self.kernel0, self.kernel1))]
+        xa_mix, xb_mix = xa / mix, xb / mix
+
+        def grams(rows):
+            cross = scaled_gram(xa_mix[rows], xb_mix, family, 1.0)
+            np.multiply(cross, amp, out=cross)
+            np.multiply(cross, self.cross_rho, out=cross)
+            pair = (cross.copy(), cross)
+            for gram, (is_arm, sa, sb, signal_variance) in zip(pair, arms):
+                own = is_arm[rows]
+                gram[own] = scaled_gram(sa[rows][own], sb, family, signal_variance)
+            return pair
+
         return grams
 
     def train_gram(self, memo: _GramMemo) -> np.ndarray:
@@ -246,7 +284,7 @@ class NsgpParams:
     def cross_diag(self, n: int) -> np.ndarray:
         """Prior Cov[f0(x), f1(x)] at n identical-covariate pairs: rho times
         the overlap kernel at r = 0."""
-        return np.full(n, self.cross_rho * overlap_amplitude(self.kernel0, self.kernel1))
+        return np.full(n, self.cross_rho * overlap_parts(self.kernel0, self.kernel1)[0])
 
     # search vector: [log l0_1..d, log sv0, log l1_1..d, log sv1, log noise,
     # rho_raw] with rho = 0.95 tanh(rho_raw); one per-arm pair, so the
@@ -435,9 +473,10 @@ class GpCateModel(CateModel):
         cy0 = vc.T @ v0
         cy1 = vc.T @ v1
         step = rows_per_block(target_x.shape[0])
+        prior_rows = self.params.arm_gram_rows(cand_x, cand_t, target_x)
         for start in range(0, cand_t.size, step):
             rows = slice(start, start + step)
-            p0, p1 = self.params.arm_grams(cand_x[rows], cand_t[rows], target_x)
+            p0, p1 = prior_rows(rows)
             np.subtract(p0, cy0[rows], out=cy0[rows])
             np.subtract(p1, cy1[rows], out=cy1[rows])
         return HeldMomentBundle(

@@ -12,6 +12,7 @@ lengthscales) and two joint kernels over (covariate, treatment) pairs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +80,9 @@ class KernelConfig:
         ls = np.array(lengthscales, dtype=float)
         ls.flags.writeable = False
         config = object.__new__(cls)
-        for name, value in (("family", family), ("lengthscales", ls), ("signal_variance", float(signal_variance)),
-                            ("noise_variance", float(noise_variance)), ("jitter", cls.jitter)):
-            object.__setattr__(config, name, value)
+        # a frozen dataclass keeps its fields in its __dict__
+        config.__dict__.update(family=family, lengthscales=ls, signal_variance=float(signal_variance),
+                               noise_variance=float(noise_variance), jitter=cls.jitter)
         return config
 
     @property
@@ -116,19 +117,12 @@ class CoregionalizationConfig:
         and, at 2x2, exactly symmetric, so only finiteness is checked."""
         low = np.array([[l11, 0.0], [l21, l22]], dtype=float)
         b = low @ low.T
-        if not np.all(np.isfinite(b)):
+        if not all(map(math.isfinite, b.ravel().tolist())):  # at 2x2, cheaper than np.isfinite
             raise InputError("task_covariance must be finite")
         b.flags.writeable = False
         config = object.__new__(cls)
         object.__setattr__(config, "task_covariance", b)
         return config
-
-
-def _sq_dist(xa: np.ndarray, xb: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """Squared scaled distance matrix sum_d ((a_d - b_d) / l_d)^2."""
-    xa = np.atleast_2d(np.asarray(xa, dtype=float))
-    xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    return cdist(xa / lengthscales, xb / lengthscales, "sqeuclidean")
 
 
 # Kernels are evaluated over the fresh r2 array in place, a block of rows of
@@ -155,39 +149,55 @@ def _rbf_from_r2(r2: np.ndarray, signal_variance: float) -> np.ndarray:
 
 
 def _matern52_from_r2(r2: np.ndarray, signal_variance: float) -> np.ndarray:
-    """signal_variance * (1 + a + 5/3 r2) * exp(-a) with a = sqrt(5 r2),
-    written over r2."""
+    """signal_variance * (1 + a + 5/3 r2) * exp(-a) with a = sqrt(5) r and
+    r = sqrt(r2), written over r2 (GPML eq. 4.17).
+
+    r2 always comes from ``cdist``'s sqeuclidean, a sum of squares, so it is
+    never negative and its square root needs no clamp. Seven passes give the
+    bits of the expression: -a in one multiply by -sqrt(5) (a negation is
+    exact), exp(-a) from it, and 1 + a as 1 - (-a). A signal variance of
+    exactly 1.0, the search's and the overlap kernel's, skips its multiply."""
     rows = rows_per_block(r2.shape[1])
     a_buf = np.empty((min(rows, r2.shape[0]), r2.shape[1]))
     e_buf = np.empty_like(a_buf)
     for start in range(0, r2.shape[0], rows):
         blk = r2[start : start + rows]
         a, e = a_buf[: blk.shape[0]], e_buf[: blk.shape[0]]
-        np.maximum(blk, 0.0, out=a)
-        np.sqrt(a, out=a)
-        np.multiply(a, _SQRT5, out=a)
-        np.negative(a, out=e)
-        np.exp(e, out=e)
-        np.add(a, 1.0, out=a)
+        np.sqrt(blk, out=a)
+        np.multiply(a, -_SQRT5, out=a)  # -a
+        np.exp(a, out=e)
+        np.subtract(1.0, a, out=a)      # 1 + a
         np.multiply(blk, 5.0 / 3.0, out=blk)
         np.add(a, blk, out=blk)
-        np.multiply(blk, signal_variance, out=blk)
+        if signal_variance != 1.0:
+            np.multiply(blk, signal_variance, out=blk)
         np.multiply(blk, e, out=blk)
     return r2
 
 
-def kernel_gram(xa: np.ndarray, xb: np.ndarray, cfg: KernelConfig) -> np.ndarray:
-    """Gram matrix of the configured stationary kernel between two point sets."""
+_FROM_R2 = {"rbf": _rbf_from_r2, "matern52": _matern52_from_r2}
+
+
+def scaled_gram(sa: np.ndarray, sb: np.ndarray, family: str, signal_variance: float) -> np.ndarray:
+    """Gram of the stationary kernel ``family`` between 2-d point sets that
+    are already divided by its lengthscales; every base Gram is built here,
+    so a caller that reuses a scaled point set divides it once."""
+    return _FROM_R2[family](cdist(sa, sb, "sqeuclidean"), signal_variance)
+
+
+def kernel_points(xa, xb, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two point sets as 2-d float arrays, checked to have ``dim`` columns."""
     xa = np.atleast_2d(np.asarray(xa, dtype=float))
     xb = np.atleast_2d(np.asarray(xb, dtype=float))
-    if xa.shape[1] != cfg.input_dim or xb.shape[1] != cfg.input_dim:
-        raise InputError(
-            f"points have dimensions {xa.shape[1]}/{xb.shape[1]}, kernel expects {cfg.input_dim}"
-        )
-    r2 = _sq_dist(xa, xb, cfg.lengthscales)
-    if cfg.family == "rbf":
-        return _rbf_from_r2(r2, cfg.signal_variance)
-    return _matern52_from_r2(r2, cfg.signal_variance)
+    if xa.shape[1] != dim or xb.shape[1] != dim:
+        raise InputError(f"points have dimensions {xa.shape[1]}/{xb.shape[1]}, kernel expects {dim}")
+    return xa, xb
+
+
+def kernel_gram(xa: np.ndarray, xb: np.ndarray, cfg: KernelConfig) -> np.ndarray:
+    """Gram matrix of the configured stationary kernel between two point sets."""
+    xa, xb = kernel_points(xa, xb, cfg.input_dim)
+    return scaled_gram(xa / cfg.lengthscales, xb / cfg.lengthscales, cfg.family, cfg.signal_variance)
 
 
 # -- coregionalized two-arm kernel -------------------------------------------
@@ -219,7 +229,7 @@ def cmgp_gram(
 # bound; exponent 1/2 per dimension for rbf, nu = 5/2 for matern52).
 
 
-def _overlap_parts(cfg0: KernelConfig, cfg1: KernelConfig) -> tuple[float, np.ndarray]:
+def overlap_parts(cfg0: KernelConfig, cfg1: KernelConfig) -> tuple[float, np.ndarray]:
     """(amplitude, mixed lengthscales) of the overlap kernel; the amplitude is
     its value at r = 0."""
     if cfg0.family != cfg1.family:
@@ -234,18 +244,12 @@ def _overlap_parts(cfg0: KernelConfig, cfg1: KernelConfig) -> tuple[float, np.nd
     return float(amp * np.prod(ratio**2.5)), np.sqrt(2.0 * l0**2 * l1**2 / (l0**2 + l1**2))
 
 
-def overlap_amplitude(cfg0: KernelConfig, cfg1: KernelConfig) -> float:
-    """Overlap kernel at identical covariates: the cross-arm prior covariance
-    per unit of coupling ``rho``."""
-    return _overlap_parts(cfg0, cfg1)[0]
-
-
 def overlap_gram(xa: np.ndarray, xb: np.ndarray, cfg0: KernelConfig, cfg1: KernelConfig) -> np.ndarray:
     """Overlap kernel between two point sets: the cross-arm prior covariance
     per unit of coupling ``rho``."""
-    amp, mix = _overlap_parts(cfg0, cfg1)
-    r2 = _sq_dist(xa, xb, mix)
-    gram = _rbf_from_r2(r2, 1.0) if cfg0.family == "rbf" else _matern52_from_r2(r2, 1.0)
+    amp, mix = overlap_parts(cfg0, cfg1)
+    xa, xb = kernel_points(xa, xb, mix.size)
+    gram = scaled_gram(xa / mix, xb / mix, cfg0.family, 1.0)
     return np.multiply(gram, amp, out=gram)
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import norm
 
 import cate_al
-from cate_al import blas
+from cate_al import acquisition, blas
 from cate_al.acquisition import (
     AcquisitionMethod,
     ScoringContext,
@@ -407,6 +407,142 @@ class TestBlockedMeanOverTargets:
         finally:
             tracemalloc.stop()
         assert peak < bundle_bytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def scalar_mi_block(va, vb, c):
+    """``_scalar_mi_block`` of one (r, m) block: its returned excess and its
+    ``out`` (unset buffers hold NaN)."""
+    out, work, prod = np.full((3,) + c.shape, np.nan)
+    return acquisition._scalar_mi_block(out, work, prod, va[:, None], vb, c), out
+
+
+def assert_block_is_the_oracle(va, vb, c) -> bool:
+    """The block against the whole-matrix oracle: the same bits where the
+    oracle scores, the same worst excess where it raises. True if it raised."""
+    excess, out = scalar_mi_block(va, vb, c)
+    try:
+        with np.errstate(all="ignore"):
+            expected = _mi_scalar_vec(va[:, None], vb[None, :], c)
+    except NumericalError as err:
+        assert str(err) == f"covariance exceeds the variance bound by up to {excess}"
+        return True
+    assert excess == -np.inf
+    np.testing.assert_array_equal(np.isnan(out), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    np.testing.assert_array_equal(out[finite].view(np.uint64), expected[finite].view(np.uint64))
+    return False
+
+
+def edge_block(rng):
+    """A small block of variances and covariances within the bound, with one
+    kind of edge at random: entries just inside or just outside the 1e-6
+    slack, a NaN covariance, a zero, sub-floor or negative variance,
+    variances near 1e-160 (products under DET_FLOOR), or a grid of zero
+    covariances."""
+    r, m = int(rng.integers(1, 9)), int(rng.integers(1, 41))
+    va = rng.uniform(0.0, 1.0, r) * 10.0 ** rng.uniform(-3, 3)
+    vb = rng.uniform(0.0, 1.0, m) * 10.0 ** rng.uniform(-3, 3)
+    root = np.sqrt(va[:, None] * vb)
+    c = rng.uniform(-1.0, 1.0, (r, m)) * root
+    kind = rng.integers(8)
+    if kind == 1:
+        pick = rng.random((r, m)) < 0.2
+        c[pick] = (root * (1.0 + rng.uniform(-3e-6, 3e-6, (r, m))) * rng.choice([-1.0, 1.0], (r, m)))[pick]
+    elif kind == 2:
+        c[rng.integers(r), rng.integers(m)] = np.nan
+    elif kind == 3:
+        va[rng.integers(r)] = rng.choice([0.0, 1e-13, -1e-3])
+    elif kind == 4:
+        vb[rng.integers(m)] = rng.choice([0.0, 1e-13, -1e-3])
+    elif kind == 5:
+        va[:] = 10.0 ** rng.uniform(-170, -150, r)
+        c = rng.uniform(-1.0, 1.0, (r, m)) * np.sqrt(va[:, None] * vb)
+    elif kind == 6:
+        c[rng.random((r, m)) < 0.3] = 0.0
+    return va, vb, c
+
+
+class TestScalarMiBlock:
+    # the screened block against the whole-matrix oracle, edge by edge
+    BASE_VA, BASE_VB = np.array([0.5, 2.0, 1.3]), np.array([1.0, 0.25, 4.0, 0.9])
+
+    def base_block(self):
+        root = np.sqrt(self.BASE_VA[:, None] * self.BASE_VB)
+        return self.BASE_VA.copy(), self.BASE_VB.copy(), 0.6 * root * np.array([1.0, -0.5, 0.3, -0.9]), root
+
+    def test_ordinary_block(self):
+        assert not assert_block_is_the_oracle(*self.base_block()[:3])
+
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 2e-7, 1.0 + 9e-7])
+    def test_entry_just_inside_the_slack(self, factor):
+        va, vb, c, root = self.base_block()
+        c[1, 2] = -factor * root[1, 2]
+        assert not assert_block_is_the_oracle(va, vb, c)
+
+    @pytest.mark.parametrize("factor", [1.0 + 1.1e-6, 1.0 + 5e-6, 1.5])
+    def test_entry_just_outside_the_slack(self, factor):
+        va, vb, c, root = self.base_block()
+        c[1, 2] = factor * root[1, 2]
+        c[2, 0] = -1.2 * factor * root[2, 0]
+        assert assert_block_is_the_oracle(va, vb, c)
+
+    def test_nan_covariance(self):
+        va, vb, c, _ = self.base_block()
+        c[0, 3] = np.nan
+        assert not assert_block_is_the_oracle(va, vb, c)
+
+    @pytest.mark.parametrize("value", [0.0, 1e-13, -1e-3])
+    def test_variance_at_or_below_the_floor(self, value):
+        for side in (0, 1):
+            va, vb, c, _ = self.base_block()
+            if side == 0:
+                va[1] = value
+                c[1] = 0.0 if value < 0 else np.sqrt(max(value, 0.0) * vb) * 0.5
+            else:
+                vb[2] = value
+                c[:, 2] = 0.0 if value < 0 else np.sqrt(max(value, 0.0) * va) * 0.5
+            assert not assert_block_is_the_oracle(va, vb, c)
+
+    def test_negative_variance_with_a_covariance_raises(self):
+        va, vb, c, _ = self.base_block()
+        va[0] = -1e-3
+        assert assert_block_is_the_oracle(va, vb, c)
+
+    def test_products_under_the_determinant_floor(self):
+        va, vb, c, _ = self.base_block()
+        va[:], vb[:] = [1e-160, 3e-161, 2e-155], [1e-160, 5e-158, 1e-170, 2e-160]
+        c = 0.7 * np.sqrt(va[:, None] * vb)
+        assert not assert_block_is_the_oracle(va, vb, c)
+
+    def test_random_edge_blocks(self):
+        rng = np.random.default_rng(17)
+        raised = sum(assert_block_is_the_oracle(*edge_block(rng)) for _ in range(20_000))
+        assert raised >= 1_000
+
+    def test_ordinary_pools_never_take_the_exact_path(self, monkeypatch):
+        # the screen settles every block of a fitted model's pool, so an edit
+        # that sent ordinary blocks down the exact path would show here
+        calls = {"block": 0, "exact": 0}
+        block, exact = acquisition._scalar_mi_block, acquisition._scalar_mi_exact
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(acquisition, "_scalar_mi_block", counted("block", block))
+        monkeypatch.setattr(acquisition, "_scalar_mi_exact", counted("exact", exact))
+        rng = np.random.default_rng(3)
+        data = gen_causalbald(260, rng=rng)
+        x, t, y = data.covariates, data.treatments, data.outcomes
+        models = [fit_ensemble(x[:60], t[:60], y[:60], rng=1)]
+        for kind in ("cmgp2", "nsgp"):
+            models.append(fit_gp(x[:60], t[:60], y[:60], random_fitted_gp(rng, kind=kind).params))
+        for model in models:
+            for name in ("causal_epig_tau", "causal_epig_mu_additive", "epig_factual"):
+                scores(name, model, x[60:], t[60:])
+        assert calls["block"] >= 9 and calls["exact"] == 0
 
 
 class HeldEnsemble(EnsembleLinearModel):

@@ -402,6 +402,41 @@ class TestHyperparamSearch:
                 np.testing.assert_array_equal(got.lengthscales, want.lengthscales)
                 assert not got.lengthscales.flags.writeable
 
+    @staticmethod
+    def slice_decode(theta, dim):
+        """The cmgp decode as it was written before one exp served every
+        coordinate: np.clip, then an exp per lengthscale slice and per 0-d
+        Cholesky coordinate of each component's block."""
+        theta = np.clip(theta, -8.0, 8.0)
+        noise = float(np.exp(theta[dim]))
+        components = []
+        for block in np.concatenate([theta[:dim], theta[dim + 1 :]]).reshape(-1, dim + 3):
+            kernel = KernelConfig.trusted("matern52", np.exp(block[:dim]), 1.0, noise)
+            coreg = CoregionalizationConfig.from_cholesky(
+                float(np.exp(block[dim])), float(block[dim + 1]), float(np.exp(block[dim + 2]))
+            )
+            components += [kernel, coreg]
+        return CmgpParams(*components)
+
+    @pytest.mark.parametrize("n_components", [1, 2])
+    def test_cmgp_decode_is_bitwise_the_per_slice_decode(self, rng, n_components):
+        # random vectors, about a fifth of their coordinates clipped, and the
+        # extremes themselves, at one and five dimensions
+        for d in (1, 5):
+            size = d + 4 + (n_components - 1) * (d + 3)
+            thetas = rng.normal(scale=6.0, size=(2000, size))
+            thetas[:50] = rng.choice([-8.0, 8.0, -1e6, 1e6, 0.0], size=(50, size))
+            for theta in thetas:
+                got, want = CmgpParams.from_theta(theta, d), self.slice_decode(theta, d)
+                assert len(got.components) == len(want.components) == n_components
+                for (k, b), (k_want, b_want) in zip(got.components, want.components):
+                    assert k.lengthscales.tobytes() == k_want.lengthscales.tobytes()
+                    assert not k.lengthscales.flags.writeable
+                    assert (k.family, k.signal_variance, k.noise_variance, k.jitter) == (
+                        k_want.family, k_want.signal_variance, k_want.noise_variance, k_want.jitter)
+                    assert type(k.noise_variance) is float
+                    assert b.task_covariance.tobytes() == b_want.task_covariance.tobytes()
+
     def test_deterministic_given_seed(self, rng):
         x = rng.normal(size=(10, 1))
         t = rng.integers(0, 2, 10)
@@ -481,6 +516,29 @@ class TestArmGrams:
         k0, k1 = params.arm_grams(xa, ta, xb)
         np.testing.assert_array_equal(k0, params.gram(xa, ta, xb, np.zeros(13, dtype=int)))
         np.testing.assert_array_equal(k1, params.gram(xa, ta, xb, np.ones(13, dtype=int)))
+
+    @pytest.mark.parametrize("family", ["rbf", "matern52"])
+    @pytest.mark.parametrize("kind", sorted(ARM_GRAM_PARAMS))
+    def test_row_slices_are_slices_of_the_whole(self, rng, kind, family):
+        # the points are checked and scaled once; each slice, ragged,
+        # single-row, one-arm or empty, is bitwise its rows of the whole
+        params = ARM_GRAM_PARAMS[kind](rng, 3, family)
+        xa, xb = rng.normal(size=(30, 3)), rng.normal(size=(17, 3))
+        ta = rng.integers(0, 2, 30)
+        ta[10:14] = 0
+        whole = params.arm_grams(xa, ta, xb)
+        rows_of = params.arm_gram_rows(xa, ta, xb)
+        for rows in (slice(0, 7), slice(7, 14), slice(10, 14), slice(28, 35), slice(29, 30), slice(30, 37)):
+            for got, want in zip(rows_of(rows), whole, strict=True):
+                np.testing.assert_array_equal(got, want[rows])
+
+    @pytest.mark.parametrize("kind", sorted(ARM_GRAM_PARAMS))
+    def test_points_of_another_dimension_rejected(self, rng, kind):
+        params = ARM_GRAM_PARAMS[kind](rng, 2, "matern52")
+        with pytest.raises(InputError):
+            params.arm_gram_rows(np.zeros((2, 3)), [0, 1], np.zeros((3, 2)))
+        with pytest.raises(InputError):
+            params.arm_grams(np.zeros((2, 2)), [0, 1], np.zeros((3, 1)))
 
     @pytest.mark.parametrize("kind", sorted(ARM_GRAM_PARAMS))
     def test_invalid_treatment_rejected(self, rng, kind):
@@ -588,18 +646,18 @@ def test_bundle_matrices_built_in_row_blocks_equal_the_whole_build(rng, kind, n_
 
 @pytest.fixture
 def base_kernel_calls(monkeypatch):
-    """A list that grows by one per base kernel evaluated (``kernel_gram`` or
-    ``overlap_gram``), wherever ``gp`` or ``kernels`` looks it up."""
+    """A list that grows by one per base kernel evaluated: every base Gram,
+    whole or a row block of one, is built by ``scaled_gram``, counted
+    wherever ``gp`` or ``kernels`` looks it up."""
     calls = []
-    for name in ("kernel_gram", "overlap_gram"):
-        original = getattr(kernels, name)
+    original = kernels.scaled_gram
 
-        def counting(*args, original=original):
-            calls.append(1)
-            return original(*args)
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
 
-        monkeypatch.setattr(gp, name, counting)
-        monkeypatch.setattr(kernels, name, counting)
+    monkeypatch.setattr(gp, "scaled_gram", counting)
+    monkeypatch.setattr(kernels, "scaled_gram", counting)
     return calls
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from cate_al import kernels
 from cate_al.errors import InputError
@@ -202,6 +203,19 @@ class TestBlockedEvaluation:
         expected = reference(r2, 1.7)
         got = blocked(r2.copy(), 1.7)
         np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("sv", [1.0, 0.37])
+    def test_matern_bitwise_at_both_signal_variance_paths(self, rng, sv):
+        # sv = 1.0 skips its multiply; r2 holds exact zeros, and the r2 that
+        # cdist gives duplicated points (zeros off the diagonal too)
+        x = rng.normal(size=(150, 3))
+        x[75:] = x[:75]
+        from_cdist = cdist(x, x, "sqeuclidean")
+        assert np.count_nonzero(from_cdist == 0.0) == 300
+        uniform = rng.uniform(0.0, 40.0, size=(200, 170))
+        uniform[rng.random(uniform.shape) < 0.1] = 0.0
+        for r2 in (from_cdist, uniform, np.zeros((2, 3))):
+            np.testing.assert_array_equal(kernels._matern52_from_r2(r2.copy(), sv), whole_matrix_matern52(r2, sv))
 
     @pytest.mark.parametrize("family", ["rbf", "matern52"])
     def test_kernel_gram_leaves_inputs_and_returns_fresh_array(self, rng, family):
