@@ -23,6 +23,7 @@ from scipy.special import ndtr
 from .beliefs import CateModel, VARIANCE_FLOOR
 from .blas import one_blas_thread
 from .errors import InputError, NumericalError, as_arms, as_labeled
+from .kernels import rows_per_block
 
 DET_FLOOR = 1e-300
 PROPENSITY_RIDGE = 1e-3    # L2 penalty of the logistic propensity fit
@@ -64,14 +65,12 @@ class AcquisitionMethod:
 #
 # The mean-over-targets scorers reduce an (n_c, m) candidate-by-target MI
 # matrix to its row means. One kernel evaluates that matrix a block of rows
-# of about _MI_BLOCK entries at a time, in buffers reused across blocks, and
-# each scorer reads the bundle's covariance rows of that block only, so
-# scoring holds O(block) memory beyond what the bundle itself holds. Every
-# entry goes through the whole-matrix operations in the same order, and each
-# row's mean is the same pairwise sum over a C-contiguous row, so the blocks
-# do not change a bit.
-
-_MI_BLOCK = 16384
+# at a time, the kernels' blocks of about 16k entries (rows_per_block), in
+# buffers reused across blocks, and each scorer reads the bundle's
+# covariance rows of that block only, so scoring holds O(block) memory
+# beyond what the bundle itself holds. Every entry goes through the
+# whole-matrix operations in the same order, and each row's mean is the same
+# pairwise sum over a C-contiguous row, so the blocks do not change a bit.
 
 
 def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
@@ -87,7 +86,7 @@ def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
     Each row is summed by ``np.add.reduce`` into its mean's slot, and all
     the sums are divided by m once: ``np.mean``'s own sum and divide.
     """
-    rows = max(1, _MI_BLOCK // max(m, 1))
+    rows = rows_per_block(m)
     buffers = np.empty((n_buffers, min(rows, n_c), m))
     means = np.empty(n_c)
     worst = None

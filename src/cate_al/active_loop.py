@@ -54,6 +54,11 @@ class LoopConfig:
         if self.target_mode not in TARGET_MODES:
             raise InputError(f"target_mode must be one of {TARGET_MODES}")
 
+    def check_pool_size(self, n_pool: int) -> None:
+        """The warm start is drawn from the pool, so it cannot exceed it."""
+        if self.n_init > n_pool:
+            raise InputError(f"warm-start size {self.n_init} exceeds pool size {n_pool}")
+
 
 class LabelOracle:
     """Reveals factual outcomes for queried pool indices, and nothing else."""
@@ -126,8 +131,7 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
     pool_t = as_arms(pool_data.treatments)
     oracle = LabelOracle(pool_data.outcomes)
     n_pool = pool_t.size
-    if config.n_init > n_pool:
-        raise InputError(f"warm-start size {config.n_init} exceeds pool size {n_pool}")
+    config.check_pool_size(n_pool)
 
     warm_rng = (
         np.random.default_rng(config.warm_start_seed)

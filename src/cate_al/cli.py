@@ -42,10 +42,6 @@ SUMMARY_HEADER = (
     "metric", "mean", "sd", "count",
 )
 
-_DATASET_KEYS = ("name", "shift", "pool_size", "val_size", "test_size", "covariates_csv")
-_LOOP_KEYS = ("n_init", "batch_size", "budget", "temperature", "refit_hyperparams", "target_mode")
-_RUN_KEYS = ("estimators", "methods", "seeds", "out_dir", "jobs", "master_seed")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -69,6 +65,13 @@ class ExperimentConfig:
     out_dir: str
     jobs: int
     master_seed: int
+
+    def __post_init__(self):
+        # the settings every cell would reject fail here, by the cells' own checks
+        self.split_spec(seed=0)
+        self.loop_config(self.estimators[0], self.methods[0], seed=0).check_pool_size(self.pool_size)
+        if self.jobs < 1:
+            raise InputError(f"jobs must be >= 1, got {self.jobs}")
 
     @property
     def variant(self) -> str:
@@ -123,24 +126,67 @@ def _parse_bool(raw: str, where: str) -> bool:
     raise InputError(f"{where}: expected a boolean, got {raw!r}")
 
 
-def _parse_number(raw, kind: type, where: str):
-    try:
-        return kind(raw)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise InputError(f"{where}: expected {expected}, got {raw!r}") from None
+def _number_parser(kind: type, expected: str):
+    def parse(raw: str, where: str):
+        try:
+            return kind(raw)
+        except ValueError:
+            raise InputError(f"{where}: expected {expected}, got {raw!r}") from None
+    return parse
 
 
-def _parse_seeds(raw: str) -> tuple[int, ...]:
-    raw = raw.strip()
-    if ".." in raw:
-        lo, hi = (_parse_number(v, int, "[run] seeds") for v in raw.split("..", 1))
-        return tuple(range(lo, hi + 1))
-    return tuple(_parse_number(v, int, "[run] seeds") for v in raw.split(",") if v.strip())
+_parse_int, _parse_float = _number_parser(int, "an integer"), _number_parser(float, "a number")
 
 
-def _parse_list(raw: str) -> tuple[str, ...]:
+def _parse_seeds(raw: str, where: str) -> tuple[int, ...]:
+    lo, dots, hi = raw.partition("..")
+    if dots:
+        return tuple(range(_parse_int(lo, where), _parse_int(hi, where) + 1))
+    return tuple(_parse_int(v, where) for v in raw.split(",") if v.strip())
+
+
+def _parse_list(raw: str, where: str) -> tuple[str, ...]:
     return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+def _parse_text(raw: str, where: str) -> str:
+    return raw.strip()
+
+
+def _parse_optional_text(raw: str, where: str) -> str | None:
+    return raw.strip() or None
+
+
+# The run config's keys, by section and in file order. Each has a parser of
+# (raw text, "[section] key"), whose None takes the default, and a default: a
+# value, or a function of the settings before it. Each key names its
+# ExperimentConfig field, but [dataset] name is `dataset`.
+_SETTINGS = {
+    "dataset": {
+        "name": (_parse_text, None),  # required
+        "shift": (_parse_bool, False),
+        "pool_size": (_parse_int, lambda s: dataset_info(s["name"]).pool_size),
+        "val_size": (_parse_int, lambda s: dataset_info(s["name"]).val_size),
+        "test_size": (_parse_int, lambda s: dataset_info(s["name"]).test_size),
+        "covariates_csv": (_parse_optional_text, None),
+    },
+    "loop": {
+        "n_init": (_parse_int, LoopConfig.n_init),
+        "batch_size": (_parse_int, LoopConfig.n_b),
+        "budget": (_parse_int, lambda s: dataset_info(s["name"]).budget),
+        "temperature": (_parse_float, LoopConfig.temperature),
+        "refit_hyperparams": (_parse_bool, LoopConfig.refit_hyperparams),
+        "target_mode": (_parse_optional_text, lambda s: "test" if s["shift"] else "pool"),
+    },
+    "run": {
+        "estimators": (_parse_list, ("cmgp",)),
+        "methods": (_parse_list, ("random",)),
+        "seeds": (_parse_seeds, tuple(range(10))),
+        "out_dir": (_parse_text, "results"),
+        "jobs": (_parse_int, 1),
+        "master_seed": (_parse_int, 0),
+    },
+}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -152,45 +198,35 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
-    known_sections = {"dataset", "loop", "run"}
     for section in parser.sections():
-        if section in known_sections or section.startswith("method:"):
-            continue
-        hint = _did_you_mean(section, sorted(known_sections), "[{}]")
-        raise InputError(f"unknown section [{section}]{hint}")
-
-    ds = dict(parser.items("dataset")) if parser.has_section("dataset") else {}
-    _reject_unknown("dataset", ds, _DATASET_KEYS)
-    if "name" not in ds:
+        if section not in _SETTINGS and not section.startswith("method:"):
+            raise InputError(f"unknown section [{section}]{_did_you_mean(section, _SETTINGS, '[{}]')}")
+    given = {section: dict(parser.items(section)) if parser.has_section(section) else {} for section in _SETTINGS}
+    for section, keys in _SETTINGS.items():
+        _reject_unknown(section, given[section], keys)
+    if "name" not in given["dataset"]:
         raise InputError("section [dataset] must set 'name'")
-    name = ds["name"].strip()
+
+    settings = {}
+    for section, keys in _SETTINGS.items():
+        for key, (parse, default) in keys.items():
+            raw = given[section].get(key)
+            value = None if raw is None else parse(raw, f"[{section}] {key}")
+            if value is None:
+                value = default(settings) if callable(default) else default
+            settings[key] = value
+
+    name = settings["name"]
     info = dataset_info(name)
-    shift = _parse_bool(ds.get("shift", "false"), "[dataset] shift")
-    if shift and not info.shift_variant:
+    if settings["shift"] and not info.shift_variant:
         raise InputError(f"dataset {name!r} has no shift variant")
-    pool_size = _parse_number(ds.get("pool_size", info.pool_size), int, "[dataset] pool_size")
-    val_size = _parse_number(ds.get("val_size", info.val_size), int, "[dataset] val_size")
-    test_size = _parse_number(ds.get("test_size", info.test_size), int, "[dataset] test_size")
-    covariates_csv = ds.get("covariates_csv", "").strip() or None
-    if info.needs_covariates and covariates_csv is None:
+    if info.needs_covariates and settings["covariates_csv"] is None:
         raise InputError(f"dataset {name!r} requires [dataset] covariates_csv")
 
-    loop = dict(parser.items("loop")) if parser.has_section("loop") else {}
-    _reject_unknown("loop", loop, _LOOP_KEYS)
-    n_init = _parse_number(loop.get("n_init", 50), int, "[loop] n_init")
-    batch_size = _parse_number(loop.get("batch_size", 20), int, "[loop] batch_size")
-    budget = _parse_number(loop.get("budget", info.budget), int, "[loop] budget")
-    temperature = _parse_number(loop.get("temperature", 0.0), float, "[loop] temperature")
-    refit = _parse_bool(loop.get("refit_hyperparams", "true"), "[loop] refit_hyperparams")
-    target_mode = loop.get("target_mode", "").strip() or ("test" if shift else "pool")
-
-    run = dict(parser.items("run")) if parser.has_section("run") else {}
-    _reject_unknown("run", run, _RUN_KEYS)
-    estimators = _parse_list(run.get("estimators", "cmgp"))
+    estimators, method_names = settings["estimators"], settings["methods"]
     for est in estimators:
         if est not in ESTIMATOR_NAMES:
             raise InputError(f"unknown estimator {est!r}{_did_you_mean(est, ESTIMATOR_NAMES)}")
-    method_names = _parse_list(run.get("methods", "random"))
     if not estimators or not method_names:
         raise InputError("estimators and methods must be non-empty")
     _reject_repeats("[run] estimators", estimators)
@@ -200,80 +236,43 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
     for mname in method_names:
         if mname not in METHOD_NAMES:
             raise InputError(f"unknown method {mname!r}{_did_you_mean(mname, METHOD_NAMES)}")
-        extra = {}
         msec = f"method:{mname}"
-        if parser.has_section(msec):
-            items = dict(parser.items(msec))
-            _reject_unknown(msec, items, METHOD_KEYS[mname])
-            for key, raw in items.items():
-                extra[key] = _parse_number(raw, int, f"[{msec}] {key}")
+        items = dict(parser.items(msec)) if parser.has_section(msec) else {}
+        _reject_unknown(msec, items, METHOD_KEYS[mname])
+        extra = {key: _parse_int(raw, f"[{msec}] {key}") for key, raw in items.items()}
         methods.append(AcquisitionMethod(mname, **extra))
+    settings["methods"] = tuple(methods)
     method_sections = [f"method:{m}" for m in method_names]
     for section in parser.sections():
         if section.startswith("method:") and section not in method_sections:
             hint = _did_you_mean(section, method_sections, "[{}]")
             raise InputError(f"section [{section}] configures no method listed in [run] methods{hint}")
 
-    seeds = _parse_seeds(run.get("seeds", "0..9"))
-    if not seeds:
+    if not settings["seeds"]:
         raise InputError("seeds must be non-empty")
-    _reject_repeats("[run] seeds", seeds)
-    out_dir = run.get("out_dir", "results").strip()
+    _reject_repeats("[run] seeds", settings["seeds"])
     root = os.environ.get(OUT_ROOT_ENV, "")
-    if root and not os.path.isabs(out_dir):
-        out_dir = os.path.join(root, out_dir)
-    jobs = _parse_number(run.get("jobs", 1), int, "[run] jobs")
-    master_seed = _parse_number(run.get("master_seed", 0), int, "[run] master_seed")
-
-    config = ExperimentConfig(
-        dataset=name, shift=shift, pool_size=pool_size, val_size=val_size,
-        test_size=test_size, covariates_csv=covariates_csv, n_init=n_init,
-        batch_size=batch_size, budget=budget, temperature=temperature,
-        refit_hyperparams=refit, target_mode=target_mode,
-        estimators=tuple(estimators), methods=tuple(methods), seeds=seeds,
-        out_dir=out_dir, jobs=jobs, master_seed=master_seed,
-    )
-    # the settings every cell would reject fail here, by the cells' own checks
-    config.split_spec(seed=0)
-    config.loop_config(estimators[0], methods[0], seed=0)
-    return config
+    if root and not os.path.isabs(settings["out_dir"]):
+        settings["out_dir"] = os.path.join(root, settings["out_dir"])
+    return ExperimentConfig(dataset=settings.pop("name"), **settings)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Config text that parses back to an equal ExperimentConfig."""
     parser = configparser.ConfigParser()
-    parser["dataset"] = {
-        "name": config.dataset,
-        "shift": str(config.shift).lower(),
-        "pool_size": str(config.pool_size),
-        "val_size": str(config.val_size),
-        "test_size": str(config.test_size),
-    }
-    if config.covariates_csv:
-        parser["dataset"]["covariates_csv"] = config.covariates_csv
-    parser["loop"] = {
-        "n_init": str(config.n_init),
-        "batch_size": str(config.batch_size),
-        "budget": str(config.budget),
-        "temperature": repr(config.temperature),
-        "refit_hyperparams": str(config.refit_hyperparams).lower(),
-        "target_mode": config.target_mode,
-    }
-    parser["run"] = {
-        "estimators": ", ".join(config.estimators),
-        "methods": ", ".join(m.name for m in config.methods),
-        "seeds": ", ".join(str(s) for s in config.seeds),
-        "out_dir": config.out_dir,
-        "jobs": str(config.jobs),
-        "master_seed": str(config.master_seed),
-    }
+    for section, keys in _SETTINGS.items():
+        parser[section] = {}
+        for key in keys:
+            value = getattr(config, "dataset" if key == "name" else key)
+            if isinstance(value, tuple):  # a list, joined by ", "; methods by name
+                value = ", ".join(v.name if isinstance(v, AcquisitionMethod) else str(v) for v in value)
+            if value is not None:  # an absent covariates_csv
+                parser[section][key] = str(value).lower() if isinstance(value, bool) else str(value)
     for m in config.methods:
-        defaults = AcquisitionMethod(m.name)
-        overrides = {
-            k: getattr(m, k) for k in METHOD_KEYS[m.name] if getattr(m, k) != getattr(defaults, k)
-        }
+        default = AcquisitionMethod(m.name)
+        overrides = {k: str(getattr(m, k)) for k in METHOD_KEYS[m.name] if getattr(m, k) != getattr(default, k)}
         if overrides:
-            parser[f"method:{m.name}"] = {k: str(v) for k, v in overrides.items()}
+            parser[f"method:{m.name}"] = overrides
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -45,6 +45,7 @@ MEMO_ENTRIES = 3            # base Grams a search keeps per kernel slot: the cur
 SEARCH_FAMILY = "matern52"  # kernel family the hyperparameter search fits
 SEARCH_STEP = 0.6           # first coordinate step; halved after a sweep with no move
 PRIOR_SD = 2.0              # sd of the weak anchor penalty per search coordinate
+SEARCH_EVALS = 50           # objective evaluations of one climb
 # lengthscale multipliers of each component's start, by component count
 _COMPONENT_SPREADS = {1: (1.0,), 2: (0.5, 2.0)}
 
@@ -596,13 +597,9 @@ def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
 class SearchConfig:
     """Derivative-free multi-start coordinate search settings."""
 
-    n_restarts: int = 3        # structured starts climbed besides a warm start, at most 3
-    n_evals: int = 50
     n_components: int = 1      # coregionalized components for the cmgp search
 
     def __post_init__(self):
-        if not 0 <= self.n_restarts <= 3:
-            raise InputError(f"n_restarts must lie in [0, 3], one per structured start, got {self.n_restarts}")
         if self.n_components not in _COMPONENT_SPREADS:
             raise InputError(f"n_components must be one of {tuple(_COMPONENT_SPREADS)}, got {self.n_components}")
 
@@ -652,8 +649,9 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
     task covariances) that marginal likelihood alone can prefer; the penalty
     vanishes at the initial configuration, so the returned configuration
     never scores below it. ``warm_params`` (typically the previous
-    acquisition round's choice) is used as one additional restart; it must
-    be of ``kind`` and, for cmgp, have ``search.n_components`` components.
+    acquisition round's choice) is climbed first, then the three structured
+    starts, ``SEARCH_EVALS`` evaluations each; it must be of ``kind`` and,
+    for cmgp, have ``search.n_components`` components.
     """
     search = search or SearchConfig()
     x, t, y = as_labeled(x, t, y)
@@ -677,13 +675,13 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
         """Coordinate ascent: try +step then -step on each coordinate in turn
         and keep the first move that raises the objective; halve the step
         after a sweep without a move. Stops at step < 1e-3 or after
-        ``search.n_evals`` objective evaluations."""
+        ``SEARCH_EVALS`` objective evaluations."""
         value, evals, step = objective(theta), 1, SEARCH_STEP
         while True:
             moved = False
             for i in range(theta.size):
                 for sign in (1.0, -1.0):
-                    if evals >= search.n_evals:
+                    if evals >= SEARCH_EVALS:
                         return value, theta
                     trial = theta.copy()
                     trial[i] += sign * step
@@ -713,10 +711,7 @@ def optimize_hyperparams(x, t, y, kind: str, search: SearchConfig | None = None,
         if warm.size != theta0.size:
             raise InputError(f"the warm start has {warm.size} search coordinates, the {kind} search {theta0.size}")
         inits.insert(0, warm)
-    # n_restarts = 0 with a warm start means pure continuation of the
-    # previous configuration
-    n_starts = max(1, search.n_restarts + (warm_params is not None))
-    candidates = [climb(theta) for theta in inits[:n_starts]]
+    candidates = [climb(theta) for theta in inits]
     if not any(np.isfinite(v) for v, _ in candidates):
         raise NumericalError("every hyperparameter candidate failed to factorize")
     _, best_theta = max(candidates, key=lambda c: c[0])

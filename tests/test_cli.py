@@ -140,6 +140,25 @@ REJECTED_SETTINGS = {
     "nan_temperature": ("\n[loop]\ntemperature = nan\n", "temperature must be >= 0"),
     "unknown_target_mode": ("\n[loop]\ntarget_mode = both\n", "target_mode must be one of"),
     "empty_pool": ("pool_size = 0\n", "pool and test sizes must be > 0"),
+    "warm_start_above_pool": ("pool_size = 30\n\n[loop]\nn_init = 40\n", "warm-start size 40 exceeds pool size 30"),
+}
+
+# configs whose serialize_config text is pinned, so that a manifest.json
+# written by an earlier version still resumes with --append
+PINNED_CONFIGS = {
+    "minimal": ("[dataset]\nname = causalbald\n",
+                "34d2bbcd272f4f33c6899ef18ca97ef335114823ba769d74f0fa643a1fb58245"),
+    "shift_with_method_sections": (
+        "[dataset]\nname = hahn_nonlinear\nshift = yes\npool_size = 300\nval_size = 0\ntest_size = 150\n\n"
+        "[loop]\nn_init = 12\nbatch_size = 7\nbudget = 40\ntemperature = 0.25\nrefit_hyperparams = off\n\n"
+        "[run]\nestimators = nsgp, cmgp\nmethods = sundin, causal_epig_mu, random\nseeds = 2..4\n"
+        "out_dir = shifted\njobs = 3\nmaster_seed = 17\n\n"
+        "[method:sundin]\nsundin_samples = 37\n\n[method:causal_epig_mu]\ntarget_cap = 64\n",
+        "28650eba8cbf748671550f15b64e6fbfa8368abf4e0718e4b50d52a5d1334828"),
+    "covariates": (
+        "[dataset]\nname = ihdp\ncovariates_csv = ihdp.csv\n\n"
+        "[run]\nestimators = ensemble\nmethods = random, mu_bald\nseeds = 0, 3\n",
+        "948ecbc8e06706da0612298a254a503d597903903b9e277f3c0fcd8e82117c17"),
 }
 
 # [run] entries and method sections that would run a cell twice or be
@@ -236,6 +255,34 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert where in err and message in err
         assert not (tmp_path / "out").exists()
+
+    def test_jobs_below_one_exit_with_status_two(self, tmp_path, capsys):
+        # in the config or on the command line, a count below 1 would run the
+        # cells in-process and be written into manifest.json
+        path = tmp_path / "bad.ini"
+        small = (f"[dataset]\nname = causalbald\npool_size = 30\nval_size = 0\ntest_size = 20\n\n"
+                 f"[loop]\nn_init = 5\nbatch_size = 3\nbudget = 8\n\n"
+                 f"[run]\nestimators = ensemble\nseeds = 0\nout_dir = {tmp_path / 'out'}\n")
+        for text, flags in [(small + "jobs = -3\n", []), (small, ["--jobs", "0"])]:
+            path.write_text(text)
+            assert main(["run", str(path), *flags]) == 2
+            assert "jobs must be >= 1" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(PINNED_CONFIGS))
+    def test_serialized_config_bytes_are_pinned(self, tmp_path, monkeypatch, case):
+        # the covariate file is read when a cell runs, not when the config is
+        # parsed; it is written anyway, so the config is one that runs
+        text, digest = PINNED_CONFIGS[case]
+        monkeypatch.delenv("CATE_AL_OUT_ROOT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        covariate_csv(tmp_path / "ihdp.csv", "ihdp")
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        serialized = serialize_config(parse_config(path))
+        assert hashlib.sha256(serialized.encode()).hexdigest() == digest
+        path.write_text(serialized)
+        assert serialize_config(parse_config(path)) == serialized
 
     def test_seed_range_syntax(self, tmp_path):
         path = tmp_path / "r.ini"

@@ -326,35 +326,33 @@ class TestHyperparamSearch:
         original = gp.log_marginal_likelihood
         monkeypatch.setattr(gp, "log_marginal_likelihood", lambda *a: calls.append(1) or original(*a))
 
-        def evals(n_evals, n_restarts, warm_params=None):
+        def evals(warm_params=None):
             calls.clear()
-            search = SearchConfig(n_restarts=n_restarts, n_evals=n_evals, n_components=n_components)
-            fitted = optimize_hyperparams(x, t, y, kind, search, warm_params=warm_params)
+            fitted = optimize_hyperparams(x, t, y, kind, SearchConfig(n_components=n_components),
+                                          warm_params=warm_params)
             return len(calls), fitted
 
+        # every structured start is climbed, and a warm start besides
+        count, fitted = evals()
+        assert count <= gp.SEARCH_EVALS * 3
         # a climb needs ten sweeps without a move to stop early, so a budget of
-        # seven is used up by every restart, and none may take more
-        for n_restarts in (1, 2, 3):
-            assert evals(7, n_restarts)[0] == 7 * n_restarts
-        for n_restarts in (-1, 4):  # one restart per structured start
-            with pytest.raises(InputError, match="n_restarts"):
-                SearchConfig(n_restarts=n_restarts)
-        count, fitted = evals(40, 3)
-        assert count <= 40 * 3
-        assert evals(7, 2, warm_params=fitted)[0] == 7 * 3
-        assert evals(1, 3)[0] == 3
+        # seven is used up by every start, and none may take more
+        monkeypatch.setattr(gp, "SEARCH_EVALS", 7)
+        assert evals()[0] == 7 * 3
+        assert evals(warm_params=fitted)[0] == 7 * 4
+        monkeypatch.setattr(gp, "SEARCH_EVALS", 1)
+        assert evals()[0] == 3
 
     def test_mismatched_warm_start_rejected(self, rng):
         x = rng.normal(size=(10, 1))
         t = rng.integers(0, 2, 10)
         y = rng.normal(size=10)
-        one = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(n_evals=5, n_components=1))
-        two = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(n_evals=5, n_components=2))
-        nsgp = optimize_hyperparams(x, t, y, "nsgp", SearchConfig(n_evals=5))
+        one = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(n_components=1))
+        two = optimize_hyperparams(x, t, y, "cmgp", SearchConfig(n_components=2))
+        nsgp = optimize_hyperparams(x, t, y, "nsgp", SearchConfig())
         for kind, n_components, warm in [("cmgp", 2, one), ("cmgp", 1, two), ("cmgp", 2, nsgp), ("nsgp", 1, two)]:
             with pytest.raises(InputError):
-                optimize_hyperparams(x, t, y, kind, SearchConfig(n_evals=5, n_components=n_components),
-                                     warm_params=warm)
+                optimize_hyperparams(x, t, y, kind, SearchConfig(n_components=n_components), warm_params=warm)
         with pytest.raises(InputError):
             SearchConfig(n_components=3)
 
@@ -787,7 +785,7 @@ class TestSearchMemo:
         x = rng.normal(size=(40, 2))
         t = rng.integers(0, 2, 40)
         y = np.sin(x[:, 0]) + t * x[:, 1] + 0.3 * rng.normal(size=40)
-        search = SearchConfig(n_restarts=2, n_evals=60, n_components=n_components)
+        search = SearchConfig(n_components=n_components)
         sizes = []
         base = gp._GramMemo.base
 
@@ -808,12 +806,12 @@ class TestSearchMemo:
         plain_warm = optimize_hyperparams(x, t, y, kind, search, warm_params=plain)
         np.testing.assert_array_equal(param_values(warm), param_values(plain_warm))
 
-    @pytest.mark.parametrize("kind, dim, n_components, expected", [("cmgp", 1, 2, 28), ("nsgp", 5, 1, 358)])
+    @pytest.mark.parametrize("kind, dim, n_components, expected", [("cmgp", 1, 2, 25), ("nsgp", 5, 1, 265)])
     def test_search_base_kernel_count(self, kind, dim, n_components, expected, base_kernel_calls, monkeypatch):
-        # one search of 200 evaluations at n = 60 builds this many base kernels
-        # (arm blocks for nsgp), where evaluating every base of every trial
-        # builds 400 (cmgp, two components) and 600 (nsgp); a change that
-        # builds unchanged bases again fails here
+        # one search of 150 evaluations (three starts of 50) at n = 60 builds
+        # this many base kernels (arm blocks for nsgp), where evaluating every
+        # base of every trial builds 300 (cmgp, two components) and 450
+        # (nsgp); a change that builds unchanged bases again fails here
         rng = np.random.default_rng(0)
         x = rng.normal(size=(60, dim))
         t = rng.integers(0, 2, 60)
@@ -821,6 +819,6 @@ class TestSearchMemo:
         evals = []
         original = gp.log_marginal_likelihood
         monkeypatch.setattr(gp, "log_marginal_likelihood", lambda *a: evals.append(1) or original(*a))
-        optimize_hyperparams(x, t, y, kind, SearchConfig(n_restarts=1, n_evals=200, n_components=n_components))
-        assert len(evals) == 200
+        optimize_hyperparams(x, t, y, kind, SearchConfig(n_components=n_components))
+        assert len(evals) == 3 * gp.SEARCH_EVALS
         assert len(base_kernel_calls) == expected
