@@ -189,12 +189,26 @@ _SETTINGS = {
 }
 
 
+def _config_parser(text: str = "", source: str = "<config>") -> configparser.ConfigParser:
+    """A parser of run-config text: every value is literal (a ``%`` is just
+    a character), and text configparser cannot read is an input error."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(text, source)
+    except configparser.Error as exc:
+        raise InputError(f"malformed config file: {' '.join(str(exc).split())}") from None
+    return parser
+
+
 def parse_config(path) -> ExperimentConfig:
-    """Parse and validate a sectioned key-value config file."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise InputError(f"config file {path} does not exist or is unreadable")
-    return _validated_config(parser)
+    """Parse and validate a sectioned key-value config file (UTF-8, with or
+    without a byte-order mark)."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError):
+        raise InputError(f"config file {path} does not exist or is unreadable") from None
+    return _validated_config(_config_parser(text, str(path)))
 
 
 def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
@@ -259,7 +273,7 @@ def _validated_config(parser: configparser.ConfigParser) -> ExperimentConfig:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Config text that parses back to an equal ExperimentConfig."""
-    parser = configparser.ConfigParser()
+    parser = _config_parser()
     for section, keys in _SETTINGS.items():
         parser[section] = {}
         for key in keys:
@@ -346,9 +360,7 @@ def load_manifest_config(manifest_path: str) -> ExperimentConfig:
     """Reconstruct the validated config embedded in a run manifest."""
     with open(manifest_path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    parser = configparser.ConfigParser()
-    parser.read_string(payload["config"])
-    return _validated_config(parser)
+    return _validated_config(_config_parser(payload["config"], manifest_path))
 
 
 def _check_resumable(recorded: ExperimentConfig, config: ExperimentConfig) -> None:
@@ -425,12 +437,15 @@ def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
                 print(f"cell {cid}: FAILED ({record.failure_reason})", file=sys.stderr)
             _write_manifest(manifest_path, config, statuses, reasons)
 
-        if config.jobs <= 1:
+        # a pool starts all its workers at once, so it gets no more than
+        # there are cells left; each cell's streams come from its identity
+        workers = min(config.jobs, len(todo))
+        if workers <= 1:
             for est, mname, seed in todo:
                 cid, record = _cell_worker((config, est, mname, seed))
                 consume(cid, record)
         else:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_cell_worker, (config, est, mname, seed)) for est, mname, seed in todo]
                 for fut in as_completed(futures):
                     cid, record = fut.result()

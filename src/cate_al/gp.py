@@ -16,7 +16,7 @@ initialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -37,7 +37,7 @@ from .kernels import (
     scaled_gram,
 )
 
-JITTER_START = 1e-8
+JITTER_START = KernelConfig.jitter
 JITTER_MAX = 1e-3
 MEMO_ENTRIES = 3            # base Grams a search keeps per kernel slot: the current
                             # one and both trial steps of a lengthscale coordinate
@@ -71,10 +71,6 @@ class CmgpParams:
     @property
     def noise_variance(self) -> float:
         return self.kernel.noise_variance
-
-    @property
-    def jitter(self) -> float:
-        return self.kernel.jitter
 
     @property
     def components(self) -> tuple[tuple[KernelConfig, CoregionalizationConfig], ...]:
@@ -135,18 +131,6 @@ class CmgpParams:
             for other, other_scale in others:
                 block += other[rows] * other_scale[arms]
         return memo.gram
-
-    def prior_diag(self, t: np.ndarray) -> np.ndarray:
-        """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
-        t = np.asarray(t)
-        return reduce(np.add, (
-            np.where(t == 0, b.task_covariance[0, 0], b.task_covariance[1, 1]) * k.signal_variance
-            for k, b in self.components
-        ))
-
-    def cross_diag(self, n: int) -> np.ndarray:
-        """Prior Cov[f0(x), f1(x)] at n identical-covariate pairs."""
-        return np.full(n, reduce(np.add, (b.task_covariance[0, 1] * k.signal_variance for k, b in self.components)))
 
     # search vector: [log l_1..d, log noise, log L11, L21, log L22] for the
     # first component, then [log l_1..d, log L11, L21, log L22] for a second,
@@ -211,10 +195,6 @@ class NsgpParams:
     def noise_variance(self) -> float:
         return self.kernel0.noise_variance
 
-    @property
-    def jitter(self) -> float:
-        return self.kernel0.jitter
-
     def gram(self, xa, ta, xb, tb) -> np.ndarray:
         """Prior covariance K((xa, ta), (xb, tb)) of the per-arm kernel."""
         return nsgp_gram(xa, ta, xb, tb, self.kernel0, self.kernel1, self.cross_rho)
@@ -277,15 +257,6 @@ class NsgpParams:
                 block[:, i1] = to_treated[rows]
                 memo.gram[arm_rows[rows]] = block
         return memo.gram
-
-    def prior_diag(self, t: np.ndarray) -> np.ndarray:
-        """Prior Var[f_t(x)] per treatment; stationary, so free of x."""
-        return np.where(np.asarray(t) == 0, self.kernel0.signal_variance, self.kernel1.signal_variance)
-
-    def cross_diag(self, n: int) -> np.ndarray:
-        """Prior Cov[f0(x), f1(x)] at n identical-covariate pairs: rho times
-        the overlap kernel at r = 0."""
-        return np.full(n, self.cross_rho * overlap_parts(self.kernel0, self.kernel1)[0])
 
     # search vector: [log l0_1..d, log sv0, log l1_1..d, log sv1, log noise,
     # rho_raw] with rho = 0.95 tanh(rho_raw); one per-arm pair, so the
@@ -401,6 +372,15 @@ class GpCateModel(CateModel):
     def noise_variance(self) -> float:
         return self.params.noise_variance
 
+    @cached_property
+    def _prior_point_cov(self) -> np.ndarray:
+        """The 2x2 prior covariance of (f0(x), f1(x)); stationary, so the
+        arm Grams at the origin, and free of x. Built on first use, read-only."""
+        z = np.zeros((2, self.train_x.shape[1]))
+        cov = np.hstack(self.params.arm_grams(z, [0, 1], z[:1]))
+        cov.flags.writeable = False
+        return cov
+
     def _gram(self, xa, ta, xb, tb) -> np.ndarray:
         """Prior covariance K((xa, ta), (xb, tb)): each column of the arm
         Grams of (xa, ta) against xb, taken from the arm in ``tb``."""
@@ -418,7 +398,7 @@ class GpCateModel(CateModel):
     def latent_var(self, x, t) -> np.ndarray:
         t = as_arms(t)
         v = solve_triangular(self.L, self._gram(self.train_x, self.train_t, x, t), lower=True)
-        return np.maximum(self.params.prior_diag(t) - np.sum(v * v, axis=0), 0.0)
+        return np.maximum(self._prior_point_cov[t, t] - np.sum(v * v, axis=0), 0.0)
 
     def _arm_means(self, k0, k1):
         """Posterior means of f0 and f1 from the train cross-Grams of both arms."""
@@ -431,13 +411,13 @@ class GpCateModel(CateModel):
     def _contrast_moments(self, x):
         """Train cross-Grams at (x, 0) and (x, 1) for the 2-d points x and
         their solves, then Var f0, Var f1, Cov(f0, f1) and Var tau per row."""
-        m = x.shape[0]
         k0, k1 = self.params.arm_grams(self.train_x, self.train_t, x)
         v0 = solve_triangular(self.L, k0, lower=True)
         v1 = solve_triangular(self.L, k1, lower=True)
-        f0_var = np.maximum(self.params.prior_diag(np.zeros(m, dtype=int)) - np.sum(v0 * v0, axis=0), 0.0)
-        f1_var = np.maximum(self.params.prior_diag(np.ones(m, dtype=int)) - np.sum(v1 * v1, axis=0), 0.0)
-        f01_cov = self.params.cross_diag(m) - np.sum(v0 * v1, axis=0)
+        prior = self._prior_point_cov
+        f0_var = np.maximum(prior[0, 0] - np.sum(v0 * v0, axis=0), 0.0)
+        f1_var = np.maximum(prior[1, 1] - np.sum(v1 * v1, axis=0), 0.0)
+        f01_cov = prior[0, 1] - np.sum(v0 * v1, axis=0)
         tau_var = np.maximum(f0_var + f1_var - 2.0 * f01_cov, 0.0)
         return k0, k1, v0, v1, f0_var, f1_var, f01_cov, tau_var
 
@@ -466,7 +446,7 @@ class GpCateModel(CateModel):
             kc = self._gram(self.train_x, self.train_t, cand_x, cand_t)
             vc = solve_triangular(self.L, kc, lower=True)
         y_mean = self.y_mean + kc.T @ self.alpha
-        f_var = self.params.prior_diag(cand_t) - np.sum(vc * vc, axis=0)
+        f_var = self._prior_point_cov[cand_t, cand_t] - np.sum(vc * vc, axis=0)
         y_var = np.maximum(f_var, 0.0) + self.noise_variance
 
         # the products whole (row blocks of them round differently), then
@@ -571,7 +551,7 @@ def _condition(x, t, y, params: GpParams, gram: np.ndarray) -> GpCateModel:
     y_mean = float(y.mean())
     yc = y - y_mean
     gram.flat[:: y.size + 1] += params.noise_variance
-    L, jitter_used = _chol_with_escalating_jitter(gram, params.jitter)
+    L, jitter_used = _chol_with_escalating_jitter(gram, JITTER_START)
     alpha, _ = dpotrs(L, yc, lower=1)
     return GpCateModel(params, x, t, y, L, alpha, y_mean, jitter_used)
 
@@ -622,7 +602,7 @@ def log_marginal_likelihood(x, t, y, params: GpParams, memo: _GramMemo | None = 
         raise InputError("the Gram memo was built for other training points")
     gram = params.train_gram(memo)
     _diagonal(gram)[:] += params.noise_variance
-    factor, _ = _chol_with_escalating_jitter(gram, params.jitter, overwrite=True)
+    factor, _ = _chol_with_escalating_jitter(gram, JITTER_START, overwrite=True)
     yc = y - float(y.mean())
     alpha, _ = dpotrs(factor, yc, lower=1)
     return _lml(yc, factor, alpha)

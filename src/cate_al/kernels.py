@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -39,16 +40,14 @@ class KernelConfig:
         Positive prior variance k(x, x).
     noise_variance : float
         Positive observation-noise variance attached to this kernel's GP.
-    jitter : float
-        Base diagonal jitter used when factorizing Gram matrices,
-        in [1e-10, 1e-3].
     """
 
     family: str = "rbf"
     lengthscales: np.ndarray = field(default_factory=lambda: np.ones(1))
     signal_variance: float = 1.0
     noise_variance: float = 0.1
-    jitter: float = 1e-8
+    # gp.JITTER_START; a constant on this class only because bench/probes.py reads cmgp.kernel.jitter
+    jitter: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.family not in KERNEL_FAMILIES:
@@ -65,10 +64,6 @@ class KernelConfig:
             if not np.isfinite(v) or v <= 0:
                 raise InputError(f"{name} must be finite and > 0, got {v}")
             object.__setattr__(self, name, v)
-        j = float(self.jitter)
-        if not (1e-10 <= j <= 1e-3):
-            raise InputError(f"jitter must lie in [1e-10, 1e-3], got {j}")
-        object.__setattr__(self, "jitter", j)
 
     @classmethod
     def trusted(cls, family: str, lengthscales: np.ndarray, signal_variance: float,
@@ -76,13 +71,13 @@ class KernelConfig:
         """Build from values the caller guarantees valid, as a search decoding
         clipped log parameters does: a known family, a non-empty 1-d array of
         finite lengthscales > 0 and finite variances > 0. Keeps one read-only
-        copy of the lengthscales and the default jitter; checks nothing."""
+        copy of the lengthscales; checks nothing."""
         ls = np.array(lengthscales, dtype=float)
         ls.flags.writeable = False
         config = object.__new__(cls)
         # a frozen dataclass keeps its fields in its __dict__
         config.__dict__.update(family=family, lengthscales=ls, signal_variance=float(signal_variance),
-                               noise_variance=float(noise_variance), jitter=cls.jitter)
+                               noise_variance=float(noise_variance))
         return config
 
     @property

@@ -54,6 +54,7 @@ def random_belief(rng, k):
     return JointGaussianBelief(labels=tuple(f"q{i}" for i in range(k)), mean=np.zeros(k), cov=cov)
 
 
+@pytest.mark.slow
 def test_criterion_1_mi_matches_monte_carlo_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(100)
@@ -75,6 +76,7 @@ def test_criterion_1_mi_matches_monte_carlo_oracle():
               f"(worst {worst:.2e}, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_nested_conditioning_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(200)
@@ -113,6 +115,7 @@ def test_criterion_2_nested_conditioning_oracle_equivalence():
               f"(worst {worst:.2e}, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_3_informative_methods_beat_random():
     # property-based stand-in for the benchmark's learning curves: the
     # final-step mean error must favor the contrast-targeted method, and the

@@ -2,12 +2,13 @@ import csv
 import hashlib
 import json
 import os
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cate_al import active_loop, dgp
+from cate_al import active_loop, cli, dgp
 from cate_al.acquisition import AcquisitionMethod
 from cate_al.cli import (
     RESULTS_HEADER,
@@ -176,6 +177,37 @@ DROPPED_OR_REPEATED = {
 }
 
 
+# texts configparser itself cannot read, each with what the error names
+UNREADABLE_CONFIGS = {
+    "repeated_section": ("[dataset]\nname = causalbald\n\n[dataset]\nshift = true\n",
+                         "section 'dataset' already exists"),
+    "repeated_key": ("[dataset]\nname = causalbald\nname = hahn_linear\n",
+                     "option 'name' in section 'dataset' already exists"),
+    "line_before_first_section": ("name = causalbald\n[dataset]\nname = causalbald\n",
+                                  "no section headers"),
+    "unclosed_section_header": ("[dataset\nname = causalbald\n", "no section headers"),
+}
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records each pool's worker
+    count and runs every submitted call at once, in the calling process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         path = tmp_path / "min.ini"
@@ -283,6 +315,37 @@ class TestParseConfig:
         assert hashlib.sha256(serialized.encode()).hexdigest() == digest
         path.write_text(serialized)
         assert serialize_config(parse_config(path)) == serialized
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_CONFIGS))
+    def test_unreadable_config_exits_with_status_two(self, tmp_path, capsys, case):
+        text, message = UNREADABLE_CONFIGS[case]
+        path = tmp_path / "bad.ini"
+        path.write_text(text + f"\n[run]\nout_dir = {tmp_path / 'out'}\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config file") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        plain = write_config(tmp_path)
+        marked = tmp_path / "bom.ini"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert parse_config(marked) == parse_config(plain)
+
+    def test_percent_is_literal_in_values_and_out_root(self, tmp_path, monkeypatch):
+        # a % is literal text: the run writes its manifest, which gives back
+        # the config it ran
+        monkeypatch.setenv("CATE_AL_OUT_ROOT", str(tmp_path / "r%oot"))
+        path = tmp_path / "pct.ini"
+        path.write_text(MINIMAL.replace("methods = random, causal_epig_tau", "methods = random")
+                        .replace("seeds = 0, 1", "seeds = 0").format(out="res%ults%%"))
+        config = parse_config(path)
+        assert config.out_dir == str(tmp_path / "r%oot" / "res%ults%%")
+        assert main(["run", str(path)]) == 0
+        manifest = os.path.join(config.out_dir, "manifest.json")
+        assert load_manifest_config(manifest) == config
+        assert json.load(open(manifest))["cells"] == {cell_id("causalbald", "standard", "ensemble", "random", 0): "done"}
 
     def test_seed_range_syntax(self, tmp_path):
         path = tmp_path / "r.ini"
@@ -427,6 +490,24 @@ class TestRunMatrix:
             return sorted(tuple(r[:9]) for r in rows)  # identity + metric columns
 
         assert rowset(tmp_path / "serial") == rowset(tmp_path / "parallel")
+
+    def test_pool_gets_no_more_workers_than_cells_left(self, tmp_path, monkeypatch):
+        # jobs = 64 over 3 cells makes a 3-worker pool, a resume with no
+        # cell left makes none, and the rows are those of an in-process run
+        made = []
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: RecordingPool(made, max_workers))
+        text = MINIMAL.replace("methods = random, causal_epig_tau", "methods = random").replace(
+            "seeds = 0, 1", "seeds = 0, 1, 2")
+        serial = parse_config(write_config(tmp_path, text, out=tmp_path / "serial"))
+        wide = replace(serial, jobs=64, out_dir=str(tmp_path / "wide"))
+        assert run_matrix(serial) == 0 and made == []
+        assert run_matrix(wide) == 0 and made == [3]
+        assert run_matrix(wide, append=True) == 0 and made == [3]
+
+        def rows(config):  # identity and metric columns, sorted
+            return sorted(r[:9] for r in read_rows(os.path.join(config.out_dir, "results.csv"))[1:])
+
+        assert rows(wide) == rows(serial)
 
     def test_cell_rerun_is_bit_identical_on_formatted_values(self, tmp_path):
         config = parse_config(write_config(tmp_path))

@@ -13,7 +13,7 @@ from cate_al.gp import (
     log_marginal_likelihood,
     optimize_hyperparams,
 )
-from cate_al.kernels import CoregionalizationConfig, KernelConfig, nsgp_gram
+from cate_al.kernels import CoregionalizationConfig, KernelConfig
 
 from conftest import (
     RANDOM_PARAMS,
@@ -393,7 +393,7 @@ class TestHyperparamSearch:
                 wanted = [(c[:d], float(c[d])), (c[d + 1 : 2 * d + 1], float(c[2 * d + 1]))]
             for got, (ls, sv) in zip(decoded, wanted, strict=True):
                 want = KernelConfig(family="matern52", lengthscales=ls, signal_variance=sv, noise_variance=noise)
-                for name in ("family", "signal_variance", "noise_variance", "jitter"):
+                for name in ("family", "signal_variance", "noise_variance"):
                     assert type(getattr(got, name)) is type(getattr(want, name))
                     assert getattr(got, name) == getattr(want, name)
                 assert got.lengthscales.dtype == want.lengthscales.dtype
@@ -430,8 +430,8 @@ class TestHyperparamSearch:
                 for (k, b), (k_want, b_want) in zip(got.components, want.components):
                     assert k.lengthscales.tobytes() == k_want.lengthscales.tobytes()
                     assert not k.lengthscales.flags.writeable
-                    assert (k.family, k.signal_variance, k.noise_variance, k.jitter) == (
-                        k_want.family, k_want.signal_variance, k_want.noise_variance, k_want.jitter)
+                    assert (k.family, k.signal_variance, k.noise_variance) == (
+                        k_want.family, k_want.signal_variance, k_want.noise_variance)
                     assert type(k.noise_variance) is float
                     assert b.task_covariance.tobytes() == b_want.task_covariance.tobytes()
 
@@ -463,14 +463,19 @@ def test_lml_formula_matches_direct_computation(rng):
 
 
 @pytest.mark.parametrize("family", ["rbf", "matern52"])
-def test_nsgp_cross_diag_is_the_gram_diagonal(rng, family):
+@pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
+def test_prior_point_covariance_is_the_gram_diagonal(rng, kind, family):
+    # Var f0, Var f1 and Cov(f0, f1) at a point, bitwise the diagonals of
+    # the mixed-arm Gram at any points, since the prior is stationary
     for _ in range(10):
-        d = int(rng.integers(1, 4))
-        params = random_nsgp_params(rng, dim=d, family=family)
+        d = int(rng.integers(1, 6))
+        params = RANDOM_PARAMS[kind](rng, d, family)
         x = rng.normal(size=(25, d))
-        gram = nsgp_gram(x, np.zeros(25, dtype=int), x, np.ones(25, dtype=int),
-                         params.kernel0, params.kernel1, params.cross_rho)
-        np.testing.assert_array_equal(params.cross_diag(25), np.diag(gram))
+        model = fit_gp(x, np.arange(25) % 2, rng.normal(size=25), params)
+        zeros, ones = np.zeros(25, dtype=int), np.ones(25, dtype=int)
+        for (a, b), arms in {(0, 0): (zeros, zeros), (1, 1): (ones, ones), (0, 1): (zeros, ones)}.items():
+            np.testing.assert_array_equal(np.full(25, model._prior_point_cov[a, b]),
+                                          np.diag(params.gram(x, arms[0], x, arms[1])))
 
 
 @pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
@@ -560,7 +565,7 @@ class TestArmGrams:
                 return solve_triangular(model.L, params.gram(*train, x, t), lower=True)
 
             va, vb = solve(xa, ta), solve(xb, tb)
-            f_var = np.maximum(params.prior_diag(ta) - np.sum(va * va, axis=0), 0.0)
+            f_var = np.maximum(np.diag(params.gram(xa, ta, xa, ta)) - np.sum(va * va, axis=0), 0.0)
             y_mean = model.y_mean + params.gram(*train, xa, ta).T @ model.alpha
             np.testing.assert_array_equal(latent_mean(model, xa, ta), y_mean)
             np.testing.assert_array_equal(model.latent_var(xa, ta), f_var)
@@ -589,7 +594,8 @@ class TestArmGrams:
         kc = model.params.gram(*train, pool_x, pool_t)
         vc = solve(kc)
         v0, v1 = solve(model.params.gram(*train, pool_x, zeros)), solve(model.params.gram(*train, pool_x, ones))
-        y_var = np.maximum(model.params.prior_diag(pool_t) - np.sum(vc * vc, axis=0), 0.0) + model.noise_variance
+        prior_var = np.diag(model.params.gram(pool_x, pool_t, pool_x, pool_t))
+        y_var = np.maximum(prior_var - np.sum(vc * vc, axis=0), 0.0) + model.noise_variance
         np.testing.assert_array_equal(bundle.y_mean, model.y_mean + kc.T @ model.alpha)
         np.testing.assert_array_equal(bundle.y_var, y_var)
         np.testing.assert_array_equal(bundle.cy0, model.params.gram(pool_x, pool_t, pool_x, zeros) - vc.T @ v0)
@@ -661,10 +667,13 @@ def base_kernel_calls(monkeypatch):
 
 def test_pool_mode_bundle_builds_each_base_kernel_once_per_point_set(rng, base_kernel_calls):
     # two components, pool mode: one train x target and one target x target
-    # base per component; a second Gram of either point pair would raise it
+    # base per component; a second Gram of either point pair would raise it.
+    # The prior covariance at a point (one origin base per component) is
+    # built once per model, here before the count starts
     model = fit_gp(rng.normal(size=(20, 2)), rng.integers(0, 2, 20), rng.normal(size=20),
                    two_component_cmgp(rng, 2, "matern52"))
     pool_x, pool_t = rng.normal(size=(15, 2)), rng.integers(0, 2, 15)
+    model.latent_var(pool_x[:1], pool_t[:1])
     base_kernel_calls.clear()
     model.moment_bundle(pool_x, pool_t, pool_x.copy())
     assert len(base_kernel_calls) == 4

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from cate_al import kernels
+from cate_al import gp, kernels
 from cate_al.errors import InputError
 from cate_al.kernels import CoregionalizationConfig, KernelConfig, cmgp_gram, kernel_gram, nsgp_gram
 
@@ -65,12 +67,18 @@ class TestMatern52:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("bad", [{"lengthscales": [0.0]}, {"signal_variance": -1.0},
-                                     {"noise_variance": 0.0}, {"jitter": 1e-2}, {"family": "cubic"}])
+                                     {"noise_variance": 0.0}, {"family": "cubic"}])
     def test_invalid_configs_rejected(self, bad):
-        base = dict(family="rbf", lengthscales=[1.0], signal_variance=1.0, noise_variance=0.1, jitter=1e-8)
+        base = dict(family="rbf", lengthscales=[1.0], signal_variance=1.0, noise_variance=0.1)
         base.update(bad)
         with pytest.raises(InputError):
             KernelConfig(**base)
+
+    def test_jitter_is_a_constant_not_a_setting(self):
+        assert "jitter" not in {f.name for f in dataclasses.fields(KernelConfig)}
+        assert KernelConfig.jitter == gp.JITTER_START == 1e-8
+        with pytest.raises(TypeError):
+            KernelConfig(jitter=1e-6)
 
     def test_coregionalization_must_be_psd_symmetric(self):
         with pytest.raises(InputError):
