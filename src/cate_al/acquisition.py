@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import ndtr
 
-from .beliefs import CateModel, VARIANCE_FLOOR
+from .beliefs import CateModel, MomentBundle, VARIANCE_FLOOR
 from .blas import one_blas_thread
 from .errors import InputError, NumericalError, as_arms, as_labeled
 from .kernels import rows_per_block
@@ -59,6 +59,13 @@ class AcquisitionMethod:
     @property
     def needs_propensity(self) -> bool:
         return self.name == "mu_pi_bald"
+
+    @property
+    def reads_target_bundle(self) -> bool:
+        """Whether the method scores from the candidate-by-target moment
+        bundle: the five ``causal_epig_*`` methods, the ones whose targets a
+        ``target_cap`` can cap."""
+        return "target_cap" in METHOD_KEYS[self.name]
 
 
 # -- Gaussian mutual information ---------------------------------------------
@@ -230,13 +237,20 @@ def predict_pi(model: PropensityModel, x) -> np.ndarray:
 
 @dataclass
 class ScoringContext:
-    """Round-level inputs shared by every candidate score."""
+    """Round-level inputs shared by every candidate score.
+
+    ``bundle``, when given, is the model's moment bundle of the pool against
+    the targets, which the methods that read one (``reads_target_bundle``)
+    then take in place of building their own; its shape must be the pool
+    size by the target count.
+    """
 
     targets: np.ndarray
     labeled_x: np.ndarray
     labeled_t: np.ndarray
     rng: np.random.Generator
     propensity: PropensityModel | None = None
+    bundle: MomentBundle | None = None
 
     def capped_targets(self, cap: int | None) -> np.ndarray:
         if cap is None or self.targets.shape[0] <= cap:
@@ -249,7 +263,12 @@ def _target_bundle(method: AcquisitionMethod, model: CateModel, pool_x, pool_t, 
     targets = ctx.capped_targets(method.target_cap)
     if targets.shape[0] == 0:
         raise InputError("target set must be non-empty")
-    return targets, model.moment_bundle(pool_x, pool_t, targets)
+    if ctx.bundle is None:
+        return targets, model.moment_bundle(pool_x, pool_t, targets)
+    if ctx.bundle.shape != (pool_t.size, targets.shape[0]):
+        raise InputError(f"the bundle's shape {ctx.bundle.shape} is not the {pool_t.size} candidates "
+                         f"by the {targets.shape[0]} targets")
+    return targets, ctx.bundle
 
 
 def _score_random(method, model, pool_x, pool_t, ctx) -> np.ndarray:

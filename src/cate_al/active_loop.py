@@ -104,6 +104,13 @@ def select_batch(scores, n_b: int, temperature: float, rng) -> list[int]:
     return picked
 
 
+def _keeps_pool_bundle(config: LoopConfig) -> bool:
+    """Whether a round's pool bundle is kept for the next round to condition
+    on the batch it acquired: a GP whose hyperparameters stay fixed keeps
+    its prior, so its next posterior is this one conditioned on the batch."""
+    return config.estimator != "ensemble" and not config.refit_hyperparams
+
+
 def _fit_estimator(config: LoopConfig, x, t, y, params, fit_seed: int):
     """Refit the configured estimator; returns (model, params carried forward)."""
     if config.estimator == "ensemble":
@@ -147,6 +154,14 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         config.warm_start_seed if config.warm_start_seed is not None else config.seed
     )
 
+    # the loop builds the pool-by-pool moment bundle of the methods that
+    # read one; with fixed hyperparameters it keeps the bundle, and the next
+    # round conditions it on the batch acquired instead of building afresh
+    pool_bundle = (config.method.reads_target_bundle and config.method.target_cap is None
+                   and config.target_mode == "pool")
+    keep_bundle = pool_bundle and _keeps_pool_bundle(config)
+    kept = None  # (bundle, params, jitter_used, arms, batch) of the last round
+
     propensity = None
     params = None
     step, acq_seconds, chosen = 0, 0.0, list(labeled)
@@ -161,6 +176,12 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             record.failed = True
             record.failure_reason = f"{stage} fit failed: {exc}"
             return record
+        final = len(labeled) >= min(config.n_budget, n_pool)
+        if kept is not None and (final or model.params is not kept[1] or model.jitter_used != kept[2]):
+            # the posterior is not the kept one conditioned on the batch
+            # (another prior or jitter), or no round follows: drop the
+            # bundle before PEHE and before any fresh build
+            kept = None
         record.entries.append(
             evaluation.StepEntry(
                 step=step, n_labeled=len(labeled),
@@ -169,7 +190,7 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
                 acq_seconds=acq_seconds, acquired=tuple(chosen),
             )
         )
-        if len(labeled) >= min(config.n_budget, n_pool):
+        if final:
             break
 
         step += 1
@@ -177,23 +198,36 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         unlabeled[labeled] = False
         pool = np.flatnonzero(unlabeled)
         n_take = min(config.n_b, config.n_budget - len(labeled), pool.size)
+        cand_x, cand_t = pool_x[pool], pool_t[pool]
         targets = (
             np.asarray(test_data.covariates, dtype=float)
             if config.target_mode == "test"
-            else pool_x[pool]
+            else cand_x
         )
         try:
             if config.method.needs_propensity and propensity is None:
                 propensity = fit_propensity(pool_x, pool_t)
-            ctx = ScoringContext(
+            t0 = time.perf_counter()
+            bundle = None
+            if pool_bundle:
+                if kept is None:
+                    bundle = model.moment_bundle(cand_x, cand_t, cand_x)
+                else:
+                    bundle, _, jitter_used, arms, batch = kept
+                    kept = None
+                    bundle = bundle.condition(batch, arms, model.noise_variance + jitter_used)
+            # the context is not kept, so the bundle outlives the call only
+            # where it is kept below
+            scores = score_pool(config.method, model, cand_x, cand_t, ScoringContext(
                 targets=targets,
                 labeled_x=pool_x[labeled],
                 labeled_t=pool_t[labeled],
                 rng=rng,
                 propensity=propensity,
-            )
-            t0 = time.perf_counter()
-            scores = score_pool(config.method, model, pool_x[pool], pool_t[pool], ctx)
+                bundle=bundle,
+            ))
+            if not keep_bundle:
+                bundle = None
             positions = select_batch(scores, n_take, config.temperature, rng)
             acq_seconds = time.perf_counter() - t0
         except (NumericalError, InputError) as exc:
@@ -201,6 +235,8 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             record.failure_reason = f"round {step} scoring failed: {exc}"
             return record
 
+        if bundle is not None:
+            kept, bundle = (bundle, model.params, model.jitter_used, cand_t, positions), None
         chosen = pool[positions].tolist()
         labeled.extend(chosen)
 

@@ -14,6 +14,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cholesky, solve_triangular
+
+from .errors import InputError, NumericalError, as_arms
+from .kernels import rows_per_block
 
 # Predictive variances below this floor are treated as exactly certain.
 VARIANCE_FLOOR = 1e-12
@@ -38,7 +42,6 @@ class MomentBundle(ABC):
     at once.
     """
 
-    y_mean: np.ndarray   # (n_c,)
     y_var: np.ndarray    # (n_c,)
     f0_var: np.ndarray   # (m,)
     f1_var: np.ndarray   # (m,)
@@ -83,6 +86,91 @@ class HeldMomentBundle(MomentBundle):
 
     def cy_tau_rows(self, rows, out=None):
         return np.subtract(self.cy1[rows], self.cy0[rows], out=out)
+
+    def condition(self, batch, arms, obs_var: float) -> "HeldMomentBundle":
+        """This bundle of the posterior conditioned on noisy outcomes at the
+        candidates ``batch``, over the other candidates in their order.
+
+        Pool mode only: the candidates are the targets, in the same order,
+        so ``cy0`` and ``cy1`` are square and hold every covariance the
+        update reads. ``arms`` are the candidates' arms and ``obs_var`` the
+        noise variance of an observation as the conditioned fit factorizes
+        it (its noise plus its jitter). With B the batch, S = Cov[y_B, y_B]
+        is ``cy_{t_b'}[b, b']`` (symmetrized) plus ``obs_var`` on its
+        diagonal, C = Cov[y_c, y_B] is ``cy_{t_b}[c, b]`` and W_a is
+        ``cy_a[B, :]``. Each matrix becomes ``cy_a[keep, keep] - C S^-1 W_a``,
+        and the variances are downdated with the same S^-1 and clamped where
+        a fresh bundle clamps them. By Gaussian conditioning (GPML 2006,
+        section 2.2 and A.2) that is the fresh bundle of the conditioned
+        posterior, up to rounding.
+
+        The update works in place: each matrix is compacted into the front
+        of its own buffer a row block at a time and the buffer shrunk, so no
+        square temporary exists. So this bundle becomes the result, which is
+        returned; its matrices must own their buffers, and no view of them
+        taken before the call may be read after it.
+        """
+        n = self.y_var.size
+        if self.cy0.shape != (n, n) or self.cy1.shape != (n, n):
+            raise InputError(f"only a pool-mode bundle, whose candidates are its targets, conditions; got {self.shape}")
+        arms = as_arms(arms)
+        batch = np.asarray(batch)
+        if arms.size != n:
+            raise InputError(f"{arms.size} arms for {n} candidates")
+        if (batch.ndim != 1 or batch.size == 0 or batch.dtype.kind not in "iu"
+                or batch.min() < 0 or batch.max() >= n or np.unique(batch).size != batch.size):
+            raise InputError(f"the batch must be distinct candidate positions below {n}")
+        if not (np.isfinite(obs_var) and obs_var > 0):
+            raise InputError(f"the observation variance must be finite and > 0, got {obs_var}")
+        others = np.ones(n, dtype=bool)
+        others[batch] = False
+        keep = np.flatnonzero(others)
+
+        cross = np.where(arms[batch] == 1, self.cy1[:, batch], self.cy0[:, batch])  # C, over every candidate
+        s = cross[batch]
+        s = 0.5 * (s + s.T)
+        s.flat[:: batch.size + 1] += obs_var
+        try:
+            low = cholesky(s, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("the batch's outcome covariance is not positive definite") from exc
+        g = solve_triangular(low, cross[keep].T, lower=True)
+        h0 = solve_triangular(low, self.cy0[batch][:, keep], lower=True)
+        h1 = solve_triangular(low, self.cy1[batch][:, keep], lower=True)
+
+        # the noise each y_var carries above its clamped latent variance,
+        # the diagonal of its own arm's matrix
+        latent = np.where(arms == 1, np.diagonal(self.cy1), np.diagonal(self.cy0))
+        noise = self.y_var - np.maximum(latent, 0.0)
+        self.y_var = np.maximum(self.y_var[keep] - np.sum(g * g, axis=0), noise[keep])
+        self.f0_var = np.maximum(self.f0_var[keep] - np.sum(h0 * h0, axis=0), 0.0)
+        self.f1_var = np.maximum(self.f1_var[keep] - np.sum(h1 * h1, axis=0), 0.0)
+        self.f01_cov = self.f01_cov[keep] - np.sum(h0 * h1, axis=0)
+        self.tau_var = np.maximum(self.f0_var + self.f1_var - 2.0 * self.f01_cov, 0.0)
+        _condition_in_place(self.cy0, keep, g.T, h0)
+        _condition_in_place(self.cy1, keep, g.T, h1)
+        return self
+
+
+def _condition_in_place(buf: np.ndarray, keep: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Overwrites the C-contiguous square ``buf`` with
+    ``buf[keep][:, keep] - left @ right``, written into the front of its own
+    buffer a row block at a time, then shrinks the buffer to that (k, k).
+
+    Each block is gathered before it is written, and it lands before the
+    first old row a later block reads: with n the old width, new row i ends
+    at (i + 1) k, before old row keep[i + 1] starts at keep[i + 1] n.
+    """
+    k = keep.size
+    flat = buf.reshape(-1)
+    step = rows_per_block(k)
+    for start in range(0, k, step):
+        rows = slice(start, start + step)
+        block = np.take(np.take(buf, keep[rows], axis=0), keep, axis=1)
+        block -= left[rows] @ right
+        flat[start * k : start * k + block.size] = block.reshape(-1)
+    del flat  # the resize may move the buffer: no view of it may outlive it
+    buf.resize((k, k), refcheck=False)
 
 
 class CateModel(ABC):

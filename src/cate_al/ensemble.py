@@ -137,15 +137,13 @@ class EnsembleLinearModel(CateModel):
         f0, f1 = mu, mu + tau
         f0c = f0 - f0.mean(axis=0)
         f1c = f1 - f1.mean(axis=0)
-        y_mean = fc.mean(axis=0)
         return MemberMomentBundle(
-            y_mean=y_mean,
             y_var=fc.var(axis=0, ddof=1) + self._noise_var,
             f0_var=f0.var(axis=0, ddof=1),
             f1_var=f1.var(axis=0, ddof=1),
             f01_cov=np.sum(f0c * f1c, axis=0) / (self.n_members - 1),
             tau_var=tau.var(axis=0, ddof=1),
-            cand_dev=fc - y_mean,
+            cand_dev=fc - fc.mean(axis=0),
             f0_dev=f0c,
             f1_dev=f1c,
             tau_dev=tau - tau.mean(axis=0),

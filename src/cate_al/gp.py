@@ -39,6 +39,9 @@ from .kernels import (
 
 JITTER_START = KernelConfig.jitter
 JITTER_MAX = 1e-3
+# query points per block of GpCateModel.tau_mean: a multiple of 16, as the
+# matrix-vector product of a block then rounds each point as the whole one does
+TAU_MEAN_COLUMNS = 256
 MEMO_ENTRIES = 3            # base Grams a search keeps per kernel slot: the current
                             # one and both trial steps of a lengthscale coordinate
 
@@ -284,10 +287,13 @@ class NsgpParams:
     @classmethod
     def from_theta(cls, theta: np.ndarray, dim: int) -> "NsgpParams":
         d = dim
-        theta = np.clip(theta, -8.0, 8.0)
-        noise = float(np.exp(theta[2 * d + 2]))
-        k0 = KernelConfig.trusted(SEARCH_FAMILY, np.exp(theta[:d]), np.exp(theta[d]), noise)
-        k1 = KernelConfig.trusted(SEARCH_FAMILY, np.exp(theta[d + 1 : 2 * d + 1]), np.exp(theta[2 * d + 1]), noise)
+        # decoded as CmgpParams.from_theta decodes: np.clip's bits and one exp
+        # of every coordinate, read as Python floats
+        theta = np.minimum(np.maximum(theta, -8.0), 8.0)
+        scales = np.exp(theta).tolist()
+        noise = scales[2 * d + 2]
+        k0 = KernelConfig.trusted(SEARCH_FAMILY, scales[:d], scales[d], noise)
+        k1 = KernelConfig.trusted(SEARCH_FAMILY, scales[d + 1 : 2 * d + 1], scales[2 * d + 1], noise)
         return cls(kernel0=k0, kernel1=k1, cross_rho=float(0.95 * np.tanh(theta[2 * d + 3])))
 
 
@@ -405,8 +411,16 @@ class GpCateModel(CateModel):
         return self.y_mean + k0.T @ self.alpha, self.y_mean + k1.T @ self.alpha
 
     def tau_mean(self, x) -> np.ndarray:
-        mu0, mu1 = self._arm_means(*self.params.arm_grams(self.train_x, self.train_t, _as_points(x)))
-        return mu1 - mu0
+        """Evaluated ``TAU_MEAN_COLUMNS`` points at a time, so it holds two
+        n x ``TAU_MEAN_COLUMNS`` cross-Grams, not two n x len(x); each point
+        gets the bits of an evaluation of all of x at once."""
+        x = _as_points(x)
+        tau = np.empty(x.shape[0])
+        for start in range(0, x.shape[0], TAU_MEAN_COLUMNS):
+            cols = slice(start, start + TAU_MEAN_COLUMNS)
+            mu0, mu1 = self._arm_means(*self.params.arm_grams(self.train_x, self.train_t, x[cols]))
+            np.subtract(mu1, mu0, out=tau[cols])
+        return tau
 
     def _contrast_moments(self, x):
         """Train cross-Grams at (x, 0) and (x, 1) for the 2-d points x and
@@ -436,16 +450,12 @@ class GpCateModel(CateModel):
         target_x = _as_points(target_x)
         k0, k1, v0, v1, f0_var, f1_var, f01_cov, tau_var = self._contrast_moments(target_x)
 
-        treated = cand_t == 1
         if np.array_equal(cand_x, target_x):
-            # pool mode: each candidate's cross-Gram and solve are the
-            # target columns of its own arm
-            kc = np.where(treated, k1, k0)
-            vc = np.where(treated, v1, v0)
+            # pool mode: each candidate's solve is the target column of its
+            # own arm
+            vc = np.where(cand_t == 1, v1, v0)
         else:
-            kc = self._gram(self.train_x, self.train_t, cand_x, cand_t)
-            vc = solve_triangular(self.L, kc, lower=True)
-        y_mean = self.y_mean + kc.T @ self.alpha
+            vc = solve_triangular(self.L, self._gram(self.train_x, self.train_t, cand_x, cand_t), lower=True)
         f_var = self._prior_point_cov[cand_t, cand_t] - np.sum(vc * vc, axis=0)
         y_var = np.maximum(f_var, 0.0) + self.noise_variance
 
@@ -461,7 +471,7 @@ class GpCateModel(CateModel):
             np.subtract(p0, cy0[rows], out=cy0[rows])
             np.subtract(p1, cy1[rows], out=cy1[rows])
         return HeldMomentBundle(
-            y_mean=y_mean, y_var=y_var, f0_var=f0_var, f1_var=f1_var,
+            y_var=y_var, f0_var=f0_var, f1_var=f1_var,
             f01_cov=f01_cov, tau_var=tau_var, cy0=cy0, cy1=cy1,
         )
 

@@ -107,6 +107,16 @@ def random_fitted_gp(rng, n=8, dim=1, kind="cmgp"):
     return fit_gp(x, t, y, RANDOM_PARAMS[kind](rng, dim))
 
 
+def assert_bundles_close(got, want, rel=1e-10):
+    """Every field of the held bundle ``got`` within ``rel`` of the largest
+    entry of the same field of ``want``."""
+    assert got.shape == want.shape
+    for name in ("y_var", "f0_var", "f1_var", "f01_cov", "tau_var", "cy0", "cy1"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= rel * np.abs(b).max(), name
+
+
 class StubModel(CateModel):
     """Hand-specified predictive moments for formula-level acquisition tests.
 
@@ -142,7 +152,6 @@ class StubModel(CateModel):
     def moment_bundle(self, cand_x, cand_t, target_x):
         n_c = np.atleast_2d(cand_x).shape[0]
         return HeldMomentBundle(
-            y_mean=np.zeros(n_c),
             y_var=np.broadcast_to(self._y_var, (n_c,)).copy(),
             f0_var=self._f0,
             f1_var=self._f1,

@@ -20,6 +20,7 @@ from scipy.linalg import cholesky
 
 from cate_al.acquisition import DET_FLOOR
 from cate_al.beliefs import VARIANCE_FLOOR
+from cate_al.ensemble import EnsembleLinearModel
 from cate_al.errors import InputError, NumericalError
 
 
@@ -114,12 +115,21 @@ def latent_mean(model, xq, tq) -> np.ndarray:
     return model.y_mean + k.T @ model.alpha
 
 
+def outcome_mean(model, xq, tq) -> np.ndarray:
+    """Posterior mean of f_t(x) at the (x, t) points: :func:`latent_mean`
+    for a GP, the mean of the members' predictions for the ensemble."""
+    if isinstance(model, EnsembleLinearModel):
+        return model.member_f(xq, tq).mean(axis=0)
+    return latent_mean(model, xq, tq)
+
+
 def predictive_belief(model, candidate, target_x: np.ndarray) -> JointGaussianBelief:
     """Joint belief over (y at candidate, f0/f1/tau at each target).
 
     Assembled from the model's moment bundle and potential-outcome
-    covariance; the f0 and f1 means are the bundle's outcome means with every
-    target put in arm 0, then in arm 1.
+    covariance; the means are the model's outcome means
+    (:func:`outcome_mean`) at the candidate and with every target put in
+    arm 0, then in arm 1.
     """
     cx, ct = candidate
     cx = np.atleast_1d(np.asarray(cx, dtype=float))[None, :]
@@ -133,14 +143,14 @@ def predictive_belief(model, candidate, target_x: np.ndarray) -> JointGaussianBe
     k = 1 + 3 * m
     cov = np.zeros((k, k))
     mean = np.zeros(k)
-    mean[0] = bundle.y_mean[0]
+    mean[0] = outcome_mean(model, cx, ct)[0]
     cov[0, 0] = bundle.y_var[0]
 
     f0 = 1 + 3 * np.arange(m)
     f1 = f0 + 1
     tau = f0 + 2
-    mu0 = model.moment_bundle(target_x, np.zeros(m, dtype=int), target_x).y_mean
-    mu1 = model.moment_bundle(target_x, np.ones(m, dtype=int), target_x).y_mean
+    mu0 = outcome_mean(model, target_x, np.zeros(m, dtype=int))
+    mu1 = outcome_mean(model, target_x, np.ones(m, dtype=int))
     mean[f0] = mu0
     mean[f1] = mu1
     mean[tau] = mu1 - mu0

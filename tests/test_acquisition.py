@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from scipy.stats import norm
 import cate_al
 from cate_al import acquisition, blas
 from cate_al.acquisition import (
+    METHOD_NAMES,
     AcquisitionMethod,
     ScoringContext,
     bernoulli_entropy,
@@ -830,6 +831,24 @@ class TestPoolScoring:
     def make_ctx(self, model, rng, targets):
         return ScoringContext(targets=targets, labeled_x=model.train_x,
                               labeled_t=model.train_t, rng=rng)
+
+    def test_the_bundle_readers_are_the_causal_epig_methods(self):
+        readers = {name for name in METHOD_NAMES if AcquisitionMethod(name).reads_target_bundle}
+        assert readers == {"causal_epig_tau", "causal_epig_mu", "causal_epig_mu_additive",
+                           "causal_epig_tau_global", "causal_epig_mu_global"}
+
+    def test_a_given_bundle_is_scored_and_must_fit_the_pool_and_targets(self, rng):
+        model = random_fitted_gp(rng, n=20, dim=1, kind="cmgp2")
+        px, pt, targets = rng.normal(size=(7, 1)), rng.integers(0, 2, 7), rng.normal(size=(5, 1))
+        bundle = model.moment_bundle(px, pt, targets)
+        ctx = replace(self.make_ctx(model, np.random.default_rng(0), targets), bundle=bundle)
+        for name in ("causal_epig_tau", "causal_epig_mu", "causal_epig_mu_additive",
+                     "causal_epig_tau_global", "causal_epig_mu_global"):
+            method = AcquisitionMethod(name)
+            np.testing.assert_array_equal(score_pool(method, model, px, pt, ctx), scores(name, model, px, pt, targets))
+            for bad in (model.moment_bundle(px[:6], pt[:6], targets), model.moment_bundle(px, pt, targets[:4])):
+                with pytest.raises(InputError, match="shape"):
+                    score_pool(method, model, px, pt, replace(ctx, bundle=bad))
 
     def test_vectorized_scores_match_per_candidate_ops(self, rng):
         # the global scorers against the block MI of each candidate's belief

@@ -1,10 +1,13 @@
 import os
+import tracemalloc
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from cate_al import active_loop, blas
+from cate_al import active_loop, blas, evaluation, gp
 from cate_al.acquisition import AcquisitionMethod
 from cate_al.active_loop import (
     LabelOracle,
@@ -14,8 +17,9 @@ from cate_al.active_loop import (
 )
 from cate_al.dgp import gen_causalbald
 from cate_al.errors import InputError, NumericalError
+from cate_al.gp import GpCateModel, SearchConfig
 
-from conftest import stdout_at_default_and_one_blas_thread
+from conftest import assert_bundles_close, stdout_at_default_and_one_blas_thread
 
 
 def small_pools(seed=0, n=40):
@@ -279,6 +283,138 @@ class TestRunLoop:
 def entry_bits(record):
     """Every recorded field of each round except its wall-clock seconds."""
     return [(e.step, e.n_labeled, e.sqrt_pehe_pool.hex(), e.sqrt_pehe_test.hex(), e.acquired) for e in record.entries]
+
+
+def fixed_gp_config(estimator="cmgp", method="causal_epig_mu", n_b=5, rounds=4, **kw):
+    """A fixed-hyperparameter GP cell of ``rounds`` acquisition rounds."""
+    settings = dict(estimator=estimator, n_init=12, n_b=n_b, n_budget=12 + rounds * n_b, refit_hyperparams=False)
+    return fast_config(method=method, **(settings | kw))
+
+
+@pytest.fixture
+def bundle_builds(monkeypatch):
+    """Weak references to the bundle of each GpCateModel.moment_bundle call."""
+    built = []
+    original = GpCateModel.moment_bundle
+
+    def recording(self, *args):
+        bundle = original(self, *args)
+        built.append(weakref.ref(bundle))
+        return bundle
+
+    monkeypatch.setattr(GpCateModel, "moment_bundle", recording)
+    return built
+
+
+def without_conditioning(monkeypatch):
+    monkeypatch.setattr(active_loop, "_keeps_pool_bundle", lambda config: False)
+
+
+class TestPoolBundle:
+    """The loop builds the pool bundle of the causal_epig_* methods; a GP
+    cell with fixed hyperparameters conditions the last round's on the
+    batch it acquired."""
+
+    @pytest.mark.parametrize("estimator, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 2)])
+    @pytest.mark.parametrize("n_b", [1, 7, 20])
+    def test_every_round_scores_the_fresh_bundle(self, monkeypatch, estimator, n_components, n_b):
+        monkeypatch.setattr(active_loop, "SEARCH_CONFIG", SearchConfig(n_components=n_components))
+        fresh = GpCateModel.moment_bundle
+        original = active_loop.score_pool
+        seen = []
+
+        def checking_score_pool(method, model, pool_x, pool_t, ctx):
+            seen.append(ctx.bundle)
+            assert_bundles_close(ctx.bundle, fresh(model, pool_x, pool_t, ctx.targets))
+            return original(method, model, pool_x, pool_t, ctx)
+
+        monkeypatch.setattr(active_loop, "score_pool", checking_score_pool)
+        pool, test = small_pools(n=100)
+        rec = run_active_learning(fixed_gp_config(estimator, n_b=n_b), pool, test, np.random.default_rng(0))
+        assert not rec.failed and len(seen) == 4
+        assert all(b is seen[0] for b in seen)  # one bundle, conditioned round after round
+
+    def test_a_fixed_cell_builds_once_and_a_refit_cell_every_round(self, bundle_builds):
+        pool, test = small_pools(n=60)
+        for refit, builds in ((False, 1), (True, 4)):
+            bundle_builds.clear()
+            rec = run_active_learning(fixed_gp_config(refit_hyperparams=refit), pool, test, np.random.default_rng(0))
+            assert not rec.failed and len(bundle_builds) == builds
+
+    def test_a_changed_jitter_builds_afresh(self, monkeypatch, bundle_builds):
+        # from the second fit on every fit starts at a larger jitter: round 2
+        # builds afresh, and rounds 3 and 4 condition its bundle
+        fits = []
+        original = active_loop.fit_gp
+
+        def fit(*args):
+            fits.append(1)
+            if len(fits) == 2:
+                monkeypatch.setattr(gp, "JITTER_START", 1e-6)
+            return original(*args)
+
+        monkeypatch.setattr(active_loop, "fit_gp", fit)
+        pool, test = small_pools(n=60)
+        rec = run_active_learning(fixed_gp_config(), pool, test, np.random.default_rng(0))
+        assert not rec.failed and len(bundle_builds) == 2
+
+    @pytest.mark.parametrize("kw", [dict(method=AcquisitionMethod("causal_epig_tau", target_cap=20)),
+                                    dict(target_mode="test")])
+    def test_capped_or_test_targets_build_every_round(self, bundle_builds, kw):
+        pool, test = small_pools(n=60)
+        config = replace(fixed_gp_config(), **kw)
+        rec = run_active_learning(config, pool, test, np.random.default_rng(0))
+        assert not rec.failed and len(bundle_builds) == 4
+
+    @pytest.mark.parametrize("estimator", ["cmgp", "nsgp"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.25])
+    def test_acquisitions_and_pehe_equal_those_without_conditioning(self, monkeypatch, estimator, temperature):
+        pool, test = small_pools(n=80)
+        config = fixed_gp_config(estimator, method="causal_epig_tau", n_b=6, temperature=temperature)
+        records = [run_active_learning(config, pool, test, np.random.default_rng(3))]
+        without_conditioning(monkeypatch)
+        records.append(run_active_learning(config, pool, test, np.random.default_rng(3)))
+        a, b = ([(e.acquired, e.sqrt_pehe_pool, e.sqrt_pehe_test) for e in r.entries] for r in records)
+        assert a == b and len(a) == 5
+
+    def test_conditioning_holds_no_more_memory_than_fresh_builds(self, monkeypatch):
+        # the tracemalloc peak of a fixed cell with a 580 x 580 pool bundle:
+        # a square temporary in the conditioning would raise it above the
+        # peak of building afresh every round
+        pool, test = small_pools(n=600)
+        config = fixed_gp_config(method="causal_epig_tau", n_init=20, n_b=20, n_budget=80)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                run_active_learning(config, pool, test, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_active_learning(config, pool, test, np.random.default_rng(0))  # one-time allocations
+        conditioned = peak()
+        without_conditioning(monkeypatch)
+        assert conditioned <= peak()
+
+    @pytest.mark.parametrize("refit", [False, True])
+    def test_no_bundle_outlives_the_rounds_that_read_it(self, monkeypatch, bundle_builds, refit):
+        # a refit cell drops each bundle after scoring, a fixed cell before
+        # the final round's PEHE: no bundle is alive at a PEHE it could not
+        # be carried past
+        alive_at_pehe = []
+        original = evaluation.model_sqrt_pehe
+
+        def pehe(model, dataset):
+            alive_at_pehe.append(sum(ref() is not None for ref in bundle_builds))
+            return original(model, dataset)
+
+        monkeypatch.setattr(evaluation, "model_sqrt_pehe", pehe)
+        pool, test = small_pools(n=60)
+        rec = run_active_learning(fixed_gp_config(refit_hyperparams=refit), pool, test, np.random.default_rng(0))
+        assert not rec.failed
+        # pool and test PEHE of the warm start, of rounds 1-3 and of the final round
+        assert alive_at_pehe == [0, 0] + [0 if refit else 1] * 6 + [0, 0]
 
 
 class TestBlasThreads:

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cate_al.errors import InputError
+from cate_al.gp import fit_gp
 
-from conftest import random_fitted_gp
+from conftest import assert_bundles_close, random_fitted_gp
 from oracles import (
     JointGaussianBelief,
     SamplePosterior,
@@ -120,3 +121,47 @@ class TestUniformInterface:
 
     def test_quantity_label_ordering(self):
         assert quantity_labels(2) == ("y", "f0@0", "f1@0", "tau@0", "f0@1", "f1@1", "tau@1")
+
+
+class TestConditionedBundle:
+    @pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
+    @pytest.mark.parametrize("n_b", [1, 7, 20])
+    def test_equals_the_fresh_bundle_of_the_conditioned_fit(self, rng, kind, n_b):
+        # three rounds: each conditions the last round's bundle on a random
+        # batch of its pool, against a fresh fit on the grown labeled set
+        model = random_fitted_gp(rng, n=15, dim=2, kind=kind)
+        x, t, y = model.train_x, model.train_t, model.train_y
+        pool_x, pool_t = rng.normal(size=(90, 2)), rng.integers(0, 2, 90)
+        bundle = model.moment_bundle(pool_x, pool_t, pool_x)
+        for _ in range(3):
+            batch = rng.choice(pool_t.size, size=n_b, replace=False)
+            x, t = np.vstack([x, pool_x[batch]]), np.concatenate([t, pool_t[batch]])
+            y = np.concatenate([y, rng.normal(size=n_b)])
+            refit = fit_gp(x, t, y, model.params)
+            assert refit.jitter_used == model.jitter_used
+            bundle = bundle.condition(batch, pool_t, refit.noise_variance + refit.jitter_used)
+            keep = np.setdiff1d(np.arange(pool_t.size), batch)
+            pool_x, pool_t = pool_x[keep], pool_t[keep]
+            assert_bundles_close(bundle, refit.moment_bundle(pool_x, pool_t, pool_x))
+
+    def test_works_in_its_own_buffers(self, rng):
+        model = random_fitted_gp(rng, n=10, dim=1, kind="nsgp")
+        pool_x, pool_t = rng.normal(size=(40, 1)), rng.integers(0, 2, 40)
+        bundle = model.moment_bundle(pool_x, pool_t, pool_x)
+        cy0, cy1 = bundle.cy0, bundle.cy1
+        assert bundle.condition([3, 0, 17], pool_t, 0.5) is bundle
+        assert bundle.cy0 is cy0 and bundle.cy1 is cy1
+        assert bundle.shape == cy0.shape == cy1.shape == (37, 37)
+        assert cy0.flags.c_contiguous and cy0.flags.owndata
+
+    def test_rejects_what_it_cannot_condition(self, rng):
+        model = random_fitted_gp(rng, n=10, dim=1)
+        pool_x, pool_t = rng.normal(size=(6, 1)), rng.integers(0, 2, 6)
+        with pytest.raises(InputError, match="pool-mode"):
+            model.moment_bundle(pool_x, pool_t, pool_x[:4]).condition([0], pool_t, 0.5)
+        for batch, arms, obs_var in (([], pool_t, 0.5), ([6], pool_t, 0.5), ([-1], pool_t, 0.5),
+                                     ([1, 1], pool_t, 0.5), ([0.5], pool_t, 0.5), ([[0]], pool_t, 0.5),
+                                     ([0], pool_t[:5], 0.5), ([0], pool_t + 2, 0.5),
+                                     ([0], pool_t, 0.0), ([0], pool_t, np.nan)):
+            with pytest.raises(InputError):
+                model.moment_bundle(pool_x, pool_t, pool_x).condition(batch, arms, obs_var)

@@ -435,6 +435,34 @@ class TestHyperparamSearch:
                     assert type(k.noise_variance) is float
                     assert b.task_covariance.tobytes() == b_want.task_covariance.tobytes()
 
+    @staticmethod
+    def nsgp_slice_decode(theta, dim):
+        """The nsgp decode as it was written before one exp served every
+        coordinate: np.clip, then an exp per lengthscale slice and per 0-d
+        coordinate."""
+        d = dim
+        theta = np.clip(theta, -8.0, 8.0)
+        noise = float(np.exp(theta[2 * d + 2]))
+        k0 = KernelConfig.trusted("matern52", np.exp(theta[:d]), np.exp(theta[d]), noise)
+        k1 = KernelConfig.trusted("matern52", np.exp(theta[d + 1 : 2 * d + 1]), np.exp(theta[2 * d + 1]), noise)
+        return NsgpParams(kernel0=k0, kernel1=k1, cross_rho=float(0.95 * np.tanh(theta[2 * d + 3])))
+
+    def test_nsgp_decode_is_bitwise_the_per_slice_decode(self, rng):
+        # as the cmgp decode test: random vectors, about a fifth of their
+        # coordinates clipped, and the extremes themselves
+        for d in (1, 5):
+            thetas = rng.normal(scale=6.0, size=(2000, 2 * d + 4))
+            thetas[:50] = rng.choice([-8.0, 8.0, -1e6, 1e6, 0.0], size=(50, 2 * d + 4))
+            for theta in thetas:
+                got, want = NsgpParams.from_theta(theta, d), self.nsgp_slice_decode(theta, d)
+                for k, k_want in ((got.kernel0, want.kernel0), (got.kernel1, want.kernel1)):
+                    assert k.lengthscales.tobytes() == k_want.lengthscales.tobytes()
+                    assert not k.lengthscales.flags.writeable
+                    assert (k.family, k.signal_variance, k.noise_variance) == (
+                        k_want.family, k_want.signal_variance, k_want.noise_variance)
+                    assert type(k.signal_variance) is type(k.noise_variance) is float
+                assert type(got.cross_rho) is float and got.cross_rho == want.cross_rho
+
     def test_deterministic_given_seed(self, rng):
         x = rng.normal(size=(10, 1))
         t = rng.integers(0, 2, 10)
@@ -574,7 +602,6 @@ class TestArmGrams:
 
             bundle = model.moment_bundle(xa, ta, xb)
             zeros, ones = np.zeros(6, dtype=int), np.ones(6, dtype=int)
-            np.testing.assert_array_equal(bundle.y_mean, y_mean)
             np.testing.assert_array_equal(bundle.y_var, f_var + model.noise_variance)
             np.testing.assert_array_equal(bundle.cy0, params.gram(xa, ta, xb, zeros) - va.T @ solve(xb, zeros))
             np.testing.assert_array_equal(bundle.cy1, params.gram(xa, ta, xb, ones) - va.T @ solve(xb, ones))
@@ -596,7 +623,6 @@ class TestArmGrams:
         v0, v1 = solve(model.params.gram(*train, pool_x, zeros)), solve(model.params.gram(*train, pool_x, ones))
         prior_var = np.diag(model.params.gram(pool_x, pool_t, pool_x, pool_t))
         y_var = np.maximum(prior_var - np.sum(vc * vc, axis=0), 0.0) + model.noise_variance
-        np.testing.assert_array_equal(bundle.y_mean, model.y_mean + kc.T @ model.alpha)
         np.testing.assert_array_equal(bundle.y_var, y_var)
         np.testing.assert_array_equal(bundle.cy0, model.params.gram(pool_x, pool_t, pool_x, zeros) - vc.T @ v0)
         np.testing.assert_array_equal(bundle.cy1, model.params.gram(pool_x, pool_t, pool_x, ones) - vc.T @ v1)
@@ -605,10 +631,21 @@ class TestArmGrams:
             model.params, model.train_x, model.train_t, model.train_y,
             np.vstack([pool_x, pool_x, pool_x]), np.concatenate([pool_t, zeros, ones]), model.noise_variance,
         )
-        assert np.abs(bundle.y_mean - mean[:9]).max() < 1e-6
+        assert np.abs(latent_mean(model, pool_x, pool_t) - mean[:9]).max() < 1e-6
         assert np.abs(bundle.y_var - (np.diag(cov)[:9] + model.noise_variance)).max() < 1e-6
         assert np.abs(bundle.cy0 - cov[:9, 9:18]).max() < 1e-6
         assert np.abs(bundle.cy1 - cov[:9, 18:]).max() < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["cmgp2", "nsgp"])
+@pytest.mark.parametrize("n", [50, 251])
+def test_tau_mean_by_column_blocks_is_bitwise_the_whole_build(rng, kind, n):
+    # 1013 query points: three whole blocks of gp.TAU_MEAN_COLUMNS and a
+    # ragged one
+    model = random_fitted_gp(rng, n=n, dim=2, kind=kind)
+    x = rng.normal(size=(1013, 2))
+    mu0, mu1 = model._arm_means(*model.params.arm_grams(model.train_x, model.train_t, x))
+    assert model.tau_mean(x).tobytes() == (mu1 - mu0).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["cmgp2", "nsgp"])
