@@ -17,7 +17,7 @@ from .acquisition import AcquisitionMethod, ScoringContext, fit_propensity, scor
 from .blas import one_blas_thread
 from .ensemble import fit_ensemble
 from .errors import InputError, NumericalError, as_arms
-from .gp import SearchConfig, fit_gp, optimize_hyperparams
+from .gp import ContrastRows, SearchConfig, fit_gp, optimize_hyperparams
 
 ESTIMATOR_NAMES = ("cmgp", "nsgp", "ensemble")
 
@@ -104,20 +104,23 @@ def select_batch(scores, n_b: int, temperature: float, rng) -> list[int]:
     return picked
 
 
-def _keeps_pool_bundle(config: LoopConfig) -> bool:
-    """Whether a round's pool bundle is kept for the next round to condition
-    on the batch it acquired: a GP whose hyperparameters stay fixed keeps
-    its prior, so its next posterior is this one conditioned on the batch."""
+def _keeps_prior(config: LoopConfig) -> bool:
+    """Whether each round extends the last round's state by the batch it
+    acquired: a GP whose hyperparameters stay fixed keeps its prior, so its
+    next posterior is this one conditioned on the batch. Such a cell keeps
+    its pool bundle, extends its fit's factor and keeps each evaluation
+    set's contrast rows."""
     return config.estimator != "ensemble" and not config.refit_hyperparams
 
 
-def _fit_estimator(config: LoopConfig, x, t, y, params, fit_seed: int):
-    """Refit the configured estimator; returns (model, params carried forward)."""
+def _fit_estimator(config: LoopConfig, x, t, y, params, fit_seed: int, last):
+    """Refit the configured estimator; returns (model, params carried
+    forward). A GP fit extends ``last``, the last round's model, when it can."""
     if config.estimator == "ensemble":
         return fit_ensemble(x, t, y, rng=fit_seed), None
     if params is None or config.refit_hyperparams:
         params = optimize_hyperparams(x, t, y, config.estimator, SEARCH_CONFIG, warm_params=params)
-    return fit_gp(x, t, y, params), params
+    return fit_gp(x, t, y, params, last), params
 
 
 @one_blas_thread()
@@ -156,20 +159,28 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
 
     # the loop builds the pool-by-pool moment bundle of the methods that
     # read one; with fixed hyperparameters it keeps the bundle, and the next
-    # round conditions it on the batch acquired instead of building afresh
+    # round conditions it on the batch acquired instead of building afresh.
+    # Such a cell also extends each fit from the last round's, and keeps the
+    # pool's and the test set's contrast rows for PEHE, each round adding the
+    # rows of the batch; they go with the cell, after the final round's PEHE
+    keeps_prior = _keeps_prior(config)
     pool_bundle = (config.method.reads_target_bundle and config.method.target_cap is None
                    and config.target_mode == "pool")
-    keep_bundle = pool_bundle and _keeps_pool_bundle(config)
+    keep_bundle = pool_bundle and keeps_prior
     kept = None  # (bundle, params, jitter_used, arms, batch) of the last round
+    held_pool, held_test = (
+        [ContrastRows(data.covariates, min(config.n_budget, n_pool)) for data in (pool_data, test_data)]
+        if keeps_prior else (None, None)
+    )
 
     propensity = None
-    params = None
+    params = model = None
     step, acq_seconds, chosen = 0, 0.0, list(labeled)
     while True:
         try:
             model, params = _fit_estimator(
                 config, pool_x[labeled], pool_t[labeled], oracle.reveal(labeled),
-                params, fit_seed=int(fit_rng.integers(2**31)),
+                params, fit_seed=int(fit_rng.integers(2**31)), last=model if keeps_prior else None,
             )
         except (NumericalError, InputError) as exc:
             stage = f"round {step}" if step else "warm-start"
@@ -185,8 +196,8 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         record.entries.append(
             evaluation.StepEntry(
                 step=step, n_labeled=len(labeled),
-                sqrt_pehe_pool=evaluation.model_sqrt_pehe(model, pool_data),
-                sqrt_pehe_test=evaluation.model_sqrt_pehe(model, test_data),
+                sqrt_pehe_pool=evaluation.model_sqrt_pehe(model, pool_data, held_pool),
+                sqrt_pehe_test=evaluation.model_sqrt_pehe(model, test_data, held_test),
                 acq_seconds=acq_seconds, acquired=tuple(chosen),
             )
         )

@@ -7,6 +7,7 @@ counterfactual fields itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,10 @@ class RunRecord:
         counts = [e.n_labeled for e in self.entries]
         if any(b <= a for a, b in zip(counts, counts[1:])):
             raise InputError("n_labeled must be strictly increasing across entries")
-        if any(e.sqrt_pehe_pool < 0 or e.sqrt_pehe_test < 0 for e in self.entries):
-            raise InputError("PEHE values must be nonnegative")
+        pehes = [v for e in self.entries for v in (e.sqrt_pehe_pool, e.sqrt_pehe_test)]
+        # a NaN is neither < 0 nor >= 0, so the check asks what a PEHE must be
+        if not all(math.isfinite(v) and v >= 0 for v in pehes):
+            raise InputError("PEHE values must be finite and nonnegative")
 
 
 def sqrt_pehe(tau_hat, tau_true) -> float:
@@ -58,12 +61,15 @@ def sqrt_pehe(tau_hat, tau_true) -> float:
     return float(np.sqrt(np.mean((tau_hat - tau_true) ** 2)))
 
 
-def model_sqrt_pehe(model, dataset) -> float:
+def model_sqrt_pehe(model, dataset, held=None) -> float:
     """Root PEHE of a fitted model's contrast estimates over a dataset.
 
+    ``held``, the dataset's kept contrast rows (a :class:`cate_al.gp.ContrastRows`
+    of its covariates, in a GP cell whose prior stays fixed), gives the
+    estimates from those rows; without it they come from ``model.tau_mean``.
     This is the only sanctioned reader of ground-truth effects during a run.
     """
-    tau_hat = model.tau_mean(dataset.covariates)
+    tau_hat = model.tau_mean(dataset.covariates) if held is None else held.tau_mean(model)
     return sqrt_pehe(tau_hat, dataset.tau_true)
 
 

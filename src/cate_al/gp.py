@@ -351,6 +351,12 @@ def _as_points(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
+def _starts_with(x, t, head_x, head_t) -> bool:
+    """Whether the first rows of the points (x, t) are (head_x, head_t)."""
+    n = head_t.size
+    return n <= t.size and np.array_equal(x[:n], head_x) and np.array_equal(t[:n], head_t)
+
+
 class GpCateModel(CateModel):
     """Fitted GP posterior over the two potential-outcome surfaces.
 
@@ -504,6 +510,43 @@ class GpCateModel(CateModel):
         return 0.5 * (cov + cov.T)
 
 
+class ContrastRows:
+    """The contrast cross-Gram C = k1(X, x) - k0(X, x) of a GP's training
+    points X against fixed evaluation points x, one row per training point,
+    kept across the rounds of a cell whose prior stays fixed.
+
+    Each model read adds only the rows of its training points past the held
+    ones, when it has the held rows' ``params`` object and starts with their
+    training points (else every row is built again), and its ``tau_mean``
+    at x is then C^T alpha: the outcome mean cancels in the contrast. The
+    rows live in one buffer of ``capacity`` rows, allocated once and written
+    in place, a row block at a time.
+    """
+
+    def __init__(self, x, capacity: int):
+        self.x = _as_points(x)
+        self._rows = np.empty((capacity, self.x.shape[0]))
+        self._held = None  # (params, train_x, train_t) of the rows written
+
+    def tau_mean(self, model: GpCateModel) -> np.ndarray:
+        """``model.tau_mean(self.x)``, equal up to rounding."""
+        m = model.train_t.size
+        if m > self._rows.shape[0]:
+            raise InputError(f"{m} training points exceed the {self._rows.shape[0]} contrast rows held")
+        start = 0
+        if self._held is not None:
+            params, x, t = self._held
+            if params is model.params and _starts_with(model.train_x, model.train_t, x, t):
+                start = t.size
+        grams = model.params.arm_gram_rows(model.train_x[start:], model.train_t[start:], self.x)
+        step = rows_per_block(self.x.shape[0])
+        for block in range(0, m - start, step):
+            k0, k1 = grams(slice(block, block + step))
+            np.subtract(k1, k0, out=self._rows[start + block : start + block + k0.shape[0]])
+        self._held = (model.params, model.train_x, model.train_t)
+        return self._rows[:m].T @ model.alpha
+
+
 def _diagonal(a: np.ndarray) -> np.ndarray:
     """Writeable strided view of the diagonal of the C-contiguous square ``a``."""
     return a.reshape(-1)[:: a.shape[0] + 1]
@@ -558,25 +601,66 @@ def _chol_with_escalating_jitter(a: np.ndarray, base_jitter: float, overwrite: b
 def _condition(x, t, y, params: GpParams, gram: np.ndarray) -> GpCateModel:
     """Posterior given validated training arrays and their prior Gram, to
     whose diagonal the noise is added in place."""
-    y_mean = float(y.mean())
-    yc = y - y_mean
     gram.flat[:: y.size + 1] += params.noise_variance
-    L, jitter_used = _chol_with_escalating_jitter(gram, JITTER_START)
-    alpha, _ = dpotrs(L, yc, lower=1)
+    return _posterior(x, t, y, params, *_chol_with_escalating_jitter(gram, JITTER_START))
+
+
+def _posterior(x, t, y, params: GpParams, L: np.ndarray, jitter_used: float) -> GpCateModel:
+    """Posterior given validated training arrays and the Cholesky factor
+    of their noisy Gram, jittered by ``jitter_used``."""
+    y_mean = float(y.mean())
+    alpha, _ = dpotrs(L, y - y_mean, lower=1)
     return GpCateModel(params, x, t, y, L, alpha, y_mean, jitter_used)
 
 
-def fit_gp(x, t, y, params: GpParams) -> GpCateModel:
+def _extend(last: GpCateModel, x, t, y) -> GpCateModel | None:
+    """``last``'s posterior conditioned also on the rows of the validated
+    (x, t, y) past its own, from its factor extended by those rows B (block
+    Cholesky, GPML 2006 section A.3; Golub & Van Loan section 4.2): with X
+    ``last``'s training points, L21^T = L^-1 K_XB and L22 = chol(K_BB +
+    (noise + jitter) I - L21 L21^T) at ``last``'s jitter, then alpha by one
+    ``dpotrs`` on the centred outcomes. None when L22 does not factorize.
+    ``last``'s arrays are read, never written: the model gets a new factor.
+    """
+    params, n = last.params, last.train_t.size
+    xb, tb = x[n:], t[n:]
+    l21t = solve_triangular(last.L, params.gram(last.train_x, last.train_t, xb, tb), lower=True)
+    schur = params.gram(xb, tb, xb, tb)
+    schur.flat[:: tb.size + 1] += params.noise_variance + last.jitter_used
+    schur -= l21t.T @ l21t
+    l22, info = dpotrf(schur, lower=1, clean=1)
+    if info != 0:
+        return None
+    L = np.zeros((t.size, t.size), order="F")
+    L[:n, :n] = last.L
+    L[n:, :n] = l21t.T
+    L[n:, n:] = l22
+    return _posterior(x, t, y, params, L, last.jitter_used)
+
+
+def fit_gp(x, t, y, params: GpParams, last: GpCateModel | None = None) -> GpCateModel:
     """Condition the configured GP prior on labeled data.
 
     Requires at least two labeled points and finite outcomes. Raises
     :class:`NumericalError` if the Gram factorization fails at maximum jitter.
     The model keeps copies of the training arrays, so the caller may reuse
     its own.
+
+    ``last``, a model of the same ``params`` object whose training points
+    are the first rows of ``x`` and ``t`` (the last round's fit of a cell
+    whose prior stays fixed), is extended by the rows past them at its
+    jitter instead of refactorizing the whole Gram; the result equals a
+    fresh fit up to rounding. When the new rows' block does not factorize
+    at that jitter, or ``last`` does not qualify, the fit is built afresh.
     """
     x, t, y = as_labeled(x, t, y)
     if y.size < 2:
         raise InputError(f"need at least 2 labeled points to fit, got {y.size}")
+    if (last is not None and last.params is params and last.train_t.size < y.size
+            and _starts_with(x, t, last.train_x, last.train_t)):
+        model = _extend(last, x, t, y)
+        if model is not None:
+            return model
     return _condition(x, t, y, params, params.gram(x, t, x, t))
 
 

@@ -306,8 +306,22 @@ def bundle_builds(monkeypatch):
     return built
 
 
+def traced_peak(config, pool, test):
+    """The tracemalloc peak of one run of the cell."""
+    tracemalloc.start()
+    try:
+        run_active_learning(config, pool, test, np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def without_conditioning(monkeypatch):
-    monkeypatch.setattr(active_loop, "_keeps_pool_bundle", lambda config: False)
+    monkeypatch.setattr(active_loop, "_keeps_prior", lambda config: False)
+
+
+def without_contrast_rows(monkeypatch):
+    monkeypatch.setattr(active_loop, "ContrastRows", lambda x, capacity: None)
 
 
 class TestPoolBundle:
@@ -342,21 +356,30 @@ class TestPoolBundle:
             assert not rec.failed and len(bundle_builds) == builds
 
     def test_a_changed_jitter_builds_afresh(self, monkeypatch, bundle_builds):
-        # from the second fit on every fit starts at a larger jitter: round 2
-        # builds afresh, and rounds 3 and 4 condition its bundle
-        fits = []
-        original = active_loop.fit_gp
+        # the second fit's new 5-row block does not factorize, so that fit
+        # falls back to a fresh one, and from then on fresh fits start at a
+        # larger jitter: round 2 builds its bundle afresh, and rounds 3 and 4
+        # extend its fit and condition its bundle
+        jitters = []
+        original, dpotrf, start = active_loop.fit_gp, gp.dpotrf, gp.JITTER_START
+
+        def failing(a, **kw):
+            return (a, 1) if a.shape[0] == 5 else dpotrf(a, **kw)
 
         def fit(*args):
-            fits.append(1)
-            if len(fits) == 2:
+            if len(jitters) == 1:
                 monkeypatch.setattr(gp, "JITTER_START", 1e-6)
-            return original(*args)
+                monkeypatch.setattr(gp, "dpotrf", failing)
+            model = original(*args)
+            monkeypatch.setattr(gp, "dpotrf", dpotrf)
+            jitters.append(model.jitter_used)
+            return model
 
         monkeypatch.setattr(active_loop, "fit_gp", fit)
         pool, test = small_pools(n=60)
         rec = run_active_learning(fixed_gp_config(), pool, test, np.random.default_rng(0))
         assert not rec.failed and len(bundle_builds) == 2
+        assert jitters == [start] + [1e-6] * 4
 
     @pytest.mark.parametrize("kw", [dict(method=AcquisitionMethod("causal_epig_tau", target_cap=20)),
                                     dict(target_mode="test")])
@@ -371,31 +394,45 @@ class TestPoolBundle:
     def test_acquisitions_and_pehe_equal_those_without_conditioning(self, monkeypatch, estimator, temperature):
         pool, test = small_pools(n=80)
         config = fixed_gp_config(estimator, method="causal_epig_tau", n_b=6, temperature=temperature)
+        # only the bundle is conditioned: every fit is fresh, and PEHE comes
+        # from tau_mean, so the records are bitwise those of fresh builds
+        fit = active_loop.fit_gp
+        monkeypatch.setattr(active_loop, "fit_gp", lambda x, t, y, params, last: fit(x, t, y, params))
+        without_contrast_rows(monkeypatch)
         records = [run_active_learning(config, pool, test, np.random.default_rng(3))]
         without_conditioning(monkeypatch)
         records.append(run_active_learning(config, pool, test, np.random.default_rng(3)))
         a, b = ([(e.acquired, e.sqrt_pehe_pool, e.sqrt_pehe_test) for e in r.entries] for r in records)
         assert a == b and len(a) == 5
 
+    @pytest.mark.parametrize("estimator", ["cmgp", "nsgp"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.25])
+    def test_the_kept_prior_path_equals_fresh_builds_to_12_digits(self, monkeypatch, estimator, temperature):
+        # the conditioned bundle, the extended fits and the kept contrast
+        # rows against a fresh build of each, every round: the acquisitions
+        # are the same, and the fits and the rows round differently
+        pool, test = small_pools(n=80)
+        config = fixed_gp_config(estimator, method="causal_epig_tau", n_b=6, temperature=temperature)
+        records = [run_active_learning(config, pool, test, np.random.default_rng(3))]
+        without_conditioning(monkeypatch)
+        records.append(run_active_learning(config, pool, test, np.random.default_rng(3)))
+        assert acquired(records[0]) == acquired(records[1]) and len(records[0].entries) == 5
+        pehe = [[(e.sqrt_pehe_pool, e.sqrt_pehe_test) for e in r.entries] for r in records]
+        np.testing.assert_allclose(pehe[0], pehe[1], rtol=1e-12, atol=0)
+
     def test_conditioning_holds_no_more_memory_than_fresh_builds(self, monkeypatch):
         # the tracemalloc peak of a fixed cell with a 580 x 580 pool bundle:
         # a square temporary in the conditioning would raise it above the
-        # peak of building afresh every round
+        # peak of building afresh every round (the contrast rows, which only
+        # the fixed cell keeps, are left out on both sides)
+        without_contrast_rows(monkeypatch)
         pool, test = small_pools(n=600)
         config = fixed_gp_config(method="causal_epig_tau", n_init=20, n_b=20, n_budget=80)
 
-        def peak():
-            tracemalloc.start()
-            try:
-                run_active_learning(config, pool, test, np.random.default_rng(0))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         run_active_learning(config, pool, test, np.random.default_rng(0))  # one-time allocations
-        conditioned = peak()
+        conditioned = traced_peak(config, pool, test)
         without_conditioning(monkeypatch)
-        assert conditioned <= peak()
+        assert conditioned <= traced_peak(config, pool, test)
 
     @pytest.mark.parametrize("refit", [False, True])
     def test_no_bundle_outlives_the_rounds_that_read_it(self, monkeypatch, bundle_builds, refit):
@@ -405,9 +442,9 @@ class TestPoolBundle:
         alive_at_pehe = []
         original = evaluation.model_sqrt_pehe
 
-        def pehe(model, dataset):
+        def pehe(model, dataset, held):
             alive_at_pehe.append(sum(ref() is not None for ref in bundle_builds))
-            return original(model, dataset)
+            return original(model, dataset, held)
 
         monkeypatch.setattr(evaluation, "model_sqrt_pehe", pehe)
         pool, test = small_pools(n=60)
@@ -415,6 +452,59 @@ class TestPoolBundle:
         assert not rec.failed
         # pool and test PEHE of the warm start, of rounds 1-3 and of the final round
         assert alive_at_pehe == [0, 0] + [0 if refit else 1] * 6 + [0, 0]
+
+
+class TestContrastRows:
+    """A fixed-hyperparameter GP cell keeps the pool's and the test set's
+    contrast rows for PEHE, each round adding the rows of its batch."""
+
+    @pytest.mark.parametrize("estimator, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 2)])
+    def test_each_round_pehe_equals_the_pehe_from_tau_mean(self, monkeypatch, estimator, n_components):
+        monkeypatch.setattr(active_loop, "SEARCH_CONFIG", SearchConfig(n_components=n_components))
+        original = evaluation.model_sqrt_pehe
+        compared, buffers = [], set()
+
+        def pehe(model, dataset, held):
+            got, want = original(model, dataset, held), original(model, dataset)
+            assert abs(got - want) <= 1e-12 * want
+            compared.append(model.train_t.size)
+            buffers.add((id(held), held._rows.ctypes.data))
+            return got
+
+        monkeypatch.setattr(evaluation, "model_sqrt_pehe", pehe)
+        pool, test = small_pools(n=100)
+        rec = run_active_learning(fixed_gp_config(estimator, n_b=7), pool, test, np.random.default_rng(0))
+        assert not rec.failed and compared == [n for n in (12, 19, 26, 33, 40) for _ in "pt"]
+        assert len(buffers) == 2  # one buffer per evaluation set, written in place
+
+    @pytest.mark.parametrize("config", [fixed_gp_config(refit_hyperparams=True), fast_config()],
+                             ids=["refit", "ensemble"])
+    def test_refit_and_ensemble_cells_keep_no_rows(self, monkeypatch, config):
+        built, held_args = [], []
+        monkeypatch.setattr(active_loop, "ContrastRows", lambda *args: built.append(args))
+        original = evaluation.model_sqrt_pehe
+
+        def pehe(model, dataset, held):
+            held_args.append(held)
+            return original(model, dataset)
+
+        monkeypatch.setattr(evaluation, "model_sqrt_pehe", pehe)
+        pool, test = small_pools(n=60)
+        assert not run_active_learning(config, pool, test, np.random.default_rng(0)).failed
+        assert built == [] and held_args and set(held_args) == {None}
+
+    def test_the_rows_add_no_more_than_their_bytes_to_the_peak(self, monkeypatch):
+        # the rows are allocated once, n_budget of them per evaluation set,
+        # so they cost at most their own bytes (and 4 KiB for the two
+        # holding objects); random scoring builds no bundle, so they are a
+        # large share of the peak. The test above checks they stay in place
+        pool, test = small_pools(n=600)
+        config = fixed_gp_config(method="random", n_init=20, n_b=20, n_budget=80)
+
+        run_active_learning(config, pool, test, np.random.default_rng(0))  # one-time allocations
+        with_rows = traced_peak(config, pool, test)
+        without_contrast_rows(monkeypatch)
+        assert with_rows <= traced_peak(config, pool, test) + config.n_budget * (600 + 600) * 8 + 4096
 
 
 class TestBlasThreads:

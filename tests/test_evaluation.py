@@ -110,3 +110,13 @@ class TestAggregation:
         rec.entries[1].n_labeled = rec.entries[0].n_labeled
         with pytest.raises(InputError):
             list(summarize_runs([rec]))
+
+    @pytest.mark.parametrize("field", ["sqrt_pehe_pool", "sqrt_pehe_test"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.5])
+    def test_a_pehe_that_is_not_finite_and_nonnegative_is_rejected(self, field, value):
+        rec = record()
+        setattr(rec.entries[1], field, value)
+        with pytest.raises(InputError, match="finite and nonnegative"):
+            rec.validate()
+        with pytest.raises(InputError):
+            list(summarize_runs([rec]))

@@ -245,6 +245,113 @@ class TestJointBelief:
             assert np.abs(belief_cov - cov).max() < 1e-6
 
 
+def assert_close(got, want, rel=1e-12):
+    """Every entry of ``got`` within ``rel`` of the largest entry of ``want``."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def growing_data(rng, n, dim=2):
+    x = rng.normal(size=(n, dim))
+    t = rng.integers(0, 2, n)
+    t[:2] = (0, 1)
+    return x, t, np.sin(x[:, 0]) + t + 0.1 * rng.normal(size=n)
+
+
+@pytest.fixture
+def failing_new_block(monkeypatch):
+    """Make every factorization of a ``size`` x ``size`` matrix fail, as the
+    new block of an extension by ``size`` rows would; returns the setter."""
+    dpotrf = gp.dpotrf
+
+    def fail_at(size):
+        def failing(a, **kw):
+            return (a, 1) if a.shape[0] == size else dpotrf(a, **kw)
+
+        monkeypatch.setattr(gp, "dpotrf", failing)
+
+    return fail_at
+
+
+class TestExtendedFit:
+    """fit_gp extends the last model of the same params by the rows past
+    its training points instead of refactorizing the whole Gram."""
+
+    @pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
+    @pytest.mark.parametrize("b", [1, 7, 20])
+    def test_chained_extensions_equal_fresh_fits(self, monkeypatch, rng, kind, b):
+        params = RANDOM_PARAMS[kind](rng, 2)
+        x, t, y = growing_data(rng, 30 + 4 * b)
+        x_eval = rng.normal(size=(300, 2))
+        rows = gp.ContrastRows(x_eval, y.size)
+        model = fit_gp(x[:30], t[:30], y[:30], params)
+        assert_close(rows.tau_mean(model), model.tau_mean(x_eval))
+        whole = []  # sizes of the whole-Gram factorizations
+        chol = gp._chol_with_escalating_jitter
+
+        def counting_chol(a, *args):
+            whole.append(a.shape[0])
+            return chol(a, *args)
+
+        monkeypatch.setattr(gp, "_chol_with_escalating_jitter", counting_chol)
+        for n in range(30 + b, y.size + 1, b):
+            model = fit_gp(x[:n], t[:n], y[:n], params, model)
+            assert whole == []  # the extension factorizes only the new block
+            fresh = fit_gp(x[:n], t[:n], y[:n], params)
+            whole.clear()
+            assert model.jitter_used == fresh.jitter_used
+            assert_close(model.L, fresh.L)
+            assert_close(model.alpha, fresh.alpha)
+            assert_close(model.tau_mean(x_eval), fresh.tau_mean(x_eval))
+            assert_close(rows.tau_mean(model), fresh.tau_mean(x_eval))
+
+    def test_a_new_block_that_does_not_factorize_falls_back_to_a_fresh_fit(self, rng, failing_new_block):
+        params = random_cmgp_params(rng, 2)
+        x, t, y = growing_data(rng, 27)
+        last = fit_gp(x[:20], t[:20], y[:20], params)
+        failing_new_block(7)
+        model = fit_gp(x, t, y, params, last)
+        fresh = fit_gp(x, t, y, params)
+        np.testing.assert_array_equal(model.L, fresh.L)
+        np.testing.assert_array_equal(model.alpha, fresh.alpha)
+
+    def test_the_last_model_is_unchanged_and_read_only(self, rng):
+        params = random_nsgp_params(rng, 2)
+        x, t, y = growing_data(rng, 40)
+        last = fit_gp(x[:30], t[:30], y[:30], params)
+        arrays = {name: getattr(last, name) for name in ("train_x", "train_t", "train_y", "L", "alpha")}
+        before = {name: a.copy() for name, a in arrays.items()}
+        model = fit_gp(x, t, y, params, last)
+        for name, a in arrays.items():
+            assert getattr(last, name) is a and not a.flags.writeable, name
+            assert a.tobytes() == before[name].tobytes(), name
+            assert not np.shares_memory(getattr(model, name), a), name
+            assert not getattr(model, name).flags.writeable, name
+
+    @pytest.mark.parametrize("case", ["other_params", "not_a_prefix", "no_new_rows"])
+    def test_a_last_model_that_does_not_lead_is_not_extended(self, rng, case):
+        params = random_cmgp_params(rng, 2)
+        x, t, y = growing_data(rng, 30)
+        n = 30 if case == "no_new_rows" else 20
+        last_params = random_cmgp_params(rng, 2) if case == "other_params" else params
+        lx = x[:n].copy()
+        if case == "not_a_prefix":
+            lx[3, 1] += 1e-9
+        last = fit_gp(lx, t[:n], y[:n], last_params)
+        model = fit_gp(x, t, y, params, last)
+        np.testing.assert_array_equal(model.L, fit_gp(x, t, y, params).L)
+
+    def test_contrast_rows_rebuild_for_another_prior_and_hold_a_fixed_count(self, rng):
+        x, t, y = growing_data(rng, 30)
+        x_eval = rng.normal(size=(40, 2))
+        rows = gp.ContrastRows(x_eval, 30)
+        for params in (random_cmgp_params(rng, 2), random_nsgp_params(rng, 2)):
+            model = fit_gp(x, t, y, params)
+            assert_close(rows.tau_mean(model), model.tau_mean(x_eval))
+        with pytest.raises(InputError, match="exceed"):
+            gp.ContrastRows(x_eval, 29).tau_mean(model)
+
+
 class TestPosteriorInvariants:
     def test_returned_covariances_symmetric_and_psd(self, rng):
         for _ in range(50):
