@@ -159,15 +159,16 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
 
     # the loop builds the pool-by-pool moment bundle of the methods that
     # read one; with fixed hyperparameters it keeps the bundle, and the next
-    # round conditions it on the batch acquired instead of building afresh.
-    # Such a cell also extends each fit from the last round's, and keeps the
-    # pool's and the test set's contrast rows for PEHE, each round adding the
-    # rows of the batch; they go with the cell, after the final round's PEHE
+    # round conditions it on the batch acquired, by the factor block its fit
+    # appended for the batch, instead of building afresh. Such a cell also
+    # extends each fit from the last round's, and keeps the pool's and the
+    # test set's contrast rows for PEHE, each round adding the rows of the
+    # batch; they go with the cell, after the final round's PEHE
     keeps_prior = _keeps_prior(config)
     pool_bundle = (config.method.reads_target_bundle and config.method.target_cap is None
                    and config.target_mode == "pool")
     keep_bundle = pool_bundle and keeps_prior
-    kept = None  # (bundle, params, jitter_used, arms, batch) of the last round
+    kept = None  # (bundle, arms, batch) of the last round
     held_pool, held_test = (
         [ContrastRows(data.covariates, min(config.n_budget, n_pool)) for data in (pool_data, test_data)]
         if keeps_prior else (None, None)
@@ -177,10 +178,11 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
     params = model = None
     step, acq_seconds, chosen = 0, 0.0, list(labeled)
     while True:
+        last = model if keeps_prior else None
         try:
             model, params = _fit_estimator(
                 config, pool_x[labeled], pool_t[labeled], oracle.reveal(labeled),
-                params, fit_seed=int(fit_rng.integers(2**31)), last=model if keeps_prior else None,
+                params, fit_seed=int(fit_rng.integers(2**31)), last=last,
             )
         except (NumericalError, InputError) as exc:
             stage = f"round {step}" if step else "warm-start"
@@ -188,11 +190,12 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             record.failure_reason = f"{stage} fit failed: {exc}"
             return record
         final = len(labeled) >= min(config.n_budget, n_pool)
-        if kept is not None and (final or model.params is not kept[1] or model.jitter_used != kept[2]):
+        if kept is not None and (final or model.params is not last.params or model.jitter_used != last.jitter_used):
             # the posterior is not the kept one conditioned on the batch
             # (another prior or jitter), or no round follows: drop the
             # bundle before PEHE and before any fresh build
             kept = None
+        last = None  # the last round's model is not held past its fit
         record.entries.append(
             evaluation.StepEntry(
                 step=step, n_labeled=len(labeled),
@@ -224,9 +227,10 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
                 if kept is None:
                     bundle = model.moment_bundle(cand_x, cand_t, cand_x)
                 else:
-                    bundle, _, jitter_used, arms, batch = kept
+                    bundle, arms, batch = kept
                     kept = None
-                    bundle = bundle.condition(batch, arms, model.noise_variance + jitter_used)
+                    n = model.train_t.size - len(batch)  # the last model's training points
+                    bundle = bundle.condition(batch, arms, model.L[n:, n:])
             # the context is not kept, so the bundle outlives the call only
             # where it is kept below
             scores = score_pool(config.method, model, cand_x, cand_t, ScoringContext(
@@ -247,7 +251,7 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             return record
 
         if bundle is not None:
-            kept, bundle = (bundle, model.params, model.jitter_used, cand_t, positions), None
+            kept, bundle = (bundle, cand_t, positions), None
         chosen = pool[positions].tolist()
         labeled.extend(chosen)
 

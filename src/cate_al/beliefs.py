@@ -14,9 +14,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .errors import InputError, NumericalError, as_arms
+from .errors import InputError, as_arms
 from .kernels import rows_per_block
 
 # Predictive variances below this floor are treated as exactly certain.
@@ -87,22 +87,22 @@ class HeldMomentBundle(MomentBundle):
     def cy_tau_rows(self, rows, out=None):
         return np.subtract(self.cy1[rows], self.cy0[rows], out=out)
 
-    def condition(self, batch, arms, obs_var: float) -> "HeldMomentBundle":
+    def condition(self, batch, arms, low: np.ndarray) -> "HeldMomentBundle":
         """This bundle of the posterior conditioned on noisy outcomes at the
         candidates ``batch``, over the other candidates in their order.
 
         Pool mode only: the candidates are the targets, in the same order,
         so ``cy0`` and ``cy1`` are square and hold every covariance the
-        update reads. ``arms`` are the candidates' arms and ``obs_var`` the
-        noise variance of an observation as the conditioned fit factorizes
-        it (its noise plus its jitter). With B the batch, S = Cov[y_B, y_B]
-        is ``cy_{t_b'}[b, b']`` (symmetrized) plus ``obs_var`` on its
-        diagonal, C = Cov[y_c, y_B] is ``cy_{t_b}[c, b]`` and W_a is
-        ``cy_a[B, :]``. Each matrix becomes ``cy_a[keep, keep] - C S^-1 W_a``,
-        and the variances are downdated with the same S^-1 and clamped where
-        a fresh bundle clamps them. By Gaussian conditioning (GPML 2006,
-        section 2.2 and A.2) that is the fresh bundle of the conditioned
-        posterior, up to rounding.
+        update reads. ``arms`` are the candidates' arms and ``low`` the
+        lower Cholesky factor of S = Cov[y_B, y_B] for the batch B in batch
+        order, with the noise and jitter the conditioned fit factorizes: the
+        block that fit appends to its factor (GPML 2006, section A.3). With
+        C = Cov[y_c, y_B], which is ``cy_{t_b}[c, b]``, and W_a = ``cy_a[B, :]``,
+        each matrix becomes ``cy_a[keep, keep] - C S^-1 W_a``, and the variances
+        are downdated with the same S^-1 and clamped where a fresh bundle
+        clamps them. By Gaussian conditioning (GPML 2006, section 2.2 and
+        A.2) that is the fresh bundle of the conditioned posterior, up to
+        rounding.
 
         The update works in place: each matrix is compacted into the front
         of its own buffer a row block at a time and the buffer shrunk, so no
@@ -120,21 +120,14 @@ class HeldMomentBundle(MomentBundle):
         if (batch.ndim != 1 or batch.size == 0 or batch.dtype.kind not in "iu"
                 or batch.min() < 0 or batch.max() >= n or np.unique(batch).size != batch.size):
             raise InputError(f"the batch must be distinct candidate positions below {n}")
-        if not (np.isfinite(obs_var) and obs_var > 0):
-            raise InputError(f"the observation variance must be finite and > 0, got {obs_var}")
+        if np.shape(low) != (batch.size, batch.size):
+            raise InputError(f"the batch of {batch.size} needs a {batch.size}x{batch.size} factor, got {np.shape(low)}")
         others = np.ones(n, dtype=bool)
         others[batch] = False
         keep = np.flatnonzero(others)
 
-        cross = np.where(arms[batch] == 1, self.cy1[:, batch], self.cy0[:, batch])  # C, over every candidate
-        s = cross[batch]
-        s = 0.5 * (s + s.T)
-        s.flat[:: batch.size + 1] += obs_var
-        try:
-            low = cholesky(s, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("the batch's outcome covariance is not positive definite") from exc
-        g = solve_triangular(low, cross[keep].T, lower=True)
+        cross = np.where(arms[batch] == 1, self.cy1[np.ix_(keep, batch)], self.cy0[np.ix_(keep, batch)])  # C
+        g = solve_triangular(low, cross.T, lower=True)
         h0 = solve_triangular(low, self.cy0[batch][:, keep], lower=True)
         h1 = solve_triangular(low, self.cy1[batch][:, keep], lower=True)
 

@@ -390,6 +390,16 @@ def _cell_worker(args):
     return cell_id(config.dataset, config.variant, estimator, method_name, seed), record
 
 
+def _cut_partial_row(path: str) -> int:
+    """Cuts the file back to just after its last newline, so a row that a
+    kill left half written is dropped before rows are appended; returns
+    the size left. Only the last line can lack its newline."""
+    with open(path, "rb+") as fh:
+        end = sum(len(line) for line in fh if line.endswith(b"\n"))
+        fh.truncate(end)
+        return end
+
+
 def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
     """Execute the full cell grid; returns a nonzero status iff a cell failed."""
     os.makedirs(config.out_dir, exist_ok=True)
@@ -416,7 +426,7 @@ def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
         if statuses.get(cell_id(config.dataset, config.variant, est, mname, seed)) != "done"
     ]
 
-    new_file = not os.path.exists(results_path)
+    new_file = not os.path.exists(results_path) or _cut_partial_row(results_path) == 0
     failures = 0
     with open(results_path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -83,7 +83,8 @@ class CmgpParams:
 
     def gram(self, xa, ta, xb, tb) -> np.ndarray:
         """Prior covariance K((xa, ta), (xb, tb)), summed over components."""
-        return reduce(np.add, (cmgp_gram(xa, ta, xb, tb, k, b) for k, b in self.components))
+        return reduce(lambda total, part: np.add(total, part, out=total),
+                      (cmgp_gram(xa, ta, xb, tb, k, b) for k, b in self.components))
 
     def arm_grams(self, xa, ta, xb) -> tuple[np.ndarray, np.ndarray]:
         """K((xa, ta), (xb, 0)) and K((xa, ta), (xb, 1))."""
@@ -393,23 +394,16 @@ class GpCateModel(CateModel):
         cov.flags.writeable = False
         return cov
 
-    def _gram(self, xa, ta, xb, tb) -> np.ndarray:
-        """Prior covariance K((xa, ta), (xb, tb)): each column of the arm
-        Grams of (xa, ta) against xb, taken from the arm in ``tb``."""
-        k0, k1 = self.params.arm_grams(xa, ta, xb)
-        np.copyto(k0, k1, where=as_arms(tb) == 1)
-        return k0
-
     # -- posterior queries ----------------------------------------------
 
     def latent_cov(self, xa, ta, xb, tb) -> np.ndarray:
-        va = solve_triangular(self.L, self._gram(self.train_x, self.train_t, xa, ta), lower=True)
-        vb = solve_triangular(self.L, self._gram(self.train_x, self.train_t, xb, tb), lower=True)
-        return self._gram(xa, ta, xb, tb) - va.T @ vb
+        va = solve_triangular(self.L, self.params.gram(self.train_x, self.train_t, xa, ta), lower=True)
+        vb = solve_triangular(self.L, self.params.gram(self.train_x, self.train_t, xb, tb), lower=True)
+        return self.params.gram(xa, ta, xb, tb) - va.T @ vb
 
     def latent_var(self, x, t) -> np.ndarray:
         t = as_arms(t)
-        v = solve_triangular(self.L, self._gram(self.train_x, self.train_t, x, t), lower=True)
+        v = solve_triangular(self.L, self.params.gram(self.train_x, self.train_t, x, t), lower=True)
         return np.maximum(self._prior_point_cov[t, t] - np.sum(v * v, axis=0), 0.0)
 
     def _arm_means(self, k0, k1):
@@ -461,7 +455,7 @@ class GpCateModel(CateModel):
             # own arm
             vc = np.where(cand_t == 1, v1, v0)
         else:
-            vc = solve_triangular(self.L, self._gram(self.train_x, self.train_t, cand_x, cand_t), lower=True)
+            vc = solve_triangular(self.L, self.params.gram(self.train_x, self.train_t, cand_x, cand_t), lower=True)
         f_var = self._prior_point_cov[cand_t, cand_t] - np.sum(vc * vc, axis=0)
         y_var = np.maximum(f_var, 0.0) + self.noise_variance
 
@@ -681,30 +675,26 @@ class SearchConfig:
 def log_marginal_likelihood(x, t, y, params: GpParams, memo: _GramMemo | None = None) -> float:
     """log p(y | X, theta) = -1/2 y^T alpha - sum log L_ii - n/2 log 2 pi.
 
-    Without a memo this conditions a model as ``fit_gp`` does. A search
-    passes its memo, built from the already validated ``x``, ``t`` (and
-    ``y``): the training Gram is then built into the memo's buffer from the
-    base Grams the memo holds, the noise is added on its diagonal, and the
-    buffer is factorized in place, with no model built. The result has the
-    same bits as without a memo; two evaluations must not share a memo at
-    the same time.
+    The training Gram is built into the memo's buffer from the base Grams
+    the memo holds, the noise is added on its diagonal, and the buffer is
+    factorized in place, with no model built; the factor has the bits of
+    ``fit_gp``'s. A search passes its memo, built from the already
+    validated ``x``, ``t`` (and ``y``); without one the arrays are checked
+    as ``fit_gp`` checks them and a memo is built for this one evaluation.
+    Two evaluations must not share a memo at the same time.
     """
     if memo is None:
-        model = fit_gp(x, t, y, params)
-        return _lml(model.train_y - model.y_mean, model.L, model.alpha)
-    if x is not memo.x or t is not memo.t:
+        x, t, y = as_labeled(x, t, y)
+        if y.size < 2:
+            raise InputError(f"need at least 2 labeled points, got {y.size}")
+        memo = _GramMemo(x, t)
+    elif x is not memo.x or t is not memo.t:
         raise InputError("the Gram memo was built for other training points")
     gram = params.train_gram(memo)
     _diagonal(gram)[:] += params.noise_variance
     factor, _ = _chol_with_escalating_jitter(gram, JITTER_START, overwrite=True)
     yc = y - float(y.mean())
     alpha, _ = dpotrs(factor, yc, lower=1)
-    return _lml(yc, factor, alpha)
-
-
-def _lml(yc: np.ndarray, factor: np.ndarray, alpha: np.ndarray) -> float:
-    """The log marginal likelihood from the centred outcomes, the lower
-    Cholesky factor of the noisy Gram and the weights it solves for."""
     return float(
         -0.5 * yc @ alpha - np.sum(np.log(np.diag(factor))) - 0.5 * yc.size * np.log(2.0 * np.pi)
     )

@@ -258,17 +258,17 @@ def nsgp_gram(
     rho: float = 0.5,
 ) -> np.ndarray:
     """Gram of the per-arm kernel: k0 within control, k1 within treated,
-    rho-scaled overlap kernel across arms."""
+    rho-scaled overlap kernel across arms. Built from arm blocks: the
+    coupled overlap over every pair, then each arm's own kernel over that
+    arm's (row, column) block, each entry with the bits of a whole build."""
     if not -1.0 <= rho <= 1.0:
         raise InputError(f"cross-arm coupling must lie in [-1, 1], got {rho}")
     ta = as_arms(ta)
     tb = as_arms(tb)
-    k0 = kernel_gram(xa, xb, kcfg0)
-    k1 = kernel_gram(xa, xb, kcfg1)
-    cross = rho * overlap_gram(xa, xb, kcfg0, kcfg1)
-    m0a = (ta == 0)[:, None]
-    m0b = (tb == 0)[None, :]
-    out = np.where(
-        m0a & m0b, k0, np.where(~m0a & ~m0b, k1, cross)
-    )
+    xa, xb = kernel_points(xa, xb, kcfg0.input_dim)
+    out = overlap_gram(xa, xb, kcfg0, kcfg1)
+    np.multiply(out, rho, out=out)
+    for arm, kcfg in enumerate((kcfg0, kcfg1)):
+        rows, cols = ta == arm, tb == arm
+        out[np.ix_(rows, cols)] = kernel_gram(xa[rows], xb[cols], kcfg)
     return out

@@ -8,7 +8,9 @@ import pytest
 from cate_al.beliefs import CateModel, HeldMomentBundle
 from cate_al.blas import openblas_thread_controls
 from cate_al.gp import CmgpParams, NsgpParams, fit_gp
-from cate_al.kernels import CoregionalizationConfig, KernelConfig, cmgp_gram, nsgp_gram
+from cate_al.kernels import CoregionalizationConfig, KernelConfig, cmgp_gram
+
+from oracles import three_gram_nsgp_gram
 
 
 def pytest_report_header(config):
@@ -48,7 +50,7 @@ def brute_force_conditioning(params, train_x, train_t, train_y, query_x, query_t
             return sum(cmgp_gram(xa, ta, xb, tb, k, b) for k, b in params.components)
     else:
         def gram(xa, ta, xb, tb):
-            return nsgp_gram(xa, ta, xb, tb, params.kernel0, params.kernel1, params.cross_rho)
+            return three_gram_nsgp_gram(xa, ta, xb, tb, params.kernel0, params.kernel1, params.cross_rho)
 
     k_tt = gram(train_x, train_t, train_x, train_t) + noise_var * np.eye(len(train_t))
     k_tq = gram(train_x, train_t, query_x, query_t)

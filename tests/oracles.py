@@ -9,6 +9,9 @@ label blocks from determinants or from Monte-Carlo draws. Sample-based
 beliefs come from :func:`empirical_gaussian_fit` of posterior draws.
 :func:`_mi_scalar_vec` is the whole-matrix scalar-MI formula that the
 blocked mean-over-targets scorers must equal bit for bit.
+:func:`three_gram_nsgp_gram` and :func:`lml_from_fit` are the long-way
+builds that the per-arm Gram and the log marginal likelihood must equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from scipy.linalg import cholesky
 from cate_al.acquisition import DET_FLOOR
 from cate_al.beliefs import VARIANCE_FLOOR
 from cate_al.ensemble import EnsembleLinearModel
-from cate_al.errors import InputError, NumericalError
+from cate_al.errors import InputError, NumericalError, as_arms
+from cate_al.gp import fit_gp
+from cate_al.kernels import kernel_gram, overlap_gram
 
 
 def quantity_labels(n_targets: int) -> tuple[str, ...]:
@@ -106,12 +111,38 @@ def empirical_gaussian_fit(samples: SamplePosterior) -> JointGaussianBelief:
     return JointGaussianBelief(labels=samples.labels, mean=mean, cov=cov)
 
 
+# -- GP building blocks --------------------------------------------------------
+
+
+def three_gram_nsgp_gram(xa, ta, xb, tb, kcfg0, kcfg1, rho) -> np.ndarray:
+    """The per-arm kernel's Gram the long way: k0, k1 and the rho-scaled
+    overlap over every pair, then each entry taken from the one its two
+    arms select."""
+    ta, tb = as_arms(ta), as_arms(tb)
+    k0 = kernel_gram(xa, xb, kcfg0)
+    k1 = kernel_gram(xa, xb, kcfg1)
+    cross = rho * overlap_gram(xa, xb, kcfg0, kcfg1)
+    m0a = (ta == 0)[:, None]
+    m0b = (tb == 0)[None, :]
+    return np.where(m0a & m0b, k0, np.where(~m0a & ~m0b, k1, cross))
+
+
+def lml_from_fit(x, t, y, params) -> float:
+    """log p(y | X, theta) from ``fit_gp``'s model: its centred outcomes,
+    its factor and its weights."""
+    model = fit_gp(x, t, y, params)
+    yc = model.train_y - model.y_mean
+    return float(
+        -0.5 * yc @ model.alpha - np.sum(np.log(np.diag(model.L))) - 0.5 * yc.size * np.log(2.0 * np.pi)
+    )
+
+
 # -- model queries -------------------------------------------------------------
 
 
 def latent_mean(model, xq, tq) -> np.ndarray:
     """Posterior mean of f_t(x) of a fitted GP at the (x, t) points."""
-    k = model._gram(model.train_x, model.train_t, xq, tq)
+    k = model.params.gram(model.train_x, model.train_t, xq, tq)
     return model.y_mean + k.T @ model.alpha
 
 

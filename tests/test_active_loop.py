@@ -15,6 +15,7 @@ from cate_al.active_loop import (
     run_active_learning,
     select_batch,
 )
+from cate_al.beliefs import HeldMomentBundle
 from cate_al.dgp import gen_causalbald
 from cate_al.errors import InputError, NumericalError
 from cate_al.gp import GpCateModel, SearchConfig
@@ -380,6 +381,32 @@ class TestPoolBundle:
         rec = run_active_learning(fixed_gp_config(), pool, test, np.random.default_rng(0))
         assert not rec.failed and len(bundle_builds) == 2
         assert jitters == [start] + [1e-6] * 4
+
+    @pytest.mark.parametrize("estimator", ["cmgp", "nsgp"])
+    def test_each_conditioning_factorizes_the_batch_with_the_fits_new_block(self, monkeypatch, estimator):
+        # the factor block each round's fit appends for the batch is, bit for
+        # bit, the factor the conditioning of that round's bundle receives;
+        # the final round's fit has no round to condition
+        appended, received = [], []
+        fit, condition = active_loop.fit_gp, HeldMomentBundle.condition
+
+        def recording_fit(x, t, y, params, last):
+            model = fit(x, t, y, params, last)
+            if last is not None:
+                appended.append(model.L[last.train_t.size :, last.train_t.size :].copy())
+            return model
+
+        def recording_condition(self, batch, arms, low):
+            received.append(np.array(low))
+            return condition(self, batch, arms, low)
+
+        monkeypatch.setattr(active_loop, "fit_gp", recording_fit)
+        monkeypatch.setattr(HeldMomentBundle, "condition", recording_condition)
+        pool, test = small_pools(n=60)
+        rec = run_active_learning(fixed_gp_config(estimator), pool, test, np.random.default_rng(0))
+        assert not rec.failed and len(received) == 3 and len(appended) == 4
+        for got, want in zip(received, appended[:3], strict=True):
+            assert got.shape == (5, 5) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kw", [dict(method=AcquisitionMethod("causal_epig_tau", target_cap=20)),
                                     dict(target_mode="test")])

@@ -128,18 +128,20 @@ class TestConditionedBundle:
     @pytest.mark.parametrize("n_b", [1, 7, 20])
     def test_equals_the_fresh_bundle_of_the_conditioned_fit(self, rng, kind, n_b):
         # three rounds: each conditions the last round's bundle on a random
-        # batch of its pool, against a fresh fit on the grown labeled set
+        # batch of its pool, by the batch's block of the factor of a fresh
+        # fit on the grown labeled set, against that fit's bundle
         model = random_fitted_gp(rng, n=15, dim=2, kind=kind)
         x, t, y = model.train_x, model.train_t, model.train_y
         pool_x, pool_t = rng.normal(size=(90, 2)), rng.integers(0, 2, 90)
         bundle = model.moment_bundle(pool_x, pool_t, pool_x)
         for _ in range(3):
             batch = rng.choice(pool_t.size, size=n_b, replace=False)
+            n = t.size
             x, t = np.vstack([x, pool_x[batch]]), np.concatenate([t, pool_t[batch]])
             y = np.concatenate([y, rng.normal(size=n_b)])
             refit = fit_gp(x, t, y, model.params)
             assert refit.jitter_used == model.jitter_used
-            bundle = bundle.condition(batch, pool_t, refit.noise_variance + refit.jitter_used)
+            bundle = bundle.condition(batch, pool_t, refit.L[n:, n:])
             keep = np.setdiff1d(np.arange(pool_t.size), batch)
             pool_x, pool_t = pool_x[keep], pool_t[keep]
             assert_bundles_close(bundle, refit.moment_bundle(pool_x, pool_t, pool_x))
@@ -149,7 +151,10 @@ class TestConditionedBundle:
         pool_x, pool_t = rng.normal(size=(40, 1)), rng.integers(0, 2, 40)
         bundle = model.moment_bundle(pool_x, pool_t, pool_x)
         cy0, cy1 = bundle.cy0, bundle.cy1
-        assert bundle.condition([3, 0, 17], pool_t, 0.5) is bundle
+        batch = [3, 0, 17]
+        refit = fit_gp(np.vstack([model.train_x, pool_x[batch]]), np.concatenate([model.train_t, pool_t[batch]]),
+                       rng.normal(size=13), model.params)
+        assert bundle.condition(batch, pool_t, refit.L[10:, 10:]) is bundle
         assert bundle.cy0 is cy0 and bundle.cy1 is cy1
         assert bundle.shape == cy0.shape == cy1.shape == (37, 37)
         assert cy0.flags.c_contiguous and cy0.flags.owndata
@@ -157,11 +162,13 @@ class TestConditionedBundle:
     def test_rejects_what_it_cannot_condition(self, rng):
         model = random_fitted_gp(rng, n=10, dim=1)
         pool_x, pool_t = rng.normal(size=(6, 1)), rng.integers(0, 2, 6)
+        one = np.eye(1)
         with pytest.raises(InputError, match="pool-mode"):
-            model.moment_bundle(pool_x, pool_t, pool_x[:4]).condition([0], pool_t, 0.5)
-        for batch, arms, obs_var in (([], pool_t, 0.5), ([6], pool_t, 0.5), ([-1], pool_t, 0.5),
-                                     ([1, 1], pool_t, 0.5), ([0.5], pool_t, 0.5), ([[0]], pool_t, 0.5),
-                                     ([0], pool_t[:5], 0.5), ([0], pool_t + 2, 0.5),
-                                     ([0], pool_t, 0.0), ([0], pool_t, np.nan)):
+            model.moment_bundle(pool_x, pool_t, pool_x[:4]).condition([0], pool_t, one)
+        for batch, arms, low in (([], pool_t, one), ([6], pool_t, one), ([-1], pool_t, one),
+                                 ([1, 1], pool_t, one), ([0.5], pool_t, one), ([[0]], pool_t, one),
+                                 ([0], pool_t[:5], one), ([0], pool_t + 2, one),
+                                 ([0], pool_t, 0.5), ([0], pool_t, np.ones(1)), ([0], pool_t, np.eye(2)),
+                                 ([0, 1], pool_t, one), ([0, 1], pool_t, np.ones((2, 1)))):
             with pytest.raises(InputError):
-                model.moment_bundle(pool_x, pool_t, pool_x).condition(batch, arms, obs_var)
+                model.moment_bundle(pool_x, pool_t, pool_x).condition(batch, arms, low)

@@ -57,3 +57,17 @@ def test_traced_fit_records_a_kernel_span(tracer_module, rng, make_params):
 def test_layer_probes_run_at_a_small_scale():
     values = load_bench_module("probes").layer_probes(0, scale=0.02)
     assert values and all(np.isfinite(value) for value, _ in values.values())
+
+
+@pytest.mark.parametrize("make_params", [random_cmgp_params, random_nsgp_params])
+def test_traced_latent_var_records_a_kernel_span(tracer_module, rng, make_params):
+    # the mixed-arm posterior queries build their Grams with params.gram,
+    # so the tracer's Gram layer sees them too
+    model = active_loop.fit_gp(rng.normal(size=(10, 1)), np.tile([0, 1], 5), rng.normal(size=10), make_params(rng))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        model.latent_var(rng.normal(size=(4, 1)), [0, 1, 1, 0])
+    finally:
+        tracer.uninstall()
+    assert any(s["name"].startswith("kernels.") for s in tracer.finish())

@@ -4,6 +4,7 @@ import json
 import os
 from concurrent.futures import Future
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -578,6 +579,33 @@ class TestSummaries:
         want = emit_summary(os.path.join(config.out_dir, "results.csv"), str(tmp_path / "want.csv"))
         got = emit_summary(resumed, str(tmp_path / "got.csv"))
         assert open(got, "rb").read() == open(want, "rb").read()
+
+    @pytest.mark.parametrize("killed", ["inside a row", "before the header"])
+    def test_append_after_a_kill_mid_write_gives_the_uninterrupted_summary(self, tmp_path, monkeypatch, killed):
+        # the kill cut results.csv inside the second cell's first row, before
+        # the manifest recorded that cell, or before the header was flushed,
+        # before any manifest; --append cuts the fragment off (and writes the
+        # header into an empty file) before it appends. The acquisition
+        # clock reads 0, so the two runs' rows agree in their timings too
+        monkeypatch.setattr(active_loop, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        config, _ = one_seed_run(tmp_path)
+        results = os.path.join(config.out_dir, "results.csv")
+        manifest_path = os.path.join(config.out_dir, "manifest.json")
+        want = open(emit_summary(results, str(tmp_path / "want.csv")), "rb").read()
+        if killed == "inside a row":
+            text = open(results, "rb").read()
+            second = text.index(b"causal_epig_tau")
+            with open(results, "wb") as fh:
+                fh.write(text[: second + 5])
+            manifest = json.load(open(manifest_path))
+            del manifest["cells"][cell_id("causalbald", "standard", "ensemble", "causal_epig_tau", 0)]
+            json.dump(manifest, open(manifest_path, "w"))
+        else:
+            open(results, "wb").close()
+            os.remove(manifest_path)
+        assert run_matrix(config, append=True) == 0
+        assert read_rows(results)[0] == list(RESULTS_HEADER)
+        assert open(emit_summary(results, str(tmp_path / "got.csv")), "rb").read() == want
 
     def test_failed_attempt_then_successful_retry_counts_ok(self, tmp_path):
         config, rows = one_seed_run(tmp_path)

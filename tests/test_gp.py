@@ -23,7 +23,7 @@ from conftest import (
     random_nsgp_params,
     two_component_cmgp,
 )
-from oracles import latent_mean, predictive_belief
+from oracles import latent_mean, lml_from_fit, predictive_belief
 
 
 def _rank_3_gram(rng):
@@ -846,7 +846,8 @@ class TestTrainGram:
     def test_lml_with_a_memo_equals_lml_without(self, rng, kind, n_components, base_kernel_calls):
         # the first lengthscale takes five values in turn, three steps each, so
         # its first value is evicted before it comes back at step 15; the other
-        # steps move a coordinate that leaves every base as it is
+        # steps move a coordinate that leaves every base as it is. The LML
+        # without a memo is taken from fit_gp's model (lml_from_fit)
         dim = 2
         x, t, y = as_labeled(rng.normal(size=(30, dim)), rng.integers(0, 2, 30), rng.normal(size=30))
         space = gp._SEARCH_SPACES[kind]
@@ -865,7 +866,7 @@ class TestTrainGram:
             base_kernel_calls.clear()
             with_memo = log_marginal_likelihood(x, t, y, params, memo)
             built.append(len(base_kernel_calls))
-            assert with_memo == log_marginal_likelihood(x, t, y, params)
+            assert with_memo == lml_from_fit(x, t, y, params)
             assert all(len(entries) <= gp.MEMO_ENTRIES for entries in memo._slots.values())
         assert built[15] > 0 and built.count(0) >= 16
 
@@ -874,7 +875,7 @@ class TestTrainGram:
     @pytest.mark.parametrize("kind, n_components", [("cmgp", 1), ("cmgp", 2), ("nsgp", 1)])
     def test_memo_lml_is_bitwise_the_plain_lml_across_row_blocks(self, rng, kind, n_components, n, arms):
         # the training Gram of n = 7, 131 and 300 points is built in 1, 2
-        # and 6 row blocks
+        # and 6 row blocks; the plain LML is taken from fit_gp's model
         dim = 2
         x, t, y = as_labeled(rng.normal(size=(n, dim)), TRAIN_ARMS[arms](rng, n), rng.normal(size=n))
         space = gp._SEARCH_SPACES[kind]
@@ -882,7 +883,7 @@ class TestTrainGram:
         memo = gp._GramMemo(x, t)
         for _ in range(4):
             params = space.from_theta(theta0 + rng.normal(size=theta0.size), dim)
-            assert log_marginal_likelihood(x, t, y, params, memo) == log_marginal_likelihood(x, t, y, params)
+            assert log_marginal_likelihood(x, t, y, params, memo) == lml_from_fit(x, t, y, params)
 
     @pytest.mark.parametrize("kind", ["cmgp", "nsgp"])
     def test_successive_evaluations_on_one_memo_equal_fresh_memos(self, rng, kind):
@@ -911,12 +912,23 @@ class TestTrainGram:
                 continue
             lml = log_marginal_likelihood(x, t, y, p, memo)
             assert lml == log_marginal_likelihood(x, t, y, p, gp._GramMemo(x, t))
-            assert lml == log_marginal_likelihood(x, t, y, p)
+            assert lml == log_marginal_likelihood(x, t, y, p) == lml_from_fit(x, t, y, p)
 
     def test_memo_of_other_points_rejected(self, rng):
         x, t, y = as_labeled(rng.normal(size=(6, 1)), [0, 1] * 3, rng.normal(size=6))
         with pytest.raises(InputError):
             log_marginal_likelihood(x.copy(), t, y, simple_cmgp(), gp._GramMemo(x, t))
+
+    def test_lml_without_a_memo_checks_as_fit_gp_and_builds_no_model(self, rng, monkeypatch):
+        # unvalidated lists, bitwise the fit's LML, with fit_gp out of reach
+        x, t, y = rng.normal(size=(6, 1)).tolist(), [0, 1] * 3, rng.normal(size=6).tolist()
+        want = lml_from_fit(x, t, y, simple_cmgp())
+        monkeypatch.setattr(gp, "fit_gp", None)
+        monkeypatch.setattr(gp, "GpCateModel", None)
+        assert log_marginal_likelihood(x, t, y, simple_cmgp()) == want
+        for bad in ((x[:1], t[:1], y[:1]), (x, t, y[:5]), (x, [0, 2] * 3, y), (x, t, y[:5] + [np.nan])):
+            with pytest.raises(InputError):
+                log_marginal_likelihood(*bad, simple_cmgp())
 
 
 def param_values(params):

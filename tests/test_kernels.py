@@ -8,6 +8,8 @@ from cate_al import gp, kernels
 from cate_al.errors import InputError
 from cate_al.kernels import CoregionalizationConfig, KernelConfig, cmgp_gram, kernel_gram, nsgp_gram
 
+from oracles import three_gram_nsgp_gram
+
 
 def cfg(family="rbf", ls=(1.0,), sv=1.0):
     return KernelConfig(family=family, lengthscales=np.asarray(ls), signal_variance=sv, noise_variance=0.1)
@@ -182,6 +184,47 @@ class TestPerArmKernel:
             with pytest.raises(InputError):
                 nsgp(([0.0], bad), ([0.0], 1), cfg(), cfg(), rho=0.5)
 
+
+class TestArmBlockNsgpGram:
+    """``nsgp_gram`` writes each arm's kernel over that arm's block of the
+    coupled overlap; the three-Gram build is its reference."""
+
+    ARMS = {
+        "mixed": lambda rng, n: rng.integers(0, 2, n),
+        "control": lambda rng, n: np.zeros(n, dtype=int),
+        "treated": lambda rng, n: np.ones(n, dtype=int),
+    }
+
+    @pytest.mark.parametrize("rows, cols", [("mixed", "mixed"), ("control", "mixed"), ("treated", "mixed"),
+                                            ("mixed", "control"), ("mixed", "treated"), ("control", "treated")])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("family", ["rbf", "matern52"])
+    def test_bitwise_equal_to_the_three_gram_build(self, rng, family, dim, rows, cols):
+        for n, m in ((17, 23), (1, 1), (1, 9), (300, 70)):
+            k0 = cfg(family=family, ls=rng.uniform(0.3, 2.0, dim), sv=rng.uniform(0.5, 2.0))
+            k1 = cfg(family=family, ls=rng.uniform(0.3, 2.0, dim), sv=rng.uniform(0.5, 2.0))
+            rho = float(rng.uniform(-1, 1))
+            xa, xb = rng.normal(size=(n, dim)), rng.normal(size=(m, dim))
+            ta, tb = self.ARMS[rows](rng, n), self.ARMS[cols](rng, m)
+            np.testing.assert_array_equal(nsgp_gram(xa, ta, xb, tb, k0, k1, rho),
+                                          three_gram_nsgp_gram(xa, ta, xb, tb, k0, k1, rho))
+
+    def test_evaluates_fewer_kernel_entries_than_three_grams(self, rng, monkeypatch):
+        # the overlap over every pair and each arm's kernel over its own
+        # block: n m plus the two arm blocks, where three Grams take 3 n m
+        entries = []
+        original = kernels.scaled_gram
+
+        def counting(sa, sb, *args):
+            entries.append(sa.shape[0] * sb.shape[0])
+            return original(sa, sb, *args)
+
+        monkeypatch.setattr(kernels, "scaled_gram", counting)
+        n, m = 40, 30
+        ta, tb = rng.integers(0, 2, n), rng.integers(0, 2, m)
+        nsgp_gram(rng.normal(size=(n, 2)), ta, rng.normal(size=(m, 2)), tb, cfg(ls=(1.0, 2.0)), cfg(ls=(0.5, 1.0)))
+        own = sum(np.sum(ta == arm) * np.sum(tb == arm) for arm in (0, 1))
+        assert sum(entries) == n * m + own < 3 * n * m
 
 
 def whole_matrix_matern52(r2, sv):
