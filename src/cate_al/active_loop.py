@@ -113,14 +113,17 @@ def _keeps_prior(config: LoopConfig) -> bool:
     return config.estimator != "ensemble" and not config.refit_hyperparams
 
 
-def _fit_estimator(config: LoopConfig, x, t, y, params, fit_seed: int, last):
-    """Refit the configured estimator; returns (model, params carried
-    forward). A GP fit extends ``last``, the last round's model, when it can."""
+def _fit_estimator(config: LoopConfig, x, t, y, fit_seed: int, last):
+    """Refit the configured estimator. ``last`` is the last round's model
+    (None at the warm start): a GP search starts from its ``params``, or a
+    fixed-hyperparameter cell reuses them, and the fit extends ``last`` when
+    it has the same ``params`` object."""
     if config.estimator == "ensemble":
-        return fit_ensemble(x, t, y, rng=fit_seed), None
+        return fit_ensemble(x, t, y, rng=fit_seed)
+    params = None if last is None else last.params
     if params is None or config.refit_hyperparams:
         params = optimize_hyperparams(x, t, y, config.estimator, SEARCH_CONFIG, warm_params=params)
-    return fit_gp(x, t, y, params, last), params
+    return fit_gp(x, t, y, params, last)
 
 
 @one_blas_thread()
@@ -157,32 +160,30 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
         config.warm_start_seed if config.warm_start_seed is not None else config.seed
     )
 
-    # the loop builds the pool-by-pool moment bundle of the methods that
-    # read one; with fixed hyperparameters it keeps the bundle, and the next
+    # a GP cell with fixed hyperparameters keeps the pool-by-pool moment
+    # bundle of a method that reads one (pool targets, no cap), and the next
     # round conditions it on the batch acquired, by the factor block its fit
-    # appended for the batch, instead of building afresh. Such a cell also
-    # extends each fit from the last round's, and keeps the pool's and the
-    # test set's contrast rows for PEHE, each round adding the rows of the
-    # batch; they go with the cell, after the final round's PEHE
+    # appended for the batch, instead of building afresh; every other cell's
+    # scorer builds its own. Such a cell's fits extend the last round's, and
+    # it keeps the pool's and the test set's contrast rows for PEHE, each
+    # round adding the rows of the batch; they go with the cell, after the
+    # final round's PEHE
     keeps_prior = _keeps_prior(config)
-    pool_bundle = (config.method.reads_target_bundle and config.method.target_cap is None
-                   and config.target_mode == "pool")
-    keep_bundle = pool_bundle and keeps_prior
-    kept = None  # (bundle, arms, batch) of the last round
+    keeps_bundle = (keeps_prior and config.method.reads_target_bundle
+                    and config.method.target_cap is None and config.target_mode == "pool")
+    kept = None  # (bundle, batch, params, jitter_used) of the last round
     held_pool, held_test = (
         [ContrastRows(data.covariates, min(config.n_budget, n_pool)) for data in (pool_data, test_data)]
         if keeps_prior else (None, None)
     )
 
-    propensity = None
-    params = model = None
+    propensity = model = None
     step, acq_seconds, chosen = 0, 0.0, list(labeled)
     while True:
-        last = model if keeps_prior else None
         try:
-            model, params = _fit_estimator(
+            model = _fit_estimator(
                 config, pool_x[labeled], pool_t[labeled], oracle.reveal(labeled),
-                params, fit_seed=int(fit_rng.integers(2**31)), last=last,
+                int(fit_rng.integers(2**31)), model,
             )
         except (NumericalError, InputError) as exc:
             stage = f"round {step}" if step else "warm-start"
@@ -190,12 +191,11 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             record.failure_reason = f"{stage} fit failed: {exc}"
             return record
         final = len(labeled) >= min(config.n_budget, n_pool)
-        if kept is not None and (final or model.params is not last.params or model.jitter_used != last.jitter_used):
+        if kept is not None and (final or model.params is not kept[2] or model.jitter_used != kept[3]):
             # the posterior is not the kept one conditioned on the batch
             # (another prior or jitter), or no round follows: drop the
             # bundle before PEHE and before any fresh build
             kept = None
-        last = None  # the last round's model is not held past its fit
         record.entries.append(
             evaluation.StepEntry(
                 step=step, n_labeled=len(labeled),
@@ -223,16 +223,14 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
                 propensity = fit_propensity(pool_x, pool_t)
             t0 = time.perf_counter()
             bundle = None
-            if pool_bundle:
+            if keeps_bundle:
                 if kept is None:
                     bundle = model.moment_bundle(cand_x, cand_t, cand_x)
                 else:
-                    bundle, arms, batch = kept
+                    bundle, batch = kept[:2]
                     kept = None
                     n = model.train_t.size - len(batch)  # the last model's training points
-                    bundle = bundle.condition(batch, arms, model.L[n:, n:])
-            # the context is not kept, so the bundle outlives the call only
-            # where it is kept below
+                    bundle = bundle.condition(batch, model.L[n:, n:])
             scores = score_pool(config.method, model, cand_x, cand_t, ScoringContext(
                 targets=targets,
                 labeled_x=pool_x[labeled],
@@ -241,8 +239,6 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
                 propensity=propensity,
                 bundle=bundle,
             ))
-            if not keep_bundle:
-                bundle = None
             positions = select_batch(scores, n_take, config.temperature, rng)
             acq_seconds = time.perf_counter() - t0
         except (NumericalError, InputError) as exc:
@@ -251,7 +247,7 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             return record
 
         if bundle is not None:
-            kept, bundle = (bundle, cand_t, positions), None
+            kept, bundle = (bundle, positions, model.params, model.jitter_used), None
         chosen = pool[positions].tolist()
         labeled.extend(chosen)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import InputError, as_arms
+from .errors import InputError
 from .kernels import rows_per_block
 
 # Predictive variances below this floor are treated as exactly certain.
@@ -77,6 +77,7 @@ class HeldMomentBundle(MomentBundle):
 
     cy0: np.ndarray      # (n_c, m) Cov[y_c, f0(x*_j)]
     cy1: np.ndarray      # (n_c, m) Cov[y_c, f1(x*_j)]
+    arms: np.ndarray     # (n_c,) the candidates' arms
 
     def cy0_rows(self, rows, out=None):
         return self.cy0[rows]
@@ -87,22 +88,22 @@ class HeldMomentBundle(MomentBundle):
     def cy_tau_rows(self, rows, out=None):
         return np.subtract(self.cy1[rows], self.cy0[rows], out=out)
 
-    def condition(self, batch, arms, low: np.ndarray) -> "HeldMomentBundle":
+    def condition(self, batch, low: np.ndarray) -> "HeldMomentBundle":
         """This bundle of the posterior conditioned on noisy outcomes at the
         candidates ``batch``, over the other candidates in their order.
 
         Pool mode only: the candidates are the targets, in the same order,
         so ``cy0`` and ``cy1`` are square and hold every covariance the
-        update reads. ``arms`` are the candidates' arms and ``low`` the
-        lower Cholesky factor of S = Cov[y_B, y_B] for the batch B in batch
-        order, with the noise and jitter the conditioned fit factorizes: the
-        block that fit appends to its factor (GPML 2006, section A.3). With
-        C = Cov[y_c, y_B], which is ``cy_{t_b}[c, b]``, and W_a = ``cy_a[B, :]``,
-        each matrix becomes ``cy_a[keep, keep] - C S^-1 W_a``, and the variances
+        update reads. ``low`` is the lower Cholesky factor of S = Cov[y_B, y_B]
+        for the batch B in batch order, with the noise and jitter the
+        conditioned fit factorizes: the block that fit appends to its factor
+        (GPML 2006, section A.3). With C = Cov[y_c, y_B], which is
+        ``cy_{t_b}[c, b]`` for the stored ``arms`` t, and W_a = ``cy_a[B, :]``,
+        each matrix becomes ``cy_a[keep, keep] - C S^-1 W_a``, the variances
         are downdated with the same S^-1 and clamped where a fresh bundle
-        clamps them. By Gaussian conditioning (GPML 2006, section 2.2 and
-        A.2) that is the fresh bundle of the conditioned posterior, up to
-        rounding.
+        clamps them, and ``arms`` keeps the other candidates'. By Gaussian
+        conditioning (GPML 2006, section 2.2 and A.2) that is the fresh
+        bundle of the conditioned posterior, up to rounding.
 
         The update works in place: each matrix is compacted into the front
         of its own buffer a row block at a time and the buffer shrunk, so no
@@ -113,10 +114,7 @@ class HeldMomentBundle(MomentBundle):
         n = self.y_var.size
         if self.cy0.shape != (n, n) or self.cy1.shape != (n, n):
             raise InputError(f"only a pool-mode bundle, whose candidates are its targets, conditions; got {self.shape}")
-        arms = as_arms(arms)
         batch = np.asarray(batch)
-        if arms.size != n:
-            raise InputError(f"{arms.size} arms for {n} candidates")
         if (batch.ndim != 1 or batch.size == 0 or batch.dtype.kind not in "iu"
                 or batch.min() < 0 or batch.max() >= n or np.unique(batch).size != batch.size):
             raise InputError(f"the batch must be distinct candidate positions below {n}")
@@ -126,20 +124,21 @@ class HeldMomentBundle(MomentBundle):
         others[batch] = False
         keep = np.flatnonzero(others)
 
-        cross = np.where(arms[batch] == 1, self.cy1[np.ix_(keep, batch)], self.cy0[np.ix_(keep, batch)])  # C
+        cross = np.where(self.arms[batch] == 1, self.cy1[np.ix_(keep, batch)], self.cy0[np.ix_(keep, batch)])  # C
         g = solve_triangular(low, cross.T, lower=True)
         h0 = solve_triangular(low, self.cy0[batch][:, keep], lower=True)
         h1 = solve_triangular(low, self.cy1[batch][:, keep], lower=True)
 
         # the noise each y_var carries above its clamped latent variance,
         # the diagonal of its own arm's matrix
-        latent = np.where(arms == 1, np.diagonal(self.cy1), np.diagonal(self.cy0))
+        latent = np.where(self.arms == 1, np.diagonal(self.cy1), np.diagonal(self.cy0))
         noise = self.y_var - np.maximum(latent, 0.0)
         self.y_var = np.maximum(self.y_var[keep] - np.sum(g * g, axis=0), noise[keep])
         self.f0_var = np.maximum(self.f0_var[keep] - np.sum(h0 * h0, axis=0), 0.0)
         self.f1_var = np.maximum(self.f1_var[keep] - np.sum(h1 * h1, axis=0), 0.0)
         self.f01_cov = self.f01_cov[keep] - np.sum(h0 * h1, axis=0)
         self.tau_var = np.maximum(self.f0_var + self.f1_var - 2.0 * self.f01_cov, 0.0)
+        self.arms = self.arms[keep]
         _condition_in_place(self.cy0, keep, g.T, h0)
         _condition_in_place(self.cy1, keep, g.T, h1)
         return self

@@ -68,7 +68,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # the settings every cell would reject fail here, by the cells' own checks
-        self.split_spec(seed=0)
+        self.split_spec()
         self.loop_config(self.estimators[0], self.methods[0], seed=0).check_pool_size(self.pool_size)
         if self.jobs < 1:
             raise InputError(f"jobs must be >= 1, got {self.jobs}")
@@ -86,8 +86,8 @@ class ExperimentConfig:
                 return m
         raise InputError(f"method {name!r} is not part of this config")
 
-    def split_spec(self, seed: int) -> SplitSpec:
-        return SplitSpec(pool_size=self.pool_size, val_size=self.val_size, test_size=self.test_size, seed=seed)
+    def split_spec(self) -> SplitSpec:
+        return SplitSpec(pool_size=self.pool_size, val_size=self.val_size, test_size=self.test_size)
 
     def loop_config(self, estimator: str, method: AcquisitionMethod, seed: int,
                     warm_start_seed: int | None = None) -> LoopConfig:
@@ -301,7 +301,7 @@ def cell_id(dataset: str, variant: str, estimator: str, method: str, seed: int) 
 
 def _benchmark_for(config: ExperimentConfig, seed: int):
     return make_benchmark(
-        config.dataset, config.shift, config.split_spec(seed),
+        config.dataset, config.shift, config.split_spec(),
         seed=config.master_seed * 1000003 + seed, covariates_csv=config.covariates_csv,
     )
 
@@ -483,6 +483,9 @@ def _read_results(results_path: str):
                 raise InputError(f"{results_path}: row {r} has {len(row)} cells, expected {len(RESULTS_HEADER)}")
             try:
                 dataset, variant, estimator, method, seed, step, n_labeled, pool, test, secs, status = row
+                if status not in ("ok", "failed"):
+                    # a row cut short by a kill can end mid-status
+                    raise ValueError(f"unknown status {status!r}")
                 key = (dataset, variant, estimator, method, int(seed))
                 if key not in records or int(step) == 0:
                     # a step-0 row starts a new attempt at the cell (a resumed

@@ -445,8 +445,7 @@ class GpCateModel(CateModel):
         return rng.normal((mu1 - mu0)[:, None], sd[:, None], size=(sd.size, int(k)))
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> HeldMomentBundle:
-        cand_x = _as_points(cand_x)
-        cand_t = as_arms(cand_t)
+        cand_x, cand_t = as_labeled(cand_x, cand_t)  # the bundle keeps one arm per candidate
         target_x = _as_points(target_x)
         k0, k1, v0, v1, f0_var, f1_var, f01_cov, tau_var = self._contrast_moments(target_x)
 
@@ -472,7 +471,7 @@ class GpCateModel(CateModel):
             np.subtract(p1, cy1[rows], out=cy1[rows])
         return HeldMomentBundle(
             y_var=y_var, f0_var=f0_var, f1_var=f1_var,
-            f01_cov=f01_cov, tau_var=tau_var, cy0=cy0, cy1=cy1,
+            f01_cov=f01_cov, tau_var=tau_var, cy0=cy0, cy1=cy1, arms=cand_t,
         )
 
     def _po_blocks(self, target_x):

@@ -110,9 +110,10 @@ def random_fitted_gp(rng, n=8, dim=1, kind="cmgp"):
 
 
 def assert_bundles_close(got, want, rel=1e-10):
-    """Every field of the held bundle ``got`` within ``rel`` of the largest
-    entry of the same field of ``want``."""
+    """Every moment of the held bundle ``got`` within ``rel`` of the largest
+    entry of the same field of ``want``, and the same candidates' arms."""
     assert got.shape == want.shape
+    np.testing.assert_array_equal(got.arms, want.arms)
     for name in ("y_var", "f0_var", "f1_var", "f01_cov", "tau_var", "cy0", "cy1"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name
@@ -161,6 +162,7 @@ class StubModel(CateModel):
             tau_var=self._f0 + self._f1 - 2.0 * self._f01,
             cy0=np.broadcast_to(self._cy0, (n_c, self._f0.size)).copy(),
             cy1=np.broadcast_to(self._cy1, (n_c, self._f1.size)).copy(),
+            arms=np.asarray(cand_t).reshape(-1),
         )
 
     def tau_joint_cov(self, target_x):

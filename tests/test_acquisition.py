@@ -23,7 +23,7 @@ from cate_al.acquisition import (
 from cate_al.beliefs import HeldMomentBundle, MomentBundle
 from cate_al.dgp import gen_causalbald
 from cate_al.ensemble import EnsembleLinearModel, fit_ensemble
-from cate_al.errors import InputError, NumericalError
+from cate_al.errors import InputError, NumericalError, as_arms
 from cate_al.gp import CmgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig
 
@@ -553,7 +553,7 @@ class HeldEnsemble(EnsembleLinearModel):
     def moment_bundle(self, cand_x, cand_t, target_x):
         b = super().moment_bundle(cand_x, cand_t, target_x)
         moments = {f.name: getattr(b, f.name) for f in fields(MomentBundle)}
-        return HeldMomentBundle(**moments, cy0=b.cy0, cy1=b.cy1)
+        return HeldMomentBundle(**moments, cy0=b.cy0, cy1=b.cy1, arms=as_arms(cand_t))
 
 
 class TestRowServedBundle:

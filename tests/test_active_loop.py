@@ -17,6 +17,7 @@ from cate_al.active_loop import (
 )
 from cate_al.beliefs import HeldMomentBundle
 from cate_al.dgp import gen_causalbald
+from cate_al.ensemble import EnsembleLinearModel
 from cate_al.errors import InputError, NumericalError
 from cate_al.gp import GpCateModel, SearchConfig
 
@@ -307,6 +308,20 @@ def bundle_builds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def scored_bundles(monkeypatch):
+    """Whether each score_pool call of the loop was handed a bundle."""
+    handed = []
+    original = active_loop.score_pool
+
+    def recording(method, model, pool_x, pool_t, ctx):
+        handed.append(ctx.bundle is not None)
+        return original(method, model, pool_x, pool_t, ctx)
+
+    monkeypatch.setattr(active_loop, "score_pool", recording)
+    return handed
+
+
 def traced_peak(config, pool, test):
     """The tracemalloc peak of one run of the cell."""
     tracemalloc.start()
@@ -349,12 +364,29 @@ class TestPoolBundle:
         assert not rec.failed and len(seen) == 4
         assert all(b is seen[0] for b in seen)  # one bundle, conditioned round after round
 
-    def test_a_fixed_cell_builds_once_and_a_refit_cell_every_round(self, bundle_builds):
+    def test_a_fixed_cell_builds_once_and_a_refit_cell_every_round(self, bundle_builds, scored_bundles):
+        # only the fixed cell hands its scorer a bundle; the refit cell's
+        # scorer builds its own
         pool, test = small_pools(n=60)
         for refit, builds in ((False, 1), (True, 4)):
             bundle_builds.clear()
+            scored_bundles.clear()
             rec = run_active_learning(fixed_gp_config(refit_hyperparams=refit), pool, test, np.random.default_rng(0))
             assert not rec.failed and len(bundle_builds) == builds
+            assert scored_bundles == [not refit] * 4
+
+    def test_an_ensemble_cell_hands_its_scorer_no_bundle(self, monkeypatch, scored_bundles):
+        builds = []
+        original = EnsembleLinearModel.moment_bundle
+
+        def counting(self, *args):
+            builds.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(EnsembleLinearModel, "moment_bundle", counting)
+        pool, test = small_pools()
+        rec = run_active_learning(fast_config(method="causal_epig_tau"), pool, test, np.random.default_rng(0))
+        assert not rec.failed and len(builds) == 2 and scored_bundles == [False] * 2
 
     def test_a_changed_jitter_builds_afresh(self, monkeypatch, bundle_builds):
         # the second fit's new 5-row block does not factorize, so that fit
@@ -396,9 +428,9 @@ class TestPoolBundle:
                 appended.append(model.L[last.train_t.size :, last.train_t.size :].copy())
             return model
 
-        def recording_condition(self, batch, arms, low):
+        def recording_condition(self, batch, low):
             received.append(np.array(low))
-            return condition(self, batch, arms, low)
+            return condition(self, batch, low)
 
         monkeypatch.setattr(active_loop, "fit_gp", recording_fit)
         monkeypatch.setattr(HeldMomentBundle, "condition", recording_condition)
@@ -410,11 +442,11 @@ class TestPoolBundle:
 
     @pytest.mark.parametrize("kw", [dict(method=AcquisitionMethod("causal_epig_tau", target_cap=20)),
                                     dict(target_mode="test")])
-    def test_capped_or_test_targets_build_every_round(self, bundle_builds, kw):
+    def test_capped_or_test_targets_build_every_round(self, bundle_builds, scored_bundles, kw):
         pool, test = small_pools(n=60)
         config = replace(fixed_gp_config(), **kw)
         rec = run_active_learning(config, pool, test, np.random.default_rng(0))
-        assert not rec.failed and len(bundle_builds) == 4
+        assert not rec.failed and len(bundle_builds) == 4 and scored_bundles == [False] * 4
 
     @pytest.mark.parametrize("estimator", ["cmgp", "nsgp"])
     @pytest.mark.parametrize("temperature", [0.0, 0.25])
@@ -479,6 +511,45 @@ class TestPoolBundle:
         assert not rec.failed
         # pool and test PEHE of the warm start, of rounds 1-3 and of the final round
         assert alive_at_pehe == [0, 0] + [0 if refit else 1] * 6 + [0, 0]
+
+
+class TestLastModel:
+    """Each round's GP fit is offered the last round's model, and its search
+    starts from that model's hyperparameters; the fit extends the model only
+    under the same ``params`` object, so a refit cell's fits build afresh."""
+
+    @pytest.mark.parametrize("estimator", ["cmgp", "nsgp"])
+    def test_a_refit_cell_equals_one_whose_fits_are_not_offered_the_last_model(self, monkeypatch, estimator):
+        pool, test = small_pools(n=60)
+        config = fixed_gp_config(estimator, method="causal_epig_tau", refit_hyperparams=True)
+        records = [run_active_learning(config, pool, test, np.random.default_rng(0))]
+        fit = active_loop.fit_gp
+        monkeypatch.setattr(active_loop, "fit_gp", lambda x, t, y, params, last: fit(x, t, y, params))
+        records.append(run_active_learning(config, pool, test, np.random.default_rng(0)))
+        assert not records[0].failed and len(records[0].entries) == 5
+        assert entry_bits(records[0]) == entry_bits(records[1])
+
+    @pytest.mark.parametrize("refit, searches", [(True, 5), (False, 1)])
+    def test_each_search_and_fit_gets_the_last_model(self, monkeypatch, refit, searches):
+        warm, offered, models = [], [], []
+        search, fit = active_loop.optimize_hyperparams, active_loop.fit_gp
+
+        def recording_search(*args, warm_params):
+            warm.append(warm_params)
+            return search(*args, warm_params=warm_params)
+
+        def recording_fit(x, t, y, params, last):
+            offered.append(last)
+            models.append(fit(x, t, y, params, last))
+            return models[-1]
+
+        monkeypatch.setattr(active_loop, "optimize_hyperparams", recording_search)
+        monkeypatch.setattr(active_loop, "fit_gp", recording_fit)
+        pool, test = small_pools(n=60)
+        rec = run_active_learning(fixed_gp_config(refit_hyperparams=refit), pool, test, np.random.default_rng(0))
+        assert not rec.failed and len(models) == 5 and len(warm) == searches
+        assert warm[0] is None and all(w is m.params for w, m in zip(warm[1:], models))
+        assert offered[0] is None and all(a is b for a, b in zip(offered[1:], models))
 
 
 class TestContrastRows:

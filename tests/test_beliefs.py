@@ -141,7 +141,7 @@ class TestConditionedBundle:
             y = np.concatenate([y, rng.normal(size=n_b)])
             refit = fit_gp(x, t, y, model.params)
             assert refit.jitter_used == model.jitter_used
-            bundle = bundle.condition(batch, pool_t, refit.L[n:, n:])
+            bundle = bundle.condition(batch, refit.L[n:, n:])
             keep = np.setdiff1d(np.arange(pool_t.size), batch)
             pool_x, pool_t = pool_x[keep], pool_t[keep]
             assert_bundles_close(bundle, refit.moment_bundle(pool_x, pool_t, pool_x))
@@ -154,21 +154,29 @@ class TestConditionedBundle:
         batch = [3, 0, 17]
         refit = fit_gp(np.vstack([model.train_x, pool_x[batch]]), np.concatenate([model.train_t, pool_t[batch]]),
                        rng.normal(size=13), model.params)
-        assert bundle.condition(batch, pool_t, refit.L[10:, 10:]) is bundle
+        assert bundle.condition(batch, refit.L[10:, 10:]) is bundle
         assert bundle.cy0 is cy0 and bundle.cy1 is cy1
         assert bundle.shape == cy0.shape == cy1.shape == (37, 37)
+        np.testing.assert_array_equal(bundle.arms, np.delete(pool_t, batch))
         assert cy0.flags.c_contiguous and cy0.flags.owndata
+
+    def test_a_gp_bundle_keeps_one_arm_per_candidate(self, rng):
+        model = random_fitted_gp(rng, n=10, dim=1)
+        pool_x, pool_t = rng.normal(size=(6, 1)), rng.integers(0, 2, 6)
+        for targets in (pool_x, pool_x[:4]):
+            np.testing.assert_array_equal(model.moment_bundle(pool_x, pool_t, targets).arms, pool_t)
+            for arms in (pool_t[:5], pool_t[:1]):  # one arm would broadcast over all six
+                with pytest.raises(InputError, match="lengths disagree"):
+                    model.moment_bundle(pool_x, arms, targets)
 
     def test_rejects_what_it_cannot_condition(self, rng):
         model = random_fitted_gp(rng, n=10, dim=1)
         pool_x, pool_t = rng.normal(size=(6, 1)), rng.integers(0, 2, 6)
         one = np.eye(1)
         with pytest.raises(InputError, match="pool-mode"):
-            model.moment_bundle(pool_x, pool_t, pool_x[:4]).condition([0], pool_t, one)
-        for batch, arms, low in (([], pool_t, one), ([6], pool_t, one), ([-1], pool_t, one),
-                                 ([1, 1], pool_t, one), ([0.5], pool_t, one), ([[0]], pool_t, one),
-                                 ([0], pool_t[:5], one), ([0], pool_t + 2, one),
-                                 ([0], pool_t, 0.5), ([0], pool_t, np.ones(1)), ([0], pool_t, np.eye(2)),
-                                 ([0, 1], pool_t, one), ([0, 1], pool_t, np.ones((2, 1)))):
+            model.moment_bundle(pool_x, pool_t, pool_x[:4]).condition([0], one)
+        for batch, low in (([], one), ([6], one), ([-1], one), ([1, 1], one), ([0.5], one), ([[0]], one),
+                           ([0], 0.5), ([0], np.ones(1)), ([0], np.eye(2)),
+                           ([0, 1], one), ([0, 1], np.ones((2, 1)))):
             with pytest.raises(InputError):
-                model.moment_bundle(pool_x, pool_t, pool_x).condition(batch, arms, low)
+                model.moment_bundle(pool_x, pool_t, pool_x).condition(batch, low)

@@ -670,6 +670,15 @@ class TestSummaries:
         with pytest.raises(InputError, match="row 2"):
             emit_summary(results)
 
+    def test_a_row_cut_mid_status_exits_two(self, tmp_path, capsys):
+        # a kill that cut the last row inside its status field
+        config, rows = one_seed_run(tmp_path)
+        cut = write_rows(tmp_path / "cut.csv", rows[:-1] + [rows[-1][:10] + ["fail"]])
+        assert main(["summarize", cut]) == 2
+        err = capsys.readouterr().err
+        assert f"{cut}: row {len(rows)} is malformed: unknown status 'fail'" in err
+        assert not (tmp_path / "summary.csv").exists()
+
 
 class TestCliEntry:
     def test_run_and_summarize_commands(self, tmp_path, capsys):
