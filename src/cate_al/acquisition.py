@@ -78,6 +78,14 @@ class AcquisitionMethod:
 # beyond what the bundle itself holds. Every entry goes through the
 # whole-matrix operations in the same order, and each row's mean is the same
 # pairwise sum over a C-contiguous row, so the blocks do not change a bit.
+#
+# A scalar Gaussian MI is -1/2 log(1 - rho^2) in the pair's correlation rho.
+# A bundle of member predictions hands the contrast scorer its deviations
+# standardized once per round, so each block of that scorer is one product
+# of the factors, a square, 1 - rho^2 and a log, with the Cauchy-Schwarz
+# bound screened once on the factor norms. Its scores equal the covariance
+# formula's up to rounding; the other scorers, and the contrast scorer on a
+# bundle that holds its matrices, evaluate the covariance formula itself.
 
 
 def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
@@ -108,6 +116,15 @@ def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
     return np.divide(means, m, out=means)
 
 
+def _negated_half(means: np.ndarray) -> np.ndarray:
+    """-1/2 ``means`` in place, with a zero as +0.0. A scorer whose entries
+    are logs of ratios at most 1 sums the logs and scales the means once:
+    a power-of-two scale commutes with rounding, so that is the mean of the
+    scaled entries."""
+    np.multiply(means, -0.5, out=means)
+    return np.add(means, 0.0, out=means)
+
+
 def _scalar_mi_block(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndarray) -> float:
     """Writes into ``out`` the MI of jointly Gaussian scalar pairs with
     variances ``va`` (r, 1) and ``vb`` (m,) and covariances ``c`` (r, m),
@@ -124,18 +141,21 @@ def _scalar_mi_block(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndar
     exceeds the bound: |c| > fl(fl(sqrt p) (1 + 1e-6)) implies fl(c^2) > p,
     so p - fl(c^2) < 0. The block finishes as :func:`_scalar_mi_exact`
     would, with the same operations in the same order, and with no square
-    root, bound or |c|. Any other block (a variance that is negative or
-    NaN, a product under the floor, a negative or NaN determinant) goes
-    through :func:`_scalar_mi_exact`, so its bits, raise and worst excess
-    are unchanged.
+    root, bound or |c|, nor the determinant's floor where the smallest
+    determinant already clears it. Any other block (a variance that is
+    negative or NaN, a product under the floor, a negative or NaN
+    determinant) goes through :func:`_scalar_mi_exact`, so its bits, raise
+    and worst excess are unchanged.
     """
     lo_a, lo_b = va.min(), vb.min()
     if lo_a >= 0.0 and lo_b >= 0.0 and lo_a * lo_b >= DET_FLOOR:
         np.multiply(va, vb, out=out)
         np.multiply(c, c, out=work)
         np.subtract(out, work, out=work)
-        if work.min() >= 0.0:
-            np.maximum(work, DET_FLOOR, out=work)
+        lo_det = work.min()
+        if lo_det >= 0.0:
+            if lo_det < DET_FLOOR:
+                np.maximum(work, DET_FLOOR, out=work)
             np.divide(out, work, out=out)
             np.log(out, out=out)
             np.multiply(out, 0.5, out=out)
@@ -279,6 +299,9 @@ def _score_random(method, model, pool_x, pool_t, ctx) -> np.ndarray:
 def _score_epig_tau(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Mean over targets of MI between the candidate's outcome and the contrast."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
+    dev = b.standardized_tau()
+    if dev is not None:
+        return _correlation_mi_means(b, dev)
 
     def block(rows, bufs):
         out, work, prod, c = bufs
@@ -286,6 +309,55 @@ def _score_epig_tau(method, model, pool_x, pool_t, ctx) -> np.ndarray:
         return (_scalar_mi_block(out, work, prod, b.y_var[rows, None], b.tau_var, c),)
 
     return _mi_row_means(*b.shape, 4, block)
+
+
+def _correlation_mi_means(b: MomentBundle, dev) -> np.ndarray:
+    """Row means of the scalar MI -1/2 log(1 - rho^2) between each candidate's
+    outcome and each target's contrast, from the correlations rho that the
+    standardized deviations ``dev`` of the bundle ``b`` give by row block.
+
+    A screen settles an ordinary round on the factor norms. By
+    Cauchy-Schwarz |rho_cj| <= |a_c| |b_j|, and the computed inner products
+    and norms are within a rounding slack of theirs (Higham 2002, section
+    3.1), so if max |a_c| max |b_j| (1 + slack) < 1, no computed |rho|
+    reaches 1: no entry exceeds the bound, 1 - rho^2 needs no floor, and a
+    block is one product, a square, 1 - rho^2 and a log. Any other round (a
+    norm at or above 1, or a NaN) checks every entry against the covariance
+    formula's bound |rho| <= 1 + 1e-6, reports the worst excess in
+    covariance units, (|rho| - 1 - 1e-6) sqrt(Var y_c Var tau_j), and floors
+    1 - rho^2 at DET_FLOOR as that formula floors its determinant. A column
+    zeroed at the variance floor scores 0, and a NaN passes through.
+    """
+    slack = 4.0 * (dev.cand.shape[0] + 2) * np.finfo(float).eps
+    top = (np.max(np.linalg.norm(dev.cand, axis=0), initial=0.0)
+           * np.max(np.linalg.norm(dev.target, axis=0), initial=0.0))
+    if top * (1.0 + slack) < 1.0:
+        def block(rows, bufs):
+            out = bufs[0]
+            np.square(dev.rows(rows, out=out), out=out)
+            np.subtract(1.0, out, out=out)
+            np.log(out, out=out)
+            return ()
+
+        return _negated_half(_mi_row_means(*b.shape, 1, block))
+
+    bound = 1.0 + 1e-6  # the covariance formula's, with its rounding slack
+
+    def checked(rows, bufs):
+        out, work = bufs
+        rho = dev.rows(rows, out=out)
+        np.absolute(rho, out=work)
+        over = work > bound
+        if over.any():
+            excess = (work - bound) * np.sqrt(b.y_var[rows, None] * b.tau_var)
+            return (float(excess[over].max()),)
+        np.square(rho, out=out)
+        np.subtract(1.0, out, out=out)
+        np.maximum(out, DET_FLOOR, out=out)
+        np.log(out, out=out)
+        return (-np.inf,)
+
+    return _negated_half(_mi_row_means(*b.shape, 2, checked))
 
 
 def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
@@ -297,7 +369,16 @@ def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     v1 = b.f1_var + eps
     c01 = b.f01_cov
     det2 = np.maximum(v0 * v1 - c01**2, DET_FLOOR)
+    # 2 c01 and -det2 once per call: doubling and negating are exact, so
+    # (cy0 cy1) (2 c01) = ((2 cy0) cy1) c01 and -det2 Var[y] = -(det2 Var[y])
+    c01_twice, det2_neg = 2.0 * c01, -det2
     degenerate = (b.f0_var <= VARIANCE_FLOOR) & (b.f1_var <= VARIANCE_FLOOR)
+    certain = b.y_var <= VARIANCE_FLOOR
+    masked = degenerate.any() or certain.any()
+    # as rounding is monotone, no product det2 Var[y] falls under the floor
+    # when the product of the smallest ones does not
+    lo_y = np.min(b.y_var, initial=np.inf)
+    floored = not (lo_y >= 0.0 and det2.min() * lo_y >= DET_FLOOR)
 
     def block(rows, bufs):
         q, d, cy0, cy1 = bufs
@@ -305,27 +386,26 @@ def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
         # q = cy0^2 v1 - 2 cy0 cy1 c01 + cy1^2 v0
         np.square(cy0, out=q)
         np.multiply(q, v1, out=q)
-        np.multiply(cy0, 2.0, out=d)
-        np.multiply(d, cy1, out=d)
-        np.multiply(d, c01, out=d)
+        np.multiply(cy0, cy1, out=d)
+        np.multiply(d, c01_twice, out=d)
         np.subtract(q, d, out=q)
         np.square(cy1, out=d)
         np.multiply(d, v0, out=d)
         np.add(q, d, out=q)
-        # MI = -1/2 log(1 - q / (det2 Var[y])), the ratio clipped below 1
-        np.multiply(det2, vy, out=d)
-        np.maximum(d, DET_FLOOR, out=d)
+        # log(1 - q / (det2 Var[y])), the ratio clipped below 1, with its
+        # sign in the divisor; the means are scaled by -1/2 once
+        np.multiply(det2_neg, vy, out=d)
+        if floored:
+            np.minimum(d, -DET_FLOOR, out=d)
         np.divide(q, d, out=q)
-        np.clip(q, 0.0, 1.0 - 1e-15, out=q)
-        np.negative(q, out=q)
+        np.clip(q, -(1.0 - 1e-15), 0.0, out=q)
         np.log1p(q, out=q)
-        np.multiply(q, -0.5, out=q)
-        q[:, degenerate] = 0.0
-        q[vy[:, 0] <= VARIANCE_FLOOR] = 0.0
-        np.maximum(q, 0.0, out=q)
+        if masked:
+            q[:, degenerate] = 0.0
+            q[certain[rows]] = 0.0
         return ()
 
-    return _mi_row_means(*b.shape, 4, block)
+    return _negated_half(_mi_row_means(*b.shape, 4, block))
 
 
 def _score_epig_mu_additive(method, model, pool_x, pool_t, ctx) -> np.ndarray:

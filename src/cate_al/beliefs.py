@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import InputError
 from .kernels import rows_per_block
+
+if TYPE_CHECKING:
+    from .ensemble import StandardizedDeviations
 
 # Predictive variances below this floor are treated as exactly certain.
 VARIANCE_FLOOR = 1e-12
@@ -40,6 +44,12 @@ class MomentBundle(ABC):
     its two matrices (the GPs') serves slices of them. ``cy0`` and ``cy1``
     (a field or a property of each subclass) and ``cy_tau`` read all rows
     at once.
+
+    A bundle built from member predictions also hands the contrast scorer
+    its deviations standardized (``standardized_tau``), whose inner products
+    are the correlations the scalar MI needs; a bundle that holds its
+    covariance matrices has none, and its contrast scores come from
+    ``cy_tau_rows``.
     """
 
     y_var: np.ndarray    # (n_c,)
@@ -65,6 +75,12 @@ class MomentBundle(ABC):
     def cy_tau_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
         """Cov[y_c, tau(x*_j)] of the candidates ``rows``."""
 
+    @abstractmethod
+    def standardized_tau(self) -> "StandardizedDeviations | None":
+        """The candidate and contrast deviations standardized so that their
+        inner products are Corr[y_c, tau(x*_j)], or None for a bundle that
+        holds no deviations."""
+
     @property
     def cy_tau(self) -> np.ndarray:
         return self.cy_tau_rows(slice(None))
@@ -87,6 +103,9 @@ class HeldMomentBundle(MomentBundle):
 
     def cy_tau_rows(self, rows, out=None):
         return np.subtract(self.cy1[rows], self.cy0[rows], out=out)
+
+    def standardized_tau(self) -> None:
+        return None
 
     def condition(self, batch, low: np.ndarray) -> "HeldMomentBundle":
         """This bundle of the posterior conditioned on noisy outcomes at the

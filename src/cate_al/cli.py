@@ -19,6 +19,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -377,6 +378,13 @@ def _check_resumable(recorded: ExperimentConfig, config: ExperimentConfig) -> No
         )
 
 
+def _failed_cell(config: ExperimentConfig, estimator: str, method_name: str, seed: int, reason: str):
+    """A cell's id and the record of its failure for ``reason``."""
+    return cell_id(config.dataset, config.variant, estimator, method_name, seed), RunRecord(
+        method=method_name, estimator=estimator, dataset=config.dataset, variant=config.variant,
+        seed=seed, failed=True, failure_reason=reason)
+
+
 def _cell_worker(args):
     """Run one cell; whatever it raises fails that cell, never the matrix."""
     config, estimator, method_name, seed = args
@@ -384,10 +392,20 @@ def _cell_worker(args):
         record = run_cell(config, estimator, method_name, seed)
     except Exception as exc:
         traceback.print_exc()
-        record = RunRecord(method=method_name, estimator=estimator, dataset=config.dataset,
-                           variant=config.variant, seed=seed, failed=True,
-                           failure_reason=f"{type(exc).__name__}: {exc}")
+        return _failed_cell(config, estimator, method_name, seed, f"{type(exc).__name__}: {exc}")
     return cell_id(config.dataset, config.variant, estimator, method_name, seed), record
+
+
+def _cell_alone(config: ExperimentConfig, estimator: str, method_name: str, seed: int):
+    """Run one cell in a fresh single-worker pool: a worker that dies there
+    fails this cell only."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(_cell_worker, (config, estimator, method_name, seed))
+        try:
+            return future.result()
+        except BrokenProcessPool:
+            pass
+    return _failed_cell(config, estimator, method_name, seed, "worker died")
 
 
 def _cut_partial_row(path: str) -> int:
@@ -456,10 +474,16 @@ def run_matrix(config: ExperimentConfig, append: bool = False) -> int:
                 consume(cid, record)
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_cell_worker, (config, est, mname, seed)) for est, mname, seed in todo]
+                futures = {pool.submit(_cell_worker, (config, *cell)): cell for cell in todo}
                 for fut in as_completed(futures):
-                    cid, record = fut.result()
-                    consume(cid, record)
+                    if not isinstance(fut.exception(), BrokenProcessPool):
+                        consume(*fut.result())
+            # a worker that dies breaks the pool and every cell it has not
+            # finished: each of those runs again alone, so only a cell whose
+            # own worker dies fails
+            for fut, cell in futures.items():
+                if isinstance(fut.exception(), BrokenProcessPool):
+                    consume(*_cell_alone(config, *cell))
 
     _write_manifest(manifest_path, config, statuses, reasons)
     return 1 if failures else 0

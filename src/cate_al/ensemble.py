@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import CateModel, MomentBundle
+from .beliefs import VARIANCE_FLOOR, CateModel, MomentBundle
 from .errors import InputError, NumericalError, as_arms, as_labeled
 
 
@@ -39,16 +39,66 @@ def _member_f(mu_weights, tau_weights, x, t) -> np.ndarray:
     return mu_weights @ design + t * (tau_weights @ design)
 
 
+def _member_products(left, right, rows, out):
+    """``left[:, rows].T @ right`` for (members, n_c) ``left`` and
+    (members, m) ``right``, possibly written into ``out``. With two or more
+    columns in ``right`` these are bitwise the rows of the whole product, a
+    one-row block included; with one, BLAS takes its matrix-vector path for
+    both and only the whole set of rows is."""
+    n_c = left.shape[1]
+    start, stop, _ = rows.indices(n_c)
+    if stop - start == 1 and n_c > 1:
+        # BLAS evaluates a one-row product as a matrix-vector product,
+        # which rounds differently from the rows of the whole matrix's
+        # product: take the row from a product with a neighbour
+        low = min(start, n_c - 2)
+        return _member_products(left, right, slice(low, low + 2), None)[start - low : start - low + 1]
+    return np.matmul(left[:, rows].T, right, out=out)
+
+
+def _standardized(dev: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """The centred member predictions ``dev`` (members, n) scaled by
+    1/sqrt((members - 1) var) per column, so that two scaled columns' inner
+    product is their correlation: zero where ``var`` is at or below
+    ``VARIANCE_FLOOR``, NaN where it is NaN."""
+    at_floor = var <= VARIANCE_FLOOR
+    scale = 1.0 / np.sqrt((dev.shape[0] - 1) * np.where(at_floor, 1.0, var))
+    scale[at_floor] = 0.0
+    return dev * scale
+
+
+@dataclass(frozen=True)
+class StandardizedDeviations:
+    """Candidate and contrast deviations standardized so that each inner
+    product of a candidate column with a target column is the correlation
+    Corr[y_c, tau(x*_j)]: ``cand`` is the centred candidate outcome surfaces
+    over sqrt((members - 1) Var[y_c]), ``target`` the centred contrast over
+    sqrt((members - 1) Var[tau_j]), and a column is zero where its variance
+    is at or below ``VARIANCE_FLOOR``. By Cauchy-Schwarz each correlation
+    is at most the product of the two columns' norms; in the ensemble's own
+    bundle a target's norm is 1 and a candidate's is
+    sqrt(Var f / (Var f + noise)) < 1."""
+
+    cand: np.ndarray    # (members, n_c)
+    target: np.ndarray  # (members, m)
+
+    def rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """The correlations of the candidates ``rows``: bitwise the rows of
+        ``cand.T @ target``, possibly written into ``out``."""
+        return _member_products(self.cand, self.target, rows, out)
+
+
 @dataclass
 class MemberMomentBundle(MomentBundle):
     """Moment bundle that computes its covariance rows from the centred
     member predictions, one (r, members) x (members, m) product per block:
     no candidate-by-target matrix exists until a whole one is read. With two
     or more targets, a block's f0 and f1 rows are bitwise the rows of
-    ``_column_cov``'s whole matrices; with one, BLAS takes its matrix-vector
-    path for both and only the whole set of rows, the scorers' one block
-    there, is. The contrast's rows come from the effect deviations directly,
-    not as a difference of the two."""
+    ``_column_cov``'s whole matrices; with one, only the whole set of rows,
+    the scorers' one block there, is. The contrast's rows come from the
+    effect deviations directly, not as a difference of the two, and the
+    contrast scorer reads those deviations standardized
+    (``standardized_tau``), so that a block's products are correlations."""
 
     cand_dev: np.ndarray  # (members, n_c) centred candidate outcome surfaces
     f0_dev: np.ndarray    # (members, m) centred f0 at the targets
@@ -56,15 +106,7 @@ class MemberMomentBundle(MomentBundle):
     tau_dev: np.ndarray   # (members, m) centred contrast at the targets
 
     def _rows(self, target_dev, rows, out):
-        n_c = self.cand_dev.shape[1]
-        start, stop, _ = rows.indices(n_c)
-        if stop - start == 1 and n_c > 1:
-            # BLAS evaluates a one-row product as a matrix-vector product,
-            # which rounds differently from the rows of the whole matrix's
-            # product: take the row from a product with a neighbour
-            low = min(start, n_c - 2)
-            return self._rows(target_dev, slice(low, low + 2), None)[start - low : start - low + 1]
-        out = np.matmul(self.cand_dev[:, rows].T, target_dev, out=out)
+        out = _member_products(self.cand_dev, target_dev, rows, out)
         return np.divide(out, self.cand_dev.shape[0] - 1, out=out)
 
     def cy0_rows(self, rows, out=None):
@@ -75,6 +117,10 @@ class MemberMomentBundle(MomentBundle):
 
     def cy_tau_rows(self, rows, out=None):
         return self._rows(self.tau_dev, rows, out)
+
+    def standardized_tau(self) -> StandardizedDeviations:
+        return StandardizedDeviations(_standardized(self.cand_dev, self.y_var),
+                                      _standardized(self.tau_dev, self.tau_var))
 
     @property
     def cy0(self) -> np.ndarray:

@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cate_al.beliefs import CateModel, HeldMomentBundle
+from cate_al.beliefs import CateModel, HeldMomentBundle, MomentBundle
 from cate_al.blas import openblas_thread_controls
+from cate_al.ensemble import EnsembleLinearModel
+from cate_al.errors import as_arms
 from cate_al.gp import CmgpParams, NsgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig, cmgp_gram
 
@@ -118,6 +121,18 @@ def assert_bundles_close(got, want, rel=1e-10):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name
         assert np.abs(a - b).max() <= rel * np.abs(b).max(), name
+
+
+class HeldEnsemble(EnsembleLinearModel):
+    """The same ensemble with its bundle's covariance matrices computed whole
+    and held, as the bundle served them before it computed rows per block:
+    its contrast scores come from the covariance formula, not from the
+    standardized deviations."""
+
+    def moment_bundle(self, cand_x, cand_t, target_x):
+        b = super().moment_bundle(cand_x, cand_t, target_x)
+        moments = {f.name: getattr(b, f.name) for f in fields(MomentBundle)}
+        return HeldMomentBundle(**moments, cy0=b.cy0, cy1=b.cy1, arms=as_arms(cand_t))
 
 
 class StubModel(CateModel):

@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,14 +20,14 @@ from cate_al.acquisition import (
     score_pool,
     sign_ambiguity_score,
 )
-from cate_al.beliefs import HeldMomentBundle, MomentBundle
+from cate_al.active_loop import select_batch
 from cate_al.dgp import gen_causalbald
-from cate_al.ensemble import EnsembleLinearModel, fit_ensemble
-from cate_al.errors import InputError, NumericalError, as_arms
+from cate_al.ensemble import MemberMomentBundle, fit_ensemble
+from cate_al.errors import InputError, NumericalError
 from cate_al.gp import CmgpParams, fit_gp
 from cate_al.kernels import CoregionalizationConfig, KernelConfig
 
-from conftest import StubModel, random_fitted_gp, stdout_at_default_and_one_blas_thread
+from conftest import HeldEnsemble, StubModel, random_fitted_gp, stdout_at_default_and_one_blas_thread
 from oracles import _mi_scalar_vec, gaussian_mi_block, gaussian_mi_scalar, latent_mean, predictive_belief
 
 
@@ -546,16 +546,6 @@ class TestScalarMiBlock:
         assert calls["block"] >= 9 and calls["exact"] == 0
 
 
-class HeldEnsemble(EnsembleLinearModel):
-    """The same ensemble with its bundle's covariance matrices computed whole
-    and held, as the bundle served them before it computed rows per block."""
-
-    def moment_bundle(self, cand_x, cand_t, target_x):
-        b = super().moment_bundle(cand_x, cand_t, target_x)
-        moments = {f.name: getattr(b, f.name) for f in fields(MomentBundle)}
-        return HeldMomentBundle(**moments, cy0=b.cy0, cy1=b.cy1, arms=as_arms(cand_t))
-
-
 class TestRowServedBundle:
     @staticmethod
     def ensemble(rng):
@@ -587,6 +577,143 @@ class TestRowServedBundle:
             tracemalloc.stop()
         matrix_bytes = 2000 * 2000 * 8
         assert peak < matrix_bytes / 4, f"peak {peak / 2**20:.1f} MB"
+
+
+def member_bundle(rng, n_c, m, members=8, noise=0.3):
+    """A hand-built member bundle: random centred candidate and effect
+    deviations, each moment their sample moment (the candidates' plus
+    ``noise``), as ``EnsembleLinearModel.moment_bundle`` builds them."""
+    def centred(shape):
+        a = rng.normal(size=shape)
+        return a - a.mean(axis=0)
+
+    cand, f0, tau = centred((members, n_c)), centred((members, m)), centred((members, m))
+    f1 = f0 + tau
+    return MemberMomentBundle(
+        y_var=cand.var(axis=0, ddof=1) + noise, f0_var=f0.var(axis=0, ddof=1), f1_var=f1.var(axis=0, ddof=1),
+        f01_cov=np.sum(f0 * f1, axis=0) / (members - 1), tau_var=tau.var(axis=0, ddof=1),
+        cand_dev=cand, f0_dev=f0, f1_dev=f1, tau_dev=tau)
+
+
+def contrast_scores(bundle):
+    """causal_epig_tau scores of a hand-built bundle, handed to the scorer."""
+    n_c, m = bundle.shape
+    ctx = ScoringContext(targets=np.zeros((m, 1)), labeled_x=np.zeros((0, 1)), labeled_t=np.zeros(0, dtype=int),
+                         rng=np.random.default_rng(0), bundle=bundle)
+    stub = StubModel([1.0], [1.0], [1.0], [0.0], [[0.0]], [[0.0]])
+    return score_pool(AcquisitionMethod("causal_epig_tau"), stub, np.zeros((n_c, 1)), np.zeros(n_c, dtype=int), ctx)
+
+
+def correlation_oracle(bundle):
+    """The whole-matrix correlation expression: row means of
+    -1/2 log(max(1 - rho^2, DET_FLOOR)) over rho = A^T B of the bundle's
+    standardized deviations, a zero mean as +0.0."""
+    dev = bundle.standardized_tau()
+    rho = dev.cand.T @ dev.target
+    return np.mean(np.log(np.maximum(1.0 - rho**2, acquisition.DET_FLOOR)), axis=1) * -0.5 + 0.0
+
+
+def covariance_oracle(bundle, certain=()):
+    """The covariance formula's row means over the bundle's whole matrices,
+    with the covariances of the ``certain`` candidates zero: their outcome
+    variances are understated to the floor, under what their deviations
+    give."""
+    cov = bundle.cand_dev.T @ bundle.tau_dev / (bundle.cand_dev.shape[0] - 1)
+    cov[list(certain)] = 0.0
+    return np.mean(_mi_scalar_vec(bundle.y_var[:, None], bundle.tau_var[None, :], cov), axis=1)
+
+
+class TestStandardizedContrast:
+    # the ensemble's contrast scores from its standardized deviations; a
+    # hand-built bundle reaches the edges no fitted ensemble does
+
+    # (301, 150) ends in a ragged block, and at m = 9000 every block is one row
+    SHAPES = [(1, 1), (1, 5), (6, 1), (5, 3), (301, 150), (37, 9000)]
+
+    @pytest.mark.parametrize("n_c, m", SHAPES)
+    def test_screened_scores_bitwise_equal_the_whole_matrix_expression(self, rng, n_c, m):
+        bundle = member_bundle(rng, n_c, m)
+        got = contrast_scores(bundle)
+        np.testing.assert_array_equal(got.view(np.uint64), correlation_oracle(bundle).view(np.uint64))
+        np.testing.assert_allclose(got, covariance_oracle(bundle), rtol=1e-12, atol=0)
+
+    def test_standardized_columns_are_unit_or_below_one(self, rng):
+        bundle = member_bundle(rng, 50, 40, noise=0.3)
+        dev = bundle.standardized_tau()
+        var_f = bundle.cand_dev.var(axis=0, ddof=1)
+        np.testing.assert_allclose(np.sum(dev.cand**2, axis=0), var_f / (var_f + 0.3), rtol=1e-14)
+        np.testing.assert_allclose(np.sum(dev.target**2, axis=0), 1.0, rtol=1e-14)
+
+    def test_candidates_and_targets_at_the_floor_score_zero(self, rng):
+        bundle = member_bundle(rng, 12, 7)
+        bundle.y_var[[2, 5]] = [1e-13, 0.0]
+        bundle.tau_dev[:, 4] *= 1e-7  # Var ~1e-14, at the floor, deviations nonzero
+        bundle.tau_var[4] = bundle.tau_dev[:, 4].var(ddof=1)
+        assert bundle.tau_var[4] <= 1e-12
+        dev = bundle.standardized_tau()
+        assert not dev.cand[:, [2, 5]].any() and not dev.target[:, 4].any()
+        got = contrast_scores(bundle)
+        assert np.all(got[[2, 5]] == 0.0) and not np.signbit(got[[2, 5]]).any()
+        np.testing.assert_allclose(got, covariance_oracle(bundle, certain=[2, 5]), rtol=1e-12, atol=0)
+        bundle.tau_var[:] = 0.0  # every target certain: every candidate scores +0.0
+        got = contrast_scores(bundle)
+        assert np.all(got == 0.0) and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("side", ["candidate", "target"])
+    def test_a_nan_member_prediction_fails_the_round(self, rng, side):
+        bundle = member_bundle(rng, 12, 7)
+        if side == "candidate":
+            bundle.cand_dev[3, 4] = np.nan
+            bundle.y_var[4] = np.nan
+        else:
+            bundle.tau_dev[3, 2] = np.nan
+            bundle.tau_var[2] = np.nan
+        dev = bundle.standardized_tau()
+        assert np.isnan(dev.cand[:, 4]).any() if side == "candidate" else np.isnan(dev.target[:, 2]).any()
+        got = contrast_scores(bundle)
+        assert not np.isfinite(got[4]) and np.isfinite(got).sum() == (11 if side == "candidate" else 0)
+        with pytest.raises(InputError, match="scores must be finite"):
+            select_batch(got, 3, 0.0, 0)
+
+    def test_an_unsettled_round_over_the_bound_raises_the_worst_excess(self, rng):
+        # understated outcome variances push two candidates' norms to 2 and
+        # 1.5, and a target parallel to each exceeds the bound in another
+        # row block (109 rows per block at m = 150)
+        bundle = member_bundle(rng, 300, 150)
+        for c, j, shrink in [(10, 3, 4.0), (250, 140, 2.25)]:
+            bundle.tau_dev[:, j] = bundle.cand_dev[:, c]
+            bundle.tau_var[j] = bundle.tau_dev[:, j].var(ddof=1)
+            bundle.y_var[c] = bundle.cand_dev[:, c].var(ddof=1) / shrink
+        norms = np.linalg.norm(bundle.standardized_tau().cand[:, [10, 250]], axis=0)
+        np.testing.assert_allclose(norms, [2.0, 1.5], rtol=1e-14)  # the screen cannot settle the round
+        cov = bundle.cand_dev.T @ bundle.tau_dev / (bundle.cand_dev.shape[0] - 1)
+        with pytest.raises(NumericalError) as oracle:
+            _mi_scalar_vec(bundle.y_var[:, None], bundle.tau_var[None, :], cov)
+        with pytest.raises(NumericalError, match="covariance exceeds the variance bound by up to") as caught:
+            contrast_scores(bundle)
+        worst = float(str(caught.value).rsplit(" ", 1)[1])
+        assert worst == pytest.approx(float(str(oracle.value).rsplit(" ", 1)[1]), rel=1e-12)
+
+    @pytest.mark.parametrize("n_c, m", [(1, 5), (301, 150), (37, 9000)])
+    def test_an_unsettled_round_within_the_bound_is_the_whole_matrix_expression(self, rng, n_c, m):
+        # no noise and an outcome variance understated by 1e-9: that
+        # candidate's norm exceeds 1 by ~5e-10, within the bound, and a
+        # target parallel to it has 1 - rho^2 < 0, which takes the floor
+        bundle = member_bundle(rng, n_c, m)
+        c = n_c - 1
+        bundle.y_var[c] = bundle.cand_dev[:, c].var(ddof=1) * (1.0 - 1e-9)
+        bundle.tau_dev[:, 0] = bundle.cand_dev[:, c]
+        bundle.tau_var[0] = bundle.tau_dev[:, 0].var(ddof=1)
+        got = contrast_scores(bundle)
+        assert np.all(np.isfinite(got)) and got[c] > 690.0 / (2 * m)
+        np.testing.assert_array_equal(got.view(np.uint64), correlation_oracle(bundle).view(np.uint64))
+
+    def test_a_held_bundle_has_no_standardized_deviations(self, rng):
+        model = TestRowServedBundle.ensemble(rng)
+        held = HeldEnsemble(model.mu_weights, model.tau_weights, model.noise_variance)
+        px, pt = rng.normal(size=(4, 3)), rng.integers(0, 2, 4)
+        assert held.moment_bundle(px, pt, px).standardized_tau() is None
+        assert model.moment_bundle(px, pt, px).standardized_tau() is not None
 
 
 class TestOneBlasThread:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from cate_al import active_loop, blas, evaluation, gp
+from cate_al import acquisition, active_loop, blas, evaluation, gp
 from cate_al.acquisition import AcquisitionMethod
 from cate_al.active_loop import (
     LabelOracle,
@@ -21,7 +21,7 @@ from cate_al.ensemble import EnsembleLinearModel
 from cate_al.errors import InputError, NumericalError
 from cate_al.gp import GpCateModel, SearchConfig
 
-from conftest import assert_bundles_close, stdout_at_default_and_one_blas_thread
+from conftest import HeldEnsemble, assert_bundles_close, stdout_at_default_and_one_blas_thread
 
 
 def small_pools(seed=0, n=40):
@@ -268,6 +268,28 @@ class TestRunLoop:
             assert a.acquired == b.acquired
             replayed.update(a.acquired)
         assert len(replayed) == rec.entries[-1].n_labeled
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_an_ensemble_contrast_cell_equals_one_scored_from_held_matrices(self, monkeypatch, seed):
+        # the standardized deviations give the held covariance formula's
+        # scores up to rounding: the same acquisitions and PEHE, bit for bit
+        pool, test = small_pools(seed, n=80)
+        config = fast_config(method="causal_epig_tau", n_init=10, n_b=5, n_budget=40, seed=seed)
+        routed = []
+        standardized = acquisition._correlation_mi_means
+        monkeypatch.setattr(acquisition, "_correlation_mi_means",
+                            lambda *args: routed.append(1) or standardized(*args))
+        records = [run_active_learning(config, pool, test, np.random.default_rng(seed))]
+        fit = active_loop.fit_ensemble
+
+        def held_fit(*args, **kw):
+            model = fit(*args, **kw)
+            return HeldEnsemble(model.mu_weights, model.tau_weights, model.noise_variance)
+
+        monkeypatch.setattr(active_loop, "fit_ensemble", held_fit)
+        records.append(run_active_learning(config, pool, test, np.random.default_rng(seed)))
+        assert len(routed) == 6 and not any(r.failed for r in records)
+        assert entry_bits(records[0]) == entry_bits(records[1])
 
     def test_config_validation(self):
         with pytest.raises(InputError):

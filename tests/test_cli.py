@@ -492,6 +492,39 @@ class TestRunMatrix:
 
         assert rowset(tmp_path / "serial") == rowset(tmp_path / "parallel")
 
+    def test_a_worker_that_dies_fails_only_its_cell(self, tmp_path, monkeypatch):
+        # the seed-1 cell's worker exits mid-matrix, taking the pool down;
+        # each unfinished cell reruns alone, and the dying one dies again
+        text = MINIMAL.replace("methods = random, causal_epig_tau", "methods = random").replace(
+            "seeds = 0, 1", "seeds = 0, 1, 2, 3")
+        serial = parse_config(write_config(tmp_path, text, out=tmp_path / "serial"))
+        assert run_matrix(serial) == 0
+
+        def dying_run_cell(config, estimator, method_name, seed):
+            if seed == 1:
+                os._exit(9)
+            return original(config, estimator, method_name, seed)
+
+        original = cli.run_cell
+        monkeypatch.setattr(cli, "run_cell", dying_run_cell)
+        parallel = replace(serial, jobs=2, out_dir=str(tmp_path / "parallel"))
+        assert run_matrix(parallel) == 1
+
+        dead = cell_id("causalbald", "standard", "ensemble", "random", 1)
+        manifest = json.load(open(os.path.join(parallel.out_dir, "manifest.json")))
+        assert manifest["failures"] == {dead: "worker died"}
+        assert {cid: status for cid, status in manifest["cells"].items() if cid != dead} == {
+            cell_id("causalbald", "standard", "ensemble", "random", seed): "done" for seed in (0, 2, 3)}
+        assert manifest["cells"][dead] == "failed"
+
+        def rows(config):  # identity, metric and status columns, sorted
+            return sorted(r[:9] + r[10:] for r in read_rows(os.path.join(config.out_dir, "results.csv"))[1:])
+
+        survived = [r for r in rows(parallel) if r[4] != "1"]
+        assert survived == [r for r in rows(serial) if r[4] != "1"]
+        assert [r for r in rows(parallel) if r[4] == "1"] == [
+            ["causalbald", "standard", "ensemble", "random", "1", "0", "0", "nan", "nan", "failed"]]
+
     def test_pool_gets_no_more_workers_than_cells_left(self, tmp_path, monkeypatch):
         # jobs = 64 over 3 cells makes a 3-worker pool, a resume with no
         # cell left makes none, and the rows are those of an in-process run
