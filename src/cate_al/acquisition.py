@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 from scipy.special import ndtr
 
-from .beliefs import CateModel, MomentBundle, VARIANCE_FLOOR
+from .beliefs import VARIANCE_FLOOR, CateModel, MomentBundle, correlation_rows
 from .blas import one_blas_thread
 from .errors import InputError, NumericalError, as_arms, as_labeled
 from .kernels import rows_per_block
@@ -71,104 +71,133 @@ class AcquisitionMethod:
 # -- Gaussian mutual information ---------------------------------------------
 #
 # The mean-over-targets scorers reduce an (n_c, m) candidate-by-target MI
-# matrix to its row means. One kernel evaluates that matrix a block of rows
-# at a time, the kernels' blocks of about 16k entries (rows_per_block), in
-# buffers reused across blocks, and each scorer reads the bundle's
-# covariance rows of that block only, so scoring holds O(block) memory
-# beyond what the bundle itself holds. Every entry goes through the
-# whole-matrix operations in the same order, and each row's mean is the same
-# pairwise sum over a C-contiguous row, so the blocks do not change a bit.
+# matrix to its row means, a block of rows at a time: the kernels' blocks of
+# about 16k entries (rows_per_block), in buffers reused across blocks. Each
+# scorer reads the bundle's rows of that block only, so scoring holds
+# O(block) memory beyond what the bundle itself holds, and each row's mean
+# is the same pairwise sum over a C-contiguous row as a whole matrix's.
 #
-# A scalar Gaussian MI is -1/2 log(1 - rho^2) in the pair's correlation rho.
-# A bundle of member predictions hands the contrast scorer its deviations
-# standardized once per round, so each block of that scorer is one product
-# of the factors, a square, 1 - rho^2 and a log, with the Cauchy-Schwarz
-# bound screened once on the factor norms. Its scores equal the covariance
-# formula's up to rounding; the other scorers, and the contrast scorer on a
-# bundle that holds its matrices, evaluate the covariance formula itself.
+# The contrast, additive-mu and factual scorers average the scalar MI
+# -1/2 log(1 - rho^2) in the correlation rho of the candidate's outcome and
+# a target quantity. One kernel scores every bundle's block from its
+# correlation rows: a square, 1 - rho^2 and a log, where the variances and
+# the smallest 1 - rho^2 show that no covariance can exceed its
+# Cauchy-Schwarz bound. Any other block takes the covariance formula, which
+# checks the bound entry by entry and floors what it must.
 
 
 def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
     """(n_c,) row means of an (n_c, m) MI matrix evaluated by row blocks.
 
-    ``block(rows, bufs)`` writes the MI of the candidate slice ``rows`` into
-    ``bufs[0]``, with ``bufs[1:]`` as work space, all C-contiguous (r, m), and
-    returns the block's worst excess of each covariance it reads over the
-    Cauchy-Schwarz bound (-inf where none exceeds it). The first covariance
-    with an excess in any block raises :class:`NumericalError` with its
-    worst excess over all blocks.
-
-    Each row is summed by ``np.add.reduce`` into its mean's slot, and all
-    the sums are divided by m once: ``np.mean``'s own sum and divide.
+    ``block(rows, bufs, sums)`` writes into ``sums`` the row sums of -2 MI,
+    the log(1 - R^2) of each pair, of the candidate slice ``rows``, each
+    summed by ``np.add.reduce`` over a C-contiguous row, with ``bufs`` as
+    (r, m) work space. All the sums are divided by m once: ``np.mean``'s own
+    sum and divide. The means are then scaled by -1/2 once, with a zero as
+    +0.0; a power-of-two scale commutes with rounding, so that is the mean
+    of the MI entries.
     """
     rows = rows_per_block(m)
     buffers = np.empty((n_buffers, min(rows, n_c), m))
     means = np.empty(n_c)
-    worst = None
     for start in range(0, n_c, rows):
-        bufs = buffers[:, : min(rows, n_c - start)]
-        excess = block(slice(start, start + rows), bufs)
-        worst = excess if worst is None else [max(a, b) for a, b in zip(worst, excess)]
-        np.add.reduce(bufs[0], axis=1, out=means[start : start + rows])
-    for w in worst or ():
-        if w > -np.inf:
-            raise NumericalError(f"covariance exceeds the variance bound by up to {w}")
-    return np.divide(means, m, out=means)
-
-
-def _negated_half(means: np.ndarray) -> np.ndarray:
-    """-1/2 ``means`` in place, with a zero as +0.0. A scorer whose entries
-    are logs of ratios at most 1 sums the logs and scales the means once:
-    a power-of-two scale commutes with rounding, so that is the mean of the
-    scaled entries."""
+        block(slice(start, start + rows), buffers[:, : min(rows, n_c - start)], means[start : start + rows])
+    np.divide(means, m, out=means)
     np.multiply(means, -0.5, out=means)
     return np.add(means, 0.0, out=means)
 
 
-def _scalar_mi_block(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndarray) -> float:
+def _scalar_mi_means(va: np.ndarray, quantities) -> np.ndarray:
+    """(n_c,) means over the m targets of the summed scalar MI between each
+    candidate's outcome, of variance ``va`` (n_c,), and each target quantity:
+    ``quantities`` holds one (vb, cov_rows, corr_rows) per quantity, its
+    (m,) variances and the servers of its covariance and correlation rows,
+    ``*_rows(rows, out)`` for the candidate slice ``rows``.
+
+    A block settles when every product of a candidate's and a target's
+    variance is positive, finite and at or above ``DET_FLOOR`` and every
+    log(1 - rho^2) is finite, which its row sums show: where rho^2 rounds
+    to at most 1, 1 - rho^2 is 0 or at least 2^-53, so a finite log means
+    1 - rho^2 is at or above ``DET_FLOOR``. Then no |rho| reaches 1, so no
+    covariance exceeds its bound with the 1e-6 slack, no determinant takes
+    the floor, and the block is a square, 1 - rho^2 and a log of each
+    quantity, with a pair at ``VARIANCE_FLOOR`` scored 0. Any other block
+    (a variance that is not positive or is NaN, a product under the floor,
+    a correlation at 1 or NaN) goes to :func:`_scalar_mi_exact` on the
+    covariance rows, so its scores are bitwise the covariance formula's and
+    a raise stays a raise. The first quantity with a covariance over its
+    bound in any block raises :class:`NumericalError` with its worst excess
+    over all blocks, as the formula over the whole matrices would.
+    """
+    n_c, m = va.size, quantities[0][0].size
+    worst = [-np.inf] * len(quantities)
+    # the candidates whose products with every target variance fit: as
+    # rounding is monotone, their products with the extremes show it. The
+    # blocks are _mi_row_means' blocks of rows_per_block(m) rows
+    fits = va > 0.0
+    with np.errstate(over="ignore"):
+        for vb, _, _ in quantities:
+            # initial: the factual scorer of an empty pool samples no targets
+            lo_b, hi_b = np.min(vb, initial=np.inf), np.max(vb, initial=-np.inf)
+            fits &= (lo_b > 0.0) & (va * lo_b >= DET_FLOOR) & (va * hi_b < np.inf)
+    step = rows_per_block(m)
+    block_fits = np.logical_and.reduceat(fits, np.arange(0, n_c, step)).tolist()
+    certain = va <= VARIANCE_FLOOR
+    certain_targets = [np.flatnonzero(vb <= VARIANCE_FLOOR) for vb, _, _ in quantities]
+    masked = certain.any() or any(cols.size for cols in certain_targets)
+    n_q = len(quantities)
+
+    def block(rows, bufs, sums):
+        outs = bufs[:n_q]
+        if block_fits[rows.start // step]:
+            for out, (_, _, corr_rows), cols in zip(outs, quantities, certain_targets):
+                np.square(corr_rows(rows, out), out=out)
+                np.subtract(1.0, out, out=out)
+                np.log(out, out=out)
+                if masked and np.isfinite(out).all():
+                    # the pairs at the floor score 0 once their logs are
+                    # seen finite; a log that is not stays, for the sums
+                    out[certain[rows]] = 0.0
+                    out[:, cols] = 0.0
+            if _row_sums(outs, sums).min() > -np.inf:  # False on a NaN
+                return
+        work, prod, c = bufs[n_q:]
+        for i, (out, (vb, cov_rows, _)) in enumerate(zip(outs, quantities)):
+            excess = _scalar_mi_exact(out, work, prod, va[rows, None], vb, cov_rows(rows, out=c))
+            worst[i] = max(worst[i], excess)
+            np.multiply(out, -2.0, out=out)
+        _row_sums(outs, sums)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = _mi_row_means(n_c, m, n_q + 3, block)
+    for w in worst:
+        if w > -np.inf:
+            raise NumericalError(f"covariance exceeds the variance bound by up to {w}")
+    return means
+
+
+def _row_sums(outs, sums: np.ndarray) -> np.ndarray:
+    """The row sums of the sum of the (r, m) blocks ``outs``, added up in
+    ``outs[0]``, written into ``sums``."""
+    for out in outs[1:]:
+        np.add(outs[0], out, out=outs[0])
+    return np.add.reduce(outs[0], axis=1, out=sums)
+
+
+def _scaled_rows(cov_rows, va: np.ndarray, vb: np.ndarray):
+    """A server of correlation rows that scales the covariance rows
+    ``cov_rows`` by the candidate variances ``va`` and target variances ``vb``."""
+    return lambda rows, out: correlation_rows(cov_rows(rows, out=out), va[rows], vb, out)
+
+
+def _scalar_mi_exact(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndarray) -> float:
     """Writes into ``out`` the MI of jointly Gaussian scalar pairs with
     variances ``va`` (r, 1) and ``vb`` (m,) and covariances ``c`` (r, m),
     1/2 log(va vb / (va vb - c^2)); a pair scores 0 when either variance
     sits at the certainty floor. ``work`` and ``prod`` are (r, m) work
     space. Returns the worst excess of |c| over the bound
-    sqrt(va vb) (1 + 1e-6), leaving ``out`` unset, when any entry exceeds
-    it, else -inf.
-
-    A screen settles an ordinary block in the passes the formula needs. If
-    every variance is >= 0 and fl(min va * min vb) >= DET_FLOOR, then, as
-    rounding is monotone, every product va vb is its own floor. The
-    determinant p - c^2 is then formed, and if none is negative no entry
-    exceeds the bound: |c| > fl(fl(sqrt p) (1 + 1e-6)) implies fl(c^2) > p,
-    so p - fl(c^2) < 0. The block finishes as :func:`_scalar_mi_exact`
-    would, with the same operations in the same order, and with no square
-    root, bound or |c|, nor the determinant's floor where the smallest
-    determinant already clears it. Any other block (a variance that is
-    negative or NaN, a product under the floor, a negative or NaN
-    determinant) goes through :func:`_scalar_mi_exact`, so its bits, raise
-    and worst excess are unchanged.
-    """
-    lo_a, lo_b = va.min(), vb.min()
-    if lo_a >= 0.0 and lo_b >= 0.0 and lo_a * lo_b >= DET_FLOOR:
-        np.multiply(va, vb, out=out)
-        np.multiply(c, c, out=work)
-        np.subtract(out, work, out=work)
-        lo_det = work.min()
-        if lo_det >= 0.0:
-            if lo_det < DET_FLOOR:
-                np.maximum(work, DET_FLOOR, out=work)
-            np.divide(out, work, out=out)
-            np.log(out, out=out)
-            np.multiply(out, 0.5, out=out)
-            if min(lo_a, lo_b) <= VARIANCE_FLOOR:
-                out[:, vb <= VARIANCE_FLOOR] = 0.0
-                out[va[:, 0] <= VARIANCE_FLOOR] = 0.0
-            return -np.inf
-    return _scalar_mi_exact(out, work, prod, va, vb, c)
-
-
-def _scalar_mi_exact(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndarray) -> float:
-    """:func:`_scalar_mi_block` for any block: the bound checked entry by
-    entry, then the floored formula.
+    sqrt(va vb) (1 + 1e-6) among the entries that exceed it, leaving
+    ``out`` unset, when any does, else -inf; a NaN entry exceeds nothing.
 
     With prod = max(va vb, floor) and det = max(prod - c^2, floor), det never
     exceeds prod, so the log is never negative, and c = 0 gives det = prod,
@@ -179,8 +208,9 @@ def _scalar_mi_exact(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndar
     np.sqrt(work, out=work)
     np.multiply(work, 1.0 + 1e-6, out=work)  # the bound, with rounding slack
     np.absolute(c, out=out)
-    if np.greater(out, work).any():
-        return float(np.max(np.subtract(out, work, out=out)))
+    over = np.greater(out, work)
+    if over.any():
+        return float(np.subtract(out, work, out=out)[over].max())
     np.maximum(prod, DET_FLOOR, out=out)
     np.multiply(c, c, out=work)
     np.subtract(out, work, out=work)
@@ -299,65 +329,7 @@ def _score_random(method, model, pool_x, pool_t, ctx) -> np.ndarray:
 def _score_epig_tau(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Mean over targets of MI between the candidate's outcome and the contrast."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-    dev = b.standardized_tau()
-    if dev is not None:
-        return _correlation_mi_means(b, dev)
-
-    def block(rows, bufs):
-        out, work, prod, c = bufs
-        c = b.cy_tau_rows(rows, out=c)
-        return (_scalar_mi_block(out, work, prod, b.y_var[rows, None], b.tau_var, c),)
-
-    return _mi_row_means(*b.shape, 4, block)
-
-
-def _correlation_mi_means(b: MomentBundle, dev) -> np.ndarray:
-    """Row means of the scalar MI -1/2 log(1 - rho^2) between each candidate's
-    outcome and each target's contrast, from the correlations rho that the
-    standardized deviations ``dev`` of the bundle ``b`` give by row block.
-
-    A screen settles an ordinary round on the factor norms. By
-    Cauchy-Schwarz |rho_cj| <= |a_c| |b_j|, and the computed inner products
-    and norms are within a rounding slack of theirs (Higham 2002, section
-    3.1), so if max |a_c| max |b_j| (1 + slack) < 1, no computed |rho|
-    reaches 1: no entry exceeds the bound, 1 - rho^2 needs no floor, and a
-    block is one product, a square, 1 - rho^2 and a log. Any other round (a
-    norm at or above 1, or a NaN) checks every entry against the covariance
-    formula's bound |rho| <= 1 + 1e-6, reports the worst excess in
-    covariance units, (|rho| - 1 - 1e-6) sqrt(Var y_c Var tau_j), and floors
-    1 - rho^2 at DET_FLOOR as that formula floors its determinant. A column
-    zeroed at the variance floor scores 0, and a NaN passes through.
-    """
-    slack = 4.0 * (dev.cand.shape[0] + 2) * np.finfo(float).eps
-    top = (np.max(np.linalg.norm(dev.cand, axis=0), initial=0.0)
-           * np.max(np.linalg.norm(dev.target, axis=0), initial=0.0))
-    if top * (1.0 + slack) < 1.0:
-        def block(rows, bufs):
-            out = bufs[0]
-            np.square(dev.rows(rows, out=out), out=out)
-            np.subtract(1.0, out, out=out)
-            np.log(out, out=out)
-            return ()
-
-        return _negated_half(_mi_row_means(*b.shape, 1, block))
-
-    bound = 1.0 + 1e-6  # the covariance formula's, with its rounding slack
-
-    def checked(rows, bufs):
-        out, work = bufs
-        rho = dev.rows(rows, out=out)
-        np.absolute(rho, out=work)
-        over = work > bound
-        if over.any():
-            excess = (work - bound) * np.sqrt(b.y_var[rows, None] * b.tau_var)
-            return (float(excess[over].max()),)
-        np.square(rho, out=out)
-        np.subtract(1.0, out, out=out)
-        np.maximum(out, DET_FLOOR, out=out)
-        np.log(out, out=out)
-        return (-np.inf,)
-
-    return _negated_half(_mi_row_means(*b.shape, 2, checked))
+    return _scalar_mi_means(b.y_var, [(b.tau_var, b.cy_tau_rows, b.corr_tau_rows)])
 
 
 def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
@@ -380,7 +352,7 @@ def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     lo_y = np.min(b.y_var, initial=np.inf)
     floored = not (lo_y >= 0.0 and det2.min() * lo_y >= DET_FLOOR)
 
-    def block(rows, bufs):
+    def block(rows, bufs, sums):
         q, d, cy0, cy1 = bufs
         cy0, cy1, vy = b.cy0_rows(rows, out=cy0), b.cy1_rows(rows, out=cy1), b.y_var[rows, None]
         # q = cy0^2 v1 - 2 cy0 cy1 c01 + cy1^2 v0
@@ -403,24 +375,16 @@ def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
         if masked:
             q[:, degenerate] = 0.0
             q[certain[rows]] = 0.0
-        return ()
+        np.add.reduce(q, axis=1, out=sums)
 
-    return _negated_half(_mi_row_means(*b.shape, 4, block))
+    return _mi_row_means(*b.shape, 4, block)
 
 
 def _score_epig_mu_additive(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Additive variant: per-target MI with f0 plus MI with f1, averaged."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-
-    def block(rows, bufs):
-        mi0, mi1, work, prod, c = bufs
-        vy = b.y_var[rows, None]
-        excess = (_scalar_mi_block(mi0, work, prod, vy, b.f0_var, b.cy0_rows(rows, out=c)),
-                  _scalar_mi_block(mi1, work, prod, vy, b.f1_var, b.cy1_rows(rows, out=c)))
-        np.add(mi0, mi1, out=mi0)
-        return excess
-
-    return _mi_row_means(*b.shape, 5, block)
+    return _scalar_mi_means(b.y_var, [(vb, rows, _scaled_rows(rows, b.y_var, vb))
+                                      for vb, rows in ((b.f0_var, b.cy0_rows), (b.f1_var, b.cy1_rows))])
 
 
 def _global_quad_mi(y_var: np.ndarray, q: np.ndarray, joint_cov: np.ndarray) -> np.ndarray:
@@ -478,11 +442,10 @@ def _score_epig_factual(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     y_var = model.latent_var(pool_x, pool_t) + model.noise_variance
     star_var = model.latent_var(xs, ts) + model.noise_variance
 
-    def block(rows, bufs):
-        out, work, prod = bufs
-        return (_scalar_mi_block(out, work, prod, y_var[rows, None], star_var, cross[rows]),)
+    def cross_rows(rows, out):
+        return cross[rows]
 
-    return _mi_row_means(*cross.shape, 3, block)
+    return _scalar_mi_means(y_var, [(star_var, cross_rows, _scaled_rows(cross_rows, y_var, star_var))])
 
 
 def _score_mu_bald(method, model, pool_x, pool_t, ctx) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -20,11 +19,24 @@ from scipy.linalg import solve_triangular
 from .errors import InputError
 from .kernels import rows_per_block
 
-if TYPE_CHECKING:
-    from .ensemble import StandardizedDeviations
-
 # Predictive variances below this floor are treated as exactly certain.
 VARIANCE_FLOOR = 1e-12
+
+
+def inverse_sd(var: np.ndarray, k) -> np.ndarray:
+    """1/sqrt(k var) per entry: the scale that makes a deviation whose
+    squares sum to k var a unit one. It is inf or NaN where var is not
+    positive, which no settled scoring block reads."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 1.0 / np.sqrt(k * var)
+
+
+def correlation_rows(cov: np.ndarray, var_a: np.ndarray, var_b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (r, m) covariances ``cov`` over sqrt(var_a var_b), written into
+    ``out``: each row times the ``inverse_sd`` of its ``var_a``, then each
+    column times that of its ``var_b``."""
+    np.multiply(cov, inverse_sd(var_a, 1)[:, None], out=out)
+    return np.multiply(out, inverse_sd(var_b, 1), out=out)
 
 
 @dataclass
@@ -45,11 +57,10 @@ class MomentBundle(ABC):
     (a field or a property of each subclass) and ``cy_tau`` read all rows
     at once.
 
-    A bundle built from member predictions also hands the contrast scorer
-    its deviations standardized (``standardized_tau``), whose inner products
-    are the correlations the scalar MI needs; a bundle that holds its
-    covariance matrices has none, and its contrast scores come from
-    ``cy_tau_rows``.
+    ``corr_tau_rows(rows, out)`` serves the correlations Corr[y_c, tau(x*_j)],
+    which the contrast's scalar MI reads, the same way: by default the
+    covariance rows scaled by the two variances; a bundle of member
+    predictions serves one product of deviations standardized once.
     """
 
     y_var: np.ndarray    # (n_c,)
@@ -75,11 +86,10 @@ class MomentBundle(ABC):
     def cy_tau_rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
         """Cov[y_c, tau(x*_j)] of the candidates ``rows``."""
 
-    @abstractmethod
-    def standardized_tau(self) -> "StandardizedDeviations | None":
-        """The candidate and contrast deviations standardized so that their
-        inner products are Corr[y_c, tau(x*_j)], or None for a bundle that
-        holds no deviations."""
+    def corr_tau_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Corr[y_c, tau(x*_j)] of the candidates ``rows``, written into
+        ``out``: their ``cy_tau_rows`` over sqrt(Var[y_c] Var[tau_j])."""
+        return correlation_rows(self.cy_tau_rows(rows, out=out), self.y_var[rows], self.tau_var, out)
 
     @property
     def cy_tau(self) -> np.ndarray:
@@ -103,9 +113,6 @@ class HeldMomentBundle(MomentBundle):
 
     def cy_tau_rows(self, rows, out=None):
         return np.subtract(self.cy1[rows], self.cy0[rows], out=out)
-
-    def standardized_tau(self) -> None:
-        return None
 
     def condition(self, batch, low: np.ndarray) -> "HeldMomentBundle":
         """This bundle of the posterior conditioned on noisy outcomes at the

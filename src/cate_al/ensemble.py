@@ -11,10 +11,11 @@ members' predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .beliefs import VARIANCE_FLOOR, CateModel, MomentBundle
+from .beliefs import CateModel, MomentBundle, inverse_sd
 from .errors import InputError, NumericalError, as_arms, as_labeled
 
 
@@ -56,38 +57,6 @@ def _member_products(left, right, rows, out):
     return np.matmul(left[:, rows].T, right, out=out)
 
 
-def _standardized(dev: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """The centred member predictions ``dev`` (members, n) scaled by
-    1/sqrt((members - 1) var) per column, so that two scaled columns' inner
-    product is their correlation: zero where ``var`` is at or below
-    ``VARIANCE_FLOOR``, NaN where it is NaN."""
-    at_floor = var <= VARIANCE_FLOOR
-    scale = 1.0 / np.sqrt((dev.shape[0] - 1) * np.where(at_floor, 1.0, var))
-    scale[at_floor] = 0.0
-    return dev * scale
-
-
-@dataclass(frozen=True)
-class StandardizedDeviations:
-    """Candidate and contrast deviations standardized so that each inner
-    product of a candidate column with a target column is the correlation
-    Corr[y_c, tau(x*_j)]: ``cand`` is the centred candidate outcome surfaces
-    over sqrt((members - 1) Var[y_c]), ``target`` the centred contrast over
-    sqrt((members - 1) Var[tau_j]), and a column is zero where its variance
-    is at or below ``VARIANCE_FLOOR``. By Cauchy-Schwarz each correlation
-    is at most the product of the two columns' norms; in the ensemble's own
-    bundle a target's norm is 1 and a candidate's is
-    sqrt(Var f / (Var f + noise)) < 1."""
-
-    cand: np.ndarray    # (members, n_c)
-    target: np.ndarray  # (members, m)
-
-    def rows(self, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
-        """The correlations of the candidates ``rows``: bitwise the rows of
-        ``cand.T @ target``, possibly written into ``out``."""
-        return _member_products(self.cand, self.target, rows, out)
-
-
 @dataclass
 class MemberMomentBundle(MomentBundle):
     """Moment bundle that computes its covariance rows from the centred
@@ -96,9 +65,14 @@ class MemberMomentBundle(MomentBundle):
     or more targets, a block's f0 and f1 rows are bitwise the rows of
     ``_column_cov``'s whole matrices; with one, only the whole set of rows,
     the scorers' one block there, is. The contrast's rows come from the
-    effect deviations directly, not as a difference of the two, and the
-    contrast scorer reads those deviations standardized
-    (``standardized_tau``), so that a block's products are correlations."""
+    effect deviations directly, not as a difference of the two. Its
+    correlation rows are products of the candidate and effect deviations
+    standardized, each column scaled by ``inverse_sd`` of (members - 1)
+    times its variance. The standardized deviations are computed on first
+    use and kept, so a bundle's moments must not change after that. In the
+    ensemble's own bundle a standardized target column has norm 1 and a
+    candidate's sqrt(Var f / (Var f + noise)) < 1, so by Cauchy-Schwarz no
+    correlation reaches 1."""
 
     cand_dev: np.ndarray  # (members, n_c) centred candidate outcome surfaces
     f0_dev: np.ndarray    # (members, m) centred f0 at the targets
@@ -118,9 +92,13 @@ class MemberMomentBundle(MomentBundle):
     def cy_tau_rows(self, rows, out=None):
         return self._rows(self.tau_dev, rows, out)
 
-    def standardized_tau(self) -> StandardizedDeviations:
-        return StandardizedDeviations(_standardized(self.cand_dev, self.y_var),
-                                      _standardized(self.tau_dev, self.tau_var))
+    def corr_tau_rows(self, rows, out):
+        return _member_products(*self._standardized_tau, rows, out)
+
+    @cached_property
+    def _standardized_tau(self) -> tuple[np.ndarray, np.ndarray]:
+        k = self.cand_dev.shape[0] - 1
+        return self.cand_dev * inverse_sd(self.y_var, k), self.tau_dev * inverse_sd(self.tau_var, k)
 
     @property
     def cy0(self) -> np.ndarray:

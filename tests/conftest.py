@@ -126,8 +126,8 @@ def assert_bundles_close(got, want, rel=1e-10):
 class HeldEnsemble(EnsembleLinearModel):
     """The same ensemble with its bundle's covariance matrices computed whole
     and held, as the bundle served them before it computed rows per block:
-    its contrast scores come from the covariance formula, not from the
-    standardized deviations."""
+    its contrast correlations are those held covariance rows scaled by the
+    two variances, not products of the standardized deviations."""
 
     def moment_bundle(self, cand_x, cand_t, target_x):
         b = super().moment_bundle(cand_x, cand_t, target_x)

@@ -7,8 +7,10 @@ way round: a :class:`JointGaussianBelief` over a labeled set of quantities
 and their contrast), assembled from a model's public queries, and MI between
 label blocks from determinants or from Monte-Carlo draws. Sample-based
 beliefs come from :func:`empirical_gaussian_fit` of posterior draws.
-:func:`_mi_scalar_vec` is the whole-matrix scalar-MI formula that the
-blocked mean-over-targets scorers must equal bit for bit.
+:func:`_mi_scalar_vec` is the whole-matrix scalar-MI formula and
+:func:`correlation_mi_means` the whole-matrix correlation expression;
+:func:`blocked_scalar_mi_means` routes each row block to one of them as the
+blocked mean-over-targets scorers do, which must equal it bit for bit.
 :func:`three_gram_nsgp_gram` and :func:`lml_from_fit` are the long-way
 builds that the per-arm Gram and the log marginal likelihood must equal bit
 for bit.
@@ -26,7 +28,7 @@ from cate_al.beliefs import VARIANCE_FLOOR
 from cate_al.ensemble import EnsembleLinearModel
 from cate_al.errors import InputError, NumericalError, as_arms
 from cate_al.gp import fit_gp
-from cate_al.kernels import kernel_gram, overlap_gram
+from cate_al.kernels import kernel_gram, overlap_gram, rows_per_block
 
 
 def quantity_labels(n_targets: int) -> tuple[str, ...]:
@@ -250,6 +252,44 @@ def _mi_scalar_vec(var_a: np.ndarray, var_b: np.ndarray, cov: np.ndarray) -> np.
     out = 0.5 * np.log(prod / det)
     out = np.where((va <= VARIANCE_FLOOR) | (vb <= VARIANCE_FLOOR) | (c == 0.0), 0.0, out)
     return np.maximum(out, 0.0)
+
+
+def correlation_mi_means(var_a: np.ndarray, *quantities) -> np.ndarray:
+    """Row means of the summed scalar MI -1/2 log(1 - rho^2) between
+    candidates of (n, 1) variances ``var_a`` and each target quantity, a
+    pair of its (1, m) variances var_b and (n, m) covariances cov:
+    rho = cov * (1 / sqrt(va)) * (1 / sqrt(vb)), a pair scores 0 when either
+    variance sits at the certainty floor, and the sum of the logs is scaled
+    by -1/2 after its mean, a zero as +0.0."""
+    total = None
+    for var_b, cov in quantities:
+        rho = cov * (1.0 / np.sqrt(var_a)) * (1.0 / np.sqrt(var_b))
+        term = np.where((var_a <= VARIANCE_FLOOR) | (var_b <= VARIANCE_FLOOR), 0.0, np.log(1.0 - rho**2))
+        total = term if total is None else total + term
+    return np.mean(total, axis=1) * -0.5 + 0.0
+
+
+def blocked_scalar_mi_means(var_a: np.ndarray, *quantities) -> np.ndarray:
+    """The mean-over-targets scorers' scores by their documented routing:
+    each block of ``rows_per_block(m)`` rows is :func:`correlation_mi_means`
+    where it settles (every product of a candidate's and a target's
+    variance positive, finite and at or above DET_FLOOR, and every
+    1 - rho^2 at or above DET_FLOOR) and the mean of the summed
+    :func:`_mi_scalar_vec` elsewhere."""
+    n, m = var_a.shape[0], quantities[0][1].shape[1]
+    step = rows_per_block(m)
+    means = np.empty(n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        va, block = var_a[rows], [(var_b, cov[rows]) for var_b, cov in quantities]
+        with np.errstate(all="ignore"):
+            settles = all(va.min() > 0 and var_b.min() > 0 and va.min() * var_b.min() >= DET_FLOOR
+                          and va.max() * var_b.max() < np.inf
+                          and np.min(1.0 - (cov * (1.0 / np.sqrt(va)) * (1.0 / np.sqrt(var_b)))**2) >= DET_FLOOR
+                          for var_b, cov in block)
+            means[rows] = (correlation_mi_means(va, *block) if settles
+                           else np.mean(sum(_mi_scalar_vec(va, var_b, cov) for var_b, cov in block), axis=1))
+    return means
 
 
 def gaussian_mi_block(belief: JointGaussianBelief, block_a, block_b) -> float:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +22,15 @@ from cate_al.acquisition import (
     sign_ambiguity_score,
 )
 from cate_al.active_loop import select_batch
+from cate_al.beliefs import VARIANCE_FLOOR, HeldMomentBundle
 from cate_al.dgp import gen_causalbald
 from cate_al.ensemble import MemberMomentBundle, fit_ensemble
 from cate_al.errors import InputError, NumericalError
 from cate_al.gp import CmgpParams, fit_gp
-from cate_al.kernels import CoregionalizationConfig, KernelConfig
+from cate_al.kernels import CoregionalizationConfig, KernelConfig, rows_per_block
 
 from conftest import HeldEnsemble, StubModel, random_fitted_gp, stdout_at_default_and_one_blas_thread
-from oracles import _mi_scalar_vec, gaussian_mi_block, gaussian_mi_scalar, latent_mean, predictive_belief
+from oracles import _mi_scalar_vec, blocked_scalar_mi_means, gaussian_mi_block, gaussian_mi_scalar, latent_mean, predictive_belief
 
 
 def scores(name, model, pool_x, pool_t, targets=None, labeled=None, propensity=None, rng=0, **params):
@@ -272,6 +274,11 @@ class TestFactualEpig:
         with pytest.raises(InputError):
             AcquisitionMethod("epig_factual", epig_sample_size=0)
 
+    def test_empty_pool_scores_empty(self, rng):
+        model = random_fitted_gp(rng, n=20)
+        got = scores("epig_factual", model, np.zeros((0, 1)), np.zeros(0, dtype=int))
+        assert got.shape == (0,)
+
 
 def factor_moments(rng, n_c, m):
     """StubModel moments of a three-factor Gaussian model, so every
@@ -302,8 +309,8 @@ class IndexedLatentStub(StubModel):
     """Latent moments looked up by the index each point carries as its
     covariate, for the factual-outcome scorer."""
 
-    def __init__(self, latent_var, latent_cross):
-        super().__init__([1.0], [1.0], [1.0], [0.0], [[0.0]], [[0.0]], noise=0.0)
+    def __init__(self, latent_var, latent_cross, noise=0.0):
+        super().__init__([1.0], [1.0], [1.0], [0.0], [[0.0]], [[0.0]], noise=noise)
         self._var, self._cross = latent_var, latent_cross
 
     def latent_var(self, x, t):
@@ -313,41 +320,51 @@ class IndexedLatentStub(StubModel):
         return self._cross[np.ix_(xa[:, 0].astype(int), xb[:, 0].astype(int))]
 
 
+def assert_correlation_scores(got, var_a, *quantities, atol=0.0):
+    """``got`` bitwise the blocked routing of the whole-matrix expressions
+    of the (var_b, cov) ``quantities``, and within 1e-12 of the scalar-MI
+    formula."""
+    np.testing.assert_array_equal(got.view(np.uint64), blocked_scalar_mi_means(var_a, *quantities).view(np.uint64))
+    formula = sum(_mi_scalar_vec(var_a, var_b, cov) for var_b, cov in quantities)
+    np.testing.assert_allclose(got, np.mean(formula, axis=1), rtol=1e-12, atol=atol)
+
+
 class TestBlockedMeanOverTargets:
-    # the blocked scorers against the whole-matrix scalar-MI oracle; (300,
-    # 150) and (40, 20000) span several row blocks, the last one ragged, and
-    # (40, 20000) has one row per block
+    # the blocked scorers against the whole-matrix correlation expression;
+    # (300, 150) and (40, 20000) span several row blocks, the last one
+    # ragged, and (40, 20000) has one row per block
     SHAPES = [(1, 1), (5, 3), (300, 150), (40, 20000)]
 
     @pytest.mark.parametrize("n_c, m", SHAPES)
     def test_contrast_scores_bitwise_equal_to_whole_matrix_oracle(self, rng, n_c, m):
         mo = factor_moments(rng, n_c, m)
         tau_var = mo["f0_var"] + mo["f1_var"] - 2.0 * mo["f01_cov"]
-        expected = np.mean(_mi_scalar_vec(mo["y_var"][:, None], tau_var[None, :], mo["cy1"] - mo["cy0"]), axis=1)
-        np.testing.assert_array_equal(mean_over_targets("causal_epig_tau", StubModel(**mo)), expected)
+        assert_correlation_scores(mean_over_targets("causal_epig_tau", StubModel(**mo)), mo["y_var"][:, None],
+                                  (tau_var[None, :], mo["cy1"] - mo["cy0"]))
 
     @pytest.mark.parametrize("n_c, m", SHAPES)
     def test_additive_scores_bitwise_equal_to_whole_matrix_oracle(self, rng, n_c, m):
         mo = factor_moments(rng, n_c, m)
-        vy = mo["y_var"][:, None]
-        mi0 = _mi_scalar_vec(vy, mo["f0_var"][None, :], mo["cy0"])
-        mi1 = _mi_scalar_vec(vy, mo["f1_var"][None, :], mo["cy1"])
-        expected = np.mean(mi0 + mi1, axis=1)
-        np.testing.assert_array_equal(mean_over_targets("causal_epig_mu_additive", StubModel(**mo)), expected)
+        assert_correlation_scores(mean_over_targets("causal_epig_mu_additive", StubModel(**mo)), mo["y_var"][:, None],
+                                  (mo["f0_var"][None, :], mo["cy0"]), (mo["f1_var"][None, :], mo["cy1"]))
 
     @pytest.mark.parametrize("n, m", [(1, 1), (5, 3), (300, 150), (600, 500)])
     def test_factual_scores_bitwise_equal_to_whole_matrix_oracle(self, rng, n, m):
         # the sample is drawn from the pool, so m <= n; (600, 500) spans
-        # ragged blocks of 32 rows
-        a = rng.normal(size=(n, 3))
-        a[::6] *= 1e-7  # latent variance ~1e-14 and no noise: below the floor
-        var, cross = np.sum(a * a, axis=1), a @ a.T
-        cross[::3, ::5] = 0.0
-        pick = np.random.default_rng(0).choice(n, size=m, replace=False)
-        expected = np.mean(_mi_scalar_vec(var[:, None], var[pick][None, :], cross[:, pick]), axis=1)
-        got = scores("epig_factual", IndexedLatentStub(var, cross), np.arange(n, dtype=float)[:, None],
-                     np.zeros(n, dtype=int), epig_sample_size=m)
-        np.testing.assert_array_equal(got, expected)
+        # ragged blocks of 32 rows. Without noise a sampled candidate's
+        # correlation with itself is 1, so its block takes the formula
+        for noise in (0.0, 0.5):
+            a = rng.normal(size=(n, 3))
+            a[::6] *= 1e-7  # latent variance ~1e-14: without noise, below the floor
+            var, cross = np.sum(a * a, axis=1), a @ a.T
+            cross[::3, ::5] = 0.0
+            pick = np.random.default_rng(0).choice(n, size=m, replace=False)
+            got = scores("epig_factual", IndexedLatentStub(var, cross, noise), np.arange(n, dtype=float)[:, None],
+                         np.zeros(n, dtype=int), epig_sample_size=m)
+            # a score of ~1e-15 shows the rounding of 1 - rho^2, up to eps / 2
+            # in each entry, as a relative error
+            assert_correlation_scores(got, var[:, None] + noise, (var[pick][None, :] + noise, cross[:, pick]),
+                                      atol=np.finfo(float).eps)
 
     @staticmethod
     def oracle_message(var_a, var_b, cov):
@@ -410,28 +427,50 @@ class TestBlockedMeanOverTargets:
         assert peak < bundle_bytes + 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
-def scalar_mi_block(va, vb, c):
-    """``_scalar_mi_block`` of one (r, m) block: its returned excess and its
-    ``out`` (unset buffers hold NaN)."""
-    out, work, prod = np.full((3,) + c.shape, np.nan)
-    return acquisition._scalar_mi_block(out, work, prod, va[:, None], vb, c), out
+def kernel_block(va, vb, c):
+    """The scalar-MI kernel's row means of one block, variances ``va`` (r,)
+    and ``vb`` (m,) and covariances ``c`` (r, m), and whether it took the
+    covariance formula; a raise passes through."""
+    def cov_rows(rows, out):
+        return c[rows]
+
+    exact = acquisition._scalar_mi_exact
+    calls = []
+    with mock.patch.object(acquisition, "_scalar_mi_exact", lambda *args: calls.append(1) or exact(*args)):
+        got = acquisition._scalar_mi_means(va, [(vb, cov_rows, acquisition._scaled_rows(cov_rows, va, vb))])
+    return got, bool(calls)
 
 
-def assert_block_is_the_oracle(va, vb, c) -> bool:
-    """The block against the whole-matrix oracle: the same bits where the
-    oracle scores, the same worst excess where it raises. True if it raised."""
-    excess, out = scalar_mi_block(va, vb, c)
-    try:
-        with np.errstate(all="ignore"):
-            expected = _mi_scalar_vec(va[:, None], vb[None, :], c)
-    except NumericalError as err:
-        assert str(err) == f"covariance exceeds the variance bound by up to {excess}"
-        return True
-    assert excess == -np.inf
-    np.testing.assert_array_equal(np.isnan(out), np.isnan(expected))
+def excess(err) -> float:
+    return float(str(err).rsplit(" ", 1)[1])
+
+
+def assert_block_is_the_oracle(va, vb, c, close=True) -> str:
+    """The block against the whole-matrix oracles: where the scalar-MI
+    formula raises, a raise with the same worst excess; elsewhere the bits
+    of its routing (the correlation expression where it settles, else the
+    formula), a row at the floor +0.0, a NaN passed through and, if
+    ``close``, scores within 1e-12 of the formula. Returns "raised",
+    "settled" or "formula"."""
+    with np.errstate(all="ignore"):
+        try:
+            formula = np.mean(_mi_scalar_vec(va[:, None], vb[None, :], c), axis=1)
+        except NumericalError as err:
+            with pytest.raises(NumericalError, match="covariance exceeds the variance bound by up to") as caught:
+                kernel_block(va, vb, c)
+            assert excess(caught.value) == pytest.approx(excess(err), rel=1e-12)
+            return "raised"
+        expected = blocked_scalar_mi_means(va[:, None], (vb[None, :], c))
+    got, exact = kernel_block(va, vb, c)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
     finite = ~np.isnan(expected)
-    np.testing.assert_array_equal(out[finite].view(np.uint64), expected[finite].view(np.uint64))
-    return False
+    np.testing.assert_array_equal(got[finite].view(np.uint64), expected[finite].view(np.uint64))
+    if close:
+        np.testing.assert_allclose(got, formula, rtol=1e-12, atol=0)
+    floor = va <= VARIANCE_FLOOR
+    assert np.all(got[floor] == 0.0) and not np.signbit(got[floor]).any()
+    assert not np.isfinite(got[np.isnan(c[:, vb > VARIANCE_FLOOR]).any(axis=1) & ~floor]).any()
+    return "formula" if exact else "settled"
 
 
 def edge_block(rng):
@@ -464,7 +503,9 @@ def edge_block(rng):
 
 
 class TestScalarMiBlock:
-    # the screened block against the whole-matrix oracle, edge by edge
+    # the scalar-MI kernel on one block against the whole-matrix oracles,
+    # edge by edge: an ordinary block settles, a degenerate one takes the
+    # covariance formula bit for bit
     BASE_VA, BASE_VB = np.array([0.5, 2.0, 1.3]), np.array([1.0, 0.25, 4.0, 0.9])
 
     def base_block(self):
@@ -472,28 +513,31 @@ class TestScalarMiBlock:
         return self.BASE_VA.copy(), self.BASE_VB.copy(), 0.6 * root * np.array([1.0, -0.5, 0.3, -0.9]), root
 
     def test_ordinary_block(self):
-        assert not assert_block_is_the_oracle(*self.base_block()[:3])
+        assert assert_block_is_the_oracle(*self.base_block()[:3]) == "settled"
 
     @pytest.mark.parametrize("factor", [1.0, 1.0 + 2e-7, 1.0 + 9e-7])
     def test_entry_just_inside_the_slack(self, factor):
         va, vb, c, root = self.base_block()
         c[1, 2] = -factor * root[1, 2]
-        assert not assert_block_is_the_oracle(va, vb, c)
+        assert assert_block_is_the_oracle(va, vb, c) == "formula"
 
     @pytest.mark.parametrize("factor", [1.0 + 1.1e-6, 1.0 + 5e-6, 1.5])
     def test_entry_just_outside_the_slack(self, factor):
         va, vb, c, root = self.base_block()
         c[1, 2] = factor * root[1, 2]
         c[2, 0] = -1.2 * factor * root[2, 0]
-        assert assert_block_is_the_oracle(va, vb, c)
+        assert assert_block_is_the_oracle(va, vb, c) == "raised"
 
     def test_nan_covariance(self):
         va, vb, c, _ = self.base_block()
         c[0, 3] = np.nan
-        assert not assert_block_is_the_oracle(va, vb, c)
+        assert assert_block_is_the_oracle(va, vb, c) == "formula"
 
     @pytest.mark.parametrize("value", [0.0, 1e-13, -1e-3])
     def test_variance_at_or_below_the_floor(self, value):
+        # a positive variance at the floor settles, its pairs scored 0; one
+        # that is not positive takes the formula
+        route = "settled" if value > 0 else "formula"
         for side in (0, 1):
             va, vb, c, _ = self.base_block()
             if side == 0:
@@ -502,29 +546,57 @@ class TestScalarMiBlock:
             else:
                 vb[2] = value
                 c[:, 2] = 0.0 if value < 0 else np.sqrt(max(value, 0.0) * va) * 0.5
-            assert not assert_block_is_the_oracle(va, vb, c)
+            assert assert_block_is_the_oracle(va, vb, c) == route
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_a_variance_that_is_not_finite_takes_the_formula(self, value):
+        # an infinite variance would give rho = 0; the formula's inf / inf
+        # is NaN, and the NaN passes through
+        for side in (0, 1):
+            va, vb, c, _ = self.base_block()
+            (va if side == 0 else vb)[1] = value
+            with np.errstate(invalid="ignore"):
+                assert assert_block_is_the_oracle(va, vb, c, close=False) == "formula"
+
+    def test_variance_understated_to_the_floor_raises(self):
+        # a covariance the floor rule would score 0 still exceeds its bound
+        va, vb, c, _ = self.base_block()
+        va[1] = 1e-13
+        assert assert_block_is_the_oracle(va, vb, c) == "raised"
 
     def test_negative_variance_with_a_covariance_raises(self):
         va, vb, c, _ = self.base_block()
         va[0] = -1e-3
-        assert assert_block_is_the_oracle(va, vb, c)
+        assert assert_block_is_the_oracle(va, vb, c) == "raised"
 
     def test_products_under_the_determinant_floor(self):
         va, vb, c, _ = self.base_block()
         va[:], vb[:] = [1e-160, 3e-161, 2e-155], [1e-160, 5e-158, 1e-170, 2e-160]
         c = 0.7 * np.sqrt(va[:, None] * vb)
-        assert not assert_block_is_the_oracle(va, vb, c)
+        assert assert_block_is_the_oracle(va, vb, c) == "formula"
 
     def test_random_edge_blocks(self):
+        # near |rho| = 1, and on scores of ~1e-15, both expressions round
+        # 1 - rho^2 to their own few ulps, so only the bits of the routing
+        # are compared
         rng = np.random.default_rng(17)
-        raised = sum(assert_block_is_the_oracle(*edge_block(rng)) for _ in range(20_000))
-        assert raised >= 1_000
+        routes = [assert_block_is_the_oracle(*edge_block(rng), close=False) for _ in range(20_000)]
+        assert routes.count("raised") >= 1_000 and routes.count("settled") >= 5_000
+        assert routes.count("formula") >= 1_000
+
+    def test_a_nan_does_not_hide_an_excess(self):
+        # the worst excess is taken over the entries over their bound only
+        bundle = HeldMomentBundle(y_var=np.ones(2), f0_var=np.ones(3), f1_var=np.ones(3), f01_cov=np.zeros(3),
+                                  tau_var=np.ones(3), cy0=np.zeros((2, 3)),
+                                  cy1=np.array([[0.5, 2.0, 0.1], [np.nan, 0.2, 0.3]]), arms=np.zeros(2, dtype=int))
+        with pytest.raises(NumericalError, match="covariance exceeds the variance bound by up to 0.999999"):
+            bundle_scores("causal_epig_tau", bundle)
 
     def test_ordinary_pools_never_take_the_exact_path(self, monkeypatch):
-        # the screen settles every block of a fitted model's pool, so an edit
-        # that sent ordinary blocks down the exact path would show here
-        calls = {"block": 0, "exact": 0}
-        block, exact = acquisition._scalar_mi_block, acquisition._scalar_mi_exact
+        # every block of a fitted model's pool settles, so an edit that sent
+        # ordinary blocks down the exact path would show here
+        calls = {"kernel": 0, "exact": 0}
+        kernel, exact = acquisition._scalar_mi_means, acquisition._scalar_mi_exact
 
         def counted(name, fn):
             def call(*args):
@@ -532,7 +604,7 @@ class TestScalarMiBlock:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(acquisition, "_scalar_mi_block", counted("block", block))
+        monkeypatch.setattr(acquisition, "_scalar_mi_means", counted("kernel", kernel))
         monkeypatch.setattr(acquisition, "_scalar_mi_exact", counted("exact", exact))
         rng = np.random.default_rng(3)
         data = gen_causalbald(260, rng=rng)
@@ -543,7 +615,7 @@ class TestScalarMiBlock:
         for model in models:
             for name in ("causal_epig_tau", "causal_epig_mu_additive", "epig_factual"):
                 scores(name, model, x[60:], t[60:])
-        assert calls["block"] >= 9 and calls["exact"] == 0
+        assert calls["kernel"] == 9 and calls["exact"] == 0
 
 
 class TestRowServedBundle:
@@ -595,31 +667,34 @@ def member_bundle(rng, n_c, m, members=8, noise=0.3):
         cand_dev=cand, f0_dev=f0, f1_dev=f1, tau_dev=tau)
 
 
-def contrast_scores(bundle):
-    """causal_epig_tau scores of a hand-built bundle, handed to the scorer."""
+def bundle_scores(name, bundle):
+    """``name``'s scores of a hand-built bundle, handed to the scorer."""
     n_c, m = bundle.shape
     ctx = ScoringContext(targets=np.zeros((m, 1)), labeled_x=np.zeros((0, 1)), labeled_t=np.zeros(0, dtype=int),
                          rng=np.random.default_rng(0), bundle=bundle)
     stub = StubModel([1.0], [1.0], [1.0], [0.0], [[0.0]], [[0.0]])
-    return score_pool(AcquisitionMethod("causal_epig_tau"), stub, np.zeros((n_c, 1)), np.zeros(n_c, dtype=int), ctx)
+    return score_pool(AcquisitionMethod(name), stub, np.zeros((n_c, 1)), np.zeros(n_c, dtype=int), ctx)
+
+
+def contrast_scores(bundle):
+    return bundle_scores("causal_epig_tau", bundle)
 
 
 def correlation_oracle(bundle):
     """The whole-matrix correlation expression: row means of
-    -1/2 log(max(1 - rho^2, DET_FLOOR)) over rho = A^T B of the bundle's
-    standardized deviations, a zero mean as +0.0."""
-    dev = bundle.standardized_tau()
-    rho = dev.cand.T @ dev.target
-    return np.mean(np.log(np.maximum(1.0 - rho**2, acquisition.DET_FLOOR)), axis=1) * -0.5 + 0.0
+    -1/2 log(1 - rho^2) over rho = A^T B of the bundle's deviations, each
+    column over sqrt((members - 1) Var), a pair at the floor 0 and a zero
+    mean as +0.0."""
+    k = bundle.cand_dev.shape[0] - 1
+    rho = (bundle.cand_dev * (1.0 / np.sqrt(k * bundle.y_var))).T @ (bundle.tau_dev * (1.0 / np.sqrt(k * bundle.tau_var)))
+    floor = (bundle.y_var[:, None] <= VARIANCE_FLOOR) | (bundle.tau_var <= VARIANCE_FLOOR)
+    with np.errstate(invalid="ignore"):
+        return np.mean(np.where(floor, 0.0, np.log(1.0 - rho**2)), axis=1) * -0.5 + 0.0
 
 
-def covariance_oracle(bundle, certain=()):
-    """The covariance formula's row means over the bundle's whole matrices,
-    with the covariances of the ``certain`` candidates zero: their outcome
-    variances are understated to the floor, under what their deviations
-    give."""
+def covariance_oracle(bundle):
+    """The covariance formula's row means over the bundle's whole matrices."""
     cov = bundle.cand_dev.T @ bundle.tau_dev / (bundle.cand_dev.shape[0] - 1)
-    cov[list(certain)] = 0.0
     return np.mean(_mi_scalar_vec(bundle.y_var[:, None], bundle.tau_var[None, :], cov), axis=1)
 
 
@@ -639,25 +714,54 @@ class TestStandardizedContrast:
 
     def test_standardized_columns_are_unit_or_below_one(self, rng):
         bundle = member_bundle(rng, 50, 40, noise=0.3)
-        dev = bundle.standardized_tau()
+        cand, target = bundle._standardized_tau
         var_f = bundle.cand_dev.var(axis=0, ddof=1)
-        np.testing.assert_allclose(np.sum(dev.cand**2, axis=0), var_f / (var_f + 0.3), rtol=1e-14)
-        np.testing.assert_allclose(np.sum(dev.target**2, axis=0), 1.0, rtol=1e-14)
+        np.testing.assert_allclose(np.sum(cand**2, axis=0), var_f / (var_f + 0.3), rtol=1e-14)
+        np.testing.assert_allclose(np.sum(target**2, axis=0), 1.0, rtol=1e-14)
+
+    def test_held_and_member_bundles_serve_the_same_correlations(self, rng):
+        model = TestRowServedBundle.ensemble(rng)
+        held = HeldEnsemble(model.mu_weights, model.tau_weights, model.noise_variance)
+        px, pt, tx = rng.normal(size=(30, 3)), rng.integers(0, 2, 30), rng.normal(size=(20, 3))
+        hb, mb = held.moment_bundle(px, pt, tx), model.moment_bundle(px, pt, tx)
+        got = hb.corr_tau_rows(slice(3, 9), np.empty((6, 20)))
+        expected = (hb.cy_tau * (1.0 / np.sqrt(hb.y_var))[:, None] * (1.0 / np.sqrt(hb.tau_var)))[3:9]
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_allclose(mb.corr_tau_rows(slice(3, 9), np.empty((6, 20))), got, rtol=1e-12, atol=1e-15)
 
     def test_candidates_and_targets_at_the_floor_score_zero(self, rng):
+        # deviations and variances at the floor together, as a model gives
+        # them: the round settles and their pairs score 0
         bundle = member_bundle(rng, 12, 7)
-        bundle.y_var[[2, 5]] = [1e-13, 0.0]
-        bundle.tau_dev[:, 4] *= 1e-7  # Var ~1e-14, at the floor, deviations nonzero
+        bundle.cand_dev[:, [2, 5]] *= 1e-7
+        bundle.y_var[[2, 5]] = bundle.cand_dev[:, [2, 5]].var(axis=0, ddof=1)  # ~1e-14, no noise
+        bundle.tau_dev[:, 4] *= 1e-7
         bundle.tau_var[4] = bundle.tau_dev[:, 4].var(ddof=1)
-        assert bundle.tau_var[4] <= 1e-12
-        dev = bundle.standardized_tau()
-        assert not dev.cand[:, [2, 5]].any() and not dev.target[:, 4].any()
+        assert max(bundle.y_var[[2, 5]].max(), bundle.tau_var[4]) <= VARIANCE_FLOOR
         got = contrast_scores(bundle)
         assert np.all(got[[2, 5]] == 0.0) and not np.signbit(got[[2, 5]]).any()
-        np.testing.assert_allclose(got, covariance_oracle(bundle, certain=[2, 5]), rtol=1e-12, atol=0)
-        bundle.tau_var[:] = 0.0  # every target certain: every candidate scores +0.0
-        got = contrast_scores(bundle)
+        np.testing.assert_array_equal(got.view(np.uint64), correlation_oracle(bundle).view(np.uint64))
+        np.testing.assert_allclose(got, covariance_oracle(bundle), rtol=1e-12, atol=0)
+        certain = member_bundle(rng, 12, 7)  # every target certain: every candidate scores +0.0
+        certain.tau_dev[:], certain.tau_var[:] = 0.0, 0.0
+        got = contrast_scores(certain)
         assert np.all(got == 0.0) and not np.signbit(got).any()
+
+    @pytest.mark.parametrize("side", ["candidate", "target"])
+    @pytest.mark.parametrize("value", [0.0, 1e-13])
+    def test_a_variance_understated_to_the_floor_raises(self, rng, side, value):
+        # the deviations still carry covariances the floor rule would score
+        # 0, and those exceed their bound as the covariance formula finds
+        bundle = member_bundle(rng, 12, 7)
+        if side == "candidate":
+            bundle.y_var[5] = value
+        else:
+            bundle.tau_var[:] = value
+        with pytest.raises(NumericalError) as oracle:
+            covariance_oracle(bundle)
+        with pytest.raises(NumericalError, match="covariance exceeds the variance bound by up to") as caught:
+            contrast_scores(bundle)
+        assert excess(caught.value) == pytest.approx(excess(oracle.value), rel=1e-12)
 
     @pytest.mark.parametrize("side", ["candidate", "target"])
     def test_a_nan_member_prediction_fails_the_round(self, rng, side):
@@ -668,52 +772,44 @@ class TestStandardizedContrast:
         else:
             bundle.tau_dev[3, 2] = np.nan
             bundle.tau_var[2] = np.nan
-        dev = bundle.standardized_tau()
-        assert np.isnan(dev.cand[:, 4]).any() if side == "candidate" else np.isnan(dev.target[:, 2]).any()
         got = contrast_scores(bundle)
         assert not np.isfinite(got[4]) and np.isfinite(got).sum() == (11 if side == "candidate" else 0)
         with pytest.raises(InputError, match="scores must be finite"):
             select_batch(got, 3, 0.0, 0)
 
     def test_an_unsettled_round_over_the_bound_raises_the_worst_excess(self, rng):
-        # understated outcome variances push two candidates' norms to 2 and
-        # 1.5, and a target parallel to each exceeds the bound in another
-        # row block (109 rows per block at m = 150)
+        # understated outcome variances give two candidates correlations of
+        # 2 and 1.5 with a target parallel to each, and each exceeds the
+        # bound in another row block (109 rows per block at m = 150)
         bundle = member_bundle(rng, 300, 150)
         for c, j, shrink in [(10, 3, 4.0), (250, 140, 2.25)]:
             bundle.tau_dev[:, j] = bundle.cand_dev[:, c]
             bundle.tau_var[j] = bundle.tau_dev[:, j].var(ddof=1)
             bundle.y_var[c] = bundle.cand_dev[:, c].var(ddof=1) / shrink
-        norms = np.linalg.norm(bundle.standardized_tau().cand[:, [10, 250]], axis=0)
-        np.testing.assert_allclose(norms, [2.0, 1.5], rtol=1e-14)  # the screen cannot settle the round
-        cov = bundle.cand_dev.T @ bundle.tau_dev / (bundle.cand_dev.shape[0] - 1)
         with pytest.raises(NumericalError) as oracle:
-            _mi_scalar_vec(bundle.y_var[:, None], bundle.tau_var[None, :], cov)
+            covariance_oracle(bundle)
         with pytest.raises(NumericalError, match="covariance exceeds the variance bound by up to") as caught:
             contrast_scores(bundle)
-        worst = float(str(caught.value).rsplit(" ", 1)[1])
-        assert worst == pytest.approx(float(str(oracle.value).rsplit(" ", 1)[1]), rel=1e-12)
+        assert excess(caught.value) == pytest.approx(excess(oracle.value), rel=1e-12)
 
     @pytest.mark.parametrize("n_c, m", [(1, 5), (301, 150), (37, 9000)])
     def test_an_unsettled_round_within_the_bound_is_the_whole_matrix_expression(self, rng, n_c, m):
         # no noise and an outcome variance understated by 1e-9: that
-        # candidate's norm exceeds 1 by ~5e-10, within the bound, and a
-        # target parallel to it has 1 - rho^2 < 0, which takes the floor
+        # candidate's correlation with a target parallel to it exceeds 1 by
+        # ~5e-10, within the bound, so its block takes the covariance
+        # formula, whose determinant takes the floor; the other blocks settle
         bundle = member_bundle(rng, n_c, m)
         c = n_c - 1
         bundle.y_var[c] = bundle.cand_dev[:, c].var(ddof=1) * (1.0 - 1e-9)
         bundle.tau_dev[:, 0] = bundle.cand_dev[:, c]
         bundle.tau_var[0] = bundle.tau_dev[:, 0].var(ddof=1)
         got = contrast_scores(bundle)
-        assert np.all(np.isfinite(got)) and got[c] > 690.0 / (2 * m)
-        np.testing.assert_array_equal(got.view(np.uint64), correlation_oracle(bundle).view(np.uint64))
-
-    def test_a_held_bundle_has_no_standardized_deviations(self, rng):
-        model = TestRowServedBundle.ensemble(rng)
-        held = HeldEnsemble(model.mu_weights, model.tau_weights, model.noise_variance)
-        px, pt = rng.normal(size=(4, 3)), rng.integers(0, 2, 4)
-        assert held.moment_bundle(px, pt, px).standardized_tau() is None
-        assert model.moment_bundle(px, pt, px).standardized_tau() is not None
+        assert np.all(np.isfinite(got)) and got[c] > 300.0 / m
+        expected = correlation_oracle(bundle)
+        step = rows_per_block(m)
+        block = slice(c // step * step, n_c)
+        expected[block] = covariance_oracle(bundle)[block]
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestOneBlasThread:
