@@ -15,6 +15,7 @@ index so parallel evaluation order never changes results.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from itertools import accumulate
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -77,13 +78,14 @@ class AcquisitionMethod:
 # O(block) memory beyond what the bundle itself holds, and each row's mean
 # is the same pairwise sum over a C-contiguous row as a whole matrix's.
 #
-# The contrast, additive-mu and factual scorers average the scalar MI
-# -1/2 log(1 - rho^2) in the correlation rho of the candidate's outcome and
-# a target quantity. One kernel scores every bundle's block from its
-# correlation rows: a square, 1 - rho^2 and a log, where the variances and
-# the smallest 1 - rho^2 show that no covariance can exceed its
-# Cauchy-Schwarz bound. Any other block takes the covariance formula, which
-# checks the bound entry by entry and floors what it must.
+# Each scorer averages the MI with groups of target quantities, uncorrelated
+# within a group, so a group's MI is -1/2 log(1 - the sum of its rho^2): the
+# contrast, each surface for additive-mu, the factual outcome, and for joint
+# mu f0 with u = f1 - beta f0, the part of f1 uncorrelated with f0. One
+# kernel scores a block from correlation rows where the variances and logs
+# show that no covariance can exceed its Cauchy-Schwarz bound; any other
+# block takes the covariance formula, once per quantity by the chain rule,
+# which checks the bound entry by entry and floors what it must.
 
 
 def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
@@ -107,30 +109,35 @@ def _mi_row_means(n_c: int, m: int, n_buffers: int, block) -> np.ndarray:
     return np.add(means, 0.0, out=means)
 
 
-def _scalar_mi_means(va: np.ndarray, quantities) -> np.ndarray:
-    """(n_c,) means over the m targets of the summed scalar MI between each
-    candidate's outcome, of variance ``va`` (n_c,), and each target quantity:
-    ``quantities`` holds one (vb, cov_rows, corr_rows) per quantity, its
-    (m,) variances and the servers of its covariance and correlation rows,
-    ``*_rows(rows, out)`` for the candidate slice ``rows``.
+def _scalar_mi_means(va: np.ndarray, groups) -> np.ndarray:
+    """(n_c,) means over the m targets of the summed MI between each
+    candidate's outcome, of variance ``va`` (n_c,), and each group of target
+    quantities, uncorrelated within a group, each quantity a
+    (vb, cov_rows, corr_rows): its (m,) variances and the servers of its
+    covariance and correlation rows, ``*_rows(rows, out)`` for the candidate
+    slice ``rows``.
 
     A block settles when every product of a candidate's and a target's
     variance is positive, finite and at or above ``DET_FLOOR`` and every
-    log(1 - rho^2) is finite, which its row sums show: where rho^2 rounds
-    to at most 1, 1 - rho^2 is 0 or at least 2^-53, so a finite log means
-    1 - rho^2 is at or above ``DET_FLOOR``. Then no |rho| reaches 1, so no
-    covariance exceeds its bound with the 1e-6 slack, no determinant takes
-    the floor, and the block is a square, 1 - rho^2 and a log of each
-    quantity, with a pair at ``VARIANCE_FLOOR`` scored 0. Any other block
-    (a variance that is not positive or is NaN, a product under the floor,
-    a correlation at 1 or NaN) goes to :func:`_scalar_mi_exact` on the
-    covariance rows, so its scores are bitwise the covariance formula's and
-    a raise stays a raise. The first quantity with a covariance over its
-    bound in any block raises :class:`NumericalError` with its worst excess
-    over all blocks, as the formula over the whole matrices would.
+    group's log is finite, which its row sums show: where a sum of rho^2
+    rounds to at most 1, 1 minus it is 0 or at least 2^-53. Then no
+    covariance exceeds its bound with the 1e-6 slack and no determinant
+    takes the floor, and the block is a square per quantity, a sum per
+    group, 1 minus it and a log, a pair at ``VARIANCE_FLOOR`` scored 0 once
+    its rho^2 is seen below 1. Any other block (a variance that is not
+    positive or is NaN, a product under the floor, a correlation at 1 or
+    NaN) goes to :func:`_scalar_mi_exact` once per quantity, against the
+    candidate's variance given the group's quantities before it: ``va``
+    less their c^2 / vb, but for a vb at the floor. So a group of one is
+    bitwise the covariance formula's, and a raise stays a raise. The first
+    quantity with a covariance over its bound in any block raises
+    :class:`NumericalError` with its worst excess over all blocks, as the
+    formula over the whole matrices would.
     """
-    n_c, m = va.size, quantities[0][0].size
-    worst = [-np.inf] * len(quantities)
+    quantities = [q for group in groups for q in group]
+    spans = [slice(stop - len(group), stop) for group, stop in zip(groups, accumulate(map(len, groups)))]
+    n_c, m, n_q = va.size, quantities[0][0].size, len(quantities)
+    worst = [-np.inf] * n_q
     # the candidates whose products with every target variance fit: as
     # rounding is monotone, their products with the extremes show it. The
     # blocks are _mi_row_means' blocks of rows_per_block(m) rows
@@ -143,45 +150,58 @@ def _scalar_mi_means(va: np.ndarray, quantities) -> np.ndarray:
     step = rows_per_block(m)
     block_fits = np.logical_and.reduceat(fits, np.arange(0, n_c, step)).tolist()
     certain = va <= VARIANCE_FLOOR
+    any_certain = certain.any()
     certain_targets = [np.flatnonzero(vb <= VARIANCE_FLOOR) for vb, _, _ in quantities]
-    masked = certain.any() or any(cols.size for cols in certain_targets)
-    n_q = len(quantities)
+
+    def settled(rows, outs, sums) -> bool:
+        for out, (_, _, corr_rows), cols in zip(outs, quantities, certain_targets):
+            np.square(corr_rows(rows, out), out=out)
+            if cols.size:
+                if not out[:, cols].max() < 1.0:  # False on a NaN
+                    return False
+                out[:, cols] = 0.0
+        logs = []
+        for span in spans:
+            total = _summed(outs[span])  # the group's sum of rho^2
+            logs.append(np.log(np.subtract(1.0, total, out=total), out=total))
+        if not np.add.reduce(_summed(logs), axis=1, out=sums).min() > -np.inf:  # False on a NaN
+            return False
+        if any_certain:
+            sums[certain[rows]] = 0.0
+        return True
 
     def block(rows, bufs, sums):
         outs = bufs[:n_q]
-        if block_fits[rows.start // step]:
-            for out, (_, _, corr_rows), cols in zip(outs, quantities, certain_targets):
-                np.square(corr_rows(rows, out), out=out)
-                np.subtract(1.0, out, out=out)
-                np.log(out, out=out)
-                if masked and np.isfinite(out).all():
-                    # the pairs at the floor score 0 once their logs are
-                    # seen finite; a log that is not stays, for the sums
-                    out[certain[rows]] = 0.0
-                    out[:, cols] = 0.0
-            if _row_sums(outs, sums).min() > -np.inf:  # False on a NaN
-                return
-        work, prod, c = bufs[n_q:]
-        for i, (out, (vb, cov_rows, _)) in enumerate(zip(outs, quantities)):
-            excess = _scalar_mi_exact(out, work, prod, va[rows, None], vb, cov_rows(rows, out=c))
-            worst[i] = max(worst[i], excess)
-            np.multiply(out, -2.0, out=out)
-        _row_sums(outs, sums)
+        if block_fits[rows.start // step] and settled(rows, outs, sums):
+            return
+        work, prod, c, given = bufs[n_q:]
+        for span in spans:
+            va_given = va[rows, None]
+            for i in range(span.start, span.stop):
+                vb, cov_rows, _ = quantities[i]
+                cov = cov_rows(rows, out=c)
+                worst[i] = max(worst[i], _scalar_mi_exact(outs[i], work, prod, va_given, vb, cov))
+                np.multiply(outs[i], -2.0, out=outs[i])
+                if i + 1 < span.stop:
+                    np.square(cov, out=work)
+                    np.divide(work, vb, out=work)
+                    work[:, vb <= VARIANCE_FLOOR] = 0.0
+                    va_given = np.subtract(va_given, work, out=given)
+        np.add.reduce(_summed(outs), axis=1, out=sums)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        means = _mi_row_means(n_c, m, n_q + 3, block)
+        means = _mi_row_means(n_c, m, n_q + 4, block)
     for w in worst:
         if w > -np.inf:
             raise NumericalError(f"covariance exceeds the variance bound by up to {w}")
     return means
 
 
-def _row_sums(outs, sums: np.ndarray) -> np.ndarray:
-    """The row sums of the sum of the (r, m) blocks ``outs``, added up in
-    ``outs[0]``, written into ``sums``."""
+def _summed(outs) -> np.ndarray:
+    """The sum of the (r, m) blocks ``outs``, added up in ``outs[0]``."""
     for out in outs[1:]:
         np.add(outs[0], out, out=outs[0])
-    return np.add.reduce(outs[0], axis=1, out=sums)
+    return outs[0]
 
 
 def _scaled_rows(cov_rows, va: np.ndarray, vb: np.ndarray):
@@ -192,10 +212,10 @@ def _scaled_rows(cov_rows, va: np.ndarray, vb: np.ndarray):
 
 def _scalar_mi_exact(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndarray) -> float:
     """Writes into ``out`` the MI of jointly Gaussian scalar pairs with
-    variances ``va`` (r, 1) and ``vb`` (m,) and covariances ``c`` (r, m),
-    1/2 log(va vb / (va vb - c^2)); a pair scores 0 when either variance
-    sits at the certainty floor. ``work`` and ``prod`` are (r, m) work
-    space. Returns the worst excess of |c| over the bound
+    variances ``va``, (r, 1) or (r, m), and ``vb`` (m,) and covariances
+    ``c`` (r, m), 1/2 log(va vb / (va vb - c^2)); a pair scores 0 when
+    either variance sits at the certainty floor. ``work`` and ``prod`` are
+    (r, m) work space. Returns the worst excess of |c| over the bound
     sqrt(va vb) (1 + 1e-6) among the entries that exceed it, leaving
     ``out`` unset, when any does, else -inf; a NaN entry exceeds nothing.
 
@@ -219,7 +239,7 @@ def _scalar_mi_exact(out, work, prod, va: np.ndarray, vb: np.ndarray, c: np.ndar
     np.log(out, out=out)
     np.multiply(out, 0.5, out=out)
     out[:, vb <= VARIANCE_FLOOR] = 0.0
-    out[va[:, 0] <= VARIANCE_FLOOR] = 0.0
+    np.copyto(out, 0.0, where=va <= VARIANCE_FLOOR)
     return -np.inf
 
 
@@ -329,61 +349,36 @@ def _score_random(method, model, pool_x, pool_t, ctx) -> np.ndarray:
 def _score_epig_tau(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Mean over targets of MI between the candidate's outcome and the contrast."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-    return _scalar_mi_means(b.y_var, [(b.tau_var, b.cy_tau_rows, b.corr_tau_rows)])
+    return _scalar_mi_means(b.y_var, [[(b.tau_var, b.cy_tau_rows, b.corr_tau_rows)]])
 
 
 def _score_epig_mu(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Mean over targets of MI between the candidate's outcome and both
-    potential-outcome surfaces jointly."""
+    potential-outcome surfaces jointly: the MI with f0 and with
+    u = f1 - beta f0, beta = Cov[f0, f1] / Var f0 (0 for a certain f0), the
+    part of f1 uncorrelated with f0, in one log."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-    eps = 1e-12 * np.maximum(np.maximum(b.f0_var, b.f1_var), 1.0)
-    v0 = b.f0_var + eps
-    v1 = b.f1_var + eps
-    c01 = b.f01_cov
-    det2 = np.maximum(v0 * v1 - c01**2, DET_FLOOR)
-    # 2 c01 and -det2 once per call: doubling and negating are exact, so
-    # (cy0 cy1) (2 c01) = ((2 cy0) cy1) c01 and -det2 Var[y] = -(det2 Var[y])
-    c01_twice, det2_neg = 2.0 * c01, -det2
-    degenerate = (b.f0_var <= VARIANCE_FLOOR) & (b.f1_var <= VARIANCE_FLOOR)
-    certain = b.y_var <= VARIANCE_FLOOR
-    masked = degenerate.any() or certain.any()
-    # as rounding is monotone, no product det2 Var[y] falls under the floor
-    # when the product of the smallest ones does not
-    lo_y = np.min(b.y_var, initial=np.inf)
-    floored = not (lo_y >= 0.0 and det2.min() * lo_y >= DET_FLOOR)
+    n_c, m = b.shape
+    beta = np.divide(b.f01_cov, b.f0_var, out=np.zeros(m), where=b.f0_var > VARIANCE_FLOOR)
+    u_var = b.f1_var - beta * b.f01_cov
+    # a certain u, as f1 = a f0 leaves, scores 0: its rounding residue is never read
+    certain_u = np.flatnonzero(u_var <= VARIANCE_FLOOR)
+    cy1 = np.empty((min(rows_per_block(m), n_c), m))
 
-    def block(rows, bufs, sums):
-        q, d, cy0, cy1 = bufs
-        cy0, cy1, vy = b.cy0_rows(rows, out=cy0), b.cy1_rows(rows, out=cy1), b.y_var[rows, None]
-        # q = cy0^2 v1 - 2 cy0 cy1 c01 + cy1^2 v0
-        np.square(cy0, out=q)
-        np.multiply(q, v1, out=q)
-        np.multiply(cy0, cy1, out=d)
-        np.multiply(d, c01_twice, out=d)
-        np.subtract(q, d, out=q)
-        np.square(cy1, out=d)
-        np.multiply(d, v0, out=d)
-        np.add(q, d, out=q)
-        # log(1 - q / (det2 Var[y])), the ratio clipped below 1, with its
-        # sign in the divisor; the means are scaled by -1/2 once
-        np.multiply(det2_neg, vy, out=d)
-        if floored:
-            np.minimum(d, -DET_FLOOR, out=d)
-        np.divide(q, d, out=q)
-        np.clip(q, -(1.0 - 1e-15), 0.0, out=q)
-        np.log1p(q, out=q)
-        if masked:
-            q[:, degenerate] = 0.0
-            q[certain[rows]] = 0.0
-        np.add.reduce(q, axis=1, out=sums)
+    def cy_u_rows(rows, out):
+        np.multiply(b.cy0_rows(rows, out=out), beta, out=out)
+        np.subtract(b.cy1_rows(rows, out=cy1[: out.shape[0]]), out, out=out)
+        out[:, certain_u] = 0.0
+        return out
 
-    return _mi_row_means(*b.shape, 4, block)
+    return _scalar_mi_means(b.y_var, [[(vb, rows, _scaled_rows(rows, b.y_var, vb))
+                                       for vb, rows in ((b.f0_var, b.cy0_rows), (u_var, cy_u_rows))]])
 
 
 def _score_epig_mu_additive(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     """Additive variant: per-target MI with f0 plus MI with f1, averaged."""
     _, b = _target_bundle(method, model, pool_x, pool_t, ctx)
-    return _scalar_mi_means(b.y_var, [(vb, rows, _scaled_rows(rows, b.y_var, vb))
+    return _scalar_mi_means(b.y_var, [[(vb, rows, _scaled_rows(rows, b.y_var, vb))]
                                       for vb, rows in ((b.f0_var, b.cy0_rows), (b.f1_var, b.cy1_rows))])
 
 
@@ -445,7 +440,7 @@ def _score_epig_factual(method, model, pool_x, pool_t, ctx) -> np.ndarray:
     def cross_rows(rows, out):
         return cross[rows]
 
-    return _scalar_mi_means(y_var, [(star_var, cross_rows, _scaled_rows(cross_rows, y_var, star_var))])
+    return _scalar_mi_means(y_var, [[(star_var, cross_rows, _scaled_rows(cross_rows, y_var, star_var))]])
 
 
 def _score_mu_bald(method, model, pool_x, pool_t, ctx) -> np.ndarray:

@@ -147,30 +147,50 @@ class TestCausalEpigMu:
 
     @pytest.mark.parametrize("n_c, m", [(1, 1), (5, 3), (300, 150), (40, 20000)])
     def test_pool_scores_bitwise_equal_to_whole_matrix_expression(self, rng, n_c, m):
-        # the pre-blocking expression over all candidate rows at once, with
-        # degenerate targets and candidates at the variance floor; (300, 150)
-        # and (40, 20000) span several row blocks, the last one ragged
-        f0, f1 = rng.uniform(0.0, 2.0, m), rng.uniform(0.0, 2.0, m)
-        f0[::4], f1[::8] = 0.0, 0.0
-        f01 = rng.uniform(-0.9, 0.9, m) * np.sqrt(f0 * f1)
-        y_var = rng.uniform(0.0, 2.0, n_c)
-        y_var[::6] = 0.0
-        cy0, cy1 = 0.3 * rng.normal(size=(n_c, m)), 0.3 * rng.normal(size=(n_c, m))
-        stub = StubModel(y_var=y_var, f0_var=f0, f1_var=f1, f01_cov=f01, cy0=cy0, cy1=cy1)
+        # three-factor moments with targets and candidates at the variance
+        # floor; (300, 150) and (40, 20000) span several row blocks, the
+        # last one ragged. Every block settles, so the scores are the bits
+        # of the correlation expression over the whole matrices
+        mo = factor_moments(rng, n_c, m)
+        got, exact = counted_exact(lambda: mean_over_targets("causal_epig_mu", StubModel(**mo)))
+        assert not exact
+        np.testing.assert_array_equal(got.view(np.uint64), joint_mu_expression(mo).view(np.uint64))
+        np.testing.assert_allclose(got, joint_mu_reference(mo), rtol=1e-12, atol=0)
 
-        vy = y_var[:, None]
-        eps = 1e-12 * np.maximum(np.maximum(f0, f1), 1.0)
-        v0, v1 = f0 + eps, f1 + eps
-        det2 = np.maximum(v0 * v1 - f01**2, 1e-300)[None, :]
-        q = cy0**2 * v1[None, :] - 2.0 * cy0 * cy1 * f01[None, :] + cy1**2 * v0[None, :]
-        ratio = np.clip(q / np.maximum(det2 * vy, 1e-300), 0.0, 1.0 - 1e-15)
-        out = -0.5 * np.log1p(-ratio)
-        degenerate = ((f0 <= 1e-12) & (f1 <= 1e-12))[None, :]
-        out = np.where(degenerate | (vy <= 1e-12), 0.0, out)
-        expected = np.mean(np.maximum(out, 0.0), axis=1)
+    def test_rank_one_surfaces_score_the_mi_with_f0(self):
+        # f1 = a f0, as a near-singular task covariance gives: the part of
+        # f1 uncorrelated with f0 is certain, so the joint MI is I(y; f0)
+        # and the rounding residue of Var u never raises
+        rng = np.random.default_rng(26)
+        for _ in range(2000):
+            vy, v0 = rng.uniform(0.1, 10.0, 2)
+            a = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0)
+            cy0 = rng.uniform(-0.8, 0.8) * np.sqrt(vy * v0)
+            stub = StubModel(y_var=[vy], f0_var=[v0], f1_var=[a * a * v0], f01_cov=[a * v0],
+                             cy0=[[cy0]], cy1=[[a * cy0]])
+            got = score_one("causal_epig_mu", stub, (np.zeros(1), 0), np.zeros((1, 1)))
+            assert got == pytest.approx(gaussian_mi_scalar(vy, v0, cy0), rel=1e-8, abs=0)
 
-        got = scores("causal_epig_mu", stub, np.zeros((n_c, 1)), np.zeros(n_c, dtype=int), np.zeros((m, 1)))
-        np.testing.assert_array_equal(got, expected)
+    def test_a_covariance_over_the_joint_bound_raises(self):
+        # uncorrelated unit surfaces that each explain 64 % of the outcome:
+        # rho0^2 + rho1^2 = 1.28, so no Gaussian has these moments
+        stub = StubModel(y_var=[1.0], f0_var=[1.0], f1_var=[1.0], f01_cov=[0.0], cy0=[[0.8]], cy1=[[0.8]])
+        with pytest.raises(NumericalError, match="covariance exceeds the variance bound by up to 0.19999"):
+            score_one("causal_epig_mu", stub, (np.zeros(1), 0), np.zeros((1, 1)))
+
+    def test_a_block_sent_to_the_chain_rule_agrees_with_its_settled_scores(self, rng):
+        # one more candidate with Var y = 0 sends the block to the
+        # covariance formula, f0 then u given f0; the others keep their
+        # settled scores to rounding, and the new one scores +0.0
+        mo = factor_moments(rng, 40, 30)
+        settled, exact = counted_exact(lambda: mean_over_targets("causal_epig_mu", StubModel(**mo)))
+        assert not exact
+        more = dict(mo, y_var=np.append(mo["y_var"], 0.0), cy0=np.vstack([mo["cy0"], np.zeros(30)]),
+                    cy1=np.vstack([mo["cy1"], np.zeros(30)]))
+        got, exact = counted_exact(lambda: mean_over_targets("causal_epig_mu", StubModel(**more)))
+        assert exact
+        np.testing.assert_allclose(got[:-1], settled, rtol=1e-12, atol=0)
+        assert got[-1] == 0.0 and not np.signbit(got[-1])
 
 
 class TestAdditiveVariant:
@@ -297,6 +317,48 @@ def factor_moments(rng, n_c, m):
     cy0[::3, ::5], cy1[::3, ::5] = 0.0, 0.0
     return dict(y_var=y_var, f0_var=np.sum(b0 * b0, axis=1), f1_var=np.sum(b1 * b1, axis=1),
                 f01_cov=np.sum(b0 * b1, axis=1), cy0=cy0, cy1=cy1)
+
+
+def joint_mu_expression(mo):
+    """causal_epig_mu's route over the whole matrices of StubModel moments
+    ``mo`` where every block settles: with beta = Cov[f0, f1] / Var f0 (0 at
+    the floor), u = f1 - beta f0 has variance Var f1 - beta Cov[f0, f1] and
+    covariances cy1 - beta cy0, 0 where Var u is at the floor; the scores
+    are the row means of -1/2 log(1 - rho0^2 - rhou^2), a rho^2 at a floor
+    target 0, a candidate at the floor 0 and a zero mean +0.0."""
+    vy, v0, c01 = mo["y_var"][:, None], mo["f0_var"], mo["f01_cov"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.where(v0 > VARIANCE_FLOOR, c01 / v0, 0.0)
+    vu = mo["f1_var"] - beta * c01
+    cu = np.where(vu <= VARIANCE_FLOOR, 0.0, mo["cy1"] - beta * mo["cy0"])
+    total = 0.0
+    for vb, cov in ((v0, mo["cy0"]), (vu, cu)):
+        rho = cov * (1.0 / np.sqrt(vy)) * (1.0 / np.sqrt(vb))
+        total = total + np.where(vb <= VARIANCE_FLOOR, 0.0, rho**2)
+    return np.where(vy[:, 0] <= VARIANCE_FLOOR, 0.0, np.mean(np.log(1.0 - total), axis=1) * -0.5) + 0.0
+
+
+def joint_mu_reference(mo):
+    """Row means of the joint MI 1/2 log(Var y det2 / det3) from the
+    determinants of Cov[f0, f1] and Cov[y, f0, f1], with the floor rule: a
+    surface at the floor counts as a unit one uncorrelated with the rest,
+    and a candidate at the floor scores 0."""
+    keep0, keep1 = mo["f0_var"] > VARIANCE_FLOOR, mo["f1_var"] > VARIANCE_FLOOR
+    v0, v1 = np.where(keep0, mo["f0_var"], 1.0), np.where(keep1, mo["f1_var"], 1.0)
+    c01 = np.where(keep0 & keep1, mo["f01_cov"], 0.0)
+    vy, cy0, cy1 = mo["y_var"][:, None], np.where(keep0, mo["cy0"], 0.0), np.where(keep1, mo["cy1"], 0.0)
+    det2 = v0 * v1 - c01**2
+    det3 = vy * det2 - (cy0**2 * v1 - 2.0 * cy0 * cy1 * c01 + cy1**2 * v0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mi = 0.5 * np.log(vy * det2 / det3)
+    return np.where(vy[:, 0] <= VARIANCE_FLOOR, 0.0, np.mean(mi, axis=1))
+
+
+def counted_exact(score):
+    """``score()`` and whether any block took the covariance formula."""
+    exact, calls = acquisition._scalar_mi_exact, []
+    with mock.patch.object(acquisition, "_scalar_mi_exact", lambda *args: calls.append(1) or exact(*args)):
+        return score(), bool(calls)
 
 
 def mean_over_targets(name, stub):
@@ -434,11 +496,8 @@ def kernel_block(va, vb, c):
     def cov_rows(rows, out):
         return c[rows]
 
-    exact = acquisition._scalar_mi_exact
-    calls = []
-    with mock.patch.object(acquisition, "_scalar_mi_exact", lambda *args: calls.append(1) or exact(*args)):
-        got = acquisition._scalar_mi_means(va, [(vb, cov_rows, acquisition._scaled_rows(cov_rows, va, vb))])
-    return got, bool(calls)
+    return counted_exact(lambda: acquisition._scalar_mi_means(
+        va, [[(vb, cov_rows, acquisition._scaled_rows(cov_rows, va, vb))]]))
 
 
 def excess(err) -> float:
@@ -613,9 +672,9 @@ class TestScalarMiBlock:
         for kind in ("cmgp2", "nsgp"):
             models.append(fit_gp(x[:60], t[:60], y[:60], random_fitted_gp(rng, kind=kind).params))
         for model in models:
-            for name in ("causal_epig_tau", "causal_epig_mu_additive", "epig_factual"):
+            for name in ("causal_epig_tau", "causal_epig_mu", "causal_epig_mu_additive", "epig_factual"):
                 scores(name, model, x[60:], t[60:])
-        assert calls["kernel"] == 9 and calls["exact"] == 0
+        assert calls["kernel"] == 12 and calls["exact"] == 0
 
 
 class TestRowServedBundle:
