@@ -130,8 +130,9 @@ def _fit_estimator(config: LoopConfig, x, t, y, fit_seed: int, last):
 def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> evaluation.RunRecord:
     """Execute one budgeted run and record the per-round trajectory.
 
-    A model-fit or scoring failure aborts the run: the partial record comes
-    back with the failure flag set rather than silently skipping rounds.
+    A model-fit, evaluation (a non-finite root PEHE) or scoring failure
+    aborts the run: the partial record comes back with the failure flag set
+    rather than silently skipping rounds.
     The run holds the BLAS at one thread (see :mod:`cate_al.blas`).
     """
     rng = np.random.default_rng(config.seed if rng is None else rng)
@@ -180,13 +181,13 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
     propensity = model = None
     step, acq_seconds, chosen = 0, 0.0, list(labeled)
     while True:
+        stage = f"round {step}" if step else "warm-start"
         try:
             model = _fit_estimator(
                 config, pool_x[labeled], pool_t[labeled], oracle.reveal(labeled),
                 int(fit_rng.integers(2**31)), model,
             )
         except (NumericalError, InputError) as exc:
-            stage = f"round {step}" if step else "warm-start"
             record.failed = True
             record.failure_reason = f"{stage} fit failed: {exc}"
             return record
@@ -196,11 +197,18 @@ def run_active_learning(config: LoopConfig, pool_data, test_data, rng=None) -> e
             # (another prior or jitter), or no round follows: drop the
             # bundle before PEHE and before any fresh build
             kept = None
+        try:
+            pehe_pool = evaluation.model_sqrt_pehe(model, pool_data, held_pool)
+            pehe_test = evaluation.model_sqrt_pehe(model, test_data, held_test)
+            if not np.isfinite(pehe_pool + pehe_test):
+                raise NumericalError(f"root PEHE is not finite (pool {pehe_pool}, test {pehe_test})")
+        except (NumericalError, InputError) as exc:
+            record.failed = True
+            record.failure_reason = f"{stage} evaluation failed: {exc}"
+            return record
         record.entries.append(
             evaluation.StepEntry(
-                step=step, n_labeled=len(labeled),
-                sqrt_pehe_pool=evaluation.model_sqrt_pehe(model, pool_data, held_pool),
-                sqrt_pehe_test=evaluation.model_sqrt_pehe(model, test_data, held_test),
+                step=step, n_labeled=len(labeled), sqrt_pehe_pool=pehe_pool, sqrt_pehe_test=pehe_test,
                 acq_seconds=acq_seconds, acquired=tuple(chosen),
             )
         )

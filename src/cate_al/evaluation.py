@@ -67,6 +67,8 @@ def model_sqrt_pehe(model, dataset, held=None) -> float:
     ``held``, the dataset's kept contrast rows (a :class:`cate_al.gp.ContrastRows`
     of its covariates, in a GP cell whose prior stays fixed), gives the
     estimates from those rows; without it they come from ``model.tau_mean``.
+    A GP's ``tau_mean`` reads rows of its own by the same formula, so both
+    give the same bits.
     This is the only sanctioned reader of ground-truth effects during a run.
     """
     tau_hat = model.tau_mean(dataset.covariates) if held is None else held.tau_mean(model)

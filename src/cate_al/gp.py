@@ -39,9 +39,6 @@ from .kernels import (
 
 JITTER_START = KernelConfig.jitter
 JITTER_MAX = 1e-3
-# query points per block of GpCateModel.tau_mean: a multiple of 16, as the
-# matrix-vector product of a block then rounds each point as the whole one does
-TAU_MEAN_COLUMNS = 256
 MEMO_ENTRIES = 3            # base Grams a search keeps per kernel slot: the current
                             # one and both trial steps of a lengthscale coordinate
 
@@ -367,7 +364,7 @@ class GpCateModel(CateModel):
     predictive queries are read-only.
     """
 
-    def __init__(self, params: GpParams, x, t, y, L, alpha, y_mean, jitter_used):
+    def __init__(self, params: GpParams, x, t, y, L, alpha, jitter_used):
         for a in (x, t, y, L, alpha):
             a.flags.writeable = False
         self.params = params
@@ -376,7 +373,6 @@ class GpCateModel(CateModel):
         self.train_y = y
         self.L = L
         self.alpha = alpha
-        self.y_mean = float(y_mean)
         self.jitter_used = float(jitter_used)
 
     # -- kernel plumbing ------------------------------------------------
@@ -406,21 +402,10 @@ class GpCateModel(CateModel):
         v = solve_triangular(self.L, self.params.gram(self.train_x, self.train_t, x, t), lower=True)
         return np.maximum(self._prior_point_cov[t, t] - np.sum(v * v, axis=0), 0.0)
 
-    def _arm_means(self, k0, k1):
-        """Posterior means of f0 and f1 from the train cross-Grams of both arms."""
-        return self.y_mean + k0.T @ self.alpha, self.y_mean + k1.T @ self.alpha
-
     def tau_mean(self, x) -> np.ndarray:
-        """Evaluated ``TAU_MEAN_COLUMNS`` points at a time, so it holds two
-        n x ``TAU_MEAN_COLUMNS`` cross-Grams, not two n x len(x); each point
-        gets the bits of an evaluation of all of x at once."""
-        x = _as_points(x)
-        tau = np.empty(x.shape[0])
-        for start in range(0, x.shape[0], TAU_MEAN_COLUMNS):
-            cols = slice(start, start + TAU_MEAN_COLUMNS)
-            mu0, mu1 = self._arm_means(*self.params.arm_grams(self.train_x, self.train_t, x[cols]))
-            np.subtract(mu1, mu0, out=tau[cols])
-        return tau
+        """C^T alpha from the contrast rows of x, built for this one call:
+        they hold n x len(x) entries, and the arm cross-Grams one row block."""
+        return ContrastRows(x, self.train_t.size).tau_mean(self)
 
     def _contrast_moments(self, x):
         """Train cross-Grams at (x, 0) and (x, 1) for the 2-d points x and
@@ -440,9 +425,10 @@ class GpCateModel(CateModel):
 
     def tau_draws(self, x, k, rng: np.random.Generator) -> np.ndarray:
         k0, k1, *_, tau_var = self._contrast_moments(_as_points(x))
-        mu0, mu1 = self._arm_means(k0, k1)
+        # C^T alpha, C = k1 - k0 written over k1: tau_mean's rows, whole
+        mean = np.subtract(k1, k0, out=k1).T @ self.alpha
         sd = np.sqrt(tau_var)
-        return rng.normal((mu1 - mu0)[:, None], sd[:, None], size=(sd.size, int(k)))
+        return rng.normal(mean[:, None], sd[:, None], size=(sd.size, int(k)))
 
     def moment_bundle(self, cand_x, cand_t, target_x) -> HeldMomentBundle:
         cand_x, cand_t = as_labeled(cand_x, cand_t)  # the bundle keeps one arm per candidate
@@ -522,7 +508,8 @@ class ContrastRows:
         self._held = None  # (params, train_x, train_t) of the rows written
 
     def tau_mean(self, model: GpCateModel) -> np.ndarray:
-        """``model.tau_mean(self.x)``, equal up to rounding."""
+        """``model.tau_mean(self.x)``, bitwise: the one contrast-mean formula
+        of a GP, whether the rows were built now or held from earlier rounds."""
         m = model.train_t.size
         if m > self._rows.shape[0]:
             raise InputError(f"{m} training points exceed the {self._rows.shape[0]} contrast rows held")
@@ -601,9 +588,8 @@ def _condition(x, t, y, params: GpParams, gram: np.ndarray) -> GpCateModel:
 def _posterior(x, t, y, params: GpParams, L: np.ndarray, jitter_used: float) -> GpCateModel:
     """Posterior given validated training arrays and the Cholesky factor
     of their noisy Gram, jittered by ``jitter_used``."""
-    y_mean = float(y.mean())
-    alpha, _ = dpotrs(L, y - y_mean, lower=1)
-    return GpCateModel(params, x, t, y, L, alpha, y_mean, jitter_used)
+    alpha, _ = dpotrs(L, y - float(y.mean()), lower=1)
+    return GpCateModel(params, x, t, y, L, alpha, jitter_used)
 
 
 def _extend(last: GpCateModel, x, t, y) -> GpCateModel | None:

@@ -133,7 +133,7 @@ def lml_from_fit(x, t, y, params) -> float:
     """log p(y | X, theta) from ``fit_gp``'s model: its centred outcomes,
     its factor and its weights."""
     model = fit_gp(x, t, y, params)
-    yc = model.train_y - model.y_mean
+    yc = model.train_y - model.train_y.mean()
     return float(
         -0.5 * yc @ model.alpha - np.sum(np.log(np.diag(model.L))) - 0.5 * yc.size * np.log(2.0 * np.pi)
     )
@@ -145,7 +145,7 @@ def lml_from_fit(x, t, y, params) -> float:
 def latent_mean(model, xq, tq) -> np.ndarray:
     """Posterior mean of f_t(x) of a fitted GP at the (x, t) points."""
     k = model.params.gram(model.train_x, model.train_t, xq, tq)
-    return model.y_mean + k.T @ model.alpha
+    return model.train_y.mean() + k.T @ model.alpha
 
 
 def outcome_mean(model, xq, tq) -> np.ndarray:

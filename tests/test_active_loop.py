@@ -249,6 +249,24 @@ class TestRunLoop:
         assert rec.failure_reason == "round 2 fit failed: Cholesky failed"
         assert [e.step for e in rec.entries] == [0, 1]
 
+    @pytest.mark.parametrize("failing_fit, stage", [(1, "warm-start"), (3, "round 2")])
+    def test_a_non_finite_pehe_fails_its_round_and_keeps_earlier_rounds(self, monkeypatch, failing_fit, stage):
+        fits = []
+
+        def fit(*args, **kw):
+            fits.append(original(*args, **kw))
+            if len(fits) == failing_fit:
+                fits[-1].tau_mean = lambda x: np.full(len(x), np.nan)
+            return fits[-1]
+
+        original = active_loop.fit_ensemble
+        monkeypatch.setattr(active_loop, "fit_ensemble", fit)
+        pool, test = small_pools()
+        rec = run_active_learning(fast_config(), pool, test, np.random.default_rng(0))
+        assert rec.failed and len(fits) == failing_fit
+        assert rec.failure_reason == f"{stage} evaluation failed: root PEHE is not finite (pool nan, test nan)"
+        assert [e.step for e in rec.entries] == list(range(failing_fit - 1))
+
     def test_shared_warm_start_aligns_step_zero(self):
         pool, test = small_pools()
         recs = []
@@ -585,7 +603,7 @@ class TestContrastRows:
 
         def pehe(model, dataset, held):
             got, want = original(model, dataset, held), original(model, dataset)
-            assert abs(got - want) <= 1e-12 * want
+            assert got == want
             compared.append(model.train_t.size)
             buffers.add((id(held), held._rows.ctypes.data))
             return got

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -701,8 +703,8 @@ class TestArmGrams:
 
             va, vb = solve(xa, ta), solve(xb, tb)
             f_var = np.maximum(np.diag(params.gram(xa, ta, xa, ta)) - np.sum(va * va, axis=0), 0.0)
-            y_mean = model.y_mean + params.gram(*train, xa, ta).T @ model.alpha
-            np.testing.assert_array_equal(latent_mean(model, xa, ta), y_mean)
+            mean = model.train_y.mean() + params.gram(*train, xa, ta).T @ model.alpha
+            np.testing.assert_array_equal(latent_mean(model, xa, ta), mean)
             np.testing.assert_array_equal(model.latent_var(xa, ta), f_var)
             np.testing.assert_array_equal(model.latent_cov(xa, ta, xb, tb), params.gram(xa, ta, xb, tb) - va.T @ vb)
             np.testing.assert_array_equal(model.latent_cov(xa, ta, xa, ta), params.gram(xa, ta, xa, ta) - va.T @ va)
@@ -744,15 +746,45 @@ class TestArmGrams:
         assert np.abs(bundle.cy1 - cov[:9, 18:]).max() < 1e-6
 
 
+@pytest.mark.parametrize("kind", ["cmgp", "cmgp2", "nsgp"])
+def test_tau_mean_is_bitwise_the_rows_extended_round_by_round(rng, kind):
+    # 1013 evaluation points: row blocks of 16 training points, so the 60
+    # training points span four, and the later rounds' rows start inside one
+    params = RANDOM_PARAMS[kind](rng, 2)
+    x, t, y = growing_data(rng, 60)
+    x_eval = rng.normal(size=(1013, 2))
+    rows, model = gp.ContrastRows(x_eval, 60), None
+    for n in (20, 27, 41, 60):
+        model = fit_gp(x[:n], t[:n], y[:n], params, model)
+        held = rows.tau_mean(model)
+    assert model.tau_mean(x_eval).tobytes() == held.tobytes()
+
+
+def traced_peak(call):
+    """The tracemalloc peak of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("kind", ["cmgp2", "nsgp"])
-@pytest.mark.parametrize("n", [50, 251])
-def test_tau_mean_by_column_blocks_is_bitwise_the_whole_build(rng, kind, n):
-    # 1013 query points: three whole blocks of gp.TAU_MEAN_COLUMNS and a
-    # ragged one
+def test_tau_mean_holds_its_rows_and_one_row_block(rng, kind):
+    # beyond its inputs, tau_mean holds the n x m contrast rows, the build
+    # of one row block's arm cross-Grams (the largest, with the scaled
+    # points they come from), the last block's pair while it builds the
+    # next, and its result; both arm Grams whole would add 2 n m entries
+    n, m = 200, 2000
     model = random_fitted_gp(rng, n=n, dim=2, kind=kind)
-    x = rng.normal(size=(1013, 2))
-    mu0, mu1 = model._arm_means(*model.params.arm_grams(model.train_x, model.train_t, x))
-    assert model.tau_mean(x).tobytes() == (mu1 - mu0).tobytes()
+    x = rng.normal(size=(m, 2))
+    model.tau_mean(x)  # one-time allocations
+    step = kernels.rows_per_block(m)
+    block = max(traced_peak(lambda: model.params.arm_gram_rows(model.train_x, model.train_t, x)(rows))
+                for rows in (slice(start, start + step) for start in range(0, n, step)))
+    held_pair = 2 * step * m * 8
+    assert traced_peak(lambda: model.tau_mean(x)) <= n * m * 8 + block + held_pair + m * 8 + 4096
 
 
 @pytest.mark.parametrize("kind", ["cmgp2", "nsgp"])
